@@ -6,8 +6,11 @@
 // traffic (preprocessing material comes from an in-process dealer here
 // and is excluded — Table II's end-to-end numbers include it).  The
 // split shows where TrustDDL's cost lives: the FC-980x100 layer's
-// Beaver mask openings dominate, exactly the term that makes TrustDDL
-// orders of magnitude heavier than Falcon-style re-sharing designs.
+// weight-sized mask opening f = W − B dominates, exactly the term that
+// makes TrustDDL orders of magnitude heavier than Falcon-style
+// re-sharing designs.  With reusable weight masks (the default) the
+// forward row pays it once for the weight version and the backward row
+// reuses it.
 #include <cstdio>
 
 #include "common/rng.hpp"
@@ -171,9 +174,13 @@ int main() {
   dense_rows(980, 100, "fc 980->100 forward", "fc 980->100 backward");
   dense_rows(100, 10, "fc 100->10 forward", "fc 100->10 backward");
 
-  std::printf("\nThe FC 980->100 openings (e/f masks carry the weight "
-              "matrix) dominate — the structural reason Table II's "
-              "TrustDDL communication sits far above Falcon-style "
-              "re-sharing designs.\n");
+  std::printf("\nThe FC 980->100 forward dominates: its first product "
+              "opens f = W - B, a mask the size of the weight matrix — "
+              "the structural reason Table II's TrustDDL communication "
+              "sits far above Falcon-style re-sharing designs.  With "
+              "reusable weight masks (the default) that opening is paid "
+              "once per weight version: the backward row above and every "
+              "later product against the same weights open only their "
+              "activation-sized e.\n");
   return 0;
 }

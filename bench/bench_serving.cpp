@@ -49,6 +49,7 @@ struct RunStats {
   double requests_per_second = 0.0;
   std::uint64_t batches = 0;
   std::uint64_t total_messages = 0;
+  double megabytes_per_request = 0.0;  // all links, dealing included
   std::vector<std::size_t> labels;  // [client * kRequestsPerClient + r]
 };
 
@@ -88,6 +89,9 @@ RunStats run_once(std::size_t max_batch_rows,
   *wall_out = session.wall_seconds;
   stats.batches = session.scheduler.batches;
   stats.total_messages = session.traffic.total_messages;
+  stats.megabytes_per_request =
+      static_cast<double>(session.traffic.total_bytes) / (1 << 20) /
+      static_cast<double>(kRequests);
   for (const auto& result : results) {
     if (result.status != serve::Status::kOk || result.labels.size() != 1) {
       std::fprintf(stderr, "FATAL: a request did not complete\n");
@@ -119,11 +123,12 @@ RunStats run(std::size_t max_batch_rows,
 }
 
 void print_row(const char* name, const RunStats& stats) {
-  std::printf("%-12s %10.3f %10.3f %8.3f %10.2f %10llu %10llu\n", name,
-              stats.wall.median_s, stats.wall.p95_s, stats.wall.cv,
+  std::printf("%-12s %10.3f %10.3f %8.3f %10.2f %10llu %10llu %10.2f\n",
+              name, stats.wall.median_s, stats.wall.p95_s, stats.wall.cv,
               stats.requests_per_second,
               static_cast<unsigned long long>(stats.batches),
-              static_cast<unsigned long long>(stats.total_messages));
+              static_cast<unsigned long long>(stats.total_messages),
+              stats.megabytes_per_request);
 }
 
 void write_json_entry(std::FILE* file, const char* key, const RunStats& stats,
@@ -131,11 +136,13 @@ void write_json_entry(std::FILE* file, const char* key, const RunStats& stats,
   std::fprintf(file,
                "  \"%s\": {\"wall_seconds\": %.6f, \"wall_p95_seconds\": "
                "%.6f, \"cv\": %.4f, \"requests_per_second\": %.3f, "
-               "\"batches\": %llu, \"total_messages\": %llu}%s\n",
+               "\"batches\": %llu, \"total_messages\": %llu, "
+               "\"mb_per_request\": %.3f}%s\n",
                key, stats.wall.median_s, stats.wall.p95_s, stats.wall.cv,
                stats.requests_per_second,
                static_cast<unsigned long long>(stats.batches),
-               static_cast<unsigned long long>(stats.total_messages), suffix);
+               static_cast<unsigned long long>(stats.total_messages),
+               stats.megabytes_per_request, suffix);
 }
 
 }  // namespace
@@ -159,8 +166,9 @@ int main(int argc, char** argv) {
               "===\n\n",
               kRequests, kClients,
               static_cast<long long>(kLinkLatency.count()));
-  std::printf("%-12s %10s %10s %8s %10s %10s %10s\n", "config", "wall (s)",
-              "p95 (s)", "cv", "req/s", "batches", "messages");
+  std::printf("%-12s %10s %10s %8s %10s %10s %10s %10s\n", "config",
+              "wall (s)", "p95 (s)", "cv", "req/s", "batches", "messages",
+              "MB/req");
 
   const RunStats batch1 =
       run(/*max_batch_rows=*/1, std::chrono::milliseconds(0), split);

@@ -178,9 +178,10 @@ def check_triple_section(metrics):
     and lost, or served twice.
     """
     counters = metrics["counters"]
-    if not any(name.startswith("triple.produced.") for name in counters):
-        return
-    for kind in ("mul", "matmul", "comp_aux", "trunc_pair"):
+    kinds = sorted({name.split(".", 2)[2] for name in counters
+                    if name.startswith(("triple.produced.",
+                                        "triple.consumed."))})
+    for kind in kinds:
         produced = counters.get("triple.produced." + kind, 0)
         consumed = counters.get("triple.consumed." + kind, 0)
         depth_gauge = metrics["gauges"].get("triple.store.depth." + kind)

@@ -74,12 +74,15 @@ StepCost EngineFramework::infer(const RealTensor& images, int repeats,
 
 std::unique_ptr<Framework> make_trustddl(nn::ModelSpec spec,
                                          mpc::SecurityMode mode,
-                                         std::uint64_t seed) {
+                                         std::uint64_t seed,
+                                         bool reuse_weight_masks) {
   core::EngineConfig config;
   config.mode = mode;
   config.seed = seed;
-  return std::make_unique<EngineFramework>("TrustDDL", std::move(spec),
-                                           config);
+  config.reuse_weight_masks = reuse_weight_masks;
+  return std::make_unique<EngineFramework>(
+      reuse_weight_masks ? "TrustDDL + reusable masks" : "TrustDDL",
+      std::move(spec), config);
 }
 
 std::unique_ptr<Framework> make_safeml(nn::ModelSpec spec,
@@ -87,6 +90,7 @@ std::unique_ptr<Framework> make_safeml(nn::ModelSpec spec,
   core::EngineConfig config;
   config.mode = mpc::SecurityMode::kCrashFault;
   config.seed = seed;
+  config.reuse_weight_masks = false;
   return std::make_unique<EngineFramework>("SafeML", std::move(spec),
                                            config);
 }

@@ -1,6 +1,8 @@
 // Framework adapters wrapping the TrustDDL engine.
 //
-// TrustDDL (HbC / malicious) rows of Table II use the engine directly;
+// TrustDDL (HbC / malicious) rows of Table II use the engine directly,
+// with the paper's per-product opening of W − B unless the extension
+// rows ask for reusable weight masks;
 // the SafeML row (the authors' predecessor framework, ICDMW'23) is the
 // engine in crash-fault mode: replicated shares without commitments,
 // plus the per-opening heartbeat round (see SecurityMode::kCrashFault).
@@ -37,10 +39,13 @@ class EngineFramework final : public Framework {
   core::TrustDdlEngine engine_;
 };
 
-/// TrustDDL in the requested adversary model.
+/// TrustDDL in the requested adversary model: paper-faithful, or with
+/// reusable weight masks (EngineConfig::reuse_weight_masks) for the
+/// "TrustDDL + reusable masks" extension rows.
 std::unique_ptr<Framework> make_trustddl(nn::ModelSpec spec,
                                          mpc::SecurityMode mode,
-                                         std::uint64_t seed = 7);
+                                         std::uint64_t seed = 7,
+                                         bool reuse_weight_masks = false);
 
 /// SafeML: crash-fault-tolerant predecessor.
 std::unique_ptr<Framework> make_safeml(nn::ModelSpec spec,

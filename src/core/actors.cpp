@@ -26,6 +26,16 @@ std::string pred_tag(std::size_t step) {
   return "pred/" + std::to_string(step);
 }
 
+std::vector<std::size_t> job_batch_rows(
+    const std::vector<data::Dataset>& batches) {
+  std::vector<std::size_t> rows;
+  rows.reserve(batches.size());
+  for (const auto& batch : batches) {
+    rows.push_back(batch.size());
+  }
+  return rows;
+}
+
 }  // namespace
 
 void share_parameters(nn::Sequential& model, net::Endpoint endpoint,
@@ -156,15 +166,9 @@ mpc::DetectionLog infer_computing_party_body(const InferJob& job, int party,
   // warm them synchronously, then keep them topped up in the
   // background while the online steps run.
   TriplePipeline pipeline(job.config, link, party, /*training=*/false);
+  const std::vector<std::size_t> batch_rows = job_batch_rows(job.batches);
   if (pipeline.active()) {
-    std::vector<std::size_t> batch_rows;
-    batch_rows.reserve(job.batches.size());
-    for (const auto& batch : job.batches) {
-      batch_rows.push_back(batch.size());
-    }
-    pipeline.plan(profile_job_demand(job.spec, batch_rows,
-                                     job.config.resolved_trunc_mode(),
-                                     /*training=*/false));
+    pipeline.plan_job_window(job.spec, batch_rows, /*training=*/false, 0);
     pipeline.warm();
     pipeline.start();
     sctx.triples = &pipeline.source();
@@ -178,6 +182,8 @@ mpc::DetectionLog infer_computing_party_body(const InferJob& job, int party,
     ByteWriter writer;
     mpc::write_party_share(writer, probabilities);
     endpoint.send(kDataOwner, pred_tag(step), writer.take());
+    pipeline.plan_job_window(job.spec, batch_rows, /*training=*/false,
+                             step + 1);
   }
   pipeline.shutdown();  // stop the producer before the owner link closes
   link.stop();
@@ -253,15 +259,9 @@ mpc::DetectionLog train_computing_party_body(const TrainJob& job, int party,
   SecureExecContext sctx = make_exec_context(job.config, pctx, link);
 
   TriplePipeline pipeline(job.config, link, party, /*training=*/true);
+  const std::vector<std::size_t> batch_rows = job_batch_rows(job.batches);
   if (pipeline.active()) {
-    std::vector<std::size_t> batch_rows;
-    batch_rows.reserve(job.batches.size());
-    for (const auto& batch : job.batches) {
-      batch_rows.push_back(batch.size());
-    }
-    pipeline.plan(profile_job_demand(job.spec, batch_rows,
-                                     job.config.resolved_trunc_mode(),
-                                     /*training=*/true));
+    pipeline.plan_job_window(job.spec, batch_rows, /*training=*/true, 0);
     pipeline.warm();
     pipeline.start();
     sctx.triples = &pipeline.source();
@@ -281,11 +281,15 @@ mpc::DetectionLog train_computing_party_body(const TrainJob& job, int party,
     // on shares (§III-C); the batch mean folds into the learning rate.
     const mpc::PartyShare grad_logits = probabilities - y;
     model.backward_from_logit_grad(sctx, grad_logits);
-    const std::size_t batch_rows = x.shape()[0];
     model.sgd_step(sctx,
                    job.options.learning_rate /
-                       static_cast<double>(batch_rows),
+                       static_cast<double>(x.shape()[0]),
                    job.config.frac_bits);
+    // Step s ran at weight version s: plan the window's next step and
+    // forget the version just left behind.
+    pipeline.plan_job_window(job.spec, batch_rows, /*training=*/true,
+                             step + 1);
+    pipeline.retire_versions_before(model.weight_version());
 
     if (step == job.epoch_last_step[epoch]) {
       const bool last_epoch = epoch + 1 == job.options.epochs;

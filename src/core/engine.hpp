@@ -57,6 +57,14 @@ struct EngineConfig {
   /// reproduces the eager one-round-per-protocol-call structure with
   /// bit-identical results; only the round-trip count changes.
   bool batch_openings = true;
+  /// Reusable dense-layer weight masks (DESIGN.md §"Reusable weight
+  /// masks"): the dealer binds one mask B to each (dense layer, weight
+  /// version) and W − B is opened once per version — once per model
+  /// load when serving, once per SGD step when training — instead of
+  /// once per product.  Off keeps the paper's per-product opening of
+  /// Algorithm 4 (Table II's paper-faithful rows, equivalence tests).
+  /// Under masked-open truncation results are bit-identical either way.
+  bool reuse_weight_masks = true;
   /// Sleep link_latency per message to emulate a LAN, making round
   /// trips dominate wall time as they would in deployment.
   bool emulate_latency = false;
@@ -166,7 +174,8 @@ mpc::PartyContext make_party_context(const EngineConfig& config, int party,
                                      mpc::AdversaryHooks* adversary = nullptr);
 
 /// Build the layer-execution context over an already-built party
-/// context and owner link; propagates trunc_mode and batch_openings.
+/// context and owner link; propagates trunc_mode, batch_openings and
+/// reuse_weight_masks.
 SecureExecContext make_exec_context(const EngineConfig& config,
                                     mpc::PartyContext& pctx, OwnerLink& link);
 

@@ -6,16 +6,48 @@
 
 namespace trustddl::core {
 
-Bytes OwnerLink::unary_roundtrip(Bytes request) {
-  std::uint64_t id = 0;
-  {
-    // Counter allocation and send are one atomic step so ids reach the
-    // owner gap-free and in order per party.
-    std::lock_guard<std::mutex> lock(mu_);
-    id = unary_counter_++;
-    endpoint_.send(kModelOwner, "req/" + std::to_string(id),
-                   std::move(request));
+namespace {
+
+Bytes fill_request(const mpc::TripleKey& key, std::uint64_t start,
+                   std::size_t count) {
+  ByteWriter request;
+  request.write_u8(static_cast<std::uint8_t>(OwnerOp::kBatchFill));
+  request.write_u8(static_cast<std::uint8_t>(key.kind));
+  request.write_u64(key.dims.size());
+  for (std::size_t dim : key.dims) {
+    request.write_u64(dim);
   }
+  request.write_u64(start);
+  request.write_u32(static_cast<std::uint32_t>(count));
+  return request.take();
+}
+
+mpc::MaterialBatch fill_response(Bytes payload, const mpc::TripleKey& key,
+                                 std::size_t count) {
+  ByteReader response(std::move(payload));
+  const std::uint32_t served = response.read_u32();
+  if (served != count) {
+    throw ProtocolError("owner served short material batch");
+  }
+  mpc::MaterialBatch batch;
+  batch.reserve(served);
+  for (std::uint32_t i = 0; i < served; ++i) {
+    batch.push_back(mpc::read_material_entry(response, key.kind));
+  }
+  return batch;
+}
+
+}  // namespace
+
+std::uint64_t OwnerLink::unary_send(Bytes request) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const std::uint64_t id = unary_counter_++;
+  endpoint_.send(kModelOwner, "req/" + std::to_string(id),
+                 std::move(request));
+  return id;
+}
+
+Bytes OwnerLink::unary_recv(std::uint64_t id) {
   return endpoint_.recv(kModelOwner, "rsp/" + std::to_string(id),
                         response_timeout_);
 }
@@ -44,64 +76,33 @@ void OwnerLink::collective_send(Bytes request) {
 
 mpc::MaterialBatch OwnerLink::fill(const mpc::TripleKey& key,
                                    std::uint64_t start, std::size_t count) {
-  ByteWriter request;
-  request.write_u8(static_cast<std::uint8_t>(OwnerOp::kBatchFill));
-  request.write_u8(static_cast<std::uint8_t>(key.kind));
-  request.write_u64(key.dims.size());
-  for (std::size_t dim : key.dims) {
-    request.write_u64(dim);
-  }
-  request.write_u64(start);
-  request.write_u32(static_cast<std::uint32_t>(count));
+  const std::uint64_t id = unary_send(fill_request(key, start, count));
+  return fill_response(unary_recv(id), key, count);
+}
 
-  ByteReader response(unary_roundtrip(request.take()));
-  const std::uint32_t served = response.read_u32();
-  if (served != count) {
-    throw ProtocolError("owner served short material batch");
-  }
-  mpc::MaterialBatch batch;
-  for (std::uint32_t i = 0; i < served; ++i) {
-    switch (key.kind) {
-      case mpc::TripleKind::kMul:
-      case mpc::TripleKind::kMatMul:
-        batch.triples.push_back(mpc::read_beaver_share(response));
-        break;
-      case mpc::TripleKind::kCompAux:
-        batch.aux.push_back(mpc::read_party_share(response));
-        break;
-      case mpc::TripleKind::kTruncPair:
-        batch.pairs.push_back(mpc::read_trunc_pair(response));
-        break;
+std::vector<mpc::MaterialEntry> OwnerLink::next_many(
+    const std::vector<mpc::TripleKey>& keys) {
+  std::vector<std::uint64_t> ids;
+  ids.reserve(keys.size());
+  for (const mpc::TripleKey& key : keys) {
+    std::uint64_t index = 0;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      index = stream_cursor_[key]++;
     }
+    ids.push_back(unary_send(fill_request(key, index, 1)));
   }
-  return batch;
-}
-
-mpc::MaterialBatch OwnerLink::next_single(const mpc::TripleKey& key) {
-  std::uint64_t index = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    index = stream_cursor_[key]++;
+  std::vector<mpc::MaterialEntry> entries;
+  entries.reserve(keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    entries.push_back(
+        std::move(fill_response(unary_recv(ids[i]), keys[i], 1).at(0)));
   }
-  return fill(key, index, 1);
+  return entries;
 }
 
-mpc::BeaverTripleShare OwnerLink::mul_triple(const Shape& shape) {
-  return std::move(next_single(mpc::TripleKey::mul(shape)).triples.at(0));
-}
-
-mpc::BeaverTripleShare OwnerLink::matmul_triple(std::size_t m, std::size_t k,
-                                                std::size_t n) {
-  return std::move(
-      next_single(mpc::TripleKey::matmul(m, k, n)).triples.at(0));
-}
-
-mpc::PartyShare OwnerLink::comp_aux(const Shape& shape) {
-  return std::move(next_single(mpc::TripleKey::comp_aux(shape)).aux.at(0));
-}
-
-mpc::TruncPairShare OwnerLink::trunc_pair(const Shape& shape) {
-  return std::move(next_single(mpc::TripleKey::trunc_pair(shape)).pairs.at(0));
+mpc::MaterialEntry OwnerLink::next(const mpc::TripleKey& key) {
+  return std::move(next_many({key}).at(0));
 }
 
 mpc::PartyShare OwnerLink::softmax_forward(const mpc::PartyShare& logits) {

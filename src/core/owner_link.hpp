@@ -60,15 +60,13 @@ class OwnerLink final : public mpc::TripleSource, public mpc::TripleBackend {
   mpc::MaterialBatch fill(const mpc::TripleKey& key, std::uint64_t start,
                           std::size_t count) override;
 
-  // TripleSource — synchronous single-entry convenience over fill();
-  // each key's entries are handed out in stream order starting at 0,
-  // so a link used directly (no store) matches a store-backed run bit
-  // for bit.
-  mpc::BeaverTripleShare mul_triple(const Shape& shape) override;
-  mpc::BeaverTripleShare matmul_triple(std::size_t m, std::size_t k,
-                                       std::size_t n) override;
-  mpc::PartyShare comp_aux(const Shape& shape) override;
-  mpc::TruncPairShare trunc_pair(const Shape& shape) override;
+  /// TripleSource — synchronous single-entry convenience over fill():
+  /// each key's entries are handed out in stream order starting at 0,
+  /// so a link used directly (no store) matches a store-backed run bit
+  /// for bit.
+  mpc::MaterialEntry next(const mpc::TripleKey& key) override;
+  std::vector<mpc::MaterialEntry> next_many(
+      const std::vector<mpc::TripleKey>& keys) override;
 
   /// Outsourced Softmax forward: send logit shares, receive fresh
   /// shares of the probabilities (collective op — the owner combines
@@ -96,15 +94,15 @@ class OwnerLink final : public mpc::TripleSource, public mpc::TripleBackend {
   }
 
  private:
-  /// Unary round trip: counter allocation + send are atomic under the
-  /// lock; the receive happens outside it (responses are tag-matched,
-  /// so concurrent requesters cannot steal each other's replies).
-  Bytes unary_roundtrip(Bytes request);
+  /// Unary request: counter allocation + send are atomic under the
+  /// lock, so ids reach the owner gap-free and in order per party.
+  /// Returns the id whose reply unary_recv awaits — outside the lock,
+  /// and tag-matched, so concurrent requesters cannot steal each
+  /// other's replies.
+  std::uint64_t unary_send(Bytes request);
+  Bytes unary_recv(std::uint64_t id);
   Bytes collective_roundtrip(Bytes request);
   void collective_send(Bytes request);
-
-  /// Single-entry TripleSource access: fill(cursor++, 1) for the key.
-  mpc::MaterialBatch next_single(const mpc::TripleKey& key);
 
   net::Endpoint endpoint_;
   int party_;

@@ -13,6 +13,9 @@ namespace {
 
 constexpr const char* kLog = "core.owner";
 
+/// Bound on one fill's dealing cost (entries × mpc::material_cost).
+constexpr std::size_t kMaxFillCost = std::size_t{1} << 28;
+
 Shape read_shape(ByteReader& reader) {
   const std::uint64_t rank = reader.read_u64();
   if (rank > 8) {
@@ -61,7 +64,9 @@ void ModelOwnerService::run() {
                              payload)) {
         try {
           handle_unary(party, payload, next_unary_[slot]);
-        } catch (const Error& error) {
+        } catch (const std::exception& error) {
+          // Fills are stateless, so dropping one is always safe; no
+          // request, however hostile, may take the dealer down.
           TRUSTDDL_LOG_WARN(kLog)
               << "malformed fill request " << next_unary_[slot]
               << " from party " << party << ": " << error.what();
@@ -149,20 +154,16 @@ void ModelOwnerService::handle_unary(int party, const Bytes& payload,
     (void)reader.read_u8();
     mpc::TripleKey key;
     key.kind = static_cast<mpc::TripleKind>(reader.read_u8());
-    if (key.kind > mpc::TripleKind::kTruncPair) {
-      throw SerializationError("unknown material kind");
-    }
     key.dims = read_shape(reader);
     const std::uint64_t start = reader.read_u64();
     const std::uint32_t count = reader.read_u32();
     if (count == 0 || count > config_.max_batch_entries) {
       throw ProtocolError("fill count out of bounds");
     }
-    std::size_t entry_values = 1;
-    for (std::size_t dim : key.dims) {
-      entry_values *= std::max<std::size_t>(dim, 1);
-    }
-    if (entry_values * count > (std::size_t{1} << 28)) {
+    // material_cost rejects malformed keys and saturates instead of
+    // wrapping, so a hostile product of dims cannot slip under the
+    // bound and send the dealer into a huge allocation.
+    if (mpc::material_cost(key) > kMaxFillCost / count) {
       throw ProtocolError("fill request too large");
     }
 
@@ -172,26 +173,11 @@ void ModelOwnerService::handle_unary(int party, const Bytes& payload,
                                           config_.frac_bits);
     FillCacheEntry entry;
     for (int p = 0; p < kComputingParties; ++p) {
-      const auto& view = views[static_cast<std::size_t>(p)];
       ByteWriter writer;
       writer.write_u32(count);
-      switch (key.kind) {
-        case mpc::TripleKind::kMul:
-        case mpc::TripleKind::kMatMul:
-          for (const auto& triple : view.triples) {
-            mpc::write_beaver_share(writer, triple);
-          }
-          break;
-        case mpc::TripleKind::kCompAux:
-          for (const auto& aux : view.aux) {
-            mpc::write_party_share(writer, aux);
-          }
-          break;
-        case mpc::TripleKind::kTruncPair:
-          for (const auto& pair : view.pairs) {
-            mpc::write_trunc_pair(writer, pair);
-          }
-          break;
+      for (const mpc::MaterialEntry& material :
+           views[static_cast<std::size_t>(p)]) {
+        mpc::write_material_entry(writer, key.kind, material);
       }
       entry.responses[static_cast<std::size_t>(p)] = writer.take();
     }

@@ -82,17 +82,67 @@ void add_col_broadcast(mpc::PartyShare& matrix, const mpc::PartyShare& bias) {
   add(matrix.second, bias.second);
 }
 
+void SecureDense::set_weight_version(std::uint64_t version) {
+  if (version != version_) {
+    version_ = version;
+    mask_ = mpc::WeightMask{};  // the next product deals a fresh B
+  }
+}
+
+mpc::DeferredShare SecureDense::weight_product_prepare(
+    SecureExecContext& ctx, mpc::OpenBatch& batch, const mpc::PartyShare& x,
+    bool transposed) {
+  const std::size_t in_features = weights_.value.shape()[0];
+  const std::size_t out_features = weights_.value.shape()[1];
+  const std::size_t k = transposed ? out_features : in_features;
+  const std::size_t n = transposed ? in_features : out_features;
+  // Everything the product consumes comes in one round trip: the
+  // version's mask on its first product, the masked-matmul entry, and
+  // the truncation pair in masked-open mode.
+  std::vector<mpc::TripleKey> keys;
+  if (!mask_.armed()) {
+    keys.push_back(mpc::TripleKey::weight_mask(layer_, version_, in_features,
+                                               out_features));
+  }
+  keys.push_back(mpc::TripleKey::masked_matmul(layer_, version_, transposed,
+                                               x.shape()[0], k, n));
+  const bool masked_open = ctx.trunc_mode == TruncationMode::kMaskedOpen;
+  if (masked_open) {
+    keys.push_back(mpc::TripleKey::trunc_pair(Shape{x.shape()[0], n}));
+  }
+  std::vector<mpc::MaterialEntry> entries = ctx.triples->next_many(keys);
+  if (!mask_.armed()) {
+    mask_.b = std::make_shared<const mpc::PartyShare>(
+        std::move(entries.front().share));
+  }
+  const mpc::MaterialEntry& product =
+      entries[keys.size() - (masked_open ? 2 : 1)];
+  mpc::DeferredShare out = mpc::sec_matmul_masked_rescaled_prepare(
+      batch, x, weights_.value, mask_, product.triple, transposed,
+      ctx.trunc_mode, masked_open ? &entries.back().pair : nullptr);
+  if (!ctx.batch_openings) {
+    batch.flush_all();
+  }
+  return out;
+}
+
 mpc::PartyShare SecureDense::forward(SecureExecContext& ctx,
                                      const mpc::PartyShare& input) {
   obs::ScopedSpan span("layer.dense.forward", ctx.mpc->party, ctx.mpc->step);
   cached_input_ = input;
-  const std::size_t batch = input.shape()[0];
-  const std::size_t in_features = input.shape()[1];
-  const std::size_t out_features = weights_.value.shape()[1];
-  const mpc::BeaverTripleShare triple =
-      ctx.triples->matmul_triple(batch, in_features, out_features);
-  mpc::PartyShare output = ctx.rescale(
-      mpc::sec_matmul_bt(*ctx.mpc, input, weights_.value, triple));
+  mpc::PartyShare output;
+  if (ctx.reuse_weight_masks) {
+    mpc::OpenBatch open_batch(*ctx.mpc);
+    mpc::DeferredShare product =
+        weight_product_prepare(ctx, open_batch, input, /*transposed=*/false);
+    open_batch.flush_all();
+    output = product.take();
+  } else {
+    const mpc::BeaverTripleShare triple = ctx.triples->matmul_triple(
+        input.shape()[0], input.shape()[1], weights_.value.shape()[1]);
+    output = ctx.rescale(
+        mpc::sec_matmul_bt(*ctx.mpc, input, weights_.value, triple));
+  }
   add_row_broadcast(output, bias_.value);
   return output;
 }
@@ -119,11 +169,18 @@ mpc::PartyShare SecureDense::backward(SecureExecContext& ctx,
     return sum_rows(g);
   });
 
-  const mpc::PartyShare weights_t = mpc::transpose_share(weights_.value);
-  const mpc::BeaverTripleShare x_triple =
-      ctx.triples->matmul_triple(batch, out_features, in_features);
-  mpc::DeferredShare x_grad = ctx.matmul_rescaled_prepare(
-      open_batch, grad_output, weights_t, x_triple);
+  mpc::DeferredShare x_grad;
+  if (ctx.reuse_weight_masks) {
+    // dY·Wᵀ reuses the forward pass's mask: only e = dY − a opens.
+    x_grad = weight_product_prepare(ctx, open_batch, grad_output,
+                                    /*transposed=*/true);
+  } else {
+    const mpc::PartyShare weights_t = mpc::transpose_share(weights_.value);
+    const mpc::BeaverTripleShare x_triple =
+        ctx.triples->matmul_triple(batch, out_features, in_features);
+    x_grad = ctx.matmul_rescaled_prepare(open_batch, grad_output, weights_t,
+                                         x_triple);
+  }
 
   open_batch.flush_all();
   weights_.grad += w_grad.take();
@@ -366,8 +423,8 @@ SecureModel::SecureModel(const nn::ModelSpec& spec,
       case nn::LayerSpec::Kind::kDense: {
         mpc::PartyShare weights = take();
         mpc::PartyShare bias = take();
-        layers_.push_back(std::make_unique<SecureDense>(std::move(weights),
-                                                        std::move(bias)));
+        layers_.push_back(std::make_unique<SecureDense>(
+            std::move(weights), std::move(bias), layers_.size()));
         break;
       }
       case nn::LayerSpec::Kind::kRelu:
@@ -431,6 +488,14 @@ void SecureModel::sgd_step(SecureExecContext& ctx, double learning_rate,
   for (std::size_t i = 0; i < params.size(); ++i) {
     params[i]->value -= deltas[i].take();
     params[i]->zero_grad();
+  }
+  set_weight_version(weight_version_ + 1);
+}
+
+void SecureModel::set_weight_version(std::uint64_t version) {
+  weight_version_ = version;
+  for (auto& layer : layers_) {
+    layer->set_weight_version(version);
   }
 }
 

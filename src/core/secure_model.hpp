@@ -39,6 +39,11 @@ struct SecureExecContext {
   /// immediately) — reconstructed values are identical either way; only
   /// the number of round trips changes.
   bool batch_openings = true;
+  /// Dense layers bind one dealer mask B to each weight version and
+  /// open W − B once per version instead of once per product
+  /// (EngineConfig::reuse_weight_masks).  Results are bit-identical
+  /// under masked-open truncation; only bytes and dealing change.
+  bool reuse_weight_masks = true;
 
   /// Rescale a double-precision product share back to f fractional
   /// bits according to the configured strategy.
@@ -77,13 +82,20 @@ class SecureLayer {
   virtual mpc::PartyShare backward(SecureExecContext& ctx,
                                    const mpc::PartyShare& grad_output) = 0;
   virtual std::vector<SecureParameter*> parameters() { return {}; }
+  /// The model's parameters now hold weight version `version`.
+  virtual void set_weight_version(std::uint64_t /*version*/) {}
 };
 
-/// Fully connected layer on shares: y = xW + b.
+/// Fully connected layer on shares: y = xW + b.  With reusable weight
+/// masks, products against W (forward x·W, backward dY·Wᵀ) consume
+/// masked-matmul entries bound to the current version's mask.
 class SecureDense final : public SecureLayer {
  public:
-  SecureDense(mpc::PartyShare weights, mpc::PartyShare bias)
-      : weights_(std::move(weights)), bias_(std::move(bias)) {}
+  /// `layer` is the layer's index in its model: with the weight
+  /// version it names the dealer's mask stream.
+  SecureDense(mpc::PartyShare weights, mpc::PartyShare bias,
+              std::size_t layer = 0)
+      : layer_(layer), weights_(std::move(weights)), bias_(std::move(bias)) {}
 
   mpc::PartyShare forward(SecureExecContext& ctx,
                           const mpc::PartyShare& input) override;
@@ -92,11 +104,23 @@ class SecureDense final : public SecureLayer {
   std::vector<SecureParameter*> parameters() override {
     return {&weights_, &bias_};
   }
+  void set_weight_version(std::uint64_t version) override;
 
  private:
+  /// Deferred x·W (x·Wᵀ when `transposed`) + rescale against the
+  /// current version's mask, dealt on the version's first product;
+  /// honours batch_openings like matmul_rescaled_prepare.
+  mpc::DeferredShare weight_product_prepare(SecureExecContext& ctx,
+                                            mpc::OpenBatch& batch,
+                                            const mpc::PartyShare& x,
+                                            bool transposed);
+
+  std::size_t layer_;
   SecureParameter weights_;
   SecureParameter bias_;
   mpc::PartyShare cached_input_;
+  std::uint64_t version_ = 0;
+  mpc::WeightMask mask_;
 };
 
 /// Convolution on shares via share-local im2col + SecMatMul-BT.
@@ -192,15 +216,25 @@ class SecureModel {
   void backward_from_logit_grad(SecureExecContext& ctx,
                                 const mpc::PartyShare& grad_logits);
 
-  /// SGD update W -= lr * dW on shares; lr is public.
+  /// SGD update W -= lr * dW on shares; lr is public.  Advances the
+  /// weight version.
   void sgd_step(SecureExecContext& ctx, double learning_rate,
                 int frac_bits);
+
+  /// Version of the current parameter values: 0 for the shares the
+  /// model was built from, +1 per sgd_step.  Each version gets fresh
+  /// reusable weight masks, so under one dealer seed a version must
+  /// never name two different weight values — a service resuming from
+  /// a checkpoint sets the version it checkpointed at.
+  std::uint64_t weight_version() const { return weight_version_; }
+  void set_weight_version(std::uint64_t version);
 
   std::vector<SecureParameter*> parameters();
   void zero_grads();
 
  private:
   std::vector<std::unique_ptr<SecureLayer>> layers_;
+  std::uint64_t weight_version_ = 0;
 };
 
 /// Helpers shared with the engine.

@@ -44,19 +44,31 @@ std::size_t DemandPlan::total() const {
 
 DemandPlan profile_step_demand(const nn::ModelSpec& spec,
                                std::size_t batch_rows,
-                               TruncationMode trunc_mode, bool training) {
+                               TruncationMode trunc_mode, bool training,
+                               const WeightMaskUse& masks) {
   // This walk mirrors the consumption sites in secure_model.cpp — the
   // shapes below must match the Secure* layers' requests exactly or a
   // "warm" store will still miss.  PrefetchExactnessTest pins that
   // equivalence (miss count zero, store drained after the job).
   const bool masked = trunc_mode == TruncationMode::kMaskedOpen;
   DemandPlan plan;
+  // Products against a dense weight: a matmul triple, or with reusable
+  // masks a masked-matmul entry of the current weight version.
+  const auto weight_product = [&](std::size_t index, bool transposed,
+                                  std::size_t k, std::size_t n) {
+    plan.add(masks.reuse
+                 ? mpc::TripleKey::masked_matmul(index, masks.version,
+                                                 transposed, batch_rows, k, n)
+                 : mpc::TripleKey::matmul(batch_rows, k, n),
+             1);
+  };
   std::size_t features = spec.input_features;
-  for (const nn::LayerSpec& layer : spec.layers) {
+  for (std::size_t index = 0; index < spec.layers.size(); ++index) {
+    const nn::LayerSpec& layer = spec.layers[index];
     switch (layer.kind) {
       case nn::LayerSpec::Kind::kDense: {
-        // forward: one matmul triple + masked rescale of the product.
-        plan.add(mpc::TripleKey::matmul(batch_rows, layer.in, layer.out), 1);
+        // forward: x·W + masked rescale of the product.
+        weight_product(index, /*transposed=*/false, layer.in, layer.out);
         if (masked) {
           plan.add(mpc::TripleKey::trunc_pair(Shape{batch_rows, layer.out}),
                    1);
@@ -66,8 +78,7 @@ DemandPlan profile_step_demand(const nn::ModelSpec& spec,
           // grad (batch x out)·(out x in), each rescaled.
           plan.add(mpc::TripleKey::matmul(layer.in, batch_rows, layer.out),
                    1);
-          plan.add(mpc::TripleKey::matmul(batch_rows, layer.out, layer.in),
-                   1);
+          weight_product(index, /*transposed=*/true, layer.out, layer.in);
           if (masked) {
             plan.add(mpc::TripleKey::trunc_pair(Shape{layer.in, layer.out}),
                      1);
@@ -151,12 +162,39 @@ DemandPlan profile_step_demand(const nn::ModelSpec& spec,
   return plan;
 }
 
+DemandPlan profile_version_demand(const nn::ModelSpec& spec,
+                                  std::uint64_t version) {
+  DemandPlan plan;
+  for (std::size_t index = 0; index < spec.layers.size(); ++index) {
+    const nn::LayerSpec& layer = spec.layers[index];
+    if (layer.kind == nn::LayerSpec::Kind::kDense) {
+      plan.add(
+          mpc::TripleKey::weight_mask(index, version, layer.in, layer.out),
+          1);
+    }
+  }
+  return plan;
+}
+
 DemandPlan profile_job_demand(const nn::ModelSpec& spec,
                               const std::vector<std::size_t>& batch_rows,
-                              TruncationMode trunc_mode, bool training) {
+                              TruncationMode trunc_mode, bool training,
+                              const WeightMaskUse& masks, std::size_t first,
+                              std::size_t count) {
   DemandPlan plan;
-  for (std::size_t rows : batch_rows) {
-    plan.merge(profile_step_demand(spec, rows, trunc_mode, training));
+  const std::size_t last =
+      first + std::min(count, batch_rows.size() - std::min(first,
+                                                           batch_rows.size()));
+  for (std::size_t step = first; step < last; ++step) {
+    WeightMaskUse step_masks = masks;
+    if (training) {
+      step_masks.version += step;
+    }
+    plan.merge(profile_step_demand(spec, batch_rows[step], trunc_mode,
+                                   training, step_masks));
+    if (masks.reuse && (training || step == 0)) {
+      plan.merge(profile_version_demand(spec, step_masks.version));
+    }
   }
   return plan;
 }
@@ -164,11 +202,15 @@ DemandPlan profile_job_demand(const nn::ModelSpec& spec,
 DemandPlan profile_train_round_demand(
     const nn::ModelSpec& spec, const std::vector<std::size_t>& owner_rows,
     TruncationMode trunc_mode, const mpc::AggregateOptions& aggregation,
-    bool momentum) {
+    bool momentum, const WeightMaskUse& masks) {
   const bool masked = trunc_mode == TruncationMode::kMaskedOpen;
   DemandPlan plan;
+  if (masks.reuse) {
+    plan.merge(profile_version_demand(spec, masks.version));
+  }
   for (std::size_t rows : owner_rows) {
-    plan.merge(profile_step_demand(spec, rows, trunc_mode, /*training=*/true));
+    plan.merge(profile_step_demand(spec, rows, trunc_mode, /*training=*/true,
+                                   masks));
     if (masked) {
       // Per-owner logit-gradient normalization: (p - y) * enc(1/rows)
       // rescaled before backward so owner gradients are comparable.
@@ -272,14 +314,32 @@ void TriplePipeline::plan_step(const nn::ModelSpec& spec, std::size_t rows,
   if (store_ == nullptr) {
     return;
   }
-  DemandPlan step = profile_step_demand(spec, rows,
-                                        config_.resolved_trunc_mode(),
-                                        /*training=*/false);
+  DemandPlan step = profile_step_demand(
+      spec, rows, config_.resolved_trunc_mode(), /*training=*/false,
+      WeightMaskUse{config_.reuse_weight_masks, 0});
   DemandPlan scaled;
   for (const auto& [key, count] : step.counts) {
     scaled.add(key, count * std::max<std::size_t>(depth_factor, 1));
   }
   plan(scaled);
+}
+
+void TriplePipeline::plan_job_window(const nn::ModelSpec& spec,
+                                     const std::vector<std::size_t>& batch_rows,
+                                     bool training, std::size_t first) {
+  if (store_ == nullptr) {
+    return;
+  }
+  plan(profile_job_demand(spec, batch_rows, config_.resolved_trunc_mode(),
+                          training,
+                          WeightMaskUse{config_.reuse_weight_masks, 0}, first,
+                          config_.triple_max_depth));
+}
+
+void TriplePipeline::retire_versions_before(std::uint64_t version) {
+  if (store_ != nullptr) {
+    store_->retire_versions_before(version);
+  }
 }
 
 std::size_t TriplePipeline::warm() {

@@ -21,6 +21,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -46,35 +47,54 @@ struct DemandPlan {
   std::size_t total() const;
 };
 
+/// Which reusable weight masks a step's dense products draw on
+/// (EngineConfig::reuse_weight_masks): none, or those of `version`.
+struct WeightMaskUse {
+  bool reuse = false;
+  std::uint64_t version = 0;
+};
+
 /// Material one training/inference step consumes for a batch of
 /// `batch_rows` samples: forward pass always; backward + SGD update
 /// when `training`.  Truncation pairs appear only in kMaskedOpen mode
-/// (local truncation consumes no material).  Mirrors the consumption
-/// sites in secure_model.cpp layer by layer.
+/// (local truncation consumes no material).  With masks.reuse the dense
+/// products draw masked-matmul entries of masks.version; the version's
+/// kWeightMask entries are not included (see profile_version_demand).
+/// Mirrors the consumption sites in secure_model.cpp layer by layer.
 DemandPlan profile_step_demand(const nn::ModelSpec& spec,
                                std::size_t batch_rows,
-                               TruncationMode trunc_mode, bool training);
+                               TruncationMode trunc_mode, bool training,
+                               const WeightMaskUse& masks = {});
 
-/// Demand for a whole job: one step per entry of `batch_rows` (batches
-/// may differ in size — the trailing partial batch gets its own shape
-/// classes).
-DemandPlan profile_job_demand(const nn::ModelSpec& spec,
-                              const std::vector<std::size_t>& batch_rows,
-                              TruncationMode trunc_mode, bool training);
+/// The reusable masks weight version `version` deals: one kWeightMask
+/// entry per dense layer, consumed by the version's first product.
+DemandPlan profile_version_demand(const nn::ModelSpec& spec,
+                                  std::uint64_t version);
+
+/// Demand for steps [first, first + count) of a job of `batch_rows`
+/// steps (batches may differ in size — the trailing partial batch gets
+/// its own shape classes).  Inference steps all run at masks.version;
+/// training step i runs at masks.version + i (one SGD step each).  Each
+/// version's masks are planned with the step that first uses it.
+DemandPlan profile_job_demand(
+    const nn::ModelSpec& spec, const std::vector<std::size_t>& batch_rows,
+    TruncationMode trunc_mode, bool training,
+    const WeightMaskUse& masks = {}, std::size_t first = 0,
+    std::size_t count = std::numeric_limits<std::size_t>::max());
 
 /// Material one multi-owner training round consumes: per owner a full
 /// forward/backward step on that owner's minibatch plus the masked
 /// rescale of its normalized logit gradient, then per parameter the
 /// comparison and truncation demand of the robust aggregation (see
-/// mpc::aggregate_demand) and the optional momentum rescale.  Slightly
-/// over-counts the per-round SGD truncation pairs (once per owner
-/// instead of once per round) — a deliberate overshoot: store targets
-/// are maxima, and surplus prefetched entries persist for later
-/// rounds.
+/// mpc::aggregate_demand) and the optional momentum rescale, plus the
+/// round's weight-version masks.  Slightly over-counts the per-round
+/// SGD truncation pairs (once per owner instead of once per round) — a
+/// deliberate overshoot: store targets are maxima, and surplus
+/// prefetched entries persist for later rounds.
 DemandPlan profile_train_round_demand(
     const nn::ModelSpec& spec, const std::vector<std::size_t>& owner_rows,
     TruncationMode trunc_mode, const mpc::AggregateOptions& aggregation,
-    bool momentum);
+    bool momentum, const WeightMaskUse& masks = {});
 
 class TriplePipeline {
  public:
@@ -98,8 +118,21 @@ class TriplePipeline {
   mpc::TripleStore* store() { return store_.get(); }
 
   /// Raise per-key targets from a demand plan (each capped at
-  /// EngineConfig::triple_max_depth).
+  /// EngineConfig::triple_max_depth).  A versioned key's count is what
+  /// it should deliver beyond the entries already consumed.
   void plan(const DemandPlan& plan);
+
+  /// Plan steps [first, first + EngineConfig::triple_max_depth) of an
+  /// engine job (profile_job_demand).  Jobs call it once before warm()
+  /// and again after every step, so versioned material is planned a
+  /// bounded window ahead of the online phase.
+  void plan_job_window(const nn::ModelSpec& spec,
+                       const std::vector<std::size_t>& batch_rows,
+                       bool training, std::size_t first);
+
+  /// Drop the drained streams of weight versions below `version`
+  /// (TripleStore::retire_versions_before).  Consumer thread only.
+  void retire_versions_before(std::uint64_t version);
 
   /// Convenience for serving: plan `depth_factor` steps' worth of
   /// demand for a batch of `rows` (adaptive steady-state planning —

@@ -1,5 +1,7 @@
 #include "mpc/beaver.hpp"
 
+#include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "common/error.hpp"
@@ -18,14 +20,15 @@ RingTensor random_ring_tensor(const Shape& shape, Rng& rng) {
 
 std::array<BeaverTripleShare, kNumParties> package_triple(
     const RingTensor& a, const RingTensor& b, const RingTensor& c, Rng& rng) {
-  const auto a_views = share_secret(a, rng);
-  const auto b_views = share_secret(b, rng);
-  const auto c_views = share_secret(c, rng);
+  auto a_views = share_secret(a, rng);
+  auto b_views = share_secret(b, rng);
+  auto c_views = share_secret(c, rng);
   std::array<BeaverTripleShare, kNumParties> out;
   for (int party = 0; party < kNumParties; ++party) {
     const auto index = static_cast<std::size_t>(party);
-    out[index] = BeaverTripleShare{a_views[index], b_views[index],
-                                   c_views[index]};
+    out[index] = BeaverTripleShare{std::move(a_views[index]),
+                                   std::move(b_views[index]),
+                                   std::move(c_views[index])};
   }
   return out;
 }
@@ -99,6 +102,10 @@ const char* triple_kind_name(TripleKind kind) {
       return "comp_aux";
     case TripleKind::kTruncPair:
       return "trunc_pair";
+    case TripleKind::kWeightMask:
+      return "weight_mask";
+    case TripleKind::kMaskedMatMul:
+      return "masked_matmul";
   }
   return "unknown";
 }
@@ -109,6 +116,50 @@ std::size_t TripleKeyHash::operator()(const TripleKey& key) const {
     h = mix64(h ^ static_cast<std::uint64_t>(dim));
   }
   return static_cast<std::size_t>(h);
+}
+
+std::size_t material_cost(const TripleKey& key) {
+  std::size_t value_dims_from = 0;
+  switch (key.kind) {
+    case TripleKind::kMul:
+    case TripleKind::kCompAux:
+    case TripleKind::kTruncPair:
+      break;
+    case TripleKind::kMatMul:
+      if (key.dims.size() != 3) {
+        throw SerializationError("matmul key needs dims {m, k, n}");
+      }
+      break;
+    case TripleKind::kWeightMask:
+      if (key.dims.size() != 4) {
+        throw SerializationError(
+            "weight-mask key needs dims {layer, version, in, out}");
+      }
+      value_dims_from = 2;
+      break;
+    case TripleKind::kMaskedMatMul:
+      if (key.dims.size() != 6) {
+        throw SerializationError(
+            "masked-matmul key needs dims {layer, version, transposed, m, "
+            "k, n}");
+      }
+      if (key.dims[2] > 1) {
+        throw SerializationError("masked-matmul transposed flag not 0/1");
+      }
+      value_dims_from = 3;
+      break;
+    default:
+      throw SerializationError("unknown material kind");
+  }
+  std::size_t cost = 1;
+  for (std::size_t i = value_dims_from; i < key.dims.size(); ++i) {
+    const std::size_t dim = std::max<std::size_t>(key.dims[i], 1);
+    if (cost > std::numeric_limits<std::size_t>::max() / dim) {
+      return std::numeric_limits<std::size_t>::max();
+    }
+    cost *= dim;
+  }
+  return cost;
 }
 
 std::uint64_t derive_material_seed(std::uint64_t master_seed,
@@ -122,50 +173,78 @@ std::uint64_t derive_material_seed(std::uint64_t master_seed,
   return mix64(h ^ index);
 }
 
+RingTensor weight_mask_value(std::uint64_t master_seed, std::size_t layer,
+                             std::uint64_t version, std::size_t in,
+                             std::size_t out) {
+  // Domain tag "wmaskval": entry seeds start from mix64(master_seed)
+  // alone, so this chain never meets one.
+  std::uint64_t h = mix64(master_seed ^ 0x776d61736b76616cULL);
+  for (std::uint64_t word : {std::uint64_t{layer}, version,
+                             std::uint64_t{in}, std::uint64_t{out}}) {
+    h = mix64(h ^ word);
+  }
+  Rng rng(h);
+  return random_ring_tensor(Shape{in, out}, rng);
+}
+
 std::array<MaterialBatch, kNumParties> deal_material(const TripleKey& key,
                                                      std::uint64_t start,
                                                      std::size_t count,
                                                      std::uint64_t master_seed,
                                                      int frac_bits) {
+  (void)material_cost(key);  // validates the key's arity and flags
+  const auto& d = key.dims;
+  // A version's B is the same for every entry of its streams.
+  RingTensor mask;
+  if (key.kind == TripleKind::kWeightMask) {
+    mask = weight_mask_value(master_seed, d[0], d[1], d[2], d[3]);
+  } else if (key.kind == TripleKind::kMaskedMatMul) {
+    const bool transposed = d[2] == 1;
+    mask = weight_mask_value(master_seed, d[0], d[1],
+                             transposed ? d[5] : d[4],
+                             transposed ? d[4] : d[5]);
+    if (transposed) {
+      mask = transpose(mask);
+    }
+  }
+
   std::array<MaterialBatch, kNumParties> out;
+  for (auto& view : out) {
+    view.resize(count);
+  }
   for (std::size_t i = 0; i < count; ++i) {
     // Fresh generator per entry: material is addressable by (key,
     // index) alone, independent of the range it was requested in.
     Rng rng(derive_material_seed(master_seed, key, start + i));
+    const auto put = [&](auto views, auto member) {
+      for (std::size_t p = 0; p < kNumParties; ++p) {
+        out[p][i].*member = std::move(views[p]);
+      }
+    };
     switch (key.kind) {
-      case TripleKind::kMul: {
-        const auto views = deal_mul_triple(key.dims, rng);
-        for (int p = 0; p < kNumParties; ++p) {
-          out[static_cast<std::size_t>(p)].triples.push_back(
-              views[static_cast<std::size_t>(p)]);
-        }
+      case TripleKind::kMul:
+        put(deal_mul_triple(d, rng), &MaterialEntry::triple);
         break;
-      }
-      case TripleKind::kMatMul: {
-        if (key.dims.size() != 3) {
-          throw InvalidArgument("matmul triple key needs dims {m, k, n}");
-        }
-        const auto views =
-            deal_matmul_triple(key.dims[0], key.dims[1], key.dims[2], rng);
-        for (int p = 0; p < kNumParties; ++p) {
-          out[static_cast<std::size_t>(p)].triples.push_back(
-              views[static_cast<std::size_t>(p)]);
-        }
+      case TripleKind::kMatMul:
+        put(deal_matmul_triple(d[0], d[1], d[2], rng),
+            &MaterialEntry::triple);
         break;
-      }
-      case TripleKind::kCompAux: {
-        const auto views = deal_positive_aux(key.dims, frac_bits, rng);
-        for (int p = 0; p < kNumParties; ++p) {
-          out[static_cast<std::size_t>(p)].aux.push_back(
-              views[static_cast<std::size_t>(p)]);
-        }
+      case TripleKind::kCompAux:
+        put(deal_positive_aux(d, frac_bits, rng), &MaterialEntry::share);
         break;
-      }
-      case TripleKind::kTruncPair: {
-        const auto views = deal_trunc_pair(key.dims, frac_bits, rng);
-        for (int p = 0; p < kNumParties; ++p) {
-          out[static_cast<std::size_t>(p)].pairs.push_back(
-              views[static_cast<std::size_t>(p)]);
+      case TripleKind::kTruncPair:
+        put(deal_trunc_pair(d, frac_bits, rng), &MaterialEntry::pair);
+        break;
+      case TripleKind::kWeightMask:
+        put(share_secret(mask, rng), &MaterialEntry::share);
+        break;
+      case TripleKind::kMaskedMatMul: {
+        const RingTensor a = random_ring_tensor(Shape{d[3], d[4]}, rng);
+        auto a_views = share_secret(a, rng);
+        auto c_views = share_secret(matmul(a, mask), rng);
+        for (std::size_t p = 0; p < kNumParties; ++p) {
+          out[p][i].triple.a = std::move(a_views[p]);
+          out[p][i].triple.c = std::move(c_views[p]);
         }
         break;
       }
@@ -177,8 +256,10 @@ std::array<MaterialBatch, kNumParties> deal_material(const TripleKey& key,
 SharedDealer::SharedDealer(std::uint64_t seed, int frac_bits)
     : seed_(seed), frac_bits_(frac_bits) {}
 
-MaterialBatch SharedDealer::fetch(const TripleKey& key, std::uint64_t index,
-                                  int party) {
+MaterialEntry SharedDealer::next(int party, const TripleKey& key) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const std::uint64_t index =
+      counters_[key][static_cast<std::size_t>(party)]++;
   auto& per_key = cache_[key];
   auto it = per_key.find(index);
   if (it == per_key.end()) {
@@ -208,7 +289,7 @@ MaterialBatch SharedDealer::fetch(const TripleKey& key, std::uint64_t index,
       // iterators to the erased elements).
     }
   }
-  MaterialBatch view = it->second.views[static_cast<std::size_t>(party)];
+  MaterialEntry view = it->second.views[static_cast<std::size_t>(party)][0];
   it->second.served |= (1 << party);
   if (it->second.served == 0b111) {
     cache_[key].erase(index);
@@ -218,39 +299,6 @@ MaterialBatch SharedDealer::fetch(const TripleKey& key, std::uint64_t index,
     --cache_size_;
   }
   return view;
-}
-
-BeaverTripleShare SharedDealer::mul_triple(int party, const Shape& shape) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const TripleKey key = TripleKey::mul(shape);
-  const std::uint64_t index =
-      counters_[key][static_cast<std::size_t>(party)]++;
-  return std::move(fetch(key, index, party).triples[0]);
-}
-
-BeaverTripleShare SharedDealer::matmul_triple(int party, std::size_t m,
-                                              std::size_t k, std::size_t n) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const TripleKey key = TripleKey::matmul(m, k, n);
-  const std::uint64_t index =
-      counters_[key][static_cast<std::size_t>(party)]++;
-  return std::move(fetch(key, index, party).triples[0]);
-}
-
-PartyShare SharedDealer::comp_aux(int party, const Shape& shape) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const TripleKey key = TripleKey::comp_aux(shape);
-  const std::uint64_t index =
-      counters_[key][static_cast<std::size_t>(party)]++;
-  return std::move(fetch(key, index, party).aux[0]);
-}
-
-TruncPairShare SharedDealer::trunc_pair(int party, const Shape& shape) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const TripleKey key = TripleKey::trunc_pair(shape);
-  const std::uint64_t index =
-      counters_[key][static_cast<std::size_t>(party)]++;
-  return std::move(fetch(key, index, party).pairs[0]);
 }
 
 std::size_t SharedDealer::cache_entries() const {

@@ -4,13 +4,17 @@
 // for ... auxiliary values (e.g., Beaver triples and auxiliary
 // positive numbers)").
 //
-// Three kinds of material are dealt:
+// Four kinds of material are dealt:
 //  * multiplication triples  (a, b, c = a·b or a×b), replicated-shared
 //  * comparison auxiliaries  t with positive entries (SecComp masks
 //    x−y multiplicatively, preserving the sign)
 //  * truncation pairs        (r, ⌊r/2^f⌋) for the exact masked-open
 //    fixed-point rescale (see protocols_bt.hpp for the two truncation
 //    strategies)
+//  * reusable weight masks   shares of one Beaver mask B per (dense
+//    layer, weight version), plus triples (a, c = a×B or a×Bᵀ) bound to
+//    it, so a product against an unchanged weight opens only its own
+//    e = x − a (DESIGN.md §"Reusable weight masks")
 //
 // Material is organized into *streams*: one FIFO sequence per
 // (kind, dims) shape class, addressed by a `TripleKey` and an entry
@@ -67,21 +71,31 @@ std::array<TruncPairShare, kNumParties> deal_trunc_pair(const Shape& shape,
 
 // --- Material streams -----------------------------------------------
 
-/// The four kinds of dealt material.  Values are wire/persistence
-/// format — do not renumber.
+/// The kinds of dealt material.  Values are wire/persistence format —
+/// append only, never renumber.
 enum class TripleKind : std::uint8_t {
   kMul = 0,
   kMatMul = 1,
   kCompAux = 2,
   kTruncPair = 3,
+  /// Shares of the reusable mask B of one dense-layer weight version.
+  kWeightMask = 4,
+  /// A fresh a with c = a×B (or a×Bᵀ) against a kWeightMask's B; the
+  /// entry carries no b (the party holds B's shares already).
+  kMaskedMatMul = 5,
 };
 
 /// Stable lowercase name for metrics/logs ("mul", "matmul",
-/// "comp_aux", "trunc_pair").
+/// "comp_aux", "trunc_pair", "weight_mask", "masked_matmul").
 const char* triple_kind_name(TripleKind kind);
 
-/// Identity of one material shape class.  For kMul / kCompAux /
-/// kTruncPair `dims` is the tensor shape; for kMatMul it is {m, k, n}.
+/// Identity of one material stream.  `dims` per kind:
+///   kMul / kCompAux / kTruncPair   the tensor shape
+///   kMatMul                        {m, k, n}
+///   kWeightMask                    {layer, version, in, out}
+///   kMaskedMatMul                  {layer, version, transposed, m, k, n}
+/// A masked-matmul entry multiplies an [m, k] mask a by B ([k, n]) or,
+/// when transposed, by Bᵀ (B is [n, k]).
 struct TripleKey {
   TripleKind kind = TripleKind::kMul;
   Shape dims;
@@ -102,11 +116,38 @@ struct TripleKey {
   static TripleKey trunc_pair(const Shape& shape) {
     return TripleKey{TripleKind::kTruncPair, shape};
   }
+  static TripleKey weight_mask(std::size_t layer, std::uint64_t version,
+                               std::size_t in, std::size_t out) {
+    return TripleKey{TripleKind::kWeightMask, Shape{layer, version, in, out}};
+  }
+  static TripleKey masked_matmul(std::size_t layer, std::uint64_t version,
+                                 bool transposed, std::size_t m,
+                                 std::size_t k, std::size_t n) {
+    return TripleKey{TripleKind::kMaskedMatMul,
+                     Shape{layer, version, transposed ? 1u : 0u, m, k, n}};
+  }
+
+  /// Streams whose key names a weight version.  They are finite — a
+  /// version's entries are never needed again once the weights moved
+  /// on — so stores plan them as cumulative totals, not as a depth to
+  /// keep topped up.
+  bool versioned() const {
+    return kind == TripleKind::kWeightMask ||
+           kind == TripleKind::kMaskedMatMul;
+  }
 };
 
 struct TripleKeyHash {
   std::size_t operator()(const TripleKey& key) const;
 };
+
+/// Dealing cost of one entry of `key`: the product of its value dims
+/// (the tensor shape, {m, k, n}, or {in, out}; layer, version and the
+/// transposed flag do not count, zero dims count as 1), saturating at
+/// SIZE_MAX instead of wrapping.  Throws SerializationError when the
+/// key is malformed for its kind: unknown kind, wrong dims arity, or a
+/// transposed flag other than 0/1.
+std::size_t material_cost(const TripleKey& key);
 
 /// Seed of entry `index` of stream `key` under `master_seed`
 /// (splitmix-style mixing).  The whole offline/online split rests on
@@ -114,17 +155,24 @@ struct TripleKeyHash {
 std::uint64_t derive_material_seed(std::uint64_t master_seed,
                                    const TripleKey& key, std::uint64_t index);
 
-/// One party's view of a contiguous range of a material stream.
-/// Exactly one vector is populated, selected by the key's kind.
-struct MaterialBatch {
-  std::vector<BeaverTripleShare> triples;  ///< kMul / kMatMul
-  std::vector<PartyShare> aux;             ///< kCompAux
-  std::vector<TruncPairShare> pairs;       ///< kTruncPair
+/// The reusable mask B ([in, out]) of weight version `version` of
+/// dense layer `layer`.  Its generator is seeded under its own domain
+/// tag, never by an entry seed: B must not share randomness with the
+/// entries that secret-share it, or one share component would equal B.
+RingTensor weight_mask_value(std::uint64_t master_seed, std::size_t layer,
+                             std::uint64_t version, std::size_t in,
+                             std::size_t out);
 
-  std::size_t count() const {
-    return triples.size() + aux.size() + pairs.size();
-  }
+/// One party's view of one entry of a material stream; exactly one
+/// member is meaningful, selected by the stream key's kind.
+struct MaterialEntry {
+  BeaverTripleShare triple;  ///< kMul / kMatMul / kMaskedMatMul (no b)
+  PartyShare share;          ///< kCompAux / kWeightMask
+  TruncPairShare pair;       ///< kTruncPair
 };
+
+/// One party's view of a contiguous range of a material stream.
+using MaterialBatch = std::vector<MaterialEntry>;
 
 /// All three parties' views of entries [start, start+count) of stream
 /// `key`.  Deterministic in (key, start, count, master_seed,
@@ -136,18 +184,59 @@ std::array<MaterialBatch, kNumParties> deal_material(const TripleKey& key,
                                                      std::uint64_t master_seed,
                                                      int frac_bits);
 
-/// Per-party access to preprocessing material.  Implementations must
-/// return the *same* underlying triples to all parties for the same
-/// request sequence (the protocols are SPMD, so parties request in
-/// identical order).
+/// Per-party access to preprocessing material.  Implementations hand
+/// out each stream's entries in order from index 0 and must return the
+/// *same* underlying material to all parties for the same request
+/// sequence (the protocols are SPMD, so parties request in identical
+/// order).
 class TripleSource {
  public:
   virtual ~TripleSource() = default;
-  virtual BeaverTripleShare mul_triple(const Shape& shape) = 0;
-  virtual BeaverTripleShare matmul_triple(std::size_t m, std::size_t k,
-                                          std::size_t n) = 0;
-  virtual PartyShare comp_aux(const Shape& shape) = 0;
-  virtual TruncPairShare trunc_pair(const Shape& shape) = 0;
+
+  /// The next entry of stream `key`.
+  virtual MaterialEntry next(const TripleKey& key) = 0;
+
+  /// The next entry of each of `keys`, in order.  A networked source
+  /// sends every request before awaiting the first reply, so material
+  /// one operation needs from several streams costs one round trip.
+  virtual std::vector<MaterialEntry> next_many(
+      const std::vector<TripleKey>& keys) {
+    std::vector<MaterialEntry> entries;
+    entries.reserve(keys.size());
+    for (const TripleKey& key : keys) {
+      entries.push_back(next(key));
+    }
+    return entries;
+  }
+
+  BeaverTripleShare mul_triple(const Shape& shape) {
+    return std::move(next(TripleKey::mul(shape)).triple);
+  }
+  BeaverTripleShare matmul_triple(std::size_t m, std::size_t k,
+                                  std::size_t n) {
+    return std::move(next(TripleKey::matmul(m, k, n)).triple);
+  }
+  PartyShare comp_aux(const Shape& shape) {
+    return std::move(next(TripleKey::comp_aux(shape)).share);
+  }
+  TruncPairShare trunc_pair(const Shape& shape) {
+    return std::move(next(TripleKey::trunc_pair(shape)).pair);
+  }
+  /// Shares of B for weight `version` of dense layer `layer`.
+  PartyShare weight_mask(std::size_t layer, std::uint64_t version,
+                         std::size_t in, std::size_t out) {
+    return std::move(
+        next(TripleKey::weight_mask(layer, version, in, out)).share);
+  }
+  /// (a, c = a×B) for an [m, k] operand, or c = a×Bᵀ when `transposed`;
+  /// the returned triple's b is empty.
+  BeaverTripleShare masked_matmul(std::size_t layer, std::uint64_t version,
+                                  bool transposed, std::size_t m,
+                                  std::size_t k, std::size_t n) {
+    return std::move(
+        next(TripleKey::masked_matmul(layer, version, transposed, m, k, n))
+            .triple);
+  }
 };
 
 /// Batched range access to one party's material streams — the
@@ -198,11 +287,8 @@ class SharedDealer {
 
   SharedDealer(std::uint64_t seed, int frac_bits);
 
-  BeaverTripleShare mul_triple(int party, const Shape& shape);
-  BeaverTripleShare matmul_triple(int party, std::size_t m, std::size_t k,
-                                  std::size_t n);
-  PartyShare comp_aux(int party, const Shape& shape);
-  TruncPairShare trunc_pair(int party, const Shape& shape);
+  /// Party `party`'s view of the next entry of its stream `key`.
+  MaterialEntry next(int party, const TripleKey& key);
 
   /// Entries currently cached (regression guard for the bounded-cache
   /// fix; never exceeds kMaxCacheEntries).
@@ -213,10 +299,6 @@ class SharedDealer {
     std::array<MaterialBatch, kNumParties> views;
     int served = 0;  ///< bitmask of parties that fetched their view
   };
-
-  /// The party's view of entry (key, index): cache hit, or derived-seed
-  /// regeneration on miss.  Caller holds mu_.
-  MaterialBatch fetch(const TripleKey& key, std::uint64_t index, int party);
 
   mutable std::mutex mu_;
   std::uint64_t seed_;
@@ -237,18 +319,8 @@ class LocalTripleSource final : public TripleSource {
   LocalTripleSource(std::shared_ptr<SharedDealer> dealer, int party)
       : dealer_(std::move(dealer)), party_(party) {}
 
-  BeaverTripleShare mul_triple(const Shape& shape) override {
-    return dealer_->mul_triple(party_, shape);
-  }
-  BeaverTripleShare matmul_triple(std::size_t m, std::size_t k,
-                                  std::size_t n) override {
-    return dealer_->matmul_triple(party_, m, k, n);
-  }
-  PartyShare comp_aux(const Shape& shape) override {
-    return dealer_->comp_aux(party_, shape);
-  }
-  TruncPairShare trunc_pair(const Shape& shape) override {
-    return dealer_->trunc_pair(party_, shape);
+  MaterialEntry next(const TripleKey& key) override {
+    return dealer_->next(party_, key);
   }
 
  private:

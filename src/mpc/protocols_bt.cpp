@@ -1,5 +1,7 @@
 #include "mpc/protocols_bt.hpp"
 
+#include <optional>
+
 #include "numeric/fixed_point.hpp"
 #include "numeric/kernels.hpp"
 #include "obs/trace.hpp"
@@ -58,6 +60,32 @@ DeferredShare masked_multiply_prepare(OpenBatch& batch, const PartyShare& x,
   return out;
 }
 
+/// Combine step of a product against a reusable mask: z = c + e×B +
+/// a×f + e×f, with e×f folded into share 2 as (a + e)×f.  For x×Wᵀ,
+/// Bᵀ and fᵀ are formed per product and dropped again: that keeps
+/// only B and f resident, and keeps the matmuls in the kernels' fast
+/// orientation — (B×eᵀ)ᵀ with a batch-wide right-hand side runs ~5x
+/// slower on the Table I shapes.
+PartyShare combine_with_mask(const RingTensor& e, const RingTensor& f,
+                             const PartyShare& mask,
+                             const BeaverTripleShare& triple,
+                             bool transposed) {
+  const RingTensor f_t = transposed ? transpose(f) : RingTensor();
+  const auto component = [&](const RingTensor& c, const RingTensor& b,
+                             const RingTensor& a) {
+    if (!transposed) {
+      return c + matmul(e, b) + matmul(a, f);
+    }
+    return c + matmul(e, transpose(b)) + matmul(a, f_t);
+  };
+  PartyShare z;
+  z.primary = component(triple.c.primary, mask.primary, triple.a.primary);
+  z.duplicate =
+      component(triple.c.duplicate, mask.duplicate, triple.a.duplicate);
+  z.second = component(triple.c.second, mask.second, triple.a.second + e);
+  return z;
+}
+
 RingTensor signs_from_beta(const RingTensor& beta) {
   RingTensor signs(beta.shape());
   for (std::size_t i = 0; i < signs.size(); ++i) {
@@ -73,6 +101,54 @@ RingTensor shift_public(const RingTensor& d, int frac_bits) {
     shifted[i] = fx::truncate(d[i], frac_bits);
   }
   return shifted;
+}
+
+/// Resolve `out` with the masked-open rescale of `z`: open d = z − r
+/// in the batch's next flush and shift it publicly.
+void truncate_into(OpenBatch& batch, const PartyShare& z,
+                   const TruncPairShare& pair, DeferredShare out) {
+  const int frac_bits = batch.context().frac_bits;
+  // r is uniform 62-bit, so d never wraps for bounded v and
+  // statistically hides it.  The public shift is then exact and,
+  // crucially, identical at every party — all six reconstructions of
+  // downstream values stay consistent.
+  std::vector<PartyShare> masked;
+  masked.push_back(z - pair.r);
+  batch.enqueue(std::move(masked),
+                [out, pair, frac_bits](std::vector<RingTensor> opened) mutable {
+                  PartyShare result = pair.r_shifted;
+                  result.add_public(shift_public(opened[0], frac_bits));
+                  out.set(std::move(result));
+                });
+}
+
+/// The truncation pair a fused product rescale consumes: none for
+/// kLocal, a checked copy of `*pair` for kMaskedOpen.
+std::optional<TruncPairShare> rescale_pair(TruncationMode trunc_mode,
+                                           const TruncPairShare* pair,
+                                           const Shape& product_shape) {
+  if (trunc_mode == TruncationMode::kLocal) {
+    return std::nullopt;
+  }
+  TRUSTDDL_REQUIRE(pair != nullptr,
+                   "masked-open rescale needs a truncation pair");
+  TRUSTDDL_REQUIRE(pair->r.shape() == product_shape,
+                   "rescale: pair shape mismatch");
+  return *pair;
+}
+
+/// Resolve `out` with product `z` rescaled: share-locally now, or (with
+/// a pair) by a truncation opening chained into the next flush, so the
+/// truncations of every product prepared against one batch share it.
+void rescale_into(OpenBatch& batch, PartyShare z,
+                  const std::optional<TruncPairShare>& pair,
+                  DeferredShare out) {
+  if (!pair) {
+    z.truncate_local(batch.context().frac_bits);
+    out.set(std::move(z));
+    return;
+  }
+  truncate_into(batch, z, *pair, std::move(out));
 }
 
 }  // namespace
@@ -148,19 +224,7 @@ DeferredShare truncate_product_masked_prepare(OpenBatch& batch,
   TRUSTDDL_REQUIRE(z.shape() == pair.r.shape(),
                    "truncate_product_masked: pair shape mismatch");
   DeferredShare out;
-  const int frac_bits = batch.context().frac_bits;
-  // Open d = v - r; r is uniform 62-bit so d never wraps for bounded v
-  // and statistically hides it.  The public shift is then exact and,
-  // crucially, identical at every party — all six reconstructions of
-  // downstream values stay consistent.
-  std::vector<PartyShare> masked;
-  masked.push_back(z - pair.r);
-  batch.enqueue(std::move(masked),
-                [out, pair, frac_bits](std::vector<RingTensor> opened) mutable {
-                  PartyShare result = pair.r_shifted;
-                  result.add_public(shift_public(opened[0], frac_bits));
-                  out.set(std::move(result));
-                });
+  truncate_into(batch, z, pair, out);
   return out;
 }
 
@@ -171,50 +235,55 @@ DeferredShare sec_matmul_bt_rescaled_prepare(
   TRUSTDDL_REQUIRE(x.shape().size() == 2 && y.shape().size() == 2 &&
                        x.shape()[1] == y.shape()[0],
                    "sec_matmul_bt: incompatible operand shapes");
+  const std::optional<TruncPairShare> trunc =
+      rescale_pair(trunc_mode, pair, Shape{x.shape()[0], y.shape()[1]});
   DeferredShare out;
-  const int frac_bits = batch.context().frac_bits;
-  if (trunc_mode == TruncationMode::kLocal) {
-    std::vector<PartyShare> masked;
-    masked.push_back(x - triple.a);
-    masked.push_back(y - triple.b);
-    batch.enqueue(std::move(masked),
-                  [out, triple, frac_bits](
-                      std::vector<RingTensor> opened) mutable {
-                    PartyShare z = combine_with_triple(
-                        opened[0], opened[1], triple, matmul_product);
-                    z.truncate_local(frac_bits);
-                    out.set(std::move(z));
-                  });
-    return out;
-  }
-  TRUSTDDL_REQUIRE(pair != nullptr,
-                   "sec_matmul_bt_rescaled_prepare: masked-open rescale "
-                   "needs a truncation pair");
-  const TruncPairShare trunc = *pair;
-  TRUSTDDL_REQUIRE(
-      trunc.r.shape() == Shape({x.shape()[0], y.shape()[1]}),
-      "sec_matmul_bt_rescaled_prepare: pair shape mismatch");
   std::vector<PartyShare> masked;
   masked.push_back(x - triple.a);
   masked.push_back(y - triple.b);
+  batch.enqueue(std::move(masked),
+                [&batch, out, triple,
+                 trunc](std::vector<RingTensor> opened) mutable {
+                  rescale_into(batch,
+                               combine_with_triple(opened[0], opened[1],
+                                                   triple, matmul_product),
+                               trunc, out);
+                });
+  return out;
+}
+
+DeferredShare sec_matmul_masked_rescaled_prepare(
+    OpenBatch& batch, const PartyShare& x, const PartyShare& weight,
+    WeightMask& mask, const BeaverTripleShare& triple, bool transposed,
+    TruncationMode trunc_mode, const TruncPairShare* pair) {
+  TRUSTDDL_REQUIRE(mask.armed(), "masked matmul: weight mask not dealt");
+  TRUSTDDL_REQUIRE(weight.shape().size() == 2 && x.shape().size() == 2 &&
+                       weight.shape() == mask.b->shape() &&
+                       x.shape() == triple.a.shape() &&
+                       x.shape()[1] == weight.shape()[transposed ? 1 : 0],
+                   "masked matmul: incompatible operand shapes");
+  const std::optional<TruncPairShare> trunc = rescale_pair(
+      trunc_mode, pair,
+      Shape{x.shape()[0], weight.shape()[transposed ? 0 : 1]});
+  std::vector<PartyShare> masked;
+  masked.push_back(x - triple.a);
+  const bool open_f = !mask.f_requested;
+  if (open_f) {
+    masked.push_back(weight - *mask.b);
+    mask.f_requested = true;
+  }
+  DeferredShare out;
   batch.enqueue(
       std::move(masked),
-      [&batch, out, triple, trunc,
-       frac_bits](std::vector<RingTensor> opened) mutable {
-        const PartyShare z = combine_with_triple(opened[0], opened[1], triple,
-                                                 matmul_product);
-        // Chain the masked-open truncation into the next flush: every
-        // matmul prepared against this batch shares that round too.
-        std::vector<PartyShare> follow_up;
-        follow_up.push_back(z - trunc.r);
-        batch.enqueue(std::move(follow_up),
-                      [out, trunc, frac_bits](
-                          std::vector<RingTensor> opened_d) mutable {
-                        PartyShare result = trunc.r_shifted;
-                        result.add_public(
-                            shift_public(opened_d[0], frac_bits));
-                        out.set(std::move(result));
-                      });
+      [&batch, out, triple, trunc, b = mask.b, f = mask.f, open_f,
+       transposed](std::vector<RingTensor> opened) mutable {
+        if (open_f) {
+          f.set(std::move(opened[1]));
+        }
+        rescale_into(batch,
+                     combine_with_mask(opened[0], f.get(), *b, triple,
+                                       transposed),
+                     trunc, out);
       });
   return out;
 }

@@ -133,4 +133,34 @@ DeferredShare sec_matmul_bt_rescaled_prepare(
     const BeaverTripleShare& triple, TruncationMode trunc_mode,
     const TruncPairShare* pair);
 
+// --- Reusable weight masks ----------------------------------------------
+//
+// Algorithm 4 opens f = W − B for every product, a mask the size of the
+// whole weight matrix.  When W stays fixed across products (serving, or
+// the forward and backward passes of one SGD step) the dealer can bind
+// one B to W instead: every triple (a, c = a×B) shares it, the first
+// product opens f alongside its own e, and later products open only
+// e = x − a.  Reopening the same f reveals nothing new; a new weight
+// value needs a new B (DESIGN.md §"Reusable weight masks").
+
+/// One party's view of the reusable mask B of one fixed weight W.
+/// Copies share the opened f.
+struct WeightMask {
+  std::shared_ptr<const PartyShare> b;  ///< this party's shares of B
+  DeferredTensor f;                     ///< public W − B once opened
+  bool f_requested = false;  ///< a product already enqueued f's opening
+
+  bool armed() const { return b != nullptr; }
+};
+
+/// Deferred x×W, or x×Wᵀ when `transposed`, fused with the rescale as
+/// in sec_matmul_bt_rescaled_prepare.  `triple` is a masked-matmul entry
+/// for `mask`'s B: a matches x, c = a×B (a×Bᵀ when transposed), b is
+/// unused.  The first product against `mask` opens f = W − B in the
+/// same round as its e, so reuse adds no round.
+DeferredShare sec_matmul_masked_rescaled_prepare(
+    OpenBatch& batch, const PartyShare& x, const PartyShare& weight,
+    WeightMask& mask, const BeaverTripleShare& triple, bool transposed,
+    TruncationMode trunc_mode, const TruncPairShare* pair);
+
 }  // namespace trustddl::mpc

@@ -1,5 +1,6 @@
 #include "mpc/share_serde.hpp"
 
+#include "common/error.hpp"
 #include "numeric/serde.hpp"
 
 namespace trustddl::mpc {
@@ -42,6 +43,66 @@ TruncPairShare read_trunc_pair(ByteReader& reader) {
   pair.r = read_party_share(reader);
   pair.r_shifted = read_party_share(reader);
   return pair;
+}
+
+void write_material_entry(ByteWriter& writer, TripleKind kind,
+                          const MaterialEntry& entry) {
+  switch (kind) {
+    case TripleKind::kMul:
+    case TripleKind::kMatMul:
+      write_beaver_share(writer, entry.triple);
+      break;
+    case TripleKind::kMaskedMatMul:
+      write_party_share(writer, entry.triple.a);
+      write_party_share(writer, entry.triple.c);
+      break;
+    case TripleKind::kCompAux:
+    case TripleKind::kWeightMask:
+      write_party_share(writer, entry.share);
+      break;
+    case TripleKind::kTruncPair:
+      write_trunc_pair(writer, entry.pair);
+      break;
+  }
+}
+
+MaterialEntry read_material_entry(ByteReader& reader, TripleKind kind) {
+  MaterialEntry entry;
+  switch (kind) {
+    case TripleKind::kMul:
+    case TripleKind::kMatMul:
+      entry.triple = read_beaver_share(reader);
+      break;
+    case TripleKind::kMaskedMatMul:
+      entry.triple.a = read_party_share(reader);
+      entry.triple.c = read_party_share(reader);
+      break;
+    case TripleKind::kCompAux:
+    case TripleKind::kWeightMask:
+      entry.share = read_party_share(reader);
+      break;
+    case TripleKind::kTruncPair:
+      entry.pair = read_trunc_pair(reader);
+      break;
+    default:
+      throw SerializationError("unknown material kind");
+  }
+  return entry;
+}
+
+std::size_t min_material_entry_bytes(TripleKind kind) {
+  // Every tensor starts with its u64 rank.
+  constexpr std::size_t kShareBytes = 3 * 8;
+  switch (kind) {
+    case TripleKind::kMul:
+    case TripleKind::kMatMul:
+      return 3 * kShareBytes;
+    case TripleKind::kMaskedMatMul:
+    case TripleKind::kTruncPair:
+      return 2 * kShareBytes;
+    default:
+      return kShareBytes;
+  }
 }
 
 }  // namespace trustddl::mpc

@@ -17,4 +17,16 @@ BeaverTripleShare read_beaver_share(ByteReader& reader);
 void write_trunc_pair(ByteWriter& writer, const TruncPairShare& pair);
 TruncPairShare read_trunc_pair(ByteReader& reader);
 
+/// One material entry in its kind's layout — the shared format of the
+/// owner service's fill responses and persisted TDST stores.  A
+/// masked-matmul entry carries only a and c.
+void write_material_entry(ByteWriter& writer, TripleKind kind,
+                          const MaterialEntry& entry);
+MaterialEntry read_material_entry(ByteReader& reader, TripleKind kind);
+
+/// Fewest bytes any entry of `kind` encodes to (its tensor headers):
+/// a count of entries claimed by a header can be checked against the
+/// bytes left before anything is allocated for them.
+std::size_t min_material_entry_bytes(TripleKind kind);
+
 }  // namespace trustddl::mpc

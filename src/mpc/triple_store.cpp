@@ -45,35 +45,38 @@ TripleStore::TripleStore(TripleBackend& backend, int party)
   (void)party_;  // identifies the store in errors/persistence only
 }
 
-TripleStore::KeyQueue& TripleStore::queue_for(const TripleKey& key) {
+std::shared_ptr<TripleStore::KeyQueue> TripleStore::queue_for(
+    const TripleKey& key) {
   std::lock_guard<std::mutex> lock(map_mu_);
   auto& slot = queues_[key];
   if (!slot) {
-    slot = std::make_unique<KeyQueue>();
+    slot = std::make_shared<KeyQueue>();
   }
-  return *slot;
+  return slot;
 }
 
-const TripleStore::KeyQueue* TripleStore::find_queue(
+std::shared_ptr<TripleStore::KeyQueue> TripleStore::find_queue(
     const TripleKey& key) const {
   std::lock_guard<std::mutex> lock(map_mu_);
   const auto it = queues_.find(key);
-  return it == queues_.end() ? nullptr : it->second.get();
+  return it == queues_.end() ? nullptr : it->second;
 }
 
-TripleStore::Slot TripleStore::pop(const TripleKey& key) {
-  KeyQueue& queue = queue_for(key);
+MaterialEntry TripleStore::next(const TripleKey& key) {
+  const std::shared_ptr<KeyQueue> owned = queue_for(key);
+  KeyQueue& queue = *owned;
   const std::uint64_t head = queue.head.load(std::memory_order_relaxed);
   if (head != queue.tail.load(std::memory_order_acquire)) {
     // Hot path: prefetched entry, no lock, no wait.
-    Slot slot = std::move(queue.ring[head & (queue.capacity() - 1)]);
+    MaterialEntry entry =
+        std::move(queue.ring[head & (queue.capacity() - 1)]);
     queue.head.store(head + 1, std::memory_order_release);
     count_kind("triple.consumed.", key.kind, 1);
     gauge_kind(key.kind, -1);
     if (obs::metrics_enabled()) {
       obs::observe("triple.online_wait.us", 0);
     }
-    return slot;
+    return entry;
   }
 
   // Store dry: fall back to an on-demand single-entry fetch.  The fill
@@ -81,33 +84,25 @@ TripleStore::Slot TripleStore::pop(const TripleKey& key) {
   // strictly ordered.
   const auto start = std::chrono::steady_clock::now();
   std::lock_guard<std::mutex> lock(queue.fill_mu);
-  Slot slot;
+  MaterialEntry entry;
   const std::uint64_t head2 = queue.head.load(std::memory_order_relaxed);
   if (head2 != queue.tail.load(std::memory_order_acquire)) {
     // The producer filled while we were acquiring the lock.
-    slot = std::move(queue.ring[head2 & (queue.capacity() - 1)]);
+    entry = std::move(queue.ring[head2 & (queue.capacity() - 1)]);
     queue.head.store(head2 + 1, std::memory_order_release);
     count_kind("triple.consumed.", key.kind, 1);
     gauge_kind(key.kind, -1);
   } else {
     MaterialBatch batch = backend_.fill(key, queue.next_fill, 1);
+    if (batch.size() != 1) {
+      throw ProtocolError("triple backend returned short batch");
+    }
     queue.next_fill += 1;
     misses_.fetch_add(1, std::memory_order_relaxed);
     count_kind("triple.produced.", key.kind, 1);
     count_kind("triple.consumed.", key.kind, 1);
     obs::count("triple.store.miss");
-    switch (key.kind) {
-      case TripleKind::kMul:
-      case TripleKind::kMatMul:
-        slot.triple = std::move(batch.triples.at(0));
-        break;
-      case TripleKind::kCompAux:
-        slot.aux = std::move(batch.aux.at(0));
-        break;
-      case TripleKind::kTruncPair:
-        slot.pair = std::move(batch.pairs.at(0));
-        break;
-    }
+    entry = std::move(batch[0]);
   }
   if (obs::metrics_enabled()) {
     const auto waited = std::chrono::duration_cast<std::chrono::microseconds>(
@@ -115,24 +110,7 @@ TripleStore::Slot TripleStore::pop(const TripleKey& key) {
                             .count();
     obs::observe("triple.online_wait.us", static_cast<std::uint64_t>(waited));
   }
-  return slot;
-}
-
-BeaverTripleShare TripleStore::mul_triple(const Shape& shape) {
-  return std::move(pop(TripleKey::mul(shape)).triple);
-}
-
-BeaverTripleShare TripleStore::matmul_triple(std::size_t m, std::size_t k,
-                                             std::size_t n) {
-  return std::move(pop(TripleKey::matmul(m, k, n)).triple);
-}
-
-PartyShare TripleStore::comp_aux(const Shape& shape) {
-  return std::move(pop(TripleKey::comp_aux(shape)).aux);
-}
-
-TruncPairShare TripleStore::trunc_pair(const Shape& shape) {
-  return std::move(pop(TripleKey::trunc_pair(shape)).pair);
+  return entry;
 }
 
 void TripleStore::grow_ring(KeyQueue& queue, std::size_t min_capacity) {
@@ -140,7 +118,7 @@ void TripleStore::grow_ring(KeyQueue& queue, std::size_t min_capacity) {
   if (new_cap <= queue.capacity()) {
     return;
   }
-  std::vector<Slot> fresh(new_cap);
+  std::vector<MaterialEntry> fresh(new_cap);
   const std::uint64_t head = queue.head.load(std::memory_order_relaxed);
   const std::uint64_t tail = queue.tail.load(std::memory_order_relaxed);
   for (std::uint64_t i = head; i != tail; ++i) {
@@ -151,18 +129,24 @@ void TripleStore::grow_ring(KeyQueue& queue, std::size_t min_capacity) {
 }
 
 void TripleStore::demand(const TripleKey& key, std::size_t count) {
-  KeyQueue& queue = queue_for(key);
-  std::lock_guard<std::mutex> lock(queue.fill_mu);
-  if (count > queue.target) {
-    queue.target = count;
-  }
-  if (queue.target > queue.capacity()) {
-    grow_ring(queue, queue.target);
-  }
+  const std::shared_ptr<KeyQueue> queue = queue_for(key);
+  std::lock_guard<std::mutex> lock(queue->fill_mu);
+  count = std::min(count, kMaxTarget);
+  // A versioned stream owes `count` entries past what was consumed; a
+  // steady one keeps `count` buffered.
+  const std::uint64_t consumed = queue->next_fill - queue->depth_now();
+  const std::size_t wanted =
+      key.versioned() ? static_cast<std::size_t>(consumed) + count : count;
+  queue->target = std::max(queue->target, wanted);
+  grow_ring(*queue, std::max<std::size_t>(
+                        key.versioned()
+                            ? static_cast<std::size_t>(queue->target - consumed)
+                            : queue->target,
+                        queue->depth_now()));
 }
 
 std::size_t TripleStore::target(const TripleKey& key) const {
-  const KeyQueue* queue = find_queue(key);
+  const std::shared_ptr<KeyQueue> queue = find_queue(key);
   if (queue == nullptr) {
     return 0;
   }
@@ -170,21 +154,32 @@ std::size_t TripleStore::target(const TripleKey& key) const {
   return queue->target;
 }
 
+void TripleStore::retire_versions_before(std::uint64_t version) {
+  std::lock_guard<std::mutex> lock(map_mu_);
+  for (auto it = queues_.begin(); it != queues_.end();) {
+    const TripleKey& key = it->first;
+    bool drained = false;
+    if (key.versioned() && key.dims[1] < version) {
+      std::lock_guard<std::mutex> fill_lock(it->second->fill_mu);
+      drained = it->second->depth_now() == 0 &&
+                it->second->wanted(/*versioned=*/true) == 0;
+    }
+    it = drained ? queues_.erase(it) : std::next(it);
+  }
+}
+
 std::vector<TripleKey> TripleStore::keys_below(
     double low_water_fraction) const {
   std::vector<TripleKey> out;
   std::lock_guard<std::mutex> lock(map_mu_);
   for (const auto& [key, queue] : queues_) {
-    std::size_t target = 0;
-    {
-      std::lock_guard<std::mutex> fill_lock(queue->fill_mu);
-      target = queue->target;
-    }
-    if (target == 0) {
-      continue;
-    }
-    const double depth = static_cast<double>(queue->depth_now());
-    if (depth < low_water_fraction * static_cast<double>(target)) {
+    std::lock_guard<std::mutex> fill_lock(queue->fill_mu);
+    const bool below =
+        key.versioned()
+            ? queue->wanted(/*versioned=*/true) > 0
+            : static_cast<double>(queue->depth_now()) <
+                  low_water_fraction * static_cast<double>(queue->target);
+    if (below) {
       out.push_back(key);
     }
   }
@@ -204,23 +199,11 @@ std::size_t TripleStore::fill_locked(const TripleKey& key, KeyQueue& queue,
     return 0;
   }
   MaterialBatch batch = backend_.fill(key, queue.next_fill, want);
-  if (batch.count() != want) {
+  if (batch.size() != want) {
     throw ProtocolError("triple backend returned short batch");
   }
   for (std::size_t i = 0; i < want; ++i) {
-    Slot& slot = queue.ring[(tail + i) & (queue.capacity() - 1)];
-    switch (key.kind) {
-      case TripleKind::kMul:
-      case TripleKind::kMatMul:
-        slot.triple = std::move(batch.triples[i]);
-        break;
-      case TripleKind::kCompAux:
-        slot.aux = std::move(batch.aux[i]);
-        break;
-      case TripleKind::kTruncPair:
-        slot.pair = std::move(batch.pairs[i]);
-        break;
-    }
+    queue.ring[(tail + i) & (queue.capacity() - 1)] = std::move(batch[i]);
   }
   queue.tail.store(tail + want, std::memory_order_release);
   queue.next_fill += want;
@@ -234,17 +217,15 @@ std::size_t TripleStore::fill_locked(const TripleKey& key, KeyQueue& queue,
 
 std::size_t TripleStore::refill(const TripleKey& key,
                                 std::size_t max_entries) {
-  KeyQueue& queue = queue_for(key);
-  std::lock_guard<std::mutex> lock(queue.fill_mu);
-  const std::size_t depth = queue.depth_now();
-  if (depth >= queue.target) {
+  // A queue retired since the caller listed it has nothing left to
+  // fetch; do not resurrect it.
+  const std::shared_ptr<KeyQueue> queue = find_queue(key);
+  if (queue == nullptr) {
     return 0;
   }
-  std::size_t want = queue.target - depth;
-  if (want > max_entries) {
-    want = max_entries;
-  }
-  return fill_locked(key, queue, want);
+  std::lock_guard<std::mutex> lock(queue->fill_mu);
+  return fill_locked(key, *queue,
+                     std::min(queue->wanted(key.versioned()), max_entries));
 }
 
 std::size_t TripleStore::refill_toward_targets(std::size_t max_entries) {
@@ -275,12 +256,12 @@ std::size_t TripleStore::depth() const {
 }
 
 std::size_t TripleStore::depth(const TripleKey& key) const {
-  const KeyQueue* queue = find_queue(key);
+  const std::shared_ptr<KeyQueue> queue = find_queue(key);
   return queue == nullptr ? 0 : queue->depth_now();
 }
 
 std::uint64_t TripleStore::consumed(const TripleKey& key) const {
-  const KeyQueue* queue = find_queue(key);
+  const std::shared_ptr<KeyQueue> queue = find_queue(key);
   if (queue == nullptr) {
     return 0;
   }
@@ -316,19 +297,8 @@ void TripleStore::save(const std::string& path,
     writer.write_u64(queue->target);
     writer.write_u64(depth);
     for (std::uint64_t i = head; i != tail; ++i) {
-      const Slot& slot = queue->ring[i & (queue->capacity() - 1)];
-      switch (key.kind) {
-        case TripleKind::kMul:
-        case TripleKind::kMatMul:
-          write_beaver_share(writer, slot.triple);
-          break;
-        case TripleKind::kCompAux:
-          write_party_share(writer, slot.aux);
-          break;
-        case TripleKind::kTruncPair:
-          write_trunc_pair(writer, slot.pair);
-          break;
-      }
+      write_material_entry(writer, key.kind,
+                           queue->ring[i & (queue->capacity() - 1)]);
     }
   }
 
@@ -376,9 +346,6 @@ bool TripleStore::load(const std::string& path, std::uint64_t provenance) {
   for (std::uint64_t k = 0; k < num_keys; ++k) {
     TripleKey key;
     key.kind = static_cast<TripleKind>(reader.read_u8());
-    if (key.kind > TripleKind::kTruncPair) {
-      throw SerializationError("triple store: unknown material kind");
-    }
     const std::uint64_t rank = reader.read_u64();
     if (rank > 8) {
       throw SerializationError("triple store: shape rank too large");
@@ -387,32 +354,35 @@ bool TripleStore::load(const std::string& path, std::uint64_t provenance) {
     for (auto& dim : key.dims) {
       dim = reader.read_u64();
     }
+    (void)material_cost(key);  // rejects unknown kinds and bad arity
     const std::uint64_t first_index = reader.read_u64();
     const std::uint64_t target = reader.read_u64();
     const std::uint64_t depth = reader.read_u64();
+    // Counts are checked before anything is sized from them: a depth
+    // the remaining bytes cannot hold, or a target (for a versioned
+    // key: what it still owes) past kMaxTarget, is a corrupt header.
+    const std::uint64_t owed =
+        key.versioned() ? (target > first_index ? target - first_index : 0)
+                        : target;
+    if (depth > reader.remaining() / min_material_entry_bytes(key.kind) ||
+        depth > kMaxTarget || owed > kMaxTarget ||
+        first_index > ~std::uint64_t{0} - depth) {
+      throw SerializationError("triple store: entry counts exceed the file");
+    }
 
-    KeyQueue& queue = queue_for(key);
+    const std::shared_ptr<KeyQueue> owned = queue_for(key);
+    KeyQueue& queue = *owned;
     std::lock_guard<std::mutex> lock(queue.fill_mu);
     if (queue.next_fill != 0 || queue.depth_now() != 0) {
       throw SerializationError("triple store: load into a non-empty store");
     }
     queue.target = static_cast<std::size_t>(
-        std::max<std::uint64_t>(target, depth));
-    grow_ring(queue, std::max<std::size_t>(queue.target, 1));
+        std::max<std::uint64_t>(target, key.versioned() ? 0 : depth));
+    grow_ring(queue, std::max<std::size_t>(
+                         static_cast<std::size_t>(std::max(owed, depth)), 1));
     for (std::uint64_t i = 0; i < depth; ++i) {
-      Slot& slot = queue.ring[i & (queue.capacity() - 1)];
-      switch (key.kind) {
-        case TripleKind::kMul:
-        case TripleKind::kMatMul:
-          slot.triple = read_beaver_share(reader);
-          break;
-        case TripleKind::kCompAux:
-          slot.aux = read_party_share(reader);
-          break;
-        case TripleKind::kTruncPair:
-          slot.pair = read_trunc_pair(reader);
-          break;
-      }
+      queue.ring[i & (queue.capacity() - 1)] =
+          read_material_entry(reader, key.kind);
     }
     queue.tail.store(depth, std::memory_order_release);
     queue.next_fill = first_index + depth;

@@ -18,6 +18,12 @@
 // dealing (beaver.hpp) this makes store-backed and synchronous runs
 // bit-identical.
 //
+// Versioned streams (reusable weight masks, TripleKey::versioned) are
+// finite: their targets count entries to deliver over the stream's
+// life, so the producer never refetches a weight version that is done,
+// and retire_versions_before() drops their drained queues once the
+// weights moved past them.
+//
 // Instrumented under `triple.*`: per-kind produced/consumed counters
 // and store-depth gauges, `triple.refill.batch` (entries per refill),
 // `triple.online_wait.us` (time the online path spent waiting for
@@ -38,26 +44,36 @@ namespace trustddl::mpc {
 
 class TripleStore final : public TripleSource {
  public:
+  /// Bound on entries one key may hold or still owe (its buffered
+  /// depth, its target, or for a versioned key its target minus its
+  /// cursor).  demand() clamps to it and load() rejects files beyond
+  /// it, so a header can never size a ring past ~60 MB.
+  static constexpr std::size_t kMaxTarget = std::size_t{1} << 16;
+
   TripleStore(TripleBackend& backend, int party);
 
-  // TripleSource — the online hot path.
-  BeaverTripleShare mul_triple(const Shape& shape) override;
-  BeaverTripleShare matmul_triple(std::size_t m, std::size_t k,
-                                  std::size_t n) override;
-  PartyShare comp_aux(const Shape& shape) override;
-  TruncPairShare trunc_pair(const Shape& shape) override;
+  /// TripleSource — the online hot path: pop the next entry of `key`,
+  /// refilling on demand if the store is dry.
+  MaterialEntry next(const TripleKey& key) override;
 
-  /// Raise the refill target for `key` to at least `count` entries and
-  /// reserve ring capacity.  NOT safe concurrently with pops of the
-  /// same key (may reallocate the ring): call during planning, before
-  /// the online phase, or from the consumer thread itself.
+  /// Raise the refill target for `key` to at least `count` entries —
+  /// a depth to keep, or for a versioned key `count` entries beyond
+  /// those already consumed — and reserve ring capacity.  NOT safe
+  /// concurrently with pops of the same key (may reallocate the ring):
+  /// call during planning, before the online phase, or from the
+  /// consumer thread itself.
   void demand(const TripleKey& key, std::size_t count);
 
   /// Current refill target for `key` (0 if never demanded).
   std::size_t target(const TripleKey& key) const;
 
-  /// Keys whose depth sits below `low_water_fraction` of their target
-  /// (producer work list).
+  /// Forget the drained queues of versioned streams whose weight
+  /// version is below `version`.  Consumer thread only; versions only
+  /// move forward, so those streams are never popped again.
+  void retire_versions_before(std::uint64_t version);
+
+  /// Keys whose depth sits below `low_water_fraction` of their target,
+  /// and versioned keys still owed entries (producer work list).
   std::vector<TripleKey> keys_below(double low_water_fraction) const;
 
   /// Refill `key` toward its target, fetching at most `max_entries` in
@@ -94,16 +110,8 @@ class TripleStore final : public TripleSource {
   bool load(const std::string& path, std::uint64_t provenance);
 
  private:
-  /// One entry of any kind; exactly one member is meaningful,
-  /// selected by the owning queue's key.
-  struct Slot {
-    BeaverTripleShare triple;
-    PartyShare aux;
-    TruncPairShare pair;
-  };
-
   struct KeyQueue {
-    std::vector<Slot> ring;      ///< capacity is a power of two
+    std::vector<MaterialEntry> ring;  ///< capacity is a power of two
     std::atomic<std::uint64_t> head{0};  ///< next pop (consumer-owned)
     std::atomic<std::uint64_t> tail{0};  ///< next push (producer-owned)
     /// Stream index of the next backend fetch; guarded by fill_mu.
@@ -117,14 +125,19 @@ class TripleStore final : public TripleSource {
           tail.load(std::memory_order_acquire) -
           head.load(std::memory_order_acquire));
     }
+    /// Entries a refill should fetch now (caller holds fill_mu): up to
+    /// the target depth, or for a versioned key up to the target count.
+    std::size_t wanted(bool versioned) const {
+      const std::uint64_t have =
+          versioned ? next_fill : static_cast<std::uint64_t>(depth_now());
+      return have < target ? static_cast<std::size_t>(target - have) : 0;
+    }
   };
 
-  KeyQueue& queue_for(const TripleKey& key);
-  const KeyQueue* find_queue(const TripleKey& key) const;
-
-  /// Pop the next entry for `key`, refilling on demand if the store is
-  /// dry.  The returned Slot's member for the key's kind is valid.
-  Slot pop(const TripleKey& key);
+  /// Shared so a queue retired by the consumer stays alive for a
+  /// producer that listed it a moment earlier.
+  std::shared_ptr<KeyQueue> queue_for(const TripleKey& key);
+  std::shared_ptr<KeyQueue> find_queue(const TripleKey& key) const;
 
   /// Fill up to `want` entries into `queue` (caller holds fill_mu).
   std::size_t fill_locked(const TripleKey& key, KeyQueue& queue,
@@ -136,7 +149,7 @@ class TripleStore final : public TripleSource {
   int party_;
 
   mutable std::mutex map_mu_;
-  std::unordered_map<TripleKey, std::unique_ptr<KeyQueue>, TripleKeyHash>
+  std::unordered_map<TripleKey, std::shared_ptr<KeyQueue>, TripleKeyHash>
       queues_;
 
   std::atomic<std::uint64_t> misses_{0};

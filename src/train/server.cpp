@@ -67,6 +67,10 @@ bool TrainServer::run(core::SecureModel& model, core::SecureExecContext& ctx,
                               << start_round << " from checkpoint";
     }
   }
+  // Round r runs at weight version r (one SGD step per round), so a
+  // resumed session never pairs a new weight value with a mask version
+  // an earlier session already opened.
+  model.set_weight_version(start_round);
 
   const mpc::AggregateOptions agg_options{config_.rule, config_.trim,
                                           ctx.trunc_mode};
@@ -141,8 +145,15 @@ bool TrainServer::run(core::SecureModel& model, core::SecureExecContext& ctx,
       for (const auto& entry : manifest.entries) {
         owner_rows.push_back(entry.rows);
       }
-      pipeline_->plan(core::profile_train_round_demand(
-          *spec_, owner_rows, ctx.trunc_mode, agg_options, use_momentum));
+      // This round's material, and the next round's weight-version
+      // material (assuming the same minibatch sizes) so the idle poll
+      // before it prefetches that too.
+      for (std::uint64_t ahead = 0; ahead < 2; ++ahead) {
+        pipeline_->plan(core::profile_train_round_demand(
+            *spec_, owner_rows, ctx.trunc_mode, agg_options, use_momentum,
+            core::WeightMaskUse{ctx.reuse_weight_masks,
+                                model.weight_version() + ahead}));
+      }
     }
 
     // Per-owner normalized gradients.  Gradients are scaled by 1/rows
@@ -237,6 +248,9 @@ bool TrainServer::run(core::SecureModel& model, core::SecureExecContext& ctx,
     }
 
     model.sgd_step(ctx, config_.learning_rate, frac_bits);
+    if (pipeline_ != nullptr) {
+      pipeline_->retire_versions_before(model.weight_version());
+    }
     ++rounds_;
     obs::count("train.party.rounds");
 

@@ -173,5 +173,67 @@ TEST(OwnerServiceTest, StragglerServedFromProcessedGroupCache) {
   EXPECT_LT(max_abs_diff(probabilities, nn::softmax_rows(logits)), 1e-3);
 }
 
+/// A raw kBatchFill payload, as OwnerLink::fill encodes one.
+Bytes fill_request(std::uint8_t kind, const std::vector<std::uint64_t>& dims,
+                   std::uint32_t count) {
+  ByteWriter writer;
+  writer.write_u8(static_cast<std::uint8_t>(OwnerOp::kBatchFill));
+  writer.write_u8(kind);
+  writer.write_u64(dims.size());
+  for (std::uint64_t dim : dims) {
+    writer.write_u64(dim);
+  }
+  writer.write_u64(0);  // start
+  writer.write_u32(count);
+  return writer.take();
+}
+
+TEST(OwnerServiceTest, HostileFillsNeitherKillTheDealerNorStarveOthers) {
+  ServiceHarness harness;
+  const auto matmul = static_cast<std::uint8_t>(mpc::TripleKind::kMatMul);
+  const std::vector<Bytes> hostile = {
+      // 46 bytes whose dims product wraps size_t to 0.
+      fill_request(matmul, {std::uint64_t{1} << 62, 4, 1}, 1),
+      fill_request(matmul, {std::uint64_t{1} << 20, 1 << 10, 1}, 1),
+      fill_request(matmul, {1 << 14, 1 << 14, 1}, 8),  // 2^28 x 8
+      fill_request(matmul, {4, 4}, 1),                 // wrong arity
+      fill_request(static_cast<std::uint8_t>(mpc::TripleKind::kMaskedMatMul),
+                   {0, 0, 2, 1, 1, 1}, 1),             // flag not 0/1
+      fill_request(static_cast<std::uint8_t>(mpc::TripleKind::kWeightMask),
+                   {0, 0, 1}, 1),                      // wrong arity
+      fill_request(42, {1}, 1),                        // unknown kind
+  };
+  ASSERT_EQ(hostile[0].size(), 46u);
+  net::Endpoint attacker = harness.network.endpoint(0);
+  for (std::size_t i = 0; i < hostile.size(); ++i) {
+    attacker.send(kModelOwner, "req/" + std::to_string(i), hostile[i]);
+  }
+
+  // The service handles at most one request per party per loop pass,
+  // so more sequential fills than hostile requests guarantee all of
+  // them were processed before the honest parties finish.
+  std::vector<std::thread> honest;
+  for (int party = 1; party < 3; ++party) {
+    honest.emplace_back([&, party] {
+      OwnerLink link(harness.network.endpoint(party), party);
+      for (std::size_t i = 0; i < hostile.size() + 1; ++i) {
+        // Legitimate fills at huge versions: layer and version dims do
+        // not count toward the size bound.
+        const mpc::PartyShare mask =
+            link.weight_mask(1, std::uint64_t{1} << 40, 8, 4);
+        EXPECT_EQ(mask.shape(), (Shape{8, 4}));
+      }
+      link.stop();
+    });
+  }
+  for (auto& thread : honest) {
+    thread.join();
+  }
+  harness.join();
+  EXPECT_EQ(harness.service.fills_served(), 2 * (hostile.size() + 1));
+  Bytes reply;
+  EXPECT_FALSE(attacker.try_recv(kModelOwner, "rsp/0", reply));
+}
+
 }  // namespace
 }  // namespace trustddl::core

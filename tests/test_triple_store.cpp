@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 #include <thread>
 #include <vector>
 
@@ -51,18 +52,18 @@ TEST(DerivedSeedTest, EntriesArePureFunctionsOfKeyAndIndex) {
   for (std::uint64_t i = 0; i < 4; ++i) {
     const auto single = deal_material(key, i, 1, kSeed, kF);
     for (std::size_t party = 0; party < kNumParties; ++party) {
-      EXPECT_EQ(encode(batch[party].triples[i]),
-                encode(single[party].triples[0]))
+      EXPECT_EQ(encode(batch[party][i].triple),
+                encode(single[party][0].triple))
           << "party " << party << " entry " << i;
     }
   }
   // Overlapping ranges agree entry-wise — the property that lets
   // caches, stores and restarts coexist.
   const auto overlap = deal_material(key, 2, 2, kSeed, kF);
-  EXPECT_EQ(encode(overlap[0].triples[0]), encode(batch[0].triples[2]));
-  EXPECT_EQ(encode(overlap[0].triples[1]), encode(batch[0].triples[3]));
+  EXPECT_EQ(encode(overlap[0][0].triple), encode(batch[0][2].triple));
+  EXPECT_EQ(encode(overlap[0][1].triple), encode(batch[0][3].triple));
   // Different indices yield different material.
-  EXPECT_NE(encode(batch[0].triples[0]), encode(batch[0].triples[1]));
+  EXPECT_NE(encode(batch[0][0].triple), encode(batch[0][1].triple));
 }
 
 TEST(DerivedSeedTest, DealtBatchesSatisfyTheBeaverRelation) {
@@ -71,9 +72,9 @@ TEST(DerivedSeedTest, DealtBatchesSatisfyTheBeaverRelation) {
   for (std::size_t i = 0; i < 2; ++i) {
     std::array<PartyShare, 3> a_views, b_views, c_views;
     for (std::size_t party = 0; party < kNumParties; ++party) {
-      a_views[party] = views[party].triples[i].a;
-      b_views[party] = views[party].triples[i].b;
-      c_views[party] = views[party].triples[i].c;
+      a_views[party] = views[party][i].triple.a;
+      b_views[party] = views[party][i].triple.b;
+      c_views[party] = views[party][i].triple.c;
     }
     EXPECT_EQ(matmul(reconstruct(a_views), reconstruct(b_views)),
               reconstruct(c_views))
@@ -95,7 +96,7 @@ TEST(TripleStoreTest, ServesTheStreamInOrderAndFallsBackWhenDry) {
   // store and fall back to on-demand dealing — same stream, in order.
   for (std::uint64_t i = 0; i < 5; ++i) {
     const BeaverTripleShare triple = store.matmul_triple(2, 3, 2);
-    EXPECT_EQ(encode(triple), encode(stream_entry(key, i).triples[0]))
+    EXPECT_EQ(encode(triple), encode(stream_entry(key, i)[0].triple))
         << "entry " << i;
   }
   EXPECT_EQ(store.misses(), 2u);
@@ -114,11 +115,11 @@ TEST(TripleStoreTest, KindsKeepIndependentStreams) {
   EXPECT_EQ(store.depth(), 6u);
 
   EXPECT_EQ(encode(store.mul_triple(shape)),
-            encode(stream_entry(TripleKey::mul(shape), 0).triples[0]));
+            encode(stream_entry(TripleKey::mul(shape), 0)[0].triple));
   EXPECT_EQ(encode(store.comp_aux(shape)),
-            encode(stream_entry(TripleKey::comp_aux(shape), 0).aux[0]));
+            encode(stream_entry(TripleKey::comp_aux(shape), 0)[0].share));
   EXPECT_EQ(encode(store.trunc_pair(shape)),
-            encode(stream_entry(TripleKey::trunc_pair(shape), 0).pairs[0]));
+            encode(stream_entry(TripleKey::trunc_pair(shape), 0)[0].pair));
   EXPECT_EQ(store.misses(), 0u);
 }
 
@@ -166,10 +167,105 @@ TEST(TripleStoreTest, DiskRoundTripRestoresEntriesAndCursor) {
   for (std::uint64_t i = 1; i <= 4; ++i) {
     const auto pairs = deal_material(key, i, 1, kSeed, kF);
     EXPECT_EQ(encode(restored.trunc_pair(Shape{3, 2})),
-              encode(pairs[1].pairs[0]))
+              encode(pairs[1][0].pair))
         << "entry " << i;
   }
   std::remove(path.c_str());
+}
+
+/// A TDST file holding one key header (and no entries), written the
+/// way TripleStore::save lays it out.
+void write_store_header(const std::string& path, TripleKind kind,
+                        const Shape& dims, std::uint64_t cursor,
+                        std::uint64_t target, std::uint64_t depth) {
+  ByteWriter writer;
+  writer.write_u32(0x54534454);  // "TDST"
+  writer.write_u32(1);
+  writer.write_u64(0xfeedULL);
+  writer.write_u32(0);
+  writer.write_u64(1);
+  writer.write_u8(static_cast<std::uint8_t>(kind));
+  writer.write_u64(dims.size());
+  for (std::size_t dim : dims) {
+    writer.write_u64(dim);
+  }
+  writer.write_u64(cursor);
+  writer.write_u64(target);
+  writer.write_u64(depth);
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(writer.bytes().data()),
+            static_cast<std::streamsize>(writer.bytes().size()));
+}
+
+TEST(TripleStoreTest, CraftedHeadersFailAsSerializationErrors) {
+  // Counts in a header must be checked before anything is sized from
+  // them: unchecked, a target past 2^63 spins next_pow2 forever, one
+  // near 2^40 throws std::bad_alloc, and a depth the file cannot hold
+  // asks for a ring of that size.
+  const std::string path = ::testing::TempDir() + "triple_store_crafted.bin";
+  const Shape shape{2};
+  const struct {
+    TripleKind kind;
+    Shape dims;
+    std::uint64_t cursor;
+    std::uint64_t target;
+    std::uint64_t depth;
+  } cases[] = {
+      {TripleKind::kMul, shape, 0, (std::uint64_t{1} << 63) + 1, 0},
+      {TripleKind::kMul, shape, 0, std::uint64_t{1} << 40, 0},
+      {TripleKind::kMul, shape, 0, 4, std::uint64_t{1} << 40},
+      {TripleKind::kCompAux, shape, ~std::uint64_t{0}, 4, 1},
+      {TripleKind::kWeightMask, Shape{0, 0, 2, 2}, 0,
+       std::uint64_t{1} << 40, 0},
+      {TripleKind::kMatMul, Shape{2, 2}, 0, 1, 0},  // wrong arity
+      {static_cast<TripleKind>(9), shape, 0, 1, 0},  // unknown kind
+  };
+  for (const auto& c : cases) {
+    write_store_header(path, c.kind, c.dims, c.cursor, c.target, c.depth);
+    DealerBackend backend(kSeed, kF, /*party=*/0);
+    TripleStore store(backend, /*party=*/0);
+    EXPECT_THROW(store.load(path, 0xfeedULL), SerializationError)
+        << "kind " << static_cast<int>(c.kind) << " target " << c.target
+        << " depth " << c.depth;
+  }
+  // A versioned key long past its first entries still loads: only what
+  // it still owes counts against the bound.
+  write_store_header(path, TripleKind::kMaskedMatMul,
+                     Shape{0, 0, 0, 1, 1, 1}, std::uint64_t{1} << 40,
+                     (std::uint64_t{1} << 40) + 4, 0);
+  DealerBackend backend(kSeed, kF, /*party=*/0);
+  TripleStore store(backend, /*party=*/0);
+  ASSERT_TRUE(store.load(path, 0xfeedULL));
+  const TripleKey key = TripleKey::masked_matmul(0, 0, false, 1, 1, 1);
+  EXPECT_EQ(store.consumed(key), std::uint64_t{1} << 40);
+  EXPECT_EQ(store.refill(key, 16), 4u);
+  std::remove(path.c_str());
+}
+
+TEST(TripleStoreTest, VersionedStreamsDeliverTotalsAndRetire) {
+  DealerBackend backend(kSeed, kF, /*party=*/0);
+  TripleStore store(backend, /*party=*/0);
+  const TripleKey v0 = TripleKey::masked_matmul(1, 0, false, 2, 3, 4);
+  const TripleKey v1 = TripleKey::masked_matmul(1, 1, false, 2, 3, 4);
+  store.demand(v0, 2);
+  store.demand(v1, 1);
+  EXPECT_EQ(store.refill_toward_targets(8), 3u);
+  (void)store.next(v0);
+  (void)store.next(v0);
+  // A finished version is never refetched: its target counts entries
+  // delivered, not a depth to keep.
+  EXPECT_EQ(store.refill(v0, 8), 0u);
+  EXPECT_TRUE(store.keys_below(0.5).empty());
+  // Planning more for a version owes entries beyond those consumed.
+  store.demand(v0, 1);
+  EXPECT_EQ(store.refill(v0, 8), 1u);
+  EXPECT_EQ(store.next(v0).triple.a.primary,
+            stream_entry(v0, 2)[0].triple.a.primary);
+
+  store.retire_versions_before(1);
+  EXPECT_EQ(store.target(v0), 0u) << "drained older version dropped";
+  EXPECT_EQ(store.depth(v1), 1u) << "current version kept";
+  EXPECT_EQ(store.misses(), 0u);
 }
 
 TEST(TripleStoreTest, ConcurrentProducerAndConsumerPreserveStreamOrder) {
@@ -201,7 +297,7 @@ TEST(TripleStoreTest, ConcurrentProducerAndConsumerPreserveStreamOrder) {
 
   const auto expected = deal_material(key, 0, kEntries, kSeed, kF);
   for (std::size_t i = 0; i < kEntries; ++i) {
-    ASSERT_EQ(popped[i], encode(expected[2].triples[i])) << "entry " << i;
+    ASSERT_EQ(popped[i], encode(expected[2][i].triple)) << "entry " << i;
   }
   EXPECT_EQ(store.consumed(key), kEntries);
 }
