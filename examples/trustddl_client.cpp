@@ -63,19 +63,15 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "core/engine.hpp"
-#include "core/roles.hpp"
-#include "data/synthetic_mnist.hpp"
+#include "cli.hpp"
 #include "fleet/client.hpp"
 #include "fleet/topology.hpp"
-#include "net/tcp_transport.hpp"
-#include "nn/model_zoo.hpp"
 #include "obs/admin_server.hpp"
 #include "obs/trace.hpp"
 #include "serve/client.hpp"
@@ -108,75 +104,41 @@ struct Options {
   int request_gap_ms = 0;
 };
 
-[[noreturn]] void usage_error(const std::string& reason) {
-  std::fprintf(stderr, "trustddl_client: %s\n(see the header comment of "
-               "examples/trustddl_client.cpp for flags)\n",
-               reason.c_str());
-  std::exit(64);
-}
-
 Options parse_options(int argc, char** argv) {
   Options opt;
   bool clients_given = false;
-  auto value = [&](int& i) -> std::string {
-    if (i + 1 >= argc) {
-      usage_error(std::string("missing value for ") + argv[i]);
-    }
-    return argv[++i];
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--client-id") {
-      opt.client_id = std::atoi(value(i).c_str());
-    } else if (arg == "--clients") {
-      opt.clients = std::atoi(value(i).c_str());
-      clients_given = true;
-    } else if (arg == "--port-base") {
-      opt.port_base = std::atoi(value(i).c_str());
-    } else if (arg == "--peers") {
-      opt.peers_text = value(i);
-    } else if (arg == "--listen") {
-      opt.listen_host = value(i);
-    } else if (arg == "--requests") {
-      opt.requests = static_cast<std::size_t>(std::atoll(value(i).c_str()));
-    } else if (arg == "--concurrency") {
-      opt.concurrency = std::atoi(value(i).c_str());
-    } else if (arg == "--rows") {
-      opt.rows = static_cast<std::size_t>(std::atoll(value(i).c_str()));
-    } else if (arg == "--model") {
-      opt.model = value(i);
-    } else if (arg == "--mode") {
-      opt.mode = value(i);
-    } else if (arg == "--batch-openings") {
-      opt.batch_openings = value(i) == "on";
-    } else if (arg == "--seed") {
-      opt.seed = std::strtoull(value(i).c_str(), nullptr, 10);
-    } else if (arg == "--data-seed") {
-      opt.data_seed = std::strtoull(value(i).c_str(), nullptr, 10);
-    } else if (arg == "--deadline-ms") {
-      opt.deadline_ms = std::atoi(value(i).c_str());
-    } else if (arg == "--response-timeout-ms") {
-      opt.response_timeout_ms = std::atoi(value(i).c_str());
-    } else if (arg == "--check") {
-      opt.check = true;
-    } else if (arg == "--connect-timeout-ms") {
-      opt.connect_timeout_ms = std::atoi(value(i).c_str());
-    } else if (arg == "--trace-out") {
-      opt.trace_out = value(i);
-    } else if (arg == "--fleet") {
-      opt.fleet_file = value(i);
-    } else if (arg == "--request-gap-ms") {
-      opt.request_gap_ms = std::atoi(value(i).c_str());
-    } else {
-      usage_error("unknown flag " + arg);
-    }
-  }
+  cli::Flags("trustddl_client")
+      .value("--client-id", opt.client_id)
+      .custom("--clients",
+              [&](const std::string& text) {
+                cli::parse_value("--clients", text, opt.clients);
+                clients_given = true;
+              })
+      .value("--port-base", opt.port_base)
+      .value("--peers", opt.peers_text)
+      .value("--listen", opt.listen_host)
+      .value("--requests", opt.requests)
+      .value("--concurrency", opt.concurrency)
+      .value("--rows", opt.rows)
+      .value("--model", opt.model)
+      .value("--mode", opt.mode)
+      .on_off("--batch-openings", opt.batch_openings)
+      .value("--seed", opt.seed)
+      .value("--data-seed", opt.data_seed)
+      .value("--deadline-ms", opt.deadline_ms)
+      .value("--response-timeout-ms", opt.response_timeout_ms)
+      .set("--check", opt.check)
+      .value("--connect-timeout-ms", opt.connect_timeout_ms)
+      .value("--trace-out", opt.trace_out)
+      .value("--fleet", opt.fleet_file)
+      .value("--request-gap-ms", opt.request_gap_ms)
+      .parse(argc, argv);
   if (!opt.fleet_file.empty() && !opt.peers_text.empty()) {
-    usage_error("--fleet and --peers are mutually exclusive (the topology "
-                "file is the pod address map)");
+    cli::usage_error("--fleet and --peers are mutually exclusive (the "
+                     "topology file is the pod address map)");
   }
   if (opt.request_gap_ms < 0) {
-    usage_error("--request-gap-ms must be >= 0");
+    cli::usage_error("--request-gap-ms must be >= 0");
   }
   // Fleet mode resolves the client count from the shared topology file
   // (unless --clients overrides), so routed clients and pods agree on
@@ -185,76 +147,59 @@ Options parse_options(int argc, char** argv) {
     try {
       opt.topology = fleet::load_topology(opt.fleet_file);
     } catch (const Error& error) {
-      usage_error(error.what());
+      cli::usage_error(error.what());
     }
     if (opt.topology.clients > 0 && !clients_given) {
       opt.clients = opt.topology.clients;
     }
   }
   if (opt.clients < 1) {
-    usage_error("--clients must be >= 1");
+    cli::usage_error("--clients must be >= 1");
   }
   if (opt.client_id < serve::kFirstClientId ||
       opt.client_id >= serve::kFirstClientId + opt.clients) {
-    usage_error("--client-id must be in [5, 5 + clients)");
+    cli::usage_error("--client-id must be in [5, 5 + clients)");
   }
   if (opt.requests < 1 || opt.rows < 1 || opt.concurrency < 1) {
-    usage_error("--requests/--rows/--concurrency must be >= 1");
+    cli::usage_error("--requests/--rows/--concurrency must be >= 1");
   }
   if (opt.mode != "malicious" && opt.mode != "hbc") {
-    usage_error("--mode must be malicious or hbc");
+    cli::usage_error("--mode must be malicious or hbc");
   }
   return opt;
 }
 
-nn::ModelSpec spec_for(const std::string& name) {
-  if (name == "mlp") {
-    return nn::mnist_mlp_spec();
+/// Issues every request from `concurrency` threads sharing one client:
+/// workers pull request indices from a counter and pause
+/// --request-gap-ms between their own consecutive requests.
+void submit_all(const Options& opt,
+                const std::function<void(std::size_t)>& request) {
+  std::atomic<std::size_t> next_request{0};
+  std::vector<std::thread> workers;
+  const std::size_t threads = std::min<std::size_t>(
+      static_cast<std::size_t>(opt.concurrency), opt.requests);
+  for (std::size_t t = 0; t < threads; ++t) {
+    workers.emplace_back([&] {
+      for (std::size_t r = next_request++, made = 0; r < opt.requests;
+           r = next_request++, ++made) {
+        if (made > 0 && opt.request_gap_ms > 0) {
+          std::this_thread::sleep_for(
+              std::chrono::milliseconds(opt.request_gap_ms));
+        }
+        request(r);
+      }
+    });
   }
-  if (name == "cnn") {
-    return nn::mnist_cnn_spec();
+  for (auto& worker : workers) {
+    worker.join();
   }
-  if (name == "tiny-cnn") {
-    return nn::tiny_cnn_spec();
-  }
-  usage_error("--model must be mlp, cnn or tiny-cnn");
 }
 
-std::vector<std::string> mesh_addresses(const Options& opt, int num_actors) {
-  std::vector<std::string> addresses(static_cast<std::size_t>(num_actors));
-  if (opt.peers_text.empty()) {
-    for (int id = 0; id < num_actors; ++id) {
-      addresses[static_cast<std::size_t>(id)] =
-          "127.0.0.1:" + std::to_string(opt.port_base + id);
-    }
-    return addresses;
-  }
-  std::size_t start = 0;
-  const std::string& text = opt.peers_text;
-  while (start <= text.size()) {
-    const std::size_t comma = text.find(',', start);
-    const std::string item =
-        text.substr(start, comma == std::string::npos ? comma : comma - start);
-    const std::size_t eq = item.find('=');
-    if (eq == std::string::npos) {
-      usage_error("peer entry '" + item + "' is not id=host:port");
-    }
-    const int id = std::atoi(item.substr(0, eq).c_str());
-    if (id < 0 || id >= num_actors) {
-      usage_error("peer id out of range in '" + item + "'");
-    }
-    addresses[static_cast<std::size_t>(id)] = item.substr(eq + 1);
-    if (comma == std::string::npos) {
-      break;
-    }
-    start = comma + 1;
-  }
-  for (const int id : {0, 1, 2, core::kModelOwner, opt.client_id}) {
-    if (addresses[static_cast<std::size_t>(id)].empty()) {
-      usage_error("--peers is missing actor id " + std::to_string(id));
-    }
-  }
-  return addresses;
+std::size_t completed(const std::vector<serve::InferenceResult>& results) {
+  return static_cast<std::size_t>(
+      std::count_if(results.begin(), results.end(), [](const auto& result) {
+        return result.status == serve::Status::kOk;
+      }));
 }
 
 /// Owns the per-pod transport behind a routed session: a fresh
@@ -274,33 +219,62 @@ class TcpPodSession final : public fleet::PodSession {
   serve::InferenceClient client_;
 };
 
+// Direct mode: this client is one actor of the pod's subset mesh.
+std::vector<serve::InferenceResult> run_direct(
+    const Options& opt, const core::EngineConfig& config,
+    const serve::ClientOptions& client_options, const data::Dataset& queries) {
+  const core::TcpMesh mesh = cli::service_mesh(
+      opt.client_id, core::kNumActors + opt.clients, opt.peers_text,
+      opt.port_base, opt.listen_host, opt.connect_timeout_ms);
+  std::printf("[client %d] listening on %s\n", opt.client_id,
+              core::bind_address(
+                  mesh.addresses[static_cast<std::size_t>(opt.client_id)],
+                  opt.listen_host)
+                  .c_str());
+  core::Session session(config, mesh);
+  std::printf("[client %d] connected to parties and model owner\n",
+              opt.client_id);
+  serve::InferenceClient client(session.endpoint(opt.client_id),
+                                client_options);
+
+  // Request r carries test rows [r*rows, (r+1)*rows).
+  std::vector<serve::InferenceResult> results(opt.requests);
+  submit_all(opt, [&](std::size_t r) {
+    results[r] =
+        client.infer(data::slice(queries, r * opt.rows, opt.rows).images);
+  });
+  client.stop();
+  session.finish();
+
+  std::vector<std::size_t> labels;
+  std::size_t anomalies = 0;
+  for (const auto& result : results) {
+    labels.insert(labels.end(), result.labels.begin(), result.labels.end());
+    anomalies += result.anomaly ? 1 : 0;
+  }
+  std::printf("[client %d] completed %zu/%zu requests (%zu with a flagged "
+              "share set)\n",
+              opt.client_id, completed(results), opt.requests, anomalies);
+  cli::print_labels("[client " + std::to_string(opt.client_id) + "]",
+                    labels);
+  session.close();
+  return results;
+}
+
 // --fleet: routed mode.  One FleetClient spans every pod in the
 // topology; pods are attached lazily (each gets its own transport so
 // actor ids never collide across pods), probed via admin /healthz
 // before shares move, and failed over when they die mid-request.
-int run_fleet(const Options& opt, const core::EngineConfig& config,
-              const nn::ModelSpec& spec, const data::TrainTestSplit& split) {
+std::vector<serve::InferenceResult> run_fleet(
+    const Options& opt, const serve::ClientOptions& client_options,
+    const data::Dataset& queries) {
   const fleet::FleetTopology& topology = opt.topology;
-  const int num_actors = core::kNumActors + opt.clients;
-
-  serve::ClientOptions client_options;
-  client_options.frac_bits = config.frac_bits;
-  client_options.dist_tolerance = config.dist_tolerance;
-  // Distinct sharing randomness per client slot (same derivation as
-  // the in-process serving harness); identical across pods, which is
-  // what makes a resubmitted request label-exact.
-  const int slot = opt.client_id - serve::kFirstClientId;
-  client_options.seed = opt.seed * 1000003ULL +
-                        17ULL * static_cast<std::uint64_t>(slot + 1);
-  client_options.deadline = std::chrono::milliseconds(opt.deadline_ms);
-  client_options.response_timeout =
-      std::chrono::milliseconds(opt.response_timeout_ms);
+  core::arm_telemetry("", opt.trace_out);
 
   net::NetworkConfig net_config;
-  net_config.num_parties = num_actors;
+  net_config.num_parties = core::kNumActors + opt.clients;
   net_config.connect.connect_timeout =
       std::chrono::milliseconds(opt.connect_timeout_ms);
-
   const std::string bind_host =
       opt.listen_host.empty() ? "127.0.0.1" : opt.listen_host;
 
@@ -320,14 +294,13 @@ int run_fleet(const Options& opt, const core::EngineConfig& config,
     auto transport = std::make_unique<net::TcpTransport>(
         static_cast<net::PartyId>(opt.client_id), bind_host + ":0",
         pod_config);
-    const std::vector<net::PartyId> peers = {
-        0, 1, 2, static_cast<net::PartyId>(core::kModelOwner)};
-    std::vector<std::string> addresses(static_cast<std::size_t>(num_actors));
-    for (const net::PartyId id : peers) {
+    std::vector<std::string> addresses(
+        static_cast<std::size_t>(net_config.num_parties));
+    for (const net::PartyId id : cli::kServicePeers) {
       addresses[static_cast<std::size_t>(id)] =
           pod_spec.address_of(static_cast<int>(id));
     }
-    transport->connect(addresses, peers);
+    transport->connect(addresses, cli::kServicePeers);
     return std::make_unique<TcpPodSession>(std::move(transport),
                                            opt.client_id, client_options);
   };
@@ -354,44 +327,17 @@ int run_fleet(const Options& opt, const core::EngineConfig& config,
               client.num_pods(),
               topology.pods[client.home_pod()].name.c_str());
 
-  std::vector<fleet::FleetResult> results(opt.requests);
-  std::atomic<std::size_t> next_request{0};
-  std::vector<std::thread> submitters;
-  const int threads = static_cast<int>(std::min<std::size_t>(
-      static_cast<std::size_t>(opt.concurrency), opt.requests));
-  for (int t = 0; t < threads; ++t) {
-    submitters.emplace_back([&] {
-      bool first = true;
-      while (true) {
-        const std::size_t r = next_request.fetch_add(1);
-        if (r >= opt.requests) {
-          return;
-        }
-        if (!first && opt.request_gap_ms > 0) {
-          std::this_thread::sleep_for(
-              std::chrono::milliseconds(opt.request_gap_ms));
-        }
-        first = false;
-        const data::Dataset slice =
-            data::slice(split.test, r * opt.rows, opt.rows);
-        results[r] = client.infer(slice.images);
-      }
-    });
-  }
-  for (auto& submitter : submitters) {
-    submitter.join();
-  }
+  std::vector<serve::InferenceResult> results(opt.requests);
+  submit_all(opt, [&](std::size_t r) {
+    results[r] =
+        client.infer(data::slice(queries, r * opt.rows, opt.rows).images)
+            .result;
+  });
   client.stop();
   if (!opt.trace_out.empty()) {
     obs::Tracer::global().close();
   }
 
-  std::size_t ok = 0;
-  for (const auto& entry : results) {
-    if (entry.result.status == serve::Status::kOk) {
-      ++ok;
-    }
-  }
   const std::vector<std::size_t> served = client.served_by_pod();
   std::string spread;
   for (std::size_t p = 0; p < served.size(); ++p) {
@@ -402,213 +348,64 @@ int run_fleet(const Options& opt, const core::EngineConfig& config,
   }
   std::printf("[client %d] completed %zu/%zu requests (%s; %zu "
               "failover%s)\n",
-              opt.client_id, ok, opt.requests, spread.c_str(),
-              client.total_failovers(),
+              opt.client_id, completed(results), opt.requests,
+              spread.c_str(), client.total_failovers(),
               client.total_failovers() == 1 ? "" : "s");
-
-  int exit_code = 0;
-  if (opt.check) {
-    if (ok != opt.requests) {
-      std::printf("serve check: MISMATCH (%zu/%zu requests completed)\n", ok,
-                  opt.requests);
-      exit_code = 2;
-    } else {
-      // Reference: the in-memory engine over the same query set with
-      // the same seeds.  Whichever pod served a request, its labels
-      // must match the engine's row for row.
-      core::TrustDdlEngine engine(spec, config);
-      const core::InferResult expected =
-          engine.infer(split.test, std::max<std::size_t>(opt.rows, 4));
-      bool match = true;
-      for (std::size_t r = 0; r < opt.requests && match; ++r) {
-        for (std::size_t i = 0; i < opt.rows; ++i) {
-          if (results[r].result.labels[i] !=
-              expected.labels[r * opt.rows + i]) {
-            match = false;
-            break;
-          }
-        }
-      }
-      std::printf("serve check: %s (in-memory engine, same seeds, routed "
-                  "across pods)\n",
-                  match ? "MATCH" : "MISMATCH");
-      if (!match) {
-        exit_code = 2;
-      }
-    }
-  }
-
   // Let the stop notices drain before the pod sessions (and their
   // sockets) are torn down with the FleetClient.
   std::this_thread::sleep_for(std::chrono::milliseconds(250));
-  return exit_code;
+  return results;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   const Options opt = parse_options(argc, argv);
-  const int num_actors = core::kNumActors + opt.clients;
 
-  // Same derivations as trustddl_party/the in-memory engine, so the
+  // Same derivations as trustddl_party / the in-memory engine, so the
   // parties evaluate exactly the model --check compares against.
-  core::EngineConfig config;
-  config.mode = opt.mode == "hbc" ? mpc::SecurityMode::kHonestButCurious
-                                  : mpc::SecurityMode::kMalicious;
-  config.batch_openings = opt.batch_openings;
-  config.seed = opt.seed;
-  config.collect_timeout = std::chrono::milliseconds(2000);
+  core::EngineConfig config =
+      cli::engine_config("serve", opt.mode, opt.batch_openings, opt.seed);
+  config.trace_out = opt.trace_out;
+  const nn::ModelSpec spec = cli::spec_for(opt.model);
+  const data::Dataset queries =
+      cli::load_split(spec, 1, opt.requests * opt.rows, opt.data_seed).test;
 
-  const nn::ModelSpec spec = spec_for(opt.model);
-
-  data::SyntheticMnistConfig data_config;
-  data_config.train_count = 1;
-  data_config.test_count = opt.requests * opt.rows;
-  data_config.seed = opt.data_seed;
-  // Query geometry follows the model: --model tiny-cnn serves 12x12
-  // 4-class queries, not the 28x28 MNIST default.
-  const nn::InputGeometry geometry = nn::input_geometry(spec);
-  data_config.height = geometry.height;
-  data_config.width = geometry.width;
-  data_config.classes = spec.classes;
-  const auto split = data::generate_synthetic_mnist(data_config);
-
-  if (!opt.trace_out.empty()) {
-    obs::Tracer::global().open(opt.trace_out);
-  }
-
-  if (!opt.fleet_file.empty()) {
-    try {
-      return run_fleet(opt, config, spec, split);
-    } catch (const std::exception& error) {
-      std::fprintf(stderr, "trustddl_client: %s\n", error.what());
-      return 1;
-    }
-  }
-
-  const std::vector<std::string> addresses = mesh_addresses(opt, num_actors);
-
-  net::NetworkConfig net_config;
-  net_config.num_parties = num_actors;
-  net_config.connect.connect_timeout =
-      std::chrono::milliseconds(opt.connect_timeout_ms);
+  serve::ClientOptions base;
+  base.seed = opt.seed;
+  base.deadline = std::chrono::milliseconds(opt.deadline_ms);
+  base.response_timeout = std::chrono::milliseconds(opt.response_timeout_ms);
+  const serve::ClientOptions client_options = serve::client_options(
+      base, config, opt.client_id - serve::kFirstClientId);
 
   try {
-    std::string listen = addresses[static_cast<std::size_t>(opt.client_id)];
-    if (!opt.listen_host.empty()) {
-      listen = opt.listen_host + ":" +
-               std::to_string(net::parse_address(listen).port);
+    const bool routed = !opt.fleet_file.empty();
+    const std::vector<serve::InferenceResult> results =
+        routed ? run_fleet(opt, client_options, queries)
+               : run_direct(opt, config, client_options, queries);
+    if (!opt.check) {
+      return 0;
     }
-    std::printf("[client %d] listening on %s\n", opt.client_id,
-                listen.c_str());
-    net::TcpTransport transport(static_cast<net::PartyId>(opt.client_id),
-                                listen, net_config);
-    transport.connect(addresses,
-                      {0, 1, 2, static_cast<net::PartyId>(core::kModelOwner)});
-    std::printf("[client %d] connected to parties and model owner\n",
-                opt.client_id);
-
-    serve::ClientOptions client_options;
-    client_options.frac_bits = config.frac_bits;
-    client_options.dist_tolerance = config.dist_tolerance;
-    // Distinct sharing randomness per client slot (same derivation as
-    // the in-process serving harness).
-    const int slot = opt.client_id - serve::kFirstClientId;
-    client_options.seed = opt.seed * 1000003ULL +
-                          17ULL * static_cast<std::uint64_t>(slot + 1);
-    client_options.deadline = std::chrono::milliseconds(opt.deadline_ms);
-    client_options.response_timeout =
-        std::chrono::milliseconds(opt.response_timeout_ms);
-    serve::InferenceClient client(
-        transport.endpoint(static_cast<net::PartyId>(opt.client_id)),
-        client_options);
-
-    // `concurrency` threads share the one client, pulling request
-    // indices from a counter; request r carries test rows
-    // [r*rows, (r+1)*rows).
-    std::vector<serve::InferenceResult> results(opt.requests);
-    std::atomic<std::size_t> next_request{0};
-    std::vector<std::thread> submitters;
-    const int threads =
-        static_cast<int>(std::min<std::size_t>(
-            static_cast<std::size_t>(opt.concurrency), opt.requests));
-    for (int t = 0; t < threads; ++t) {
-      submitters.emplace_back([&] {
-        while (true) {
-          const std::size_t r = next_request.fetch_add(1);
-          if (r >= opt.requests) {
-            return;
-          }
-          const data::Dataset slice =
-              data::slice(split.test, r * opt.rows, opt.rows);
-          results[r] = client.infer(slice.images);
-        }
-      });
+    if (completed(results) != opt.requests) {
+      std::printf("serve check: MISMATCH (%zu/%zu requests completed)\n",
+                  completed(results), opt.requests);
+      return 2;
     }
-    for (auto& submitter : submitters) {
-      submitter.join();
+    // Reference: the in-memory engine over the same query set with the
+    // same seeds.  Whichever pod served a request, its labels must
+    // match the engine's row for row.
+    const std::vector<std::size_t> expected = cli::reference_labels(
+        spec, config, queries, std::max<std::size_t>(opt.rows, 4));
+    bool match = true;
+    for (std::size_t r = 0; r < opt.requests; ++r) {
+      match = match && std::equal(results[r].labels.begin(),
+                                  results[r].labels.end(),
+                                  expected.begin() + r * opt.rows);
     }
-    client.stop();
-    if (!opt.trace_out.empty()) {
-      obs::Tracer::global().close();
-    }
-
-    std::size_t ok = 0;
-    std::size_t anomalies = 0;
-    std::vector<std::size_t> labels;
-    for (const auto& result : results) {
-      if (result.status == serve::Status::kOk) {
-        ++ok;
-        labels.insert(labels.end(), result.labels.begin(),
-                      result.labels.end());
-      }
-      if (result.anomaly) {
-        ++anomalies;
-      }
-    }
-    std::printf("[client %d] completed %zu/%zu requests (%zu with a "
-                "flagged share set)\n",
-                opt.client_id, ok, opt.requests, anomalies);
-    std::printf("[client %d] predicted labels:", opt.client_id);
-    for (std::size_t i = 0; i < labels.size() && i < 24; ++i) {
-      std::printf(" %zu", labels[i]);
-    }
-    std::printf("%s\n", labels.size() > 24 ? " ..." : "");
-
-    int exit_code = 0;
-    if (opt.check) {
-      if (ok != opt.requests) {
-        std::printf("serve check: MISMATCH (%zu/%zu requests completed)\n",
-                    ok, opt.requests);
-        exit_code = 2;
-      } else {
-        // Reference: the in-memory engine over the same query set with
-        // the same seeds.  Per-request labels must match its labels
-        // row for row.
-        core::TrustDdlEngine engine(spec, config);
-        const core::InferResult expected =
-            engine.infer(split.test, std::max<std::size_t>(opt.rows, 4));
-        bool match = true;
-        for (std::size_t r = 0; r < opt.requests && match; ++r) {
-          for (std::size_t i = 0; i < opt.rows; ++i) {
-            if (results[r].labels[i] != expected.labels[r * opt.rows + i]) {
-              match = false;
-              break;
-            }
-          }
-        }
-        std::printf("serve check: %s (in-memory engine, same seeds)\n",
-                    match ? "MATCH" : "MISMATCH");
-        if (!match) {
-          exit_code = 2;
-        }
-      }
-    }
-
-    // Let the final stop notice drain before closing the sockets.
-    std::this_thread::sleep_for(std::chrono::milliseconds(250));
-    transport.shutdown();
-    return exit_code;
+    return cli::verdict("serve check", match,
+                        routed ? "in-memory engine, same seeds, routed "
+                                 "across pods"
+                               : "in-memory engine, same seeds");
   } catch (const std::exception& error) {
     std::fprintf(stderr, "trustddl_client: %s\n", error.what());
     return 1;

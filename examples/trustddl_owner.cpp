@@ -60,20 +60,12 @@
 //                        0 picks an ephemeral port [off]
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
-#include <thread>
 
-#include "core/roles.hpp"
-#include "data/mnist_idx.hpp"
-#include "data/synthetic_mnist.hpp"
-#include "net/tcp_transport.hpp"
-#include "nn/model_zoo.hpp"
+#include "cli.hpp"
 #include "numeric/fixed_point.hpp"
-#include "obs/admin_server.hpp"
 #include "obs/health.hpp"
-#include "obs/trace.hpp"
 #include "train/harness.hpp"
 #include "train/owner_client.hpp"
 #include "train/wire.hpp"
@@ -103,125 +95,38 @@ struct Options {
   int admin_port = -1;
 };
 
-[[noreturn]] void usage_error(const std::string& reason) {
-  std::fprintf(stderr, "trustddl_owner: %s\n(see the header comment of "
-               "examples/trustddl_owner.cpp for flags)\n",
-               reason.c_str());
-  std::exit(64);
-}
-
 Options parse_options(int argc, char** argv) {
   Options opt;
-  auto value = [&](int& i) -> std::string {
-    if (i + 1 >= argc) {
-      usage_error(std::string("missing value for ") + argv[i]);
-    }
-    return argv[++i];
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--owner-index") {
-      opt.owner_index = std::atoi(value(i).c_str());
-    } else if (arg == "--owners") {
-      opt.owners = std::atoi(value(i).c_str());
-    } else if (arg == "--port-base") {
-      opt.port_base = std::atoi(value(i).c_str());
-    } else if (arg == "--peers") {
-      opt.peers_text = value(i);
-    } else if (arg == "--listen") {
-      opt.listen_host = value(i);
-    } else if (arg == "--submissions") {
-      opt.submissions = static_cast<std::size_t>(std::atoll(value(i).c_str()));
-    } else if (arg == "--batch-rows") {
-      opt.batch_rows = static_cast<std::size_t>(std::atoll(value(i).c_str()));
-    } else if (arg == "--rows") {
-      opt.rows = static_cast<std::size_t>(std::atoll(value(i).c_str()));
-    } else if (arg == "--model") {
-      opt.model = value(i);
-    } else if (arg == "--seed") {
-      opt.seed = std::strtoull(value(i).c_str(), nullptr, 10);
-    } else if (arg == "--data-seed") {
-      opt.data_seed = std::strtoull(value(i).c_str(), nullptr, 10);
-    } else if (arg == "--mnist-dir") {
-      opt.mnist_dir = value(i);
-    } else if (arg == "--poison") {
-      opt.poison = value(i);
-    } else if (arg == "--exit-after-submissions") {
-      opt.exit_after_submissions =
-          static_cast<std::size_t>(std::atoll(value(i).c_str()));
-    } else if (arg == "--hello-timeout-ms") {
-      opt.hello_timeout_ms = std::atoi(value(i).c_str());
-    } else if (arg == "--connect-timeout-ms") {
-      opt.connect_timeout_ms = std::atoi(value(i).c_str());
-    } else if (arg == "--trace-out") {
-      opt.trace_out = value(i);
-    } else if (arg == "--admin-port") {
-      opt.admin_port = std::atoi(value(i).c_str());
-    } else {
-      usage_error("unknown flag " + arg);
-    }
-  }
+  cli::Flags("trustddl_owner")
+      .value("--owner-index", opt.owner_index)
+      .value("--owners", opt.owners)
+      .value("--port-base", opt.port_base)
+      .value("--peers", opt.peers_text)
+      .value("--listen", opt.listen_host)
+      .value("--submissions", opt.submissions)
+      .value("--batch-rows", opt.batch_rows)
+      .value("--rows", opt.rows)
+      .value("--model", opt.model)
+      .value("--seed", opt.seed)
+      .value("--data-seed", opt.data_seed)
+      .value("--mnist-dir", opt.mnist_dir)
+      .value("--poison", opt.poison)
+      .value("--exit-after-submissions", opt.exit_after_submissions)
+      .value("--hello-timeout-ms", opt.hello_timeout_ms)
+      .value("--connect-timeout-ms", opt.connect_timeout_ms)
+      .value("--trace-out", opt.trace_out)
+      .value("--admin-port", opt.admin_port)
+      .parse(argc, argv);
   if (opt.owners < 1) {
-    usage_error("--owners must be >= 1");
+    cli::usage_error("--owners must be >= 1");
   }
   if (opt.owner_index < 0 || opt.owner_index >= opt.owners) {
-    usage_error("--owner-index must be in [0, owners)");
+    cli::usage_error("--owner-index must be in [0, owners)");
   }
   if (opt.submissions < 1 || opt.batch_rows < 1 || opt.rows < 1) {
-    usage_error("--submissions/--batch-rows/--rows must be >= 1");
+    cli::usage_error("--submissions/--batch-rows/--rows must be >= 1");
   }
   return opt;
-}
-
-nn::ModelSpec spec_for(const std::string& name) {
-  if (name == "mlp") {
-    return nn::mnist_mlp_spec();
-  }
-  if (name == "cnn") {
-    return nn::mnist_cnn_spec();
-  }
-  if (name == "tiny-cnn") {
-    return nn::tiny_cnn_spec();
-  }
-  usage_error("--model must be mlp, cnn or tiny-cnn");
-}
-
-std::vector<std::string> mesh_addresses(const Options& opt, int owner_id,
-                                        int num_actors) {
-  std::vector<std::string> addresses(static_cast<std::size_t>(num_actors));
-  if (opt.peers_text.empty()) {
-    for (int id = 0; id < num_actors; ++id) {
-      addresses[static_cast<std::size_t>(id)] =
-          "127.0.0.1:" + std::to_string(opt.port_base + id);
-    }
-    return addresses;
-  }
-  std::size_t start = 0;
-  const std::string& text = opt.peers_text;
-  while (start <= text.size()) {
-    const std::size_t comma = text.find(',', start);
-    const std::string item =
-        text.substr(start, comma == std::string::npos ? comma : comma - start);
-    const std::size_t eq = item.find('=');
-    if (eq == std::string::npos) {
-      usage_error("peer entry '" + item + "' is not id=host:port");
-    }
-    const int id = std::atoi(item.substr(0, eq).c_str());
-    if (id < 0 || id >= num_actors) {
-      usage_error("peer id out of range in '" + item + "'");
-    }
-    addresses[static_cast<std::size_t>(id)] = item.substr(eq + 1);
-    if (comma == std::string::npos) {
-      break;
-    }
-    start = comma + 1;
-  }
-  for (const int id : {0, 1, 2, core::kModelOwner, owner_id}) {
-    if (addresses[static_cast<std::size_t>(id)].empty()) {
-      usage_error("--peers is missing actor id " + std::to_string(id));
-    }
-  }
-  return addresses;
 }
 
 }  // namespace
@@ -230,59 +135,36 @@ int main(int argc, char** argv) {
   const Options opt = parse_options(argc, argv);
   const int owner_id = static_cast<int>(train::kFirstOwnerId) +
                        opt.owner_index;
-  const int num_actors = core::kNumActors + opt.owners;
-
-  const nn::ModelSpec spec = spec_for(opt.model);
+  const nn::ModelSpec spec = cli::spec_for(opt.model);
 
   // Same dataset derivation as trustddl_party / the in-memory harness,
   // so a restarted owner (or the party-side --check) sees the exact
   // same shard.
-  data::SyntheticMnistConfig data_config;
-  data_config.train_count = opt.rows;
-  data_config.test_count = 1;
-  data_config.seed = opt.data_seed;
-  const auto split = data::load_mnist_or_synthetic(opt.mnist_dir, data_config);
-  const data::Dataset shard =
-      train::owner_shard(split.train, opt.owner_index, opt.owners);
+  const data::Dataset shard = train::owner_shard(
+      cli::load_split(spec, opt.rows, 1, opt.data_seed, opt.mnist_dir).train,
+      opt.owner_index, opt.owners);
 
-  const std::vector<std::string> addresses =
-      mesh_addresses(opt, owner_id, num_actors);
-
-  net::NetworkConfig net_config;
-  net_config.num_parties = num_actors;
-  net_config.connect.connect_timeout =
-      std::chrono::milliseconds(opt.connect_timeout_ms);
-
-  if (!opt.trace_out.empty()) {
-    obs::Tracer::global().open(opt.trace_out);
-  }
+  const core::TcpMesh mesh = cli::service_mesh(
+      owner_id, core::kNumActors + opt.owners, opt.peers_text, opt.port_base,
+      opt.listen_host, opt.connect_timeout_ms);
 
   // The owner's introspection plane uses the default registry-only
   // /metrics provider: an owner has no engine transports or detection
   // logs, so the live registry snapshot is the whole story.
-  std::unique_ptr<obs::AdminServer> admin;
-  if (opt.admin_port >= 0) {
-    obs::AdminOptions admin_options;
-    admin_options.port = opt.admin_port;
-    admin = std::make_unique<obs::AdminServer>(admin_options);
-    admin->start();
-    obs::HealthState::global().set_identity(
-        "data-owner-" + std::to_string(owner_id), "train-owner");
-    std::printf("admin endpoint on 127.0.0.1:%d\n", admin->port());
-  }
+  const std::unique_ptr<obs::AdminServer> admin =
+      cli::start_admin(opt.admin_port, "data-owner-" + std::to_string(owner_id),
+                       "train-owner");
 
   try {
-    std::string listen = addresses[static_cast<std::size_t>(owner_id)];
-    if (!opt.listen_host.empty()) {
-      listen = opt.listen_host + ":" +
-               std::to_string(net::parse_address(listen).port);
-    }
     std::printf("[owner %d] listening on %s (%zu shard rows)\n", owner_id,
-                listen.c_str(), shard.size());
-    net::TcpTransport transport(static_cast<net::PartyId>(owner_id), listen,
-                                net_config);
-    transport.connect(addresses,
-                      {0, 1, 2, static_cast<net::PartyId>(core::kModelOwner)});
+                core::bind_address(
+                    mesh.addresses[static_cast<std::size_t>(owner_id)],
+                    opt.listen_host)
+                    .c_str(),
+                shard.size());
+    core::EngineConfig config;
+    config.trace_out = opt.trace_out;
+    core::Session session(config, mesh);
     std::printf("[owner %d] connected to parties and sequencer\n", owner_id);
 
     train::OwnerOptions options;
@@ -292,8 +174,7 @@ int main(int argc, char** argv) {
     options.frac_bits = fx::kDefaultFracBits;
     options.poison = train::parse_poison_spec(opt.poison);
     options.hello_timeout = std::chrono::milliseconds(opt.hello_timeout_ms);
-    train::TrainingOwner owner(
-        transport.endpoint(static_cast<net::PartyId>(owner_id)), options);
+    train::TrainingOwner owner(session.endpoint(owner_id), options);
 
     if (options.poison.active()) {
       std::printf("[owner %d] POISONING: %s\n", owner_id,
@@ -315,7 +196,6 @@ int main(int argc, char** argv) {
         // silent owner and must mark it dormant.
         std::printf("[owner %d] exiting abruptly after %zu submissions\n",
                     owner_id, made);
-        transport.shutdown();
         return 0;
       }
     }
@@ -325,16 +205,11 @@ int main(int argc, char** argv) {
                 owner_id, made, rows,
                 static_cast<unsigned long long>(opt.submissions));
 
-    if (!opt.trace_out.empty()) {
-      obs::Tracer::global().close();
-    }
+    session.finish();
     if (admin) {
       admin->stop();
     }
-
-    // Let the stop notice drain before closing the sockets.
-    std::this_thread::sleep_for(std::chrono::milliseconds(250));
-    transport.shutdown();
+    session.close();
     return 0;
   } catch (const std::exception& error) {
     std::fprintf(stderr, "trustddl_owner: %s\n", error.what());

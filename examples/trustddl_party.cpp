@@ -113,30 +113,16 @@
 //                        mismatch
 //   --connect-timeout-ms N     mesh rendezvous budget [10000]
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <iterator>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "common/stopwatch.hpp"
+#include "cli.hpp"
 #include "core/actors.hpp"
-#include "core/engine.hpp"
-#include "core/metrics_export.hpp"
-#include "data/mnist_idx.hpp"
-#include "data/synthetic_mnist.hpp"
 #include "fleet/topology.hpp"
-#include "net/tcp_transport.hpp"
-#include "nn/loss.hpp"
-#include "obs/admin_server.hpp"
-#include "obs/events.hpp"
 #include "obs/health.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "serve/server.hpp"
 #include "serve/wire.hpp"
 #include "train/harness.hpp"
@@ -149,9 +135,8 @@ struct Options {
   std::vector<int> party_ids;
   std::string listen_host;  // empty: use the host from the mesh entry
   int port_base = 29500;
-  std::string peers_text;          // raw --peers value (parsed after
-                                   // --task/--clients are known)
-  std::vector<std::string> peers;  // [actor id] -> host:port
+  std::string peers_text;              // raw --peers value
+  std::vector<std::string> addresses;  // [actor id] -> host:port
   std::string task = "infer";
   int clients = 1;
   std::size_t serve_max_batch = 8;
@@ -196,63 +181,18 @@ struct Options {
   std::string mnist_dir;
 };
 
-[[noreturn]] void usage_error(const std::string& reason) {
-  std::fprintf(stderr, "trustddl_party: %s\n(see the header comment of "
-               "examples/trustddl_party.cpp for flags)\n",
-               reason.c_str());
-  std::exit(64);
-}
-
 std::vector<int> parse_id_list(const std::string& text) {
   std::vector<int> ids;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t comma = text.find(',', start);
-    const std::string item =
-        text.substr(start, comma == std::string::npos ? comma : comma - start);
+  for (const std::string& item : cli::split_list(text)) {
     if (item.empty()) {
-      usage_error("empty entry in id list '" + text + "'");
+      cli::usage_error("empty entry in id list '" + text + "'");
     }
-    const int id = std::atoi(item.c_str());
-    if (id < 0 || id >= core::kNumActors) {
-      usage_error("party id out of range: " + item);
+    cli::parse_value("--party-ids", item, ids.emplace_back());
+    if (ids.back() < 0 || ids.back() >= core::kNumActors) {
+      cli::usage_error("party id out of range: " + item);
     }
-    ids.push_back(id);
-    if (comma == std::string::npos) {
-      break;
-    }
-    start = comma + 1;
   }
   return ids;
-}
-
-/// "id=host:port,id=host:port,...": fills a vector indexed by actor
-/// id.  Which ids must be present depends on the task (serve never
-/// uses the data owner, and a party process never dials client slots),
-/// so the caller validates completeness.
-std::vector<std::string> parse_peer_list(const std::string& text,
-                                         int num_actors) {
-  std::vector<std::string> addresses(static_cast<std::size_t>(num_actors));
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t comma = text.find(',', start);
-    const std::string item =
-        text.substr(start, comma == std::string::npos ? comma : comma - start);
-    const std::size_t eq = item.find('=');
-    if (eq == std::string::npos) {
-      usage_error("peer entry '" + item + "' is not id=host:port");
-    }
-    const int id = std::atoi(item.substr(0, eq).c_str());
-    if (id < 0 || id >= num_actors) {
-      usage_error("peer id out of range in '" + item + "'");
-    }
-    addresses[static_cast<std::size_t>(id)] = item.substr(eq + 1);
-    if (comma == std::string::npos) {
-      break;
-    }
-    start = comma + 1;
-  }
-  return addresses;
 }
 
 /// The single source of truth for workload names: validation and the
@@ -281,175 +221,121 @@ std::string task_usage() {
 Options parse_options(int argc, char** argv) {
   Options opt;
   bool clients_given = false;
-  auto value = [&](int& i) -> std::string {
-    if (i + 1 >= argc) {
-      usage_error(std::string("missing value for ") + argv[i]);
-    }
-    return argv[++i];
+  const auto party_ids = [&](const std::string& text) {
+    opt.party_ids = parse_id_list(text);
   };
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--party-ids" || arg == "--party-id") {
-      opt.party_ids = parse_id_list(value(i));
-    } else if (arg == "--port-base") {
-      opt.port_base = std::atoi(value(i).c_str());
-    } else if (arg == "--peers") {
-      opt.peers_text = value(i);
-    } else if (arg == "--clients") {
-      opt.clients = std::atoi(value(i).c_str());
-      clients_given = true;
-    } else if (arg == "--serve-max-batch") {
-      opt.serve_max_batch =
-          static_cast<std::size_t>(std::atoll(value(i).c_str()));
-    } else if (arg == "--serve-window-ms") {
-      opt.serve_window_ms = std::atoi(value(i).c_str());
-    } else if (arg == "--serve-queue-cap") {
-      opt.serve_queue_cap =
-          static_cast<std::size_t>(std::atoll(value(i).c_str()));
-    } else if (arg == "--serve-corrupt-results") {
-      opt.serve_corrupt_results = true;
-    } else if (arg == "--owners") {
-      opt.owners = std::atoi(value(i).c_str());
-    } else if (arg == "--aggregation") {
-      opt.aggregation = value(i);
-    } else if (arg == "--trim") {
-      opt.trim = static_cast<std::size_t>(std::atoll(value(i).c_str()));
-    } else if (arg == "--quorum") {
-      opt.quorum = static_cast<std::size_t>(std::atoll(value(i).c_str()));
-    } else if (arg == "--rounds-per-epoch") {
-      opt.rounds_per_epoch =
-          static_cast<std::size_t>(std::atoll(value(i).c_str()));
-    } else if (arg == "--max-rounds") {
-      opt.max_rounds = static_cast<std::size_t>(std::atoll(value(i).c_str()));
-    } else if (arg == "--round-window-ms") {
-      opt.round_window_ms = std::atoi(value(i).c_str());
-    } else if (arg == "--input-wait-ms") {
-      opt.input_wait_ms = std::atoi(value(i).c_str());
-    } else if (arg == "--momentum") {
-      opt.momentum = std::atof(value(i).c_str());
-    } else if (arg == "--checkpoint-dir") {
-      opt.checkpoint_dir = value(i);
-    } else if (arg == "--min-accuracy") {
-      opt.min_accuracy = std::atof(value(i).c_str());
-    } else if (arg == "--submissions") {
-      opt.submissions = static_cast<std::size_t>(std::atoll(value(i).c_str()));
-    } else if (arg == "--owner-batch-rows") {
-      opt.owner_batch_rows =
-          static_cast<std::size_t>(std::atoll(value(i).c_str()));
-    } else if (arg == "--listen") {
-      opt.listen_host = value(i);
-    } else if (arg == "--task") {
-      opt.task = value(i);
-    } else if (arg == "--model") {
-      opt.model = value(i);
-    } else if (arg == "--images") {
-      opt.images = static_cast<std::size_t>(std::atoll(value(i).c_str()));
-    } else if (arg == "--rows") {
-      opt.rows = static_cast<std::size_t>(std::atoll(value(i).c_str()));
-    } else if (arg == "--batch") {
-      opt.batch = static_cast<std::size_t>(std::atoll(value(i).c_str()));
-    } else if (arg == "--epochs") {
-      opt.epochs = static_cast<std::size_t>(std::atoll(value(i).c_str()));
-    } else if (arg == "--lr") {
-      opt.learning_rate = std::atof(value(i).c_str());
-    } else if (arg == "--mode") {
-      opt.mode = value(i);
-    } else if (arg == "--batch-openings") {
-      opt.batch_openings = value(i) == "on";
-    } else if (arg == "--seed") {
-      opt.seed = std::strtoull(value(i).c_str(), nullptr, 10);
-    } else if (arg == "--data-seed") {
-      opt.data_seed = std::strtoull(value(i).c_str(), nullptr, 10);
-    } else if (arg == "--check") {
-      opt.check = true;
-    } else if (arg == "--connect-timeout-ms") {
-      opt.connect_timeout_ms = std::atoi(value(i).c_str());
-    } else if (arg == "--metrics-out") {
-      opt.metrics_out = value(i);
-    } else if (arg == "--trace-out") {
-      opt.trace_out = value(i);
-    } else if (arg == "--fleet") {
-      opt.fleet_file = value(i);
-    } else if (arg == "--pod") {
-      opt.pod_name = value(i);
-    } else if (arg == "--admin-port") {
-      opt.admin_port = std::atoi(value(i).c_str());
-    } else if (arg == "--triple-prefetch") {
-      opt.triple_prefetch = true;
-    } else if (arg == "--triple-low-water") {
-      opt.triple_low_water = std::atof(value(i).c_str());
-    } else if (arg == "--triple-store-dir") {
-      opt.triple_store_dir = value(i);
-    } else if (arg == "--mnist-dir") {
-      opt.mnist_dir = value(i);
-    } else {
-      usage_error("unknown flag " + arg);
-    }
-  }
+  cli::Flags("trustddl_party")
+      .custom("--party-ids", party_ids)
+      .custom("--party-id", party_ids)
+      .value("--port-base", opt.port_base)
+      .value("--peers", opt.peers_text)
+      .custom("--clients",
+              [&](const std::string& text) {
+                cli::parse_value("--clients", text, opt.clients);
+                clients_given = true;
+              })
+      .value("--serve-max-batch", opt.serve_max_batch)
+      .value("--serve-window-ms", opt.serve_window_ms)
+      .value("--serve-queue-cap", opt.serve_queue_cap)
+      .set("--serve-corrupt-results", opt.serve_corrupt_results)
+      .value("--owners", opt.owners)
+      .value("--aggregation", opt.aggregation)
+      .value("--trim", opt.trim)
+      .value("--quorum", opt.quorum)
+      .value("--rounds-per-epoch", opt.rounds_per_epoch)
+      .value("--max-rounds", opt.max_rounds)
+      .value("--round-window-ms", opt.round_window_ms)
+      .value("--input-wait-ms", opt.input_wait_ms)
+      .value("--momentum", opt.momentum)
+      .value("--checkpoint-dir", opt.checkpoint_dir)
+      .value("--min-accuracy", opt.min_accuracy)
+      .value("--submissions", opt.submissions)
+      .value("--owner-batch-rows", opt.owner_batch_rows)
+      .value("--listen", opt.listen_host)
+      .value("--task", opt.task)
+      .value("--model", opt.model)
+      .value("--images", opt.images)
+      .value("--rows", opt.rows)
+      .value("--batch", opt.batch)
+      .value("--epochs", opt.epochs)
+      .value("--lr", opt.learning_rate)
+      .value("--mode", opt.mode)
+      .on_off("--batch-openings", opt.batch_openings)
+      .value("--seed", opt.seed)
+      .value("--data-seed", opt.data_seed)
+      .set("--check", opt.check)
+      .value("--connect-timeout-ms", opt.connect_timeout_ms)
+      .value("--metrics-out", opt.metrics_out)
+      .value("--trace-out", opt.trace_out)
+      .value("--fleet", opt.fleet_file)
+      .value("--pod", opt.pod_name)
+      .value("--admin-port", opt.admin_port)
+      .set("--triple-prefetch", opt.triple_prefetch)
+      .value("--triple-low-water", opt.triple_low_water)
+      .value("--triple-store-dir", opt.triple_store_dir)
+      .value("--mnist-dir", opt.mnist_dir)
+      .parse(argc, argv);
   if (opt.party_ids.empty()) {
-    usage_error("--party-ids is required");
+    cli::usage_error("--party-ids is required");
   }
   if (!known_task(opt.task)) {
-    usage_error("--task must be " + task_usage());
+    cli::usage_error("--task must be " + task_usage());
   }
   if (opt.task == "malicious-inference" && opt.mode != "malicious") {
-    usage_error("--task malicious-inference requires --mode malicious");
+    cli::usage_error("--task malicious-inference requires --mode malicious");
   }
   if (opt.mode != "malicious" && opt.mode != "hbc") {
-    usage_error("--mode must be malicious or hbc");
+    cli::usage_error("--mode must be malicious or hbc");
   }
   if (opt.images < 1 || opt.rows < 1 || opt.batch < 1 || opt.epochs < 1) {
-    usage_error("--images/--rows/--batch/--epochs must be >= 1");
+    cli::usage_error("--images/--rows/--batch/--epochs must be >= 1");
   }
   if (opt.triple_low_water <= 0.0 || opt.triple_low_water > 1.0) {
-    usage_error("--triple-low-water must be in (0, 1]");
+    cli::usage_error("--triple-low-water must be in (0, 1]");
   }
   const bool serving = opt.task == "serve";
   const bool train_serving = opt.task == "train-serve";
   if (serving) {
     if (opt.clients < 1) {
-      usage_error("--clients must be >= 1");
+      cli::usage_error("--clients must be >= 1");
     }
     if (opt.serve_max_batch < 1 || opt.serve_queue_cap < 1 ||
         opt.serve_window_ms < 0) {
-      usage_error("--serve-max-batch/--serve-queue-cap must be >= 1 and "
-                  "--serve-window-ms >= 0");
+      cli::usage_error("--serve-max-batch/--serve-queue-cap must be >= 1 "
+                       "and --serve-window-ms >= 0");
     }
   }
   if (train_serving) {
     if (opt.owners < 1) {
-      usage_error("--owners must be >= 1");
+      cli::usage_error("--owners must be >= 1");
     }
     if (opt.aggregation != "mean" && opt.aggregation != "trimmed-mean" &&
         opt.aggregation != "median") {
-      usage_error("--aggregation must be mean, trimmed-mean or median");
+      cli::usage_error("--aggregation must be mean, trimmed-mean or median");
     }
     if (opt.quorum > static_cast<std::size_t>(opt.owners)) {
-      usage_error("--quorum must be <= --owners");
+      cli::usage_error("--quorum must be <= --owners");
     }
     if (opt.rounds_per_epoch < 1 || opt.submissions < 1 ||
         opt.owner_batch_rows < 1) {
-      usage_error("--rounds-per-epoch/--submissions/--owner-batch-rows "
-                  "must be >= 1");
+      cli::usage_error("--rounds-per-epoch/--submissions/--owner-batch-rows "
+                       "must be >= 1");
     }
   }
-  if (serving || train_serving) {
-    for (const int id : opt.party_ids) {
-      if (id == core::kDataOwner) {
-        usage_error("--task " + opt.task +
-                    " has no data-owner actor (id 3)");
-      }
-    }
+  if ((serving || train_serving) &&
+      std::count(opt.party_ids.begin(), opt.party_ids.end(),
+                 static_cast<int>(core::kDataOwner)) > 0) {
+    cli::usage_error("--task " + opt.task + " has no data-owner actor (id 3)");
   }
   // Fleet mode: one topology file names every pod's addresses; the
   // pod's client count defaults to the file's `clients` so parties and
   // routed clients cannot disagree on the actor space.
   if (!opt.fleet_file.empty() || !opt.pod_name.empty()) {
     if (!serving) {
-      usage_error("--fleet/--pod only apply to --task serve");
+      cli::usage_error("--fleet/--pod only apply to --task serve");
     }
     if (opt.fleet_file.empty() || opt.pod_name.empty()) {
-      usage_error("--fleet and --pod must be given together");
+      cli::usage_error("--fleet and --pod must be given together");
     }
     try {
       const fleet::FleetTopology topology =
@@ -459,26 +345,29 @@ Options parse_options(int argc, char** argv) {
         opt.clients = topology.clients;
       }
     } catch (const Error& error) {
-      usage_error(error.what());
+      cli::usage_error(error.what());
     }
     opt.fleet = true;
   }
-  // Peers are parsed only once the task is known: serving adds client
-  // (or training data owner) actor ids and drops the single data owner
-  // from the required set (the extra slots may also stay empty here —
-  // a party process accepts those connections, it never dials them).
+  // Addresses are resolved only once the task is known: serving adds
+  // client (or training data-owner) actor ids and drops the single data
+  // owner from the required set (the extra slots may also stay empty
+  // here — a party process accepts those connections, it never dials
+  // them).
   const int num_actors =
       core::kNumActors +
       (serving ? opt.clients : train_serving ? opt.owners : 0);
+  opt.addresses =
+      cli::mesh_addresses(opt.peers_text, opt.port_base, num_actors);
   if (!opt.peers_text.empty()) {
-    opt.peers = parse_peer_list(opt.peers_text, num_actors);
-    for (int id = 0; id < core::kNumActors; ++id) {
-      if ((serving || train_serving) && id == core::kDataOwner) {
-        continue;
-      }
-      if (opt.peers[static_cast<std::size_t>(id)].empty()) {
-        usage_error("--peers is missing actor id " + std::to_string(id));
-      }
+    std::vector<int> required = {0, 1, 2, core::kModelOwner};
+    if (!serving && !train_serving) {
+      required.push_back(core::kDataOwner);
+    }
+    cli::require_addresses(opt.addresses, required);
+  } else if (opt.fleet) {
+    for (int id = 0; id < num_actors; ++id) {
+      opt.addresses[static_cast<std::size_t>(id)] = opt.pod.address_of(id);
     }
   }
   return opt;
@@ -508,235 +397,239 @@ std::string hosted_roles(const std::vector<int>& party_ids) {
   return roles;
 }
 
-/// Starts the live introspection endpoint when --admin-port was given.
-/// The /metrics provider renders the same document write_process_export
-/// emits at exit, over the live transports and a caller-held detection
-/// log vector; `logs_mu` serializes the provider against the actor
-/// bodies' end-of-run log assignments.
-std::unique_ptr<obs::AdminServer> start_admin(
-    const Options& opt,
-    const std::vector<std::unique_ptr<net::TcpTransport>>& transports,
-    const std::vector<mpc::DetectionLog>& party_logs, std::mutex& logs_mu,
-    const Stopwatch& watch, int num_actors, int byzantine_party) {
-  if (opt.admin_port < 0) {
-    return nullptr;
+/// The hosted ids' TCP set-up.  The services run a subset mesh:
+/// parties and the model owner interconnect fully and link every
+/// client (or data-owner) slot, but never dial those slots.  Fleet pods
+/// do not rendezvous with clients at all: routed clients attach (and
+/// re-attach after a failover) through the dynamic acceptor, so the pod
+/// comes up without waiting for them.
+core::TcpMesh mesh_for(const Options& opt) {
+  core::TcpMesh mesh;
+  mesh.hosted = opt.party_ids;
+  mesh.addresses = opt.addresses;
+  mesh.listen_host = opt.listen_host;
+  mesh.net.num_parties = static_cast<int>(opt.addresses.size());
+  mesh.net.connect.connect_timeout =
+      std::chrono::milliseconds(opt.connect_timeout_ms);
+  const bool serving = opt.task == "serve";
+  if (!serving && opt.task != "train-serve") {
+    return mesh;  // the engine's five actors: full mesh
   }
-  obs::AdminOptions admin_options;
-  admin_options.port = opt.admin_port;
-  auto server = std::make_unique<obs::AdminServer>(admin_options);
-  server->set_metrics_provider(
-      [&transports, &party_logs, &logs_mu, &watch, num_actors,
-       byzantine_party](const obs::MetricsSnapshot& snapshot) {
-        const std::lock_guard<std::mutex> lock(logs_mu);
-        return core::build_process_export_json(
-            snapshot, transports, party_logs, watch.elapsed_seconds(),
-            num_actors, byzantine_party);
-      });
-  server->start();
-  obs::HealthState::global().set_identity(hosted_roles(opt.party_ids),
-                                          opt.task);
-  std::printf("admin endpoint on 127.0.0.1:%d\n", server->port());
-  return server;
+  const int linked = opt.fleet ? 0 : serving ? opt.clients : opt.owners;
+  mesh.peers = [linked](int id) {
+    std::vector<net::PartyId> peers;
+    for (int p = 0; p < core::kComputingParties; ++p) {
+      if (p != id) {
+        peers.push_back(static_cast<net::PartyId>(p));
+      }
+    }
+    if (id != core::kModelOwner) {
+      peers.push_back(core::kModelOwner);
+    }
+    for (int k = 0; k < linked; ++k) {
+      peers.push_back(static_cast<net::PartyId>(core::kNumActors + k));
+    }
+    return peers;
+  };
+  if (opt.fleet) {
+    mesh.dynamic_from = serve::kFirstClientId;
+  }
+  return mesh;
 }
 
-nn::ModelSpec spec_for(const std::string& name) {
-  if (name == "mlp") {
-    return nn::mnist_mlp_spec();
-  }
-  if (name == "cnn") {
-    return nn::mnist_cnn_spec();
-  }
-  if (name == "tiny-cnn") {
-    return nn::tiny_cnn_spec();
-  }
-  usage_error("--model must be mlp, cnn or tiny-cnn");
-}
+/// This process's share of the deployment: the session over its hosted
+/// ids plus the optional live introspection endpoint.
+struct Host {
+  const Options& opt;
+  core::Session& session;
+  std::unique_ptr<obs::AdminServer> admin;
 
-// --task serve: host any of parties 0-2 and the model owner.  Clients
-// (ids >= serve::kFirstClientId) attach with trustddl_client; the data
-// owner (id 3) does not participate.  The mesh is a subset mesh —
-// parties and owner interconnect fully and accept client connections,
-// but never dial client address slots.
-int run_serve(const Options& opt, const core::EngineConfig& config,
-              const nn::ModelSpec& spec, nn::Sequential& model,
-              std::size_t param_count) {
-  const int num_actors = core::kNumActors + opt.clients;
+  bool hosts(int id) const {
+    return std::count(opt.party_ids.begin(), opt.party_ids.end(), id) > 0;
+  }
 
-  std::vector<std::string> addresses = opt.peers;
-  if (addresses.empty()) {
-    for (int id = 0; id < num_actors; ++id) {
-      addresses.push_back(opt.fleet
-                              ? opt.pod.address_of(id)
-                              : "127.0.0.1:" +
-                                    std::to_string(opt.port_base + id));
+  /// Runs the role table, then reports this process's traffic, writes
+  /// the telemetry export and stops the admin endpoint.
+  void run(const std::vector<core::Role>& roles) {
+    session.run(roles);
+    cli::print_traffic(session);
+    session.finish();
+    if (!opt.metrics_out.empty()) {
+      std::printf("metrics export written to %s\n", opt.metrics_out.c_str());
+    }
+    if (admin) {
+      admin->stop();
     }
   }
+};
 
-  net::NetworkConfig net_config;
-  net_config.num_parties = num_actors;
-  net_config.connect.connect_timeout =
-      std::chrono::milliseconds(opt.connect_timeout_ms);
+const char* plural(std::size_t count, const char* suffix = "s") {
+  return count == 1 ? "" : suffix;
+}
+
+// --task infer|train|malicious-inference: any of the engine's five
+// actors over a full mesh.
+int run_batch(Host& host, const core::EngineConfig& config,
+              const nn::ModelSpec& spec, nn::Sequential& model,
+              const data::TrainTestSplit& split) {
+  const Options& opt = host.opt;
+  core::Session& session = host.session;
+  std::printf("mesh connected (%zu local actor%s)\n", opt.party_ids.size(),
+              plural(opt.party_ids.size()));
+  const data::Dataset sample =
+      data::slice(split.test, 0, std::min(opt.images, split.test.size()));
+  core::TrainOptions train_options;
+  train_options.epochs = opt.epochs;
+  train_options.batch_size = opt.batch;
+  train_options.learning_rate = opt.learning_rate;
+
+  const bool training = opt.task == "train";
+  const std::size_t param_count = model.parameters().size();
+  std::unique_ptr<core::InferJob> infer_job;
+  std::unique_ptr<core::TrainJob> train_job;
+  if (training) {
+    train_job = std::make_unique<core::TrainJob>(core::make_train_job(
+        spec, config, train_options, split.train, param_count));
+  } else {
+    infer_job = std::make_unique<core::InferJob>(
+        core::make_infer_job(spec, config, param_count, sample, opt.batch));
+  }
+  std::unique_ptr<core::ModelOwnerService> service;
+  if (host.hosts(core::kModelOwner)) {
+    service = std::make_unique<core::ModelOwnerService>(
+        session.endpoint(core::kModelOwner),
+        core::make_owner_service_config(config, training));
+  }
+
+  std::vector<std::size_t> labels;
+  std::vector<core::Role> roles;
+  for (const int id : opt.party_ids) {
+    if (id == core::kModelOwner) {
+      roles.push_back({id, [&, id] {
+        if (training) {
+          core::train_model_owner_body(*train_job, session.endpoint(id),
+                                       model, *service);
+        } else {
+          core::infer_model_owner_body(*infer_job, session.endpoint(id),
+                                       model, *service);
+        }
+      }});
+    } else if (id == core::kDataOwner) {
+      roles.push_back({id, [&, id] {
+        if (training) {
+          core::train_data_owner_body(*train_job, session.endpoint(id));
+        } else {
+          labels = core::infer_data_owner_body(*infer_job,
+                                               session.endpoint(id));
+        }
+      }});
+    } else {
+      roles.push_back(session.party_role(id, [&, id] {
+        const mpc::DetectionLog log =
+            training ? core::train_computing_party_body(
+                           *train_job, id, session.endpoint(id),
+                           session.adversary())
+                     : core::infer_computing_party_body(
+                           *infer_job, id, session.endpoint(id),
+                           session.adversary());
+        std::printf("[party %d] done: %llu opening rounds, %zu anomalies "
+                    "detected\n",
+                    id, static_cast<unsigned long long>(log.opens),
+                    log.events.size());
+        return log;
+      }));
+    }
+  }
+  host.run(roles);
+
+  int exit_code = 0;
+  if (!training && host.hosts(core::kDataOwner)) {
+    cli::print_labels("[party 3]", labels);
+    if (opt.check) {
+      exit_code = cli::verdict(
+          "check",
+          cli::reference_labels(spec, config, sample, opt.batch) == labels,
+          "in-memory engine, same seeds");
+    }
+  }
+  if (training && host.hosts(core::kModelOwner)) {
+    // Apply the robustly reconstructed weights per epoch and report
+    // test accuracy, exactly as TrustDdlEngine::train does.
+    const std::vector<double> accuracies = cli::revealed_accuracies(
+        service->revealed(), opt.epochs, config.frac_bits, model,
+        split.test);
+    if (opt.check) {
+      core::TrustDdlEngine engine(spec, cli::reference_config(config));
+      const core::TrainResult expected =
+          engine.train(split.train, split.test, train_options);
+      exit_code = cli::verdict("check",
+                               expected.epoch_test_accuracy == accuracies,
+                               "in-memory engine, same seeds");
+    }
+  }
+  return exit_code;
+}
+
+// --task serve: any of parties 0-2 and the model owner.  Clients (ids
+// >= serve::kFirstClientId) attach with trustddl_client; the data owner
+// (id 3) does not participate.
+int run_serve(Host& host, const core::EngineConfig& config,
+              const nn::ModelSpec& spec, nn::Sequential& model) {
+  const Options& opt = host.opt;
+  core::Session& session = host.session;
+  const std::size_t local = opt.party_ids.size();
+  const auto clients = static_cast<std::size_t>(opt.clients);
+  if (opt.fleet) {
+    std::printf("serve mesh connected (pod %s, %zu local actor%s, "
+                "accepting %d routed client%s)\n",
+                opt.pod.name.c_str(), local, plural(local), opt.clients,
+                plural(clients));
+  } else {
+    std::printf("serve mesh connected (%zu local actor%s, %d client%s)\n",
+                local, plural(local), opt.clients, plural(clients));
+  }
 
   serve::ServeConfig serve_config;
   serve_config.max_batch_rows = opt.serve_max_batch;
   serve_config.batch_window = std::chrono::milliseconds(opt.serve_window_ms);
   serve_config.queue_capacity = opt.serve_queue_cap;
+  const std::size_t param_count = model.parameters().size();
 
-  try {
-    std::vector<std::unique_ptr<net::TcpTransport>> transports;
-    for (const int id : opt.party_ids) {
-      std::string listen = addresses[static_cast<std::size_t>(id)];
-      if (!opt.listen_host.empty()) {
-        listen = opt.listen_host + ":" +
-                 std::to_string(net::parse_address(listen).port);
-      }
-      std::printf("[party %d] %s listening on %s\n", id, role_name(id),
-                  listen.c_str());
-      transports.push_back(std::make_unique<net::TcpTransport>(
-          static_cast<net::PartyId>(id), listen, net_config));
-    }
-
-    // Serving topology: party p links the other parties, the owner and
-    // every client; the owner links the parties and every client.
-    const auto peers_for = [&](int id) {
-      std::vector<net::PartyId> peers;
-      for (int p = 0; p < core::kComputingParties; ++p) {
-        if (p != id) {
-          peers.push_back(static_cast<net::PartyId>(p));
-        }
-      }
-      if (id != core::kModelOwner) {
-        peers.push_back(core::kModelOwner);
-      }
-      // Fleet pods do not rendezvous with clients: routed clients
-      // attach (and re-attach after a failover) through the dynamic
-      // acceptor below, so the pod comes up without waiting for them.
-      if (!opt.fleet) {
-        for (int c = 0; c < opt.clients; ++c) {
-          peers.push_back(
-              static_cast<net::PartyId>(serve::kFirstClientId + c));
-        }
-      }
-      return peers;
-    };
-    {
-      std::vector<std::thread> dialers;
-      std::vector<std::exception_ptr> errors(transports.size());
-      for (std::size_t i = 0; i < transports.size(); ++i) {
-        dialers.emplace_back([&, i] {
-          try {
-            transports[i]->connect(
-                addresses, peers_for(static_cast<int>(transports[i]->self())));
-          } catch (...) {
-            errors[i] = std::current_exception();
-          }
-        });
-      }
-      for (auto& dialer : dialers) {
-        dialer.join();
-      }
-      for (const auto& error : errors) {
-        if (error) {
-          std::rethrow_exception(error);
-        }
-      }
-    }
-    if (opt.fleet) {
-      for (auto& transport : transports) {
-        transport->accept_dynamic_peers(
-            static_cast<net::PartyId>(serve::kFirstClientId));
-      }
-      std::printf("serve mesh connected (pod %s, %zu local actor%s, "
-                  "accepting %d routed client%s)\n",
-                  opt.pod.name.c_str(), transports.size(),
-                  transports.size() == 1 ? "" : "s", opt.clients,
-                  opt.clients == 1 ? "" : "s");
+  std::vector<core::Role> roles;
+  for (const int id : opt.party_ids) {
+    if (id == core::kModelOwner) {
+      roles.push_back({id, [&, id] {
+        serve::SchedulerStats stats;
+        serve::serve_model_owner_body(spec, config, model,
+                                      session.endpoint(id), serve_config,
+                                      opt.clients, &stats);
+        std::printf(
+            "[party %d] serve done: %llu admitted = %llu completed + %llu "
+            "rejected + %llu deadline-missed (%llu batches, %llu rows)\n",
+            id, static_cast<unsigned long long>(stats.admitted),
+            static_cast<unsigned long long>(stats.completed),
+            static_cast<unsigned long long>(stats.rejected),
+            static_cast<unsigned long long>(stats.deadline_missed),
+            static_cast<unsigned long long>(stats.batches),
+            static_cast<unsigned long long>(stats.batched_rows));
+      }});
     } else {
-      std::printf("serve mesh connected (%zu local actor%s, %d client%s)\n",
-                  transports.size(), transports.size() == 1 ? "" : "s",
-                  opt.clients, opt.clients == 1 ? "" : "s");
+      roles.push_back(session.party_role(id, [&, id] {
+        serve::ServerOptions server_options;
+        server_options.serve = serve_config;
+        server_options.corrupt_results = opt.serve_corrupt_results;
+        std::size_t batches = 0;
+        mpc::DetectionLog log = serve::serve_computing_party_body(
+            spec, config, param_count, id, session.endpoint(id),
+            server_options, &batches, session.adversary());
+        std::printf("[party %d] serve done: %zu batch%s executed\n", id,
+                    batches, plural(batches, "es"));
+        return log;
+      }));
     }
-
-    std::vector<mpc::DetectionLog> party_logs(transports.size());
-    std::mutex logs_mu;  // admin /metrics provider vs body assignments
-    Stopwatch watch;
-    const std::unique_ptr<obs::AdminServer> admin =
-        start_admin(opt, transports, party_logs, logs_mu, watch, num_actors,
-                    config.byzantine_party);
-    std::vector<std::thread> bodies;
-    std::vector<std::exception_ptr> errors(transports.size());
-    for (std::size_t i = 0; i < transports.size(); ++i) {
-      const int id = static_cast<int>(transports[i]->self());
-      bodies.emplace_back([&, id, i] {
-        try {
-          net::Endpoint endpoint =
-              transports[i]->endpoint(static_cast<net::PartyId>(id));
-          if (id == core::kModelOwner) {
-            serve::SchedulerStats stats;
-            serve::serve_model_owner_body(spec, config, model, endpoint,
-                                          serve_config, opt.clients, &stats);
-            std::printf(
-                "[party %d] serve done: %llu admitted = %llu completed + "
-                "%llu rejected + %llu deadline-missed (%llu batches, "
-                "%llu rows)\n",
-                id, static_cast<unsigned long long>(stats.admitted),
-                static_cast<unsigned long long>(stats.completed),
-                static_cast<unsigned long long>(stats.rejected),
-                static_cast<unsigned long long>(stats.deadline_missed),
-                static_cast<unsigned long long>(stats.batches),
-                static_cast<unsigned long long>(stats.batched_rows));
-          } else {
-            serve::ServerOptions server_options;
-            server_options.serve = serve_config;
-            server_options.corrupt_results = opt.serve_corrupt_results;
-            std::size_t batches = 0;
-            mpc::DetectionLog log = serve::serve_computing_party_body(
-                spec, config, param_count, id, endpoint, server_options,
-                &batches);
-            {
-              const std::lock_guard<std::mutex> lock(logs_mu);
-              party_logs[i] = std::move(log);
-            }
-            std::printf("[party %d] serve done: %zu batch%s executed\n", id,
-                        batches, batches == 1 ? "" : "es");
-          }
-        } catch (...) {
-          errors[i] = std::current_exception();
-        }
-      });
-    }
-    for (auto& body : bodies) {
-      body.join();
-    }
-    for (std::size_t i = 0; i < transports.size(); ++i) {
-      if (errors[i]) {
-        std::rethrow_exception(errors[i]);
-      }
-    }
-
-    core::print_process_traffic(transports);
-    core::write_process_export(opt.metrics_out, transports, party_logs,
-                               watch.elapsed_seconds(), num_actors,
-                               config.byzantine_party);
-    if (!opt.trace_out.empty()) {
-      obs::Tracer::global().close();
-    }
-    if (admin) {
-      admin->stop();
-    }
-
-    // Let in-flight frames from peers drain before tearing the
-    // sockets down (a client's last result ack may still be in
-    // transit).
-    std::this_thread::sleep_for(std::chrono::milliseconds(250));
-    for (auto& transport : transports) {
-      transport->shutdown();
-    }
-    return 0;
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "trustddl_party: %s\n", error.what());
-    return 1;
   }
+  host.run(roles);
+  return 0;
 }
 
 train::TrainConfig train_config_from(const Options& opt) {
@@ -758,238 +651,98 @@ train::TrainConfig train_config_from(const Options& opt) {
   return tc;
 }
 
-// --task train-serve: host any of parties 0-2 and the model owner
-// (who doubles as the round sequencer).  Data owners (ids >=
+// --task train-serve: any of parties 0-2 and the model owner (who
+// doubles as the round sequencer).  Data owners (ids >=
 // train::kFirstOwnerId) attach with trustddl_owner; the single-owner
-// actor id 3 is unused.  Same subset mesh as serving: parties and the
-// model owner interconnect fully and accept owner connections, but
-// never dial owner address slots.
-int run_train_serve(const Options& opt, const core::EngineConfig& config,
+// actor id 3 is unused.  Only the test split is evaluated here; the
+// full split is still derived with the owners' seeds so --check can
+// replay their exact data in memory.
+int run_train_serve(Host& host, const core::EngineConfig& config,
                     const nn::ModelSpec& spec, nn::Sequential& model,
-                    std::size_t param_count) {
-  const int num_actors = core::kNumActors + opt.owners;
-
-  std::vector<std::string> addresses = opt.peers;
-  if (addresses.empty()) {
-    for (int id = 0; id < num_actors; ++id) {
-      addresses.push_back("127.0.0.1:" + std::to_string(opt.port_base + id));
-    }
-  }
-
-  net::NetworkConfig net_config;
-  net_config.num_parties = num_actors;
-  net_config.connect.connect_timeout =
-      std::chrono::milliseconds(opt.connect_timeout_ms);
-
+                    const data::TrainTestSplit& split) {
+  const Options& opt = host.opt;
+  core::Session& session = host.session;
+  std::printf("train mesh connected (%zu local actor%s, %d owner%s)\n",
+              opt.party_ids.size(), plural(opt.party_ids.size()), opt.owners,
+              plural(static_cast<std::size_t>(opt.owners)));
   const train::TrainConfig train_config = train_config_from(opt);
+  const std::size_t param_count = model.parameters().size();
 
-  // Only the test split is evaluated here (per-epoch accuracy at the
-  // model owner); the training shards live with the owners.  The full
-  // split is still derived with the owners' seeds so --check can
-  // replay their exact data in memory.
-  data::SyntheticMnistConfig data_config;
-  data_config.train_count = opt.rows;
-  data_config.test_count = opt.images;
-  data_config.seed = opt.data_seed;
-  const nn::InputGeometry geometry = nn::input_geometry(spec);
-  data_config.height = geometry.height;
-  data_config.width = geometry.width;
-  data_config.classes = spec.classes;
-  const auto split = data::load_mnist_or_synthetic(opt.mnist_dir, data_config);
-
-  try {
-    std::vector<std::unique_ptr<net::TcpTransport>> transports;
-    for (const int id : opt.party_ids) {
-      std::string listen = addresses[static_cast<std::size_t>(id)];
-      if (!opt.listen_host.empty()) {
-        listen = opt.listen_host + ":" +
-                 std::to_string(net::parse_address(listen).port);
-      }
-      std::printf("[party %d] %s listening on %s\n", id, role_name(id),
-                  listen.c_str());
-      transports.push_back(std::make_unique<net::TcpTransport>(
-          static_cast<net::PartyId>(id), listen, net_config));
+  train::SequencerStats stats;
+  std::map<std::string, RingTensor> revealed;
+  std::vector<core::Role> roles;
+  for (const int id : opt.party_ids) {
+    if (id == core::kModelOwner) {
+      roles.push_back({id, [&, id] {
+        train::train_service_owner_body(config, model, session.endpoint(id),
+                                        train_config, opt.owners, &stats,
+                                        &revealed);
+        std::printf(
+            "[party %d] train done: %llu rounds, %llu admitted = %llu "
+            "consumed + %llu discarded, %llu dropped owner slots%s\n",
+            id, static_cast<unsigned long long>(stats.rounds),
+            static_cast<unsigned long long>(stats.admitted),
+            static_cast<unsigned long long>(stats.consumed),
+            static_cast<unsigned long long>(stats.discarded),
+            static_cast<unsigned long long>(stats.dropped_owner_slots),
+            stats.suspended ? " (suspended)" : "");
+      }});
+    } else {
+      roles.push_back(session.party_role(id, [&, id] {
+        bool clean = true;
+        std::uint64_t rounds = 0;
+        mpc::DetectionLog log = train::train_service_party_body(
+            spec, config, param_count, id, session.endpoint(id),
+            train_config, &clean, &rounds, session.adversary());
+        std::printf("[party %d] train done: %llu round%s executed%s\n", id,
+                    static_cast<unsigned long long>(rounds), plural(rounds),
+                    clean ? "" : " (suspended)");
+        return log;
+      }));
     }
-
-    const auto peers_for = [&](int id) {
-      std::vector<net::PartyId> peers;
-      for (int p = 0; p < core::kComputingParties; ++p) {
-        if (p != id) {
-          peers.push_back(static_cast<net::PartyId>(p));
-        }
-      }
-      if (id != core::kModelOwner) {
-        peers.push_back(core::kModelOwner);
-      }
-      for (int k = 0; k < opt.owners; ++k) {
-        peers.push_back(static_cast<net::PartyId>(train::kFirstOwnerId + k));
-      }
-      return peers;
-    };
-    {
-      std::vector<std::thread> dialers;
-      std::vector<std::exception_ptr> errors(transports.size());
-      for (std::size_t i = 0; i < transports.size(); ++i) {
-        dialers.emplace_back([&, i] {
-          try {
-            transports[i]->connect(
-                addresses, peers_for(static_cast<int>(transports[i]->self())));
-          } catch (...) {
-            errors[i] = std::current_exception();
-          }
-        });
-      }
-      for (auto& dialer : dialers) {
-        dialer.join();
-      }
-      for (const auto& error : errors) {
-        if (error) {
-          std::rethrow_exception(error);
-        }
-      }
-    }
-    std::printf("train mesh connected (%zu local actor%s, %d owner%s)\n",
-                transports.size(), transports.size() == 1 ? "" : "s",
-                opt.owners, opt.owners == 1 ? "" : "s");
-
-    std::vector<mpc::DetectionLog> party_logs(transports.size());
-    std::mutex logs_mu;  // admin /metrics provider vs body assignments
-    train::SequencerStats stats;
-    std::map<std::string, RingTensor> revealed;
-    Stopwatch watch;
-    const std::unique_ptr<obs::AdminServer> admin =
-        start_admin(opt, transports, party_logs, logs_mu, watch, num_actors,
-                    config.byzantine_party);
-    std::vector<std::thread> bodies;
-    std::vector<std::exception_ptr> errors(transports.size());
-    for (std::size_t i = 0; i < transports.size(); ++i) {
-      const int id = static_cast<int>(transports[i]->self());
-      bodies.emplace_back([&, id, i] {
-        try {
-          net::Endpoint endpoint =
-              transports[i]->endpoint(static_cast<net::PartyId>(id));
-          if (id == core::kModelOwner) {
-            train::train_service_owner_body(config, model, endpoint,
-                                            train_config, opt.owners, &stats,
-                                            &revealed);
-            std::printf(
-                "[party %d] train done: %llu rounds, %llu admitted = "
-                "%llu consumed + %llu discarded, %llu dropped owner "
-                "slots%s\n",
-                id, static_cast<unsigned long long>(stats.rounds),
-                static_cast<unsigned long long>(stats.admitted),
-                static_cast<unsigned long long>(stats.consumed),
-                static_cast<unsigned long long>(stats.discarded),
-                static_cast<unsigned long long>(stats.dropped_owner_slots),
-                stats.suspended ? " (suspended)" : "");
-          } else {
-            bool clean = true;
-            std::uint64_t rounds = 0;
-            mpc::DetectionLog log = train::train_service_party_body(
-                spec, config, param_count, id, endpoint, train_config, &clean,
-                &rounds);
-            {
-              const std::lock_guard<std::mutex> lock(logs_mu);
-              party_logs[i] = std::move(log);
-            }
-            std::printf("[party %d] train done: %llu round%s executed%s\n",
-                        id, static_cast<unsigned long long>(rounds),
-                        rounds == 1 ? "" : "s",
-                        clean ? "" : " (suspended)");
-          }
-        } catch (...) {
-          errors[i] = std::current_exception();
-        }
-      });
-    }
-    for (auto& body : bodies) {
-      body.join();
-    }
-    for (std::size_t i = 0; i < transports.size(); ++i) {
-      if (errors[i]) {
-        std::rethrow_exception(errors[i]);
-      }
-    }
-
-    core::print_process_traffic(transports);
-    core::write_process_export(opt.metrics_out, transports, party_logs,
-                               watch.elapsed_seconds(), num_actors,
-                               config.byzantine_party);
-    if (!opt.trace_out.empty()) {
-      obs::Tracer::global().close();
-    }
-    if (admin) {
-      admin->stop();
-    }
-
-    int exit_code = 0;
-    const bool hosts_model_owner =
-        std::count(opt.party_ids.begin(), opt.party_ids.end(),
-                   static_cast<int>(core::kModelOwner)) > 0;
-    if (hosts_model_owner) {
-      std::vector<double> accuracies;
-      for (std::size_t epoch = 0; epoch < opt.epochs; ++epoch) {
-        if (!train::apply_revealed_weights(revealed, epoch, param_count,
-                                           config.frac_bits, model)) {
-          std::printf("[party %d] epoch %zu: weights not revealed\n",
-                      core::kModelOwner, epoch);
-          continue;
-        }
-        accuracies.push_back(
-            model.accuracy(split.test.images, split.test.labels));
-        std::printf("[party %d] epoch %zu test accuracy: %.4f\n",
-                    core::kModelOwner, epoch, accuracies.back());
-      }
-      if (!stats.suspended && opt.min_accuracy >= 0.0) {
-        const bool pass =
-            !accuracies.empty() && accuracies.back() >= opt.min_accuracy;
-        std::printf("min-accuracy check: %s (%.4f vs %.4f)\n",
-                    pass ? "PASS" : "FAIL",
-                    accuracies.empty() ? 0.0 : accuracies.back(),
-                    opt.min_accuracy);
-        if (!pass) {
-          exit_code = 3;
-        }
-      }
-      if (!stats.suspended && opt.check) {
-        // Reference: the in-memory harness over the same seeds and
-        // honest owners.  The revealed epoch weights must match BIT
-        // FOR BIT — the TCP deployment runs the same SPMD bodies.
-        train::TrainSessionConfig session;
-        session.spec = spec;
-        session.engine = config;
-        session.engine.triple_store_dir.clear();
-        session.engine.metrics_out.clear();
-        session.train = train_config;
-        session.train.checkpoint_dir.clear();
-        session.train.max_rounds = 0;
-        session.num_owners = opt.owners;
-        session.submissions_per_owner = opt.submissions;
-        session.owner_batch_rows = opt.owner_batch_rows;
-        session.dataset = split.train;
-        const train::TrainSessionResult expected =
-            train::run_training_session(session);
-        const bool match = expected.revealed == revealed;
-        std::printf("train check: %s (in-memory harness, same seeds)\n",
-                    match ? "MATCH" : "MISMATCH");
-        if (!match) {
-          exit_code = 2;
-        }
-      }
-    }
-
-    // Let in-flight frames from peers drain before tearing the
-    // sockets down (an owner's last stop notice may still be in
-    // transit).
-    std::this_thread::sleep_for(std::chrono::milliseconds(250));
-    for (auto& transport : transports) {
-      transport->shutdown();
-    }
-    return exit_code;
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "trustddl_party: %s\n", error.what());
-    return 1;
   }
+  host.run(roles);
+  if (!host.hosts(core::kModelOwner)) {
+    return 0;
+  }
+
+  int exit_code = 0;
+  const std::vector<double> accuracies = cli::revealed_accuracies(
+      revealed, opt.epochs, config.frac_bits, model, split.test);
+  if (!stats.suspended && opt.min_accuracy >= 0.0) {
+    const bool pass =
+        !accuracies.empty() && accuracies.back() >= opt.min_accuracy;
+    std::printf("min-accuracy check: %s (%.4f vs %.4f)\n",
+                pass ? "PASS" : "FAIL",
+                accuracies.empty() ? 0.0 : accuracies.back(),
+                opt.min_accuracy);
+    if (!pass) {
+      exit_code = 3;
+    }
+  }
+  if (!stats.suspended && opt.check) {
+    // Reference: the in-memory harness over the same seeds and honest
+    // owners.  The revealed epoch weights must match BIT FOR BIT — the
+    // TCP deployment runs the same SPMD bodies.
+    train::TrainSessionConfig reference;
+    reference.spec = spec;
+    reference.engine = cli::reference_config(config);
+    reference.train = train_config;
+    reference.train.checkpoint_dir.clear();
+    reference.train.max_rounds = 0;
+    reference.num_owners = opt.owners;
+    reference.submissions_per_owner = opt.submissions;
+    reference.owner_batch_rows = opt.owner_batch_rows;
+    reference.dataset = split.train;
+    const int check = cli::verdict(
+        "train check",
+        train::run_training_session(reference).revealed == revealed,
+        "in-memory harness, same seeds");
+    if (check != 0) {
+      exit_code = check;
+    }
+  }
+  return exit_code;
 }
 
 }  // namespace
@@ -998,332 +751,53 @@ int main(int argc, char** argv) {
   const Options opt = parse_options(argc, argv);
 
   // --- Deterministic shared state: every process derives the same
-  // configuration, model and batch schedule from the flags alone.
-  core::EngineConfig config;
-  config.mode = opt.mode == "hbc" ? mpc::SecurityMode::kHonestButCurious
-                                  : mpc::SecurityMode::kMalicious;
-  config.batch_openings = opt.batch_openings;
-  config.seed = opt.seed;
+  // configuration, model and data from the flags alone.
+  core::EngineConfig config =
+      cli::engine_config(opt.task, opt.mode, opt.batch_openings, opt.seed);
   config.triple_prefetch = opt.triple_prefetch;
   config.triple_low_water = opt.triple_low_water;
   config.triple_store_dir = opt.triple_store_dir;
-  // Processes start at different times; give the model owner's
-  // collective ops more slack than the in-process default.
-  config.collect_timeout = std::chrono::milliseconds(2000);
-
-  const bool malicious_task = opt.task == "malicious-inference";
-  if (malicious_task) {
-    // Computing party 1 mounts consistent-corruption (Case 3) attacks:
-    // commitment-consistent but corrupted shares, caught by share-copy
-    // authentication at each honest observer (one attributable
-    // share_auth_failure per attacked opening).  Masked-open rescaling
-    // is mandatory under an active adversary — share-local truncation
-    // would let the honest parties' states drift apart (DESIGN.md §4).
-    config.byzantine_party = 1;
-    config.byzantine.behavior =
-        mpc::ByzantineConfig::Behavior::kConsistentCorruption;
-    config.trunc_mode = mpc::TruncationMode::kMaskedOpen;
-  }
-  if (opt.task == "train-serve") {
-    // The aggregation rescale and checkpoint/resume both need value-
-    // exact truncation: under masked-open every opened value is a pure
-    // function of the inputs and the dealt material, so a resumed
-    // session replays bit-identically (DESIGN.md §11).
-    config.trunc_mode = mpc::TruncationMode::kMaskedOpen;
-  }
+  config.metrics_out = opt.metrics_out;
+  config.trace_out = opt.trace_out;
+  const nn::ModelSpec spec = cli::spec_for(opt.model);
+  nn::Sequential model = core::reference_model(spec, config);
+  // The serving workload has no dataset — clients bring the inputs.
+  const data::TrainTestSplit split =
+      opt.task == "serve"
+          ? data::TrainTestSplit{}
+          : cli::load_split(spec, opt.rows, opt.images, opt.data_seed,
+                            opt.mnist_dir);
 
   // Pod identity must be set before the tracer opens (the trace meta
   // record carries it) and before the admin server answers /healthz:
-  // it is what lets fleet-wide roll-ups attribute every sample,
-  // span and health probe to its serving pod.
+  // it is what lets fleet-wide roll-ups attribute every sample, span
+  // and health probe to its serving pod.
   if (opt.fleet) {
     obs::HealthState::global().set_pod(opt.pod.name);
   }
-  // Telemetry: arm the sinks before any actor runs so every span,
-  // counter and detection event of this process's actors is captured.
-  if (!opt.metrics_out.empty()) {
-    obs::set_metrics_enabled(true);
-    obs::MetricsRegistry::global().reset();
-  }
-  if (!opt.trace_out.empty()) {
-    obs::Tracer::global().open(opt.trace_out);
-  }
-  if (!opt.metrics_out.empty() || !opt.trace_out.empty()) {
-    obs::EventLog::global().clear();
-  }
-
-  const nn::ModelSpec spec = spec_for(opt.model);
-  Rng model_rng(config.seed);
-  nn::Sequential model = nn::build_model(spec, model_rng);
-  const std::size_t param_count = model.parameters().size();
-
-  if (opt.task == "serve") {
-    // The serving workload has no dataset or jobs of its own — clients
-    // bring the inputs.  It gets its own driver with the larger actor
-    // space and subset-mesh rendezvous.
-    return run_serve(opt, config, spec, model, param_count);
-  }
-  if (opt.task == "train-serve") {
-    return run_train_serve(opt, config, spec, model, param_count);
-  }
-
-  data::SyntheticMnistConfig data_config;
-  data_config.train_count = opt.rows;
-  data_config.test_count = opt.images;
-  data_config.seed = opt.data_seed;
-  // Synthetic-data geometry follows the model (--model tiny-cnn means
-  // 12x12 4-class images); real MNIST idx files are 28x28/10 and only
-  // fit the mlp/cnn specs.
-  const nn::InputGeometry geometry = nn::input_geometry(spec);
-  data_config.height = geometry.height;
-  data_config.width = geometry.width;
-  data_config.classes = spec.classes;
-  const auto split =
-      data::load_mnist_or_synthetic(opt.mnist_dir, data_config);
-  if (!opt.mnist_dir.empty() && !data::mnist_files_present(opt.mnist_dir)) {
-    std::fprintf(stderr,
-                 "trustddl_party: %s is missing MNIST idx files; using the "
-                 "synthetic substitute\n",
-                 opt.mnist_dir.c_str());
-  }
-  const data::Dataset sample =
-      data::slice(split.test, 0, std::min(opt.images, split.test.size()));
-
-  core::TrainOptions train_options;
-  train_options.epochs = opt.epochs;
-  train_options.batch_size = opt.batch;
-  train_options.learning_rate = opt.learning_rate;
-
-  const bool training = opt.task == "train";
-  std::unique_ptr<core::InferJob> infer_job;
-  std::unique_ptr<core::TrainJob> train_job;
-  if (training) {
-    train_job = std::make_unique<core::TrainJob>(core::make_train_job(
-        spec, config, train_options, split.train, param_count));
-  } else {
-    infer_job = std::make_unique<core::InferJob>(
-        core::make_infer_job(spec, config, param_count, sample, opt.batch));
-  }
-
-  // --- Mesh addresses: explicit --peers, or 127.0.0.1:(base+id).
-  std::vector<std::string> addresses = opt.peers;
-  if (addresses.empty()) {
-    for (int id = 0; id < core::kNumActors; ++id) {
-      addresses.push_back("127.0.0.1:" +
-                          std::to_string(opt.port_base + id));
-    }
-  }
-
-  net::NetworkConfig net_config;
-  net_config.num_parties = core::kNumActors;
-  net_config.connect.connect_timeout =
-      std::chrono::milliseconds(opt.connect_timeout_ms);
-
   try {
-    // Bind every hosted id before dialing anyone, then rendezvous
-    // concurrently: each connect() blocks until that id's mesh is up.
-    std::vector<std::unique_ptr<net::TcpTransport>> transports;
     for (const int id : opt.party_ids) {
-      std::string listen = addresses[static_cast<std::size_t>(id)];
-      if (!opt.listen_host.empty()) {
-        listen = opt.listen_host + ":" +
-                 std::to_string(net::parse_address(listen).port);
-      }
-      std::printf("[party %d] %s listening on %s\n", id, role_name(id),
-                  listen.c_str());
-      transports.push_back(std::make_unique<net::TcpTransport>(
-          static_cast<net::PartyId>(id), listen, net_config));
+      std::printf(
+          "[party %d] %s listening on %s\n", id, role_name(id),
+          core::bind_address(opt.addresses[static_cast<std::size_t>(id)],
+                             opt.listen_host)
+              .c_str());
     }
-    {
-      std::vector<std::thread> dialers;
-      std::vector<std::exception_ptr> errors(transports.size());
-      for (std::size_t i = 0; i < transports.size(); ++i) {
-        dialers.emplace_back([&, i] {
-          try {
-            transports[i]->connect(addresses);
-          } catch (...) {
-            errors[i] = std::current_exception();
-          }
-        });
-      }
-      for (auto& dialer : dialers) {
-        dialer.join();
-      }
-      for (const auto& error : errors) {
-        if (error) {
-          std::rethrow_exception(error);
-        }
-      }
-    }
-    std::printf("mesh connected (%zu local actor%s)\n", transports.size(),
-                transports.size() == 1 ? "" : "s");
-
-    // --- Run the hosted actor bodies, one thread per id.
-    std::unique_ptr<core::ModelOwnerService> service;
-    for (const auto& transport : transports) {
-      if (transport->self() == core::kModelOwner) {
-        service = std::make_unique<core::ModelOwnerService>(
-            transport->endpoint(core::kModelOwner),
-            core::make_owner_service_config(config, training));
-      }
-    }
-
-    // Protocol-level adversary for the hosted Byzantine party (if
-    // any); make_party_context attaches it only at that party.
-    std::unique_ptr<mpc::StandardAdversary> adversary;
-    if (config.byzantine_party >= 0) {
-      adversary = std::make_unique<mpc::StandardAdversary>(config.byzantine);
-    }
-
-    std::vector<mpc::DetectionLog> party_logs(transports.size());
-    std::mutex logs_mu;  // admin /metrics provider vs body assignments
-    Stopwatch watch;
-    const std::unique_ptr<obs::AdminServer> admin =
-        start_admin(opt, transports, party_logs, logs_mu, watch,
-                    core::kNumActors, config.byzantine_party);
-
-    std::vector<std::size_t> labels;
-    std::vector<std::thread> bodies;
-    std::vector<std::exception_ptr> errors(transports.size());
-    for (std::size_t i = 0; i < transports.size(); ++i) {
-      const int id = static_cast<int>(transports[i]->self());
-      bodies.emplace_back([&, id, i] {
-        try {
-          net::Endpoint endpoint =
-              transports[i]->endpoint(static_cast<net::PartyId>(id));
-          if (id == core::kModelOwner) {
-            if (training) {
-              core::train_model_owner_body(*train_job, endpoint, model,
-                                           *service);
-            } else {
-              core::infer_model_owner_body(*infer_job, endpoint, model,
-                                           *service);
-            }
-          } else if (id == core::kDataOwner) {
-            if (training) {
-              core::train_data_owner_body(*train_job, endpoint);
-            } else {
-              labels = core::infer_data_owner_body(*infer_job, endpoint);
-            }
-          } else {
-            const mpc::DetectionLog log =
-                training ? core::train_computing_party_body(
-                               *train_job, id, endpoint, adversary.get())
-                         : core::infer_computing_party_body(
-                               *infer_job, id, endpoint, adversary.get());
-            std::printf("[party %d] done: %llu opening rounds, %zu "
-                        "anomalies detected\n",
-                        id, static_cast<unsigned long long>(log.opens),
-                        log.events.size());
-            {
-              const std::lock_guard<std::mutex> lock(logs_mu);
-              party_logs[i] = log;
-            }
-          }
-        } catch (...) {
-          errors[i] = std::current_exception();
-        }
-      });
-    }
-    for (auto& body : bodies) {
-      body.join();
-    }
-    for (std::size_t i = 0; i < transports.size(); ++i) {
-      if (errors[i]) {
-        std::rethrow_exception(errors[i]);
-      }
-    }
-
-    core::print_process_traffic(transports);
-    core::write_process_export(opt.metrics_out, transports, party_logs,
-                               watch.elapsed_seconds(), core::kNumActors,
-                               config.byzantine_party);
-    if (!opt.trace_out.empty()) {
-      obs::Tracer::global().close();
-    }
-    if (admin) {
-      admin->stop();
-    }
-
-    int exit_code = 0;
-    const bool hosts_data_owner =
-        std::count(opt.party_ids.begin(), opt.party_ids.end(),
-                   static_cast<int>(core::kDataOwner)) > 0;
-    const bool hosts_model_owner =
-        std::count(opt.party_ids.begin(), opt.party_ids.end(),
-                   static_cast<int>(core::kModelOwner)) > 0;
-
-    if (!training && hosts_data_owner) {
-      std::printf("[party %d] predicted labels:", core::kDataOwner);
-      for (std::size_t i = 0; i < labels.size() && i < 24; ++i) {
-        std::printf(" %zu", labels[i]);
-      }
-      std::printf("%s\n", labels.size() > 24 ? " ..." : "");
-      if (opt.check) {
-        // The reference engine must not touch the multi-process store
-        // files: it spawns its own in-memory parties whose stream
-        // cursors start at 0, while a restored store resumes mid-
-        // stream.  Dealing stays bit-identical either way.
-        core::EngineConfig check_config = config;
-        check_config.triple_store_dir.clear();
-        core::TrustDdlEngine engine(spec, check_config);
-        const core::InferResult expected = engine.infer(sample, opt.batch);
-        const bool match = expected.labels == labels;
-        std::printf("check: %s (in-memory engine, same seeds)\n",
-                    match ? "MATCH" : "MISMATCH");
-        if (!match) {
-          exit_code = 2;
-        }
-      }
-    }
-
-    if (training && hosts_model_owner) {
-      // Apply the robustly reconstructed weights per epoch and report
-      // test accuracy, exactly as TrustDdlEngine::train does.
-      std::vector<double> accuracies;
-      const auto parameters = model.parameters();
-      for (std::size_t epoch = 0; epoch < opt.epochs; ++epoch) {
-        bool complete = true;
-        for (std::size_t p = 0; p < parameters.size(); ++p) {
-          const auto it =
-              service->revealed().find(core::reveal_key(epoch, p));
-          if (it == service->revealed().end()) {
-            complete = false;
-            break;
-          }
-          parameters[p]->value = to_real(it->second, config.frac_bits);
-        }
-        if (!complete) {
-          std::printf("[party %d] epoch %zu: weights not revealed\n",
-                      core::kModelOwner, epoch);
-          continue;
-        }
-        accuracies.push_back(
-            model.accuracy(split.test.images, split.test.labels));
-        std::printf("[party %d] epoch %zu test accuracy: %.4f\n",
-                    core::kModelOwner, epoch, accuracies.back());
-      }
-      if (opt.check) {
-        core::EngineConfig check_config = config;
-        check_config.triple_store_dir.clear();
-        core::TrustDdlEngine engine(spec, check_config);
-        const core::TrainResult expected =
-            engine.train(split.train, split.test, train_options);
-        const bool match = expected.epoch_test_accuracy == accuracies;
-        std::printf("check: %s (in-memory engine, same seeds)\n",
-                    match ? "MATCH" : "MISMATCH");
-        if (!match) {
-          exit_code = 2;
-        }
-      }
-    }
-
-    // Let in-flight frames from peers drain before tearing the
-    // sockets down (a peer's last stop/ack may still be in transit).
-    std::this_thread::sleep_for(std::chrono::milliseconds(250));
-    for (auto& transport : transports) {
-      transport->shutdown();
-    }
+    // Binds every hosted id, rendezvouses concurrently and arms the
+    // telemetry sinks before any actor runs.
+    core::Session session(config, mesh_for(opt));
+    Host host{opt, session,
+              cli::start_admin(opt.admin_port, hosted_roles(opt.party_ids),
+                               opt.task,
+                               [&session](const obs::MetricsSnapshot& snap) {
+                                 return session.export_json(snap);
+                               })};
+    const int exit_code =
+        opt.task == "serve" ? run_serve(host, config, spec, model)
+        : opt.task == "train-serve"
+            ? run_train_serve(host, config, spec, model, split)
+            : run_batch(host, config, spec, model, split);
+    session.close();
     return exit_code;
   } catch (const std::exception& error) {
     std::fprintf(stderr, "trustddl_party: %s\n", error.what());

@@ -1,10 +1,8 @@
 #include "baselines/falcon/falcon.hpp"
 
-#include <array>
-#include <thread>
-
 #include "common/sha256.hpp"
 #include "common/stopwatch.hpp"
+#include "net/runtime.hpp"
 #include "nn/layers.hpp"
 #include "numeric/fixed_point.hpp"
 #include "numeric/serde.hpp"
@@ -381,13 +379,11 @@ StepCost FalconFramework::run_session(const RealTensor& images,
 
   const auto parameters = model_.parameters();
   Stopwatch watch;
-  std::array<std::exception_ptr, 3> failures;
   std::vector<RingTensor> revealed;
   std::vector<RingTensor> trained;
-  std::vector<std::thread> threads;
-  for (int party = 0; party < 3; ++party) {
-    threads.emplace_back([&, party] {
-      try {
+  const auto outcomes = net::run_parties(
+      3,
+      [&](net::PartyId party) {
         Context ctx(network.endpoint(party), party, seed_, malicious_);
         ctx.frac_bits = frac_bits;
         std::vector<Share> params;
@@ -431,29 +427,23 @@ StepCost FalconFramework::run_session(const RealTensor& images,
             }
           }
         }
-      } catch (...) {
-        failures[static_cast<std::size_t>(party)] = std::current_exception();
-      }
-    });
-  }
-  for (auto& thread : threads) {
-    thread.join();
-  }
+      },
+      /*rethrow=*/false);
   // An abort is the meaningful outcome; peers blocked on the aborted
   // step time out as a side effect.
-  for (const auto& failure : failures) {
-    if (failure) {
+  for (const auto& outcome : outcomes) {
+    if (!outcome.ok) {
       try {
-        std::rethrow_exception(failure);
+        std::rethrow_exception(outcome.error);
       } catch (const FalconAbort&) {
         throw;
       } catch (...) {
       }
     }
   }
-  for (const auto& failure : failures) {
-    if (failure) {
-      std::rethrow_exception(failure);
+  for (const auto& outcome : outcomes) {
+    if (!outcome.ok) {
+      std::rethrow_exception(outcome.error);
     }
   }
 

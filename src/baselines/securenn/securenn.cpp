@@ -1,7 +1,5 @@
 #include "baselines/securenn/securenn.hpp"
 
-#include <array>
-#include <thread>
 
 #include "common/error.hpp"
 #include "common/stopwatch.hpp"
@@ -307,11 +305,10 @@ StepCost SecureNnFramework::run_session(
   Assistant assistant(network.endpoint(kAssistant), seed_, frac_bits);
   Stopwatch watch;
 
-  std::array<std::exception_ptr, 3> failures;
-  std::vector<std::thread> threads;
-  // Assistant: deal all secrets, then serve.
-  threads.emplace_back([&] {
-    try {
+  // Parties 0 and 1 compute; the assistant deals all secrets, then
+  // serves.  The lowest-id failure is rethrown after all join.
+  net::run_parties(3, [&](net::PartyId party) {
+    if (party == kAssistant) {
       for (std::size_t i = 0; i < parameters.size(); ++i) {
         assistant.deal_secret(to_ring(parameters[i]->value, frac_bits),
                               "w" + std::to_string(i));
@@ -321,58 +318,40 @@ StepCost SecureNnFramework::run_session(
         assistant.deal_secret(to_ring(*onehot, frac_bits), "y");
       }
       assistant.run();
-    } catch (...) {
-      failures[2] = std::current_exception();
+      return;
     }
-  });
-
-  for (int party = 0; party < 2; ++party) {
-    threads.emplace_back([&, party] {
-      try {
-        Context ctx(network.endpoint(party), party, seed_);
-        ctx.frac_bits = frac_bits;
-        std::vector<Share> params;
-        for (std::size_t i = 0; i < parameters.size(); ++i) {
-          params.push_back(receive_secret(ctx, parameters[i]->value.shape(),
-                                          "w" + std::to_string(i)));
-        }
-        const Share x = receive_secret(ctx, images.shape(), "x");
-        Share y;
-        if (onehot != nullptr) {
-          y = receive_secret(ctx, onehot->shape(), "y");
-        }
-        GenericNet<Backend> net(spec_, std::move(params));
-        const double batch = static_cast<double>(images.rows());
-        for (int step = 0; step < steps; ++step) {
-          const Share probabilities = net.forward(ctx, x);
-          if (onehot != nullptr) {
-            net.backward(ctx, Backend::sub(probabilities, y));
-            net.sgd(ctx, learning_rate / batch, frac_bits);
-          } else {
-            Backend::reveal(ctx, probabilities);
-          }
-        }
-        if (onehot != nullptr) {
-          // Reveal the trained weights so the framework object's
-          // reference model reflects the secure training.
-          for (const Share& parameter : net.parameter_shares()) {
-            Backend::reveal(ctx, parameter);
-          }
-        }
-        send_stop(ctx);
-      } catch (...) {
-        failures[static_cast<std::size_t>(party)] = std::current_exception();
+    Context ctx(network.endpoint(party), party, seed_);
+    ctx.frac_bits = frac_bits;
+    std::vector<Share> params;
+    for (std::size_t i = 0; i < parameters.size(); ++i) {
+      params.push_back(receive_secret(ctx, parameters[i]->value.shape(),
+                                      "w" + std::to_string(i)));
+    }
+    const Share x = receive_secret(ctx, images.shape(), "x");
+    Share y;
+    if (onehot != nullptr) {
+      y = receive_secret(ctx, onehot->shape(), "y");
+    }
+    GenericNet<Backend> net(spec_, std::move(params));
+    const double batch = static_cast<double>(images.rows());
+    for (int step = 0; step < steps; ++step) {
+      const Share probabilities = net.forward(ctx, x);
+      if (onehot != nullptr) {
+        net.backward(ctx, Backend::sub(probabilities, y));
+        net.sgd(ctx, learning_rate / batch, frac_bits);
+      } else {
+        Backend::reveal(ctx, probabilities);
       }
-    });
-  }
-  for (auto& thread : threads) {
-    thread.join();
-  }
-  for (const auto& failure : failures) {
-    if (failure) {
-      std::rethrow_exception(failure);
     }
-  }
+    if (onehot != nullptr) {
+      // Reveal the trained weights so the framework object's
+      // reference model reflects the secure training.
+      for (const Share& parameter : net.parameter_shares()) {
+        Backend::reveal(ctx, parameter);
+      }
+    }
+    send_stop(ctx);
+  });
 
   if (onehot != nullptr &&
       assistant.revealed().size() == parameters.size()) {

@@ -78,6 +78,22 @@ std::string reveal_key(std::size_t epoch, std::size_t param) {
   return "e/" + std::to_string(epoch) + "/p/" + std::to_string(param);
 }
 
+bool apply_revealed_weights(const std::map<std::string, RingTensor>& revealed,
+                            std::size_t epoch, std::size_t param_count,
+                            int frac_bits, nn::Sequential& model) {
+  const auto parameters = model.parameters();
+  TRUSTDDL_REQUIRE(parameters.size() == param_count,
+                   "parameter count mismatch");
+  for (std::size_t i = 0; i < param_count; ++i) {
+    const auto it = revealed.find(reveal_key(epoch, i));
+    if (it == revealed.end()) {
+      return false;
+    }
+    parameters[i]->value = to_real(it->second, frac_bits);
+  }
+  return true;
+}
+
 // --- Secure inference -----------------------------------------------
 
 InferJob make_infer_job(nn::ModelSpec spec, const EngineConfig& config,

@@ -9,6 +9,8 @@
 // exactly the outputs of the in-memory engine, bit for bit.
 #pragma once
 
+#include <map>
+#include <string>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -24,6 +26,13 @@ OwnerServiceConfig make_owner_service_config(const EngineConfig& config,
 /// Key under which epoch `epoch`'s parameter `param` is revealed to
 /// the model owner.
 std::string reveal_key(std::size_t epoch, std::size_t param);
+
+/// Load the revealed epoch-`epoch` weights into `model`'s parameters
+/// (for plaintext accuracy evaluation).  Returns false when any of the
+/// `param_count` reveal keys is missing.
+bool apply_revealed_weights(const std::map<std::string, RingTensor>& revealed,
+                            std::size_t epoch, std::size_t param_count,
+                            int frac_bits, nn::Sequential& model);
 
 /// Share `model`'s parameters from the model owner to the three
 /// computing parties (tags "init/<i>").  Exposed for actor bodies that

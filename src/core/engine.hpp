@@ -117,6 +117,8 @@ struct EngineConfig {
   std::string triple_store_dir;
 };
 
+class Session;
+
 struct CostReport {
   double wall_seconds = 0.0;
   std::uint64_t total_bytes = 0;
@@ -128,9 +130,9 @@ struct CostReport {
   std::size_t share_auth_failures = 0;
   std::size_t recovered_opens = 0;
   /// Robust opening ROUNDS and individual values opened, as counted by
-  /// computing party 0 (the counters are identical at every honest
-  /// party — the protocol is SPMD).  values_opened / opening_rounds is
-  /// the batching factor achieved by the deferred-opening scheduler.
+  /// the lowest-id honest computing party (core::collect_cost).
+  /// values_opened / opening_rounds is the batching factor achieved by
+  /// the deferred-opening scheduler.
   std::uint64_t opening_rounds = 0;
   std::uint64_t values_opened = 0;
 
@@ -212,18 +214,13 @@ class TrustDdlEngine {
   const EngineConfig& config() const { return config_; }
 
  private:
-  /// The transport the next run's actors communicate over: the
-  /// external one (counters reset) or a freshly built Network.
-  net::Transport& prepare_transport();
-
-  CostReport collect_cost(const net::Transport& transport,
-                          double wall_seconds,
-                          const std::array<mpc::DetectionLog, 3>& logs) const;
+  /// The session the next run executes in: over the external
+  /// transport, or a fresh in-memory Network.
+  Session open_session() const;
 
   nn::ModelSpec spec_;
   EngineConfig config_;
   nn::Sequential model_;
-  std::unique_ptr<net::Network> network_;
   net::Transport* external_transport_ = nullptr;
 };
 

@@ -1,9 +1,6 @@
 #include "core/metrics_export.hpp"
 
 #include <cstdio>
-#include <fstream>
-
-#include "common/error.hpp"
 
 namespace trustddl::core {
 namespace {
@@ -68,114 +65,6 @@ std::string metrics_export_json(
   out += ", \"values_opened\": " + std::to_string(cost.values_opened);
   out += "}\n}\n";
   return out;
-}
-
-void write_metrics_export(const std::string& path,
-                          const obs::MetricsSnapshot& metrics,
-                          const std::vector<obs::DetectionEventRecord>& events,
-                          const net::TrafficSnapshot& traffic,
-                          const CostReport& cost) {
-  std::ofstream out(path, std::ios::trunc);
-  TRUSTDDL_REQUIRE(out.good(), "metrics export: cannot open " + path);
-  out << metrics_export_json(metrics, events, traffic, cost);
-  TRUSTDDL_REQUIRE(out.good(), "metrics export: write failed for " + path);
-}
-
-void print_process_traffic(
-    const std::vector<std::unique_ptr<net::TcpTransport>>& transports) {
-  for (const auto& transport : transports) {
-    const net::TrafficSnapshot traffic = transport->traffic();
-    std::uint64_t sent_bytes = 0;
-    std::uint64_t sent_messages = 0;
-    const auto self = static_cast<std::size_t>(transport->self());
-    for (const auto& link : traffic.links[self]) {
-      sent_bytes += link.bytes;
-      sent_messages += link.messages;
-    }
-    std::printf("[party %d] sent %llu messages, %.2f MB\n",
-                static_cast<int>(transport->self()),
-                static_cast<unsigned long long>(sent_messages),
-                static_cast<double>(sent_bytes) / (1 << 20));
-  }
-}
-
-std::string build_process_export_json(
-    const obs::MetricsSnapshot& metrics,
-    const std::vector<std::unique_ptr<net::TcpTransport>>& transports,
-    const std::vector<mpc::DetectionLog>& party_logs, double wall_seconds,
-    int num_actors, int byzantine_party) {
-  net::TrafficSnapshot traffic;
-  traffic.links.assign(static_cast<std::size_t>(num_actors),
-                       std::vector<net::LinkMetrics>(
-                           static_cast<std::size_t>(num_actors)));
-  for (const auto& transport : transports) {
-    const net::TrafficSnapshot local = transport->traffic();
-    for (std::size_t i = 0; i < local.links.size(); ++i) {
-      for (std::size_t j = 0; j < local.links[i].size(); ++j) {
-        traffic.links[i][j].bytes += local.links[i][j].bytes;
-        traffic.links[i][j].messages += local.links[i][j].messages;
-      }
-    }
-    traffic.total_bytes += local.total_bytes;
-    traffic.total_messages += local.total_messages;
-  }
-
-  CostReport cost;
-  cost.wall_seconds = wall_seconds;
-  cost.total_bytes = traffic.total_bytes;
-  cost.total_messages = traffic.total_messages;
-  for (int i = 0; i < num_actors; ++i) {
-    for (int j = 0; j < num_actors; ++j) {
-      const auto bytes = traffic.links[static_cast<std::size_t>(i)]
-                                      [static_cast<std::size_t>(j)]
-                                          .bytes;
-      if (i < kComputingParties && j < kComputingParties) {
-        cost.proxy_bytes += bytes;
-      } else {
-        cost.owner_bytes += bytes;
-      }
-    }
-  }
-  int rounds_party = num_actors;
-  for (std::size_t i = 0; i < transports.size(); ++i) {
-    const int id = static_cast<int>(transports[i]->self());
-    if (id >= kComputingParties) {
-      continue;
-    }
-    const mpc::DetectionLog& log = party_logs[i];
-    cost.commitment_violations +=
-        log.count(mpc::DetectionEvent::Kind::kCommitmentViolation);
-    cost.distance_anomalies +=
-        log.count(mpc::DetectionEvent::Kind::kDistanceAnomaly);
-    cost.share_auth_failures +=
-        log.count(mpc::DetectionEvent::Kind::kShareAuthFailure);
-    cost.recovered_opens += log.recovered_opens;
-    if (id != byzantine_party && id < rounds_party) {
-      rounds_party = id;
-      cost.opening_rounds = log.opens;
-      cost.values_opened = log.values_opened;
-    }
-  }
-
-  return metrics_export_json(metrics, obs::EventLog::global().snapshot(),
-                             traffic, cost);
-}
-
-void write_process_export(
-    const std::string& path,
-    const std::vector<std::unique_ptr<net::TcpTransport>>& transports,
-    const std::vector<mpc::DetectionLog>& party_logs, double wall_seconds,
-    int num_actors, int byzantine_party) {
-  if (path.empty()) {
-    return;
-  }
-  std::ofstream out(path, std::ios::trunc);
-  TRUSTDDL_REQUIRE(out.good(), "metrics export: cannot open " + path);
-  out << build_process_export_json(obs::MetricsRegistry::global().snapshot(),
-                                   transports, party_logs, wall_seconds,
-                                   num_actors, byzantine_party);
-  TRUSTDDL_REQUIRE(out.good(), "metrics export: write failed for " + path);
-  std::printf("metrics export written to %s\n", path.c_str());
 }
 
 }  // namespace trustddl::core

@@ -13,17 +13,15 @@
 //                 "links_bytes": [[...]], "links_messages": [[...]]},
 //     "cost": {"wall_seconds", "total_bytes", ..., "values_opened"}
 //   }
-// Both the engine (EngineConfig::metrics_out) and the multi-process
-// party runner (trustddl_party --metrics-out) write this document, so
-// the CI schema check covers either producer.
+// Every core::Session writes this document (EngineConfig::metrics_out,
+// trustddl_party --metrics-out), so the CI schema check covers every
+// producer.
 #pragma once
 
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/engine.hpp"
-#include "net/tcp_transport.hpp"
 #include "net/transport.hpp"
 #include "obs/events.hpp"
 #include "obs/metrics.hpp"
@@ -36,46 +34,5 @@ std::string metrics_export_json(
     const obs::MetricsSnapshot& metrics,
     const std::vector<obs::DetectionEventRecord>& events,
     const net::TrafficSnapshot& traffic, const CostReport& cost);
-
-/// Write `metrics_export_json(...)` to `path` (truncating).  Throws
-/// via TRUSTDDL_REQUIRE when the file cannot be written.
-void write_metrics_export(const std::string& path,
-                          const obs::MetricsSnapshot& metrics,
-                          const std::vector<obs::DetectionEventRecord>& events,
-                          const net::TrafficSnapshot& traffic,
-                          const CostReport& cost);
-
-/// Per-process traffic report for multi-process runners (one line per
-/// hosted transport on stdout).  Each frame is metered once at its
-/// sender, so summing the printed rows across processes reproduces the
-/// in-memory engine's totals.
-void print_process_traffic(
-    const std::vector<std::unique_ptr<net::TcpTransport>>& transports);
-
-/// Builds the full export document for ONE process's hosted actors in
-/// an `num_actors`-wide mesh: the hosted transports' traffic matrices
-/// are merged cell-wise (each single-transport total counts the sender
-/// row only, preserving once-per-message semantics), detection tallies
-/// come from the hosted computing parties, and opening rounds from the
-/// lowest-id hosted honest computing party (the counters are identical
-/// at every honest party — the protocol is SPMD).  `party_logs` is
-/// indexed like `transports`; ids >= kComputingParties contribute no
-/// detections.  Safe to call on a live process — `metrics` is a
-/// caller-taken snapshot and `TcpTransport::traffic()` is internally
-/// locked — which is how the admin endpoint serves a mid-run /metrics
-/// scrape that byte-matches the exit-time export.
-std::string build_process_export_json(
-    const obs::MetricsSnapshot& metrics,
-    const std::vector<std::unique_ptr<net::TcpTransport>>& transports,
-    const std::vector<mpc::DetectionLog>& party_logs, double wall_seconds,
-    int num_actors, int byzantine_party);
-
-/// Writes `build_process_export_json` over a fresh registry snapshot
-/// to `path`.  No-op when `path` is empty.
-void write_process_export(
-    const std::string& path,
-    const std::vector<std::unique_ptr<net::TcpTransport>>& transports,
-    const std::vector<mpc::DetectionLog>& party_logs, double wall_seconds,
-    int num_actors, int byzantine_party);
 
 }  // namespace trustddl::core

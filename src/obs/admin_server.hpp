@@ -23,11 +23,11 @@
 //                         ledger counters
 //
 // The process embedding the server supplies the /metrics document via
-// set_metrics_provider — trustddl_party installs a closure over its
-// live transports so the scrape byte-matches the exit-time
-// write_process_export (modulo in-flight deltas on monotonic
-// counters); without a provider the server renders the registry +
-// event log with zeroed traffic/cost sections.
+// set_metrics_provider — trustddl_party installs its session's
+// core::Session::export_json so the scrape byte-matches the exit-time
+// export (modulo in-flight deltas on monotonic counters); without a
+// provider the server renders the registry + event log with zeroed
+// traffic/cost sections.
 #pragma once
 
 #include <atomic>

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/engine.hpp"
 #include "net/transport.hpp"
 #include "numeric/fixed_point.hpp"
 #include "numeric/tensor.hpp"
@@ -60,6 +61,21 @@ struct ClientOptions {
   /// Cap on the jittered backoff.
   std::chrono::milliseconds retry_backoff_max{1000};
 };
+
+/// Client slot `index`'s (0-based) options in a deployment running
+/// `engine`: `options` with the engine's fixed-point format and
+/// decision-rule tolerance, and a sharing seed derived from
+/// `options.seed` — distinct per slot, identical in every process and
+/// pod, so a request resubmitted anywhere is label-exact.
+inline ClientOptions client_options(ClientOptions options,
+                                    const core::EngineConfig& engine,
+                                    int index) {
+  options.frac_bits = engine.frac_bits;
+  options.dist_tolerance = engine.dist_tolerance;
+  options.seed =
+      options.seed * 1000003 + 17 * static_cast<std::uint64_t>(index + 1);
+  return options;
+}
 
 struct InferenceResult {
   Status status = Status::kDeadlineMissed;

@@ -1,10 +1,10 @@
 // In-process serving session: every serving actor (three party
 // servers, the model owner with its scheduler, K clients) on threads
-// over one in-memory Network.  The serving analogue of
-// TrustDdlEngine's run_actors deployment — tests and bench_serving
-// drive the full request/batch/reconstruct pipeline without sockets,
-// with the same seed derivations as the multi-process CLI so both
-// deployments are interchangeable.
+// over one in-memory Network — a core::Session role table, like
+// TrustDdlEngine's.  Tests and bench_serving drive the full
+// request/batch/reconstruct pipeline without sockets, with the same
+// seed derivations as the multi-process CLI so both deployments are
+// interchangeable.
 #pragma once
 
 #include <array>
@@ -37,11 +37,16 @@ struct SessionResult {
   std::array<std::size_t, core::kComputingParties> party_batches{};
   double wall_seconds = 0.0;
   net::TrafficSnapshot traffic;
+  /// The session's cost report (core::collect_cost), detection
+  /// counters included.
+  core::CostReport cost;
 };
 
 /// `client_body(index, client)` runs on client `index`'s thread; the
-/// harness sends the stop notice after it returns.  Throws the first
-/// actor failure after joining every thread.
+/// harness sends the stop notice after it returns.  A computing party
+/// at config.engine.byzantine_party runs a protocol-level adversary
+/// (config.engine.byzantine) and its failure is tolerated.  Throws the
+/// first other actor failure after joining every thread.
 SessionResult run_serving_session(
     const SessionConfig& config,
     const std::function<void(int, InferenceClient&)>& client_body);

@@ -1,6 +1,6 @@
 #include "serve/server.hpp"
 
-#include <exception>
+#include <future>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -143,12 +143,14 @@ bool InferenceServer::run(core::SecureModel& model,
 mpc::DetectionLog serve_computing_party_body(
     const nn::ModelSpec& spec, const core::EngineConfig& config,
     std::size_t param_count, int party, net::Endpoint endpoint,
-    const ServerOptions& options, std::size_t* batches_out) {
+    const ServerOptions& options, std::size_t* batches_out,
+    mpc::AdversaryHooks* adversary) {
   core::OwnerLink link(endpoint, party, options.owner_link_timeout);
   core::SecureModel model(spec,
                           core::receive_parameters(endpoint, param_count));
 
-  mpc::PartyContext pctx = core::make_party_context(config, party, endpoint);
+  mpc::PartyContext pctx =
+      core::make_party_context(config, party, endpoint, adversary);
   core::SecureExecContext sctx = core::make_exec_context(config, pctx, link);
 
   // Serving uses the idle-poll refill inside InferenceServer::run
@@ -184,21 +186,15 @@ void serve_model_owner_body(const nn::ModelSpec& spec,
 
   core::ModelOwnerService service(
       endpoint, core::make_owner_service_config(config, /*training=*/false));
-  std::exception_ptr service_error;
-  std::thread service_thread([&] {
-    try {
-      service.run();
-    } catch (...) {
-      service_error = std::current_exception();
-    }
-  });
+  std::future<void> service_done =
+      std::async(std::launch::async, [&] { service.run(); });
 
   BatchScheduler scheduler(endpoint, serve_config, num_clients);
   try {
     scheduler.run();
   } catch (...) {
     service.request_stop();
-    service_thread.join();
+    service_done.wait();
     throw;
   }
   if (serve_config.max_batches != 0) {
@@ -206,13 +202,11 @@ void serve_model_owner_body(const nn::ModelSpec& spec,
     // party stops that crashed parties will never send.
     service.request_stop();
   }
-  service_thread.join();
+  service_done.wait();
   if (stats_out != nullptr) {
     *stats_out = scheduler.stats();
   }
-  if (service_error) {
-    std::rethrow_exception(service_error);
-  }
+  service_done.get();  // rethrows the service's failure, if any
 }
 
 }  // namespace trustddl::serve

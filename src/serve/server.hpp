@@ -78,11 +78,14 @@ class InferenceServer {
 
 /// Computing party: receive parameter shares, then serve batches.
 /// Returns the party's detection log.  `batches_out`, if non-null,
-/// receives the number of batches executed.
+/// receives the number of batches executed.  `adversary` may be
+/// nullptr and is attached only when `party` equals
+/// config.byzantine_party (core::make_party_context).
 mpc::DetectionLog serve_computing_party_body(
     const nn::ModelSpec& spec, const core::EngineConfig& config,
     std::size_t param_count, int party, net::Endpoint endpoint,
-    const ServerOptions& options, std::size_t* batches_out = nullptr);
+    const ServerOptions& options, std::size_t* batches_out = nullptr,
+    mpc::AdversaryHooks* adversary = nullptr);
 
 /// Model owner: share parameters, then run the owner service (unary/
 /// collective requests) and the batch scheduler side by side until the

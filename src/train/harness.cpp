@@ -1,55 +1,8 @@
 #include "train/harness.hpp"
 
-#include <exception>
-#include <functional>
-#include <thread>
-#include <vector>
-
-#include "common/stopwatch.hpp"
-#include "core/metrics_export.hpp"
-#include "net/network.hpp"
-#include "obs/events.hpp"
-#include "obs/trace.hpp"
+#include "core/session.hpp"
 
 namespace trustddl::train {
-namespace {
-
-/// Training-session cost report for the metrics export — the same
-/// traffic split as the serving harness: proxy = party<->party links,
-/// owner = everything touching the model owner or data owners.
-core::CostReport session_cost(const net::TrafficSnapshot& traffic,
-                              double wall_seconds,
-                              const std::array<mpc::DetectionLog, 3>& logs) {
-  core::CostReport report;
-  report.wall_seconds = wall_seconds;
-  report.total_bytes = traffic.total_bytes;
-  report.total_messages = traffic.total_messages;
-  const auto actors = traffic.links.size();
-  for (std::size_t i = 0; i < actors; ++i) {
-    for (std::size_t j = 0; j < actors; ++j) {
-      const auto bytes = traffic.links[i][j].bytes;
-      if (i < core::kComputingParties && j < core::kComputingParties) {
-        report.proxy_bytes += bytes;
-      } else {
-        report.owner_bytes += bytes;
-      }
-    }
-  }
-  for (const auto& log : logs) {
-    report.commitment_violations +=
-        log.count(mpc::DetectionEvent::Kind::kCommitmentViolation);
-    report.distance_anomalies +=
-        log.count(mpc::DetectionEvent::Kind::kDistanceAnomaly);
-    report.share_auth_failures +=
-        log.count(mpc::DetectionEvent::Kind::kShareAuthFailure);
-    report.recovered_opens += log.recovered_opens;
-  }
-  report.opening_rounds = logs[0].opens;
-  report.values_opened = logs[0].values_opened;
-  return report;
-}
-
-}  // namespace
 
 data::Dataset owner_shard(const data::Dataset& dataset, int index,
                           int count) {
@@ -70,51 +23,29 @@ TrainSessionResult run_training_session(const TrainSessionConfig& config) {
   TRUSTDDL_REQUIRE(config.dataset.size() >=
                        static_cast<std::size_t>(config.num_owners),
                    "train: dataset smaller than the owner count");
-  kernels::set_global_config(config.engine.kernels);
-  if (!config.engine.metrics_out.empty()) {
-    obs::set_metrics_enabled(true);
-    obs::MetricsRegistry::global().reset();
-    obs::EventLog::global().clear();
-  }
-  if (!config.engine.trace_out.empty()) {
-    obs::Tracer::global().open(config.engine.trace_out);
-  }
-
-  net::NetworkConfig net_config;
-  net_config.num_parties = core::kNumActors + config.num_owners;
-  net_config.recv_timeout = config.engine.recv_timeout;
-  net_config.emulate_latency = config.engine.emulate_latency;
-  net_config.link_latency = config.engine.link_latency;
-  net::Network network(net_config);
-
-  // Same reference-model construction as TrustDdlEngine, so the
-  // service trains exactly the model engine.train() would start from.
-  Rng model_rng(config.engine.seed);
-  nn::Sequential model = nn::build_model(config.spec, model_rng);
+  core::Session session(config.engine, core::kNumActors + config.num_owners);
+  nn::Sequential model = core::reference_model(config.spec, config.engine);
   const std::size_t param_count = model.parameters().size();
 
   TrainSessionResult result;
-  std::array<mpc::DetectionLog, 3> detection_logs;
   std::array<bool, 3> party_clean{true, true, true};
-
-  std::vector<std::function<void()>> bodies;
-  bodies.emplace_back([&] {
+  std::vector<core::Role> roles = {{core::kModelOwner, [&] {
     train_service_owner_body(config.engine, model,
-                             network.endpoint(core::kModelOwner),
+                             session.endpoint(core::kModelOwner),
                              config.train, config.num_owners,
                              &result.sequencer, &result.revealed);
-  });
+  }}};
   for (int party = 0; party < core::kComputingParties; ++party) {
-    bodies.emplace_back([&, party] {
+    roles.push_back(session.party_role(party, [&, party] {
       const auto slot = static_cast<std::size_t>(party);
-      detection_logs[slot] = train_service_party_body(
+      return train_service_party_body(
           config.spec, config.engine, param_count, party,
-          network.endpoint(party), config.train, &party_clean[slot],
-          &result.party_rounds[slot]);
-    });
+          session.endpoint(party), config.train, &party_clean[slot],
+          &result.party_rounds[slot], session.adversary());
+    }));
   }
   for (int index = 0; index < config.num_owners; ++index) {
-    bodies.emplace_back([&, index] {
+    roles.push_back({kFirstOwnerId + index, [&, index] {
       OwnerBehaviour behaviour;
       if (static_cast<std::size_t>(index) < config.owners.size()) {
         behaviour = config.owners[static_cast<std::size_t>(index)];
@@ -127,7 +58,7 @@ TrainSessionResult run_training_session(const TrainSessionConfig& config) {
       options.poison = behaviour.poison;
       const data::Dataset shard =
           owner_shard(config.dataset, index, config.num_owners);
-      TrainingOwner owner(network.endpoint(kFirstOwnerId + index), options);
+      TrainingOwner owner(session.endpoint(kFirstOwnerId + index), options);
       std::size_t made = 0;
       for (std::uint64_t seq = owner.hello();
            seq < config.submissions_per_owner; ++seq) {
@@ -139,61 +70,17 @@ TrainSessionResult run_training_session(const TrainSessionConfig& config) {
         }
       }
       owner.stop(config.submissions_per_owner);
-    });
+    }});
   }
 
-  Stopwatch stopwatch;
-  std::vector<std::exception_ptr> errors(bodies.size());
-  std::vector<std::thread> threads;
-  threads.reserve(bodies.size());
-  for (std::size_t i = 0; i < bodies.size(); ++i) {
-    threads.emplace_back([&, i] {
-      try {
-        bodies[i]();
-      } catch (...) {
-        errors[i] = std::current_exception();
-      }
-    });
-  }
-  for (auto& thread : threads) {
-    thread.join();
-  }
-  result.wall_seconds = stopwatch.elapsed_seconds();
-  result.traffic = network.traffic();
-  result.clean = party_clean[0];
-
-  for (const auto& error : errors) {
-    if (error) {
-      std::rethrow_exception(error);
-    }
-  }
-
-  if (!config.engine.metrics_out.empty()) {
-    core::write_metrics_export(
-        config.engine.metrics_out, obs::MetricsRegistry::global().snapshot(),
-        obs::EventLog::global().snapshot(), result.traffic,
-        session_cost(result.traffic, result.wall_seconds, detection_logs));
-  }
-  if (!config.engine.trace_out.empty()) {
-    obs::Tracer::global().close();
-  }
+  session.run(roles);
+  result.wall_seconds = session.wall_seconds();
+  result.traffic = session.traffic();
+  // The honest parties agree on shutdown vs suspend; a tolerated
+  // Byzantine party's flag is not evidence either way.
+  result.clean = party_clean[config.engine.byzantine_party == 0 ? 1 : 0];
+  result.cost = session.finish();
   return result;
-}
-
-bool apply_revealed_weights(const std::map<std::string, RingTensor>& revealed,
-                            std::size_t epoch, std::size_t param_count,
-                            int frac_bits, nn::Sequential& model) {
-  const auto parameters = model.parameters();
-  TRUSTDDL_REQUIRE(parameters.size() == param_count,
-                   "train: parameter count mismatch");
-  for (std::size_t i = 0; i < param_count; ++i) {
-    const auto it = revealed.find(core::reveal_key(epoch, i));
-    if (it == revealed.end()) {
-      return false;
-    }
-    parameters[i]->value = to_real(it->second, frac_bits);
-  }
-  return true;
 }
 
 }  // namespace trustddl::train

@@ -1,8 +1,8 @@
-// In-memory harness for multi-owner training sessions: spins up the
-// three computing parties, the model owner (sequencer + owner
-// service) and K data-owner clients as threads over one in-memory
-// Network, runs the configured epochs, and returns the sequencer
-// ledger, revealed epoch weights and traffic snapshot.  The TCP
+// In-memory harness for multi-owner training sessions: a core::Session
+// role table of the three computing parties, the model owner
+// (sequencer + owner service) and K data-owner clients over one
+// in-memory Network.  It runs the configured epochs and returns the
+// sequencer ledger, revealed epoch weights and traffic snapshot.  The TCP
 // deployment (examples/trustddl_party --task train-serve +
 // examples/trustddl_owner) runs the same bodies over TcpTransport and
 // produces bit-identical weights for the same seeds.
@@ -58,19 +58,22 @@ struct TrainSessionResult {
   std::map<std::string, RingTensor> revealed;
   double wall_seconds = 0.0;
   net::TrafficSnapshot traffic;
+  /// The session's cost report (core::collect_cost), detection
+  /// counters included.
+  core::CostReport cost;
 };
 
 /// Rows dataset.row % count == index — every owner gets a distinct,
 /// near-equal shard.
 data::Dataset owner_shard(const data::Dataset& dataset, int index, int count);
 
+/// A computing party at config.engine.byzantine_party runs a
+/// protocol-level adversary (config.engine.byzantine) and its failure
+/// is tolerated; any other actor failure is rethrown after every
+/// thread has joined.
 TrainSessionResult run_training_session(const TrainSessionConfig& config);
 
-/// Load the revealed epoch-`epoch` weights into `model`'s parameters
-/// (for plaintext accuracy evaluation).  Returns false when any of the
-/// `param_count` reveal keys is missing.
-bool apply_revealed_weights(const std::map<std::string, RingTensor>& revealed,
-                            std::size_t epoch, std::size_t param_count,
-                            int frac_bits, nn::Sequential& model);
+/// Epoch weights -> plaintext model (defined with core::reveal_key).
+using core::apply_revealed_weights;
 
 }  // namespace trustddl::train

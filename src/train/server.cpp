@@ -1,6 +1,6 @@
 #include "train/server.hpp"
 
-#include <exception>
+#include <future>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -266,12 +266,13 @@ mpc::DetectionLog train_service_party_body(
     const nn::ModelSpec& spec, const core::EngineConfig& config,
     std::size_t param_count, int party, net::Endpoint endpoint,
     const TrainConfig& train_config, bool* clean_out,
-    std::uint64_t* rounds_out) {
+    std::uint64_t* rounds_out, mpc::AdversaryHooks* adversary) {
   core::OwnerLink link(endpoint, party, std::chrono::seconds(60));
   core::SecureModel model(spec,
                           core::receive_parameters(endpoint, param_count));
 
-  mpc::PartyContext pctx = core::make_party_context(config, party, endpoint);
+  mpc::PartyContext pctx =
+      core::make_party_context(config, party, endpoint, adversary);
   core::SecureExecContext sctx = core::make_exec_context(config, pctx, link);
 
   core::TriplePipeline pipeline(config, link, party, /*training=*/true);
@@ -305,32 +306,24 @@ void train_service_owner_body(
 
   core::ModelOwnerService service(
       endpoint, core::make_owner_service_config(config, /*training=*/true));
-  std::exception_ptr service_error;
-  std::thread service_thread([&] {
-    try {
-      service.run();
-    } catch (...) {
-      service_error = std::current_exception();
-    }
-  });
+  std::future<void> service_done =
+      std::async(std::launch::async, [&] { service.run(); });
 
   RoundSequencer sequencer(endpoint, train_config, num_owners, config.seed);
   try {
     sequencer.run();
   } catch (...) {
-    service_thread.join();
+    service_done.wait();
     throw;
   }
-  service_thread.join();
+  service_done.wait();
   if (stats_out != nullptr) {
     *stats_out = sequencer.stats();
   }
   if (revealed_out != nullptr) {
     *revealed_out = service.revealed();
   }
-  if (service_error) {
-    std::rethrow_exception(service_error);
-  }
+  service_done.get();  // rethrows the service's failure, if any
 }
 
 }  // namespace trustddl::train

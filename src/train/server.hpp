@@ -61,11 +61,14 @@ class TrainServer {
 /// Full computing-party body: receive parameter shares, restore any
 /// checkpoint, run the train server, persist the preprocessing store.
 /// `clean_out` (optional) reports shutdown (true) vs suspend (false).
+/// `adversary` may be nullptr and is attached only when `party` equals
+/// config.byzantine_party (core::make_party_context).
 mpc::DetectionLog train_service_party_body(
     const nn::ModelSpec& spec, const core::EngineConfig& config,
     std::size_t param_count, int party, net::Endpoint endpoint,
     const TrainConfig& train_config, bool* clean_out = nullptr,
-    std::uint64_t* rounds_out = nullptr);
+    std::uint64_t* rounds_out = nullptr,
+    mpc::AdversaryHooks* adversary = nullptr);
 
 /// Full model-owner body: share fresh parameter shares, run the
 /// owner service (Softmax + dealing + reveals) on a side thread and

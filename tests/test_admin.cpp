@@ -26,7 +26,7 @@
 #include <thread>
 #include <vector>
 
-#include "core/metrics_export.hpp"
+#include "core/session.hpp"
 #include "obs/events.hpp"
 #include "obs/health.hpp"
 #include "obs/metrics.hpp"
@@ -139,25 +139,22 @@ TEST(AdminMetricsTest, LiveScrapeEqualsExitExportWhenQuiesced) {
   obs::gauge_add("test.admin.gauge", 5);
   obs::observe("test.admin.hist", 17);
 
-  // The provider a party installs, with the live wall clock pinned:
-  // once the workload is quiesced, a scrape and the exit export render
-  // byte-identical documents.
-  const std::vector<std::unique_ptr<net::TcpTransport>> transports;
-  const std::vector<mpc::DetectionLog> party_logs;
-  const double wall_seconds = 1.5;
+  // The provider a party installs, over a session whose role table has
+  // finished (the wall clock is frozen): once the workload is quiesced,
+  // a scrape and the exit export render byte-identical documents.
+  core::Session session(core::EngineConfig{}, 5);
+  session.run({{0, [] {}}});
   obs::AdminServer server;
   server.set_metrics_provider([&](const obs::MetricsSnapshot& snapshot) {
-    return core::build_process_export_json(snapshot, transports, party_logs,
-                                           wall_seconds, 5, -1);
+    return session.export_json(snapshot);
   });
   server.start();
 
   const obs::HttpResponse scrape =
       obs::http_get("127.0.0.1", server.port(), "/metrics");
   ASSERT_EQ(scrape.status, 200);
-  const std::string exit_export = core::build_process_export_json(
-      obs::MetricsRegistry::global().snapshot(), transports, party_logs,
-      wall_seconds, 5, -1);
+  const std::string exit_export =
+      session.export_json(obs::MetricsRegistry::global().snapshot());
   EXPECT_EQ(scrape.body, exit_export);
   EXPECT_NE(scrape.body.find("\"test.admin.counter\": 41"),
             std::string::npos);

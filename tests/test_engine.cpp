@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/session.hpp"
+
 #include "net/tcp_transport.hpp"
 #include "nn/loss.hpp"
 #include "numeric/simd.hpp"
@@ -284,6 +286,71 @@ TEST(EngineTest, InferRejectsEmptyDataset) {
   TrustDdlEngine engine(nn::mnist_mlp_spec(), fast_config());
   EXPECT_THROW(engine.infer(data::Dataset{}, /*batch_size=*/4),
                InvalidArgument);
+}
+
+TEST(SessionTest, CostRoundsComeFromLowestHonestParty) {
+  // Party 0 is the configured Byzantine party; a tolerated failure left
+  // its log at the default.  The honest parties' counters agree (SPMD),
+  // and the report must take them from party 1, not read 0 rounds.
+  PartyLogs logs;
+  logs[0].emplace();
+  for (const std::size_t party : {1u, 2u}) {
+    mpc::DetectionLog log;
+    log.opens = 7;
+    log.values_opened = 56;
+    log.record(mpc::DetectionEvent::Kind::kShareAuthFailure, 3, 0);
+    logs[party] = log;
+  }
+  net::TrafficSnapshot traffic;
+  traffic.links.assign(5, std::vector<net::LinkMetrics>(5));
+  traffic.links[0][1].bytes = 10;  // party <-> party
+  traffic.links[4][2].bytes = 5;   // owner -> party
+  traffic.total_bytes = 15;
+
+  const CostReport cost =
+      collect_cost(traffic, 1.5, logs, /*byzantine_party=*/0);
+  EXPECT_EQ(cost.opening_rounds, 7u);
+  EXPECT_EQ(cost.values_opened, 56u);
+  EXPECT_EQ(cost.share_auth_failures, 2u);
+  EXPECT_EQ(cost.proxy_bytes, 10u);
+  EXPECT_EQ(cost.owner_bytes, 5u);
+  EXPECT_EQ(cost.total_bytes, 15u);
+  EXPECT_DOUBLE_EQ(cost.wall_seconds, 1.5);
+
+  // Every party honest: the lowest id (party 0) reports.
+  logs[0]->opens = 9;
+  EXPECT_EQ(collect_cost(traffic, 1.5, logs, -1).opening_rounds, 9u);
+}
+
+TEST(SessionTest, RoleTableRethrowsCriticalAndToleratesOthers) {
+  const std::vector<Role> tolerated = {
+      {0, [] { throw Error("byzantine party gave up"); }, false},
+      {1, [] {}}};
+  EXPECT_NO_THROW(run_roles(tolerated));
+  const std::vector<Role> critical = {
+      {0, [] { throw Error("tolerated"); }, false},
+      {1, [] { throw InvalidArgument("critical"); }}};
+  EXPECT_THROW(run_roles(critical), InvalidArgument);
+}
+
+TEST(SessionTest, EngineCostTakesRoundsFromHonestPartyWhenPartyZeroAttacks) {
+  const auto split = small_split(30, 16);
+  const data::Dataset sample = data::slice(split.test, 0, 8);
+  EngineConfig honest = fast_config();
+  honest.trunc_mode = TruncationMode::kMaskedOpen;
+  TrustDdlEngine reference(nn::mnist_mlp_spec(), honest);
+  const InferResult expected = reference.infer(sample, 4);
+
+  EngineConfig config = honest;
+  config.byzantine_party = 0;
+  config.byzantine.behavior =
+      mpc::ByzantineConfig::Behavior::kConsistentCorruption;
+  TrustDdlEngine engine(nn::mnist_mlp_spec(), config);
+  const InferResult result = engine.infer(sample, 4);
+  EXPECT_EQ(result.labels, expected.labels);
+  EXPECT_GT(result.cost.share_auth_failures, 0u);
+  EXPECT_EQ(result.cost.opening_rounds, expected.cost.opening_rounds);
+  EXPECT_EQ(result.cost.values_opened, expected.cost.values_opened);
 }
 
 }  // namespace

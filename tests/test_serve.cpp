@@ -3,6 +3,7 @@
 // clients over one in-memory network), including the Byzantine and
 // crash degradations at the serving edge.
 #include <atomic>
+#include <cstdio>
 #include <chrono>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "common/rng.hpp"
 #include "core/engine.hpp"
 #include "data/synthetic_mnist.hpp"
+#include "obs/events.hpp"
 #include "obs/metrics.hpp"
 #include "serve/batch_queue.hpp"
 #include "serve/harness.hpp"
@@ -504,6 +506,60 @@ TEST(ServeSessionTest, RecordsServeMetrics) {
     }
   }
   EXPECT_TRUE(found_rows_histogram);
+}
+
+TEST(ServeSessionTest, ProtocolAdversaryLeavesLabelsBitIdentical) {
+  // Case 3 at computing party 1: every opening carries commitment-
+  // consistent but corrupted shares.  Under masked-open truncation the
+  // honest parties' openings stay value-exact, so every served label
+  // must equal the honest session's, and every detection the honest
+  // parties record must name party 1.
+  constexpr std::size_t kRequests = 3;
+  const auto split = query_split(kRequests);
+  SessionConfig config;
+  config.spec = nn::mnist_mlp_spec();
+  config.engine = fast_engine();
+  config.engine.trunc_mode = mpc::TruncationMode::kMaskedOpen;
+  config.serve.max_batch_rows = 2;
+  config.serve.batch_window = milliseconds(10);
+  const auto serve_all = [&](const SessionConfig& session_config,
+                             SessionResult* session) {
+    std::vector<std::size_t> labels;
+    *session = run_serving_session(
+        session_config, [&](int, InferenceClient& client) {
+          for (std::size_t r = 0; r < kRequests; ++r) {
+            const InferenceResult result =
+                client.infer(data::slice(split.test, r, 1).images);
+            ASSERT_EQ(result.status, Status::kOk) << "seq " << r;
+            labels.push_back(result.labels[0]);
+          }
+        });
+    return labels;
+  };
+  SessionResult honest_session;
+  const std::vector<std::size_t> honest = serve_all(config, &honest_session);
+  EXPECT_EQ(honest_session.cost.share_auth_failures, 0u);
+
+  SessionConfig attacked = config;
+  attacked.engine.byzantine_party = 1;
+  attacked.engine.byzantine.behavior =
+      mpc::ByzantineConfig::Behavior::kConsistentCorruption;
+  attacked.engine.metrics_out =
+      ::testing::TempDir() + "serve_adversary_metrics.json";
+  SessionResult session;
+  EXPECT_EQ(serve_all(attacked, &session), honest);
+  EXPECT_GT(session.cost.share_auth_failures, 0u);
+  EXPECT_GT(session.cost.opening_rounds, 0u);
+  std::size_t honest_events = 0;
+  for (const auto& event : obs::EventLog::global().snapshot()) {
+    if (event.party != 1) {
+      ++honest_events;
+      EXPECT_EQ(event.suspect, 1) << event.kind << " seen by " << event.party;
+    }
+  }
+  EXPECT_GT(honest_events, 0u);
+  obs::set_metrics_enabled(false);
+  std::remove(attacked.engine.metrics_out.c_str());
 }
 
 }  // namespace

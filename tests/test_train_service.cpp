@@ -15,6 +15,7 @@
 #include "data/synthetic_mnist.hpp"
 #include "mpc/robust_aggregate.hpp"
 #include "nn/model_zoo.hpp"
+#include "obs/events.hpp"
 #include "obs/metrics.hpp"
 #include "train/harness.hpp"
 #include "train/owner_client.hpp"
@@ -374,6 +375,40 @@ TEST(TrainServiceTest, MetricsLedgersBalance) {
   EXPECT_EQ(expected_slots,
             counter_value(snapshot, "train.owner.slots.included") +
                 counter_value(snapshot, "train.owner.slots.dropped"));
+}
+
+TEST(TrainServiceTest, ProtocolAdversaryLeavesWeightsBitIdentical) {
+  // Case 3 at computing party 1 against every opening of every round:
+  // masked-open truncation keeps the honest parties' aggregates and
+  // SGD steps value-exact, so the revealed weights must equal the
+  // honest session's bit for bit, and every detection the honest
+  // parties record must name party 1.
+  const TrainSessionConfig honest = base_session(3);
+  const TrainSessionResult expected = run_training_session(honest);
+  EXPECT_EQ(expected.cost.share_auth_failures, 0u);
+
+  TrainSessionConfig attacked = honest;
+  attacked.engine.byzantine_party = 1;
+  attacked.engine.byzantine.behavior =
+      mpc::ByzantineConfig::Behavior::kConsistentCorruption;
+  attacked.engine.metrics_out =
+      ::testing::TempDir() + "train_adversary_metrics.json";
+  const TrainSessionResult result = run_training_session(attacked);
+  ASSERT_TRUE(result.clean);
+  ASSERT_FALSE(result.revealed.empty());
+  EXPECT_EQ(result.revealed, expected.revealed);
+  EXPECT_GT(result.cost.share_auth_failures, 0u);
+  EXPECT_EQ(result.cost.opening_rounds, expected.cost.opening_rounds);
+  std::size_t honest_events = 0;
+  for (const auto& event : obs::EventLog::global().snapshot()) {
+    if (event.party != 1) {
+      ++honest_events;
+      EXPECT_EQ(event.suspect, 1) << event.kind << " seen by " << event.party;
+    }
+  }
+  EXPECT_GT(honest_events, 0u);
+  obs::set_metrics_enabled(false);
+  std::remove(attacked.engine.metrics_out.c_str());
 }
 
 }  // namespace
