@@ -63,6 +63,9 @@ class ByteWriter {
   /// Bulk little-endian append of `count` 64-bit words (fast path for
   /// tensor payloads).
   void write_u64_span(const std::uint64_t* values, std::size_t count) {
+    if (count == 0) {
+      return;  // an empty span's pointer may be null: no memcpy
+    }
     if constexpr (std::endian::native == std::endian::little) {
       const std::size_t old_size = buffer_.size();
       buffer_.resize(old_size + count * 8);
@@ -164,6 +167,9 @@ class ByteReader {
       throw SerializationError("u64 span length exceeds payload");
     }
     require(count * 8);
+    if (count == 0) {
+      return;  // an empty span's pointer may be null: no memcpy
+    }
     if constexpr (std::endian::native == std::endian::little) {
       std::memcpy(values, data_.data() + pos_, count * 8);
       pos_ += count * 8;

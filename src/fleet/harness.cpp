@@ -5,6 +5,7 @@
 
 #include "common/stopwatch.hpp"
 #include "core/session.hpp"
+#include "mpc/adversary.hpp"
 #include "net/network.hpp"
 #include "serve/wire.hpp"
 
@@ -62,7 +63,18 @@ FleetSessionResult run_fleet_session(
   FleetSessionResult result;
   result.scheduler.resize(pods);
   result.party_batches.resize(pods);
+  result.party_logs.resize(pods);
   result.served_by_pod.assign(pods, 0);
+
+  // Each pod's configured Byzantine party gets its own protocol
+  // adversary and, as in core::Session, a tolerated role.
+  std::vector<std::unique_ptr<mpc::StandardAdversary>> adversaries(pods);
+  if (config.engine.byzantine_party >= 0) {
+    for (auto& adversary : adversaries) {
+      adversary =
+          std::make_unique<mpc::StandardAdversary>(config.engine.byzantine);
+    }
+  }
 
   // Actors of the crash pod are tolerated: cutting a pod's owner off
   // mid-batch strands its parties exactly like SIGKILL would, so their
@@ -91,11 +103,13 @@ FleetSessionResult run_fleet_session(
           // generous multi-process dealer slack.
           options.owner_link_timeout = std::chrono::milliseconds(1500);
         }
-        serve::serve_computing_party_body(
-            config.spec, config.engine, param_count, party,
-            networks[p]->endpoint(party), options,
-            &result.party_batches[p][static_cast<std::size_t>(party)]);
-      }, !crashing});
+        result.party_logs[p][static_cast<std::size_t>(party)] =
+            serve::serve_computing_party_body(
+                config.spec, config.engine, param_count, party,
+                networks[p]->endpoint(party), options,
+                &result.party_batches[p][static_cast<std::size_t>(party)],
+                adversaries[p].get());
+      }, !crashing && party != config.engine.byzantine_party});
     }
   }
 

@@ -46,6 +46,10 @@ struct FleetSessionResult {
   std::vector<serve::SchedulerStats> scheduler;  // per pod
   std::vector<std::array<std::size_t, core::kComputingParties>>
       party_batches;                             // per pod
+  /// Each pod's computing parties' detection logs (a tolerated
+  /// Byzantine or crashed party's may stay empty).
+  std::vector<std::array<mpc::DetectionLog, core::kComputingParties>>
+      party_logs;                                // per pod
   /// Requests answered per pod, summed over clients.
   std::vector<std::size_t> served_by_pod;
   std::size_t failovers = 0;

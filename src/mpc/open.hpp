@@ -2,26 +2,26 @@
 // shared by SecMul-BT, SecMatMul-BT and SecComp-BT (paper §III-B,
 // Algorithm 4 lines 3-20 / Algorithm 5 lines 3-17).
 //
-// In SecurityMode::kMalicious an opening runs three rounds:
-//   1. commitment: each party sends SHA-256(step ‖ sender ‖ triples)
-//   2. confirmation: receipt acks, so nobody reveals shares before
-//      everyone committed
-//   3. exchange: full share triples, re-hashed and checked against the
-//      commitments
-// followed by the six reconstructions  s^j = [s]_1^j + [s]_2^j  and
-// ŝ^j = [ŝ]_1^j + [s]_2^j  per value and the minimum-distance decision
-// rule over pairs (s^j, ŝ^k), j ≠ k.  Reconstructions that involve a
-// party whose commitment check failed (or whose messages never
-// arrived) are flagged and excluded — one Byzantine party can corrupt
-// at most {s^a, ŝ^{a+1}, s^{a+2}, ŝ^{a+2}}, so a clean pair always
-// survives and every honest party recovers without aborting
-// (guaranteed output delivery).
+// Every opening is one round whose phases depend on the security mode
+// (DESIGN.md §4 "Opening round"):
 //
-// In SecurityMode::kHonestButCurious the commitment and confirmation
-// rounds are skipped and parties exchange only the (share-1, share-2)
-// pair; reconstruction takes the elementwise median of the three sets,
-// which also absorbs the rare ±big glitches of share-local fixed-point
-// truncation.
+//   HbC          exchange(pairs) → median of the three sets
+//   crash-fault  heartbeat → exchange(pairs) → median of the sets left
+//   malicious    commit → confirm → exchange(triples) → decide
+//   optimistic   commit → confirm → exchange(pairs) → agree →
+//                verdict/forward → [escalate(triples) → decide]
+//
+// Commitments are SHA-256 digests that every party sends and confirms
+// before any share moves.  `decide` is the decision rule the owners use
+// too (robust_reconstruct.hpp): the six reconstructions
+// s^j = [s]_1^j + [s]_2^j and ŝ^j = [ŝ]_1^j + [s]_2^j per value, the
+// minimum-distance pair (s^j, ŝ^k), j ≠ k, and a median fallback.
+// Reconstructions that need a party whose commitment check failed (or
+// whose messages never arrived) are dropped; one Byzantine party can
+// corrupt at most {s^a, ŝ^{a+1}, s^{a+2}, ŝ^{a+2}}, so a clean pair
+// always survives and every honest party recovers without aborting
+// (guaranteed output delivery).  The optimistic round escalates to the
+// triples only when some party saw its sets disagree.
 #pragma once
 
 #include <functional>

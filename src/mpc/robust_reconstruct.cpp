@@ -5,13 +5,15 @@
 
 #include "common/error.hpp"
 #include "common/logging.hpp"
-#include "numeric/kernels.hpp"
 
 namespace trustddl::mpc {
 namespace {
 
 constexpr const char* kLog = "mpc.reconstruct";
 
+/// Which reconstructions `party` can corrupt, from any observer's
+/// point of view: its primary feeds s^party, its duplicate feeds
+/// ŝ^{party+1}, its second feeds both s^{party+2} and ŝ^{party+2}.
 bool corruptible_by(int party, int set, bool hat) {
   if (!hat) {
     return set == party || set == (party + 2) % kNumSets;
@@ -19,7 +21,137 @@ bool corruptible_by(int party, int set, bool hat) {
   return set == (party + 1) % kNumSets || set == (party + 2) % kNumSets;
 }
 
-RingTensor median_of(const std::vector<const RingTensor*>& candidates) {
+}  // namespace
+
+std::vector<Candidates> build_candidates(
+    const std::vector<ValueShares>& shares,
+    const std::vector<std::array<bool, kNumSets>>& conflicted,
+    const kernels::KernelConfig& config, bool hats) {
+  std::vector<Candidates> candidates(shares.size());
+  // Pure ring additions into disjoint [value][set] slots.
+  kernels::parallel_for(
+      config, shares.size() * kNumSets, 1, [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) {
+          const std::size_t v = i / kNumSets;
+          const int set = static_cast<int>(i % kNumSets);
+          const auto set_index = static_cast<std::size_t>(set);
+          const auto holder = [&](int party) {
+            return shares[v][static_cast<std::size_t>(party)];
+          };
+          const PartyShare* second = holder(holder_of_second(set));
+          if (second == nullptr ||
+              (!conflicted.empty() && conflicted[v][set_index])) {
+            continue;
+          }
+          if (const PartyShare* primary = holder(holder_of_primary(set))) {
+            candidates[v][set_index][0] = primary->primary + second->second;
+          }
+          const PartyShare* duplicate = holder(holder_of_duplicate(set));
+          if (hats && duplicate != nullptr) {
+            candidates[v][set_index][1] =
+                duplicate->duplicate + second->second;
+          }
+        }
+      });
+  return candidates;
+}
+
+Decision decide_group(std::vector<Candidates>& candidates, std::size_t lo,
+                      std::size_t hi, std::uint64_t tolerance, int observer,
+                      std::vector<RingTensor>& opened) {
+  // Minimum summed distance over pairs (s^j, ŝ^k), j != k, valid for
+  // every value of the group; the first minimum wins ties.
+  int best_j = -1;
+  std::uint64_t best_dist = ~std::uint64_t{0};
+  for (int j = 0; j < kNumSets; ++j) {
+    for (int k = 0; k < kNumSets; ++k) {
+      bool usable = j != k;
+      std::uint64_t total = 0;
+      for (std::size_t v = lo; usable && v < hi; ++v) {
+        const auto& lhs = candidates[v][static_cast<std::size_t>(j)][0];
+        const auto& rhs = candidates[v][static_cast<std::size_t>(k)][1];
+        usable = lhs && rhs;
+        if (usable) {
+          const std::uint64_t d = ring_distance(*lhs, *rhs);
+          total = (total > ~d) ? ~std::uint64_t{0} : total + d;
+        }
+      }
+      if (usable && total < best_dist) {
+        best_dist = total;
+        best_j = j;
+      }
+    }
+  }
+
+  Decision decision;
+  decision.anomaly = best_j < 0;
+  if (best_j >= 0) {
+    // deviations[set][hat]: some value's candidate of that kind
+    // disagrees with the adopted s^j.
+    bool deviations[kNumSets][2] = {};
+    for (std::size_t v = lo; v < hi; ++v) {
+      const RingTensor& chosen =
+          *candidates[v][static_cast<std::size_t>(best_j)][0];
+      for (int set = 0; set < kNumSets; ++set) {
+        for (int hat = 0; hat < 2; ++hat) {
+          const auto& candidate = candidates[v][static_cast<std::size_t>(set)]
+                                            [static_cast<std::size_t>(hat)];
+          if (candidate && ring_distance(*candidate, chosen) > tolerance) {
+            decision.anomaly = true;
+            deviations[set][hat] = true;
+          }
+        }
+      }
+    }
+    // A party is the plausible culprit if it can touch EVERY deviating
+    // candidate; exactly one such party means attribution.
+    int implicated = 0;
+    for (int party = 0; decision.anomaly && party < kNumParties; ++party) {
+      bool explains_all = party != observer;
+      for (int set = 0; set < kNumSets && explains_all; ++set) {
+        for (int hat = 0; hat < 2; ++hat) {
+          if (deviations[set][hat] && !corruptible_by(party, set, hat == 1)) {
+            explains_all = false;
+          }
+        }
+      }
+      if (explains_all) {
+        decision.suspect = party;
+        ++implicated;
+      }
+    }
+    if (implicated != 1) {
+      decision.suspect = -1;
+    }
+  }
+
+  decision.median = best_j < 0 || best_dist > tolerance * (hi - lo);
+  for (std::size_t v = lo; v < hi; ++v) {
+    if (!decision.median) {
+      opened.push_back(
+          std::move(*candidates[v][static_cast<std::size_t>(best_j)][0]));
+      continue;
+    }
+    std::vector<const RingTensor*> valid;
+    for (const auto& set : candidates[v]) {
+      for (const auto& candidate : set) {
+        if (candidate) {
+          valid.push_back(&*candidate);
+        }
+      }
+    }
+    if (valid.empty()) {
+      throw ProtocolError(
+          "no usable reconstruction — more than one party failed, which "
+          "exceeds the fault model");
+    }
+    opened.push_back(elementwise_median(valid));
+  }
+  return decision;
+}
+
+RingTensor elementwise_median(
+    const std::vector<const RingTensor*>& candidates) {
   TRUSTDDL_ASSERT(!candidates.empty());
   RingTensor out(candidates[0]->shape());
   // Per-element medians over disjoint output chunks — exact at any
@@ -41,8 +173,6 @@ RingTensor median_of(const std::vector<const RingTensor*>& candidates) {
   return out;
 }
 
-}  // namespace
-
 RingTensor robust_reconstruct(
     const std::array<std::optional<PartyShare>, kNumParties>& triples,
     std::uint64_t tolerance, ReconstructReport* report) {
@@ -53,7 +183,7 @@ RingTensor robust_reconstruct(
   // Structural pre-filter: a party whose components do not all carry
   // the majority shape is treated as absent (garbage from a broken or
   // Byzantine sender must not poison the copy-conflict checks).
-  std::array<bool, kNumParties> usable{};
+  ValueShares shares{};
   Shape expected;
   {
     std::array<Shape, kNumParties> shapes;
@@ -75,153 +205,52 @@ RingTensor robust_reconstruct(
     }
     for (int party = 0; party < kNumParties; ++party) {
       const auto& triple = triples[static_cast<std::size_t>(party)];
-      usable[static_cast<std::size_t>(party)] =
-          triple.has_value() && !expected.empty() &&
+      if (triple.has_value() && !expected.empty() &&
           triple->primary.shape() == expected &&
           triple->duplicate.shape() == expected &&
-          triple->second.shape() == expected;
+          triple->second.shape() == expected) {
+        shares[static_cast<std::size_t>(party)] = &*triple;
+      }
     }
   }
-  const auto present = [&](int party) {
-    return usable[static_cast<std::size_t>(party)];
-  };
 
-  // Share-copy cross-checks: each set's share-1 exists at its primary
-  // holder and its duplicate holder; a mismatch invalidates both
+  // Share-copy cross-checks: a mismatch invalidates both
   // reconstructions of that set (one of the two holders lied, the
   // owner cannot tell which).
-  bool set_conflicted[kNumSets] = {};
+  std::vector<std::array<bool, kNumSets>> conflicted(1);
   for (int set = 0; set < kNumSets; ++set) {
     const int p1 = holder_of_primary(set);
     const int pd = holder_of_duplicate(set);
-    if (present(p1) && present(pd)) {
-      const auto& primary_copy =
-          triples[static_cast<std::size_t>(p1)]->primary;
-      const auto& dup_copy =
-          triples[static_cast<std::size_t>(pd)]->duplicate;
-      if (primary_copy.shape() != dup_copy.shape() ||
-          primary_copy != dup_copy) {
-        set_conflicted[set] = true;
-        out_report.anomaly = true;
-        TRUSTDDL_LOG_WARN(kLog)
-            << "conflicting share-1 copies for set " << set
-            << " (holders " << p1 << " and " << pd << ")";
-      }
+    if (shares[static_cast<std::size_t>(p1)] != nullptr &&
+        shares[static_cast<std::size_t>(pd)] != nullptr &&
+        copies_differ(shares, set)) {
+      conflicted[0][static_cast<std::size_t>(set)] = true;
+      out_report.anomaly = true;
+      TRUSTDDL_LOG_WARN(kLog)
+          << "conflicting share-1 copies for set " << set << " (holders "
+          << p1 << " and " << pd << ")";
     }
   }
 
-  struct Candidate {
-    RingTensor tensor;
-    bool valid = false;
-  };
-  Candidate plain[kNumSets];
-  Candidate hats[kNumSets];
-  // The six candidate reconstructions (plain + hat per set) are
-  // independent ring additions into disjoint slots — build them
-  // concurrently.
-  kernels::parallel_for(kNumSets, 1, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t s = lo; s < hi; ++s) {
-      const int set = static_cast<int>(s);
-      const int p1 = holder_of_primary(set);
-      const int p2 = holder_of_second(set);
-      const int pd = holder_of_duplicate(set);
-      if (present(p1) && present(p2) && !set_conflicted[set]) {
-        const auto& primary = triples[static_cast<std::size_t>(p1)]->primary;
-        const auto& second = triples[static_cast<std::size_t>(p2)]->second;
-        if (primary.shape() == second.shape()) {
-          plain[set].tensor = primary + second;
-          plain[set].valid = true;
-        }
-      }
-      if (present(pd) && present(p2) && !set_conflicted[set]) {
-        const auto& dup = triples[static_cast<std::size_t>(pd)]->duplicate;
-        const auto& second = triples[static_cast<std::size_t>(p2)]->second;
-        if (dup.shape() == second.shape()) {
-          hats[set].tensor = dup + second;
-          hats[set].valid = true;
-        }
-      }
-    }
-  });
-
-  int best_j = -1;
-  std::uint64_t best_dist = ~std::uint64_t{0};
-  for (int j = 0; j < kNumSets; ++j) {
-    for (int k = 0; k < kNumSets; ++k) {
-      if (j == k || !plain[j].valid || !hats[k].valid) {
-        continue;
-      }
-      const std::uint64_t d = ring_distance(plain[j].tensor, hats[k].tensor);
-      if (d < best_dist) {
-        best_dist = d;
-        best_j = j;
-      }
-    }
-  }
-
-  std::vector<const RingTensor*> valid_candidates;
-  for (int set = 0; set < kNumSets; ++set) {
-    if (plain[set].valid) {
-      valid_candidates.push_back(&plain[set].tensor);
-    }
-    if (hats[set].valid) {
-      valid_candidates.push_back(&hats[set].tensor);
-    }
-  }
-  if (valid_candidates.empty()) {
-    throw ProtocolError(
-        "robust_reconstruct: no usable reconstruction — more than one "
-        "party failed");
-  }
-
-  if (best_j < 0 || best_dist > tolerance) {
-    out_report.anomaly = true;
-    out_report.ambiguous = true;
+  std::vector<Candidates> candidates =
+      build_candidates({shares}, conflicted, kernels::global_config());
+  std::vector<RingTensor> opened;
+  const Decision decision =
+      decide_group(candidates, 0, 1, tolerance, /*observer=*/-1, opened);
+  out_report.anomaly = out_report.anomaly || decision.anomaly;
+  out_report.ambiguous = decision.median;
+  out_report.suspect = decision.median ? -1 : decision.suspect;
+  if (decision.median) {
     TRUSTDDL_LOG_WARN(kLog)
-        << "no agreeing reconstruction pair — falling back to median over "
-        << valid_candidates.size() << " candidates";
-    return median_of(valid_candidates);
-  }
-
-  const RingTensor& chosen = plain[best_j].tensor;
-  bool deviations[kNumSets][2] = {};
-  for (int set = 0; set < kNumSets; ++set) {
-    for (int hat = 0; hat < 2; ++hat) {
-      const Candidate& candidate = (hat == 0) ? plain[set] : hats[set];
-      if (candidate.valid &&
-          ring_distance(candidate.tensor, chosen) > tolerance) {
-        deviations[set][hat] = true;
-        out_report.anomaly = true;
-      }
-    }
-  }
-  if (out_report.anomaly) {
-    int implicated = 0;
-    for (int party = 0; party < kNumParties; ++party) {
-      bool explains_all = true;
-      for (int set = 0; set < kNumSets && explains_all; ++set) {
-        for (int hat = 0; hat < 2; ++hat) {
-          if (deviations[set][hat] && !corruptible_by(party, set, hat == 1)) {
-            explains_all = false;
-            break;
-          }
-        }
-      }
-      if (explains_all) {
-        out_report.suspect = party;
-        ++implicated;
-      }
-    }
-    if (implicated != 1) {
-      out_report.suspect = -1;
-    }
+        << "no agreeing reconstruction pair — fell back to the median";
+  } else if (decision.anomaly) {
     TRUSTDDL_LOG_WARN(kLog) << "reconstruction anomaly recovered"
                             << (out_report.suspect >= 0
                                     ? " — suspect party " +
                                           std::to_string(out_report.suspect)
                                     : "");
   }
-  return chosen;
+  return std::move(opened[0]);
 }
 
 }  // namespace trustddl::mpc

@@ -19,6 +19,38 @@ PartyShare read_party_share(ByteReader& reader) {
   return share;
 }
 
+Bytes write_share_vector(const std::vector<PartyShare>& shares, bool pairs) {
+  ByteWriter writer;
+  writer.write_u64(shares.size());
+  for (const auto& share : shares) {
+    if (pairs) {
+      write_tensor(writer, share.primary);
+      write_tensor(writer, share.second);
+    } else {
+      write_party_share(writer, share);
+    }
+  }
+  return writer.take();
+}
+
+std::vector<PartyShare> read_share_vector(const Bytes& data, bool pairs) {
+  ByteReader reader(data);
+  const std::uint64_t count = reader.read_u64();
+  if (count > 1024) {
+    throw SerializationError("share vector too large");
+  }
+  std::vector<PartyShare> shares(count);
+  for (auto& share : shares) {
+    if (pairs) {
+      share.primary = read_tensor(reader);
+      share.second = read_tensor(reader);
+    } else {
+      share = read_party_share(reader);
+    }
+  }
+  return shares;
+}
+
 void write_beaver_share(ByteWriter& writer, const BeaverTripleShare& triple) {
   write_party_share(writer, triple.a);
   write_party_share(writer, triple.b);

@@ -1,6 +1,9 @@
 // Serialization of share triples and preprocessing material for
-// owner <-> party messages.
+// owner <-> party messages, and of the share vectors parties exchange
+// in an opening.
 #pragma once
+
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "mpc/beaver.hpp"
@@ -10,6 +13,13 @@ namespace trustddl::mpc {
 
 void write_party_share(ByteWriter& writer, const PartyShare& share);
 PartyShare read_party_share(ByteReader& reader);
+
+/// A share vector as the openings send it: a u64 count, then each
+/// share's three components — or, with `pairs`, only the (primary,
+/// second) pair of the HbC and optimistic exchanges.
+Bytes write_share_vector(const std::vector<PartyShare>& shares, bool pairs);
+/// Throws SerializationError on a malformed vector.
+std::vector<PartyShare> read_share_vector(const Bytes& data, bool pairs);
 
 void write_beaver_share(ByteWriter& writer, const BeaverTripleShare& triple);
 BeaverTripleShare read_beaver_share(ByteReader& reader);

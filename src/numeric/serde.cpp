@@ -1,5 +1,7 @@
 #include "numeric/serde.hpp"
 
+#include <limits>
+
 namespace trustddl {
 
 void write_tensor(ByteWriter& writer, const RingTensor& tensor) {
@@ -16,10 +18,14 @@ RingTensor read_tensor(ByteReader& reader) {
     throw SerializationError("tensor rank too large: " + std::to_string(rank));
   }
   Shape shape(rank);
+  std::size_t count = rank == 0 ? 0 : 1;
   for (auto& dim : shape) {
     dim = reader.read_u64();
+    if (dim != 0 && count > std::numeric_limits<std::size_t>::max() / dim) {
+      throw SerializationError("tensor element count overflows");
+    }
+    count *= dim;
   }
-  const std::size_t count = shape_size(shape);
   if (count > reader.remaining() / 8) {
     throw SerializationError("tensor payload exceeds message size");
   }
@@ -41,33 +47,6 @@ RingTensor tensor_from_bytes(const Bytes& data) {
     throw SerializationError("trailing bytes after tensor payload");
   }
   return tensor;
-}
-
-void write_real_tensor(ByteWriter& writer, const RealTensor& tensor) {
-  writer.write_u64(tensor.rank());
-  for (std::size_t dim : tensor.shape()) {
-    writer.write_u64(dim);
-  }
-  for (double value : tensor.values()) {
-    writer.write_double(value);
-  }
-}
-
-RealTensor read_real_tensor(ByteReader& reader) {
-  const std::uint64_t rank = reader.read_u64();
-  if (rank > 8) {
-    throw SerializationError("tensor rank too large: " + std::to_string(rank));
-  }
-  Shape shape(rank);
-  for (auto& dim : shape) {
-    dim = reader.read_u64();
-  }
-  const std::size_t count = shape_size(shape);
-  AlignedVector<double> data(count);
-  for (auto& value : data) {
-    value = reader.read_double();
-  }
-  return RealTensor(std::move(shape), std::move(data));
 }
 
 }  // namespace trustddl

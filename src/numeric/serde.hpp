@@ -9,7 +9,9 @@ namespace trustddl {
 /// Append a ring tensor (shape + elements) to a writer.
 void write_tensor(ByteWriter& writer, const RingTensor& tensor);
 
-/// Read a ring tensor previously written with write_tensor.
+/// Read a ring tensor previously written with write_tensor.  Throws
+/// SerializationError, before allocating, on a rank above 8 or a shape
+/// whose element count overflows or exceeds the bytes left.
 RingTensor read_tensor(ByteReader& reader);
 
 /// Serialize a ring tensor to a standalone byte vector.
@@ -17,11 +19,5 @@ Bytes tensor_to_bytes(const RingTensor& tensor);
 
 /// Deserialize a standalone byte vector back into a ring tensor.
 RingTensor tensor_from_bytes(const Bytes& data);
-
-/// Append a real tensor (shape + IEEE-754 elements) to a writer.
-void write_real_tensor(ByteWriter& writer, const RealTensor& tensor);
-
-/// Read a real tensor previously written with write_real_tensor.
-RealTensor read_real_tensor(ByteReader& reader);
 
 }  // namespace trustddl

@@ -358,5 +358,66 @@ TEST(FleetSessionTest, PodCrashFailsOverWithZeroLostRequests) {
   EXPECT_GE(session.served_by_pod[survivor], kRequests);
 }
 
+TEST(FleetSessionTest, ProtocolAdversaryLeavesLabelsBitIdentical) {
+  // Case 3 at computing party 1 of every pod: each opening carries
+  // commitment-consistent but corrupted shares.  Under masked-open
+  // truncation the honest parties' openings stay value-exact, so every
+  // routed label must equal the honest engine's, and every detection an
+  // honest party records must name party 1.
+  constexpr int kClients = 2;
+  constexpr std::size_t kRequests = 2;
+  const auto split = query_split(kClients * kRequests);
+
+  FleetSessionConfig config;
+  config.spec = nn::mnist_mlp_spec();
+  config.engine = fast_engine();
+  config.engine.trunc_mode = mpc::TruncationMode::kMaskedOpen;
+  config.serve.max_batch_rows = 4;
+  config.serve.batch_window = milliseconds(10);
+  config.num_pods = 2;
+  config.num_clients = kClients;
+  const auto expected = reference_labels(
+      config.spec, config.engine,
+      data::slice(split.test, 0, kClients * kRequests));
+  config.engine.byzantine_party = 1;
+  config.engine.byzantine.behavior =
+      mpc::ByzantineConfig::Behavior::kConsistentCorruption;
+
+  std::vector<std::vector<FleetResult>> results(
+      kClients, std::vector<FleetResult>(kRequests));
+  const FleetSessionResult session = run_fleet_session(
+      config, [&](int index, FleetClient& client) {
+        for (std::size_t r = 0; r < kRequests; ++r) {
+          const data::Dataset row = data::slice(
+              split.test, static_cast<std::size_t>(index) * kRequests + r, 1);
+          results[static_cast<std::size_t>(index)][r] =
+              client.infer(row.images);
+        }
+      });
+
+  for (int c = 0; c < kClients; ++c) {
+    for (std::size_t r = 0; r < kRequests; ++r) {
+      const auto& entry = results[static_cast<std::size_t>(c)][r];
+      ASSERT_EQ(entry.result.status, serve::Status::kOk)
+          << "client " << c << " request " << r;
+      ASSERT_EQ(entry.result.labels.size(), 1u);
+      EXPECT_EQ(entry.result.labels[0],
+                expected[static_cast<std::size_t>(c) * kRequests + r]);
+    }
+  }
+  ASSERT_EQ(session.party_logs.size(), 2u);
+  std::size_t honest_events = 0;
+  for (const auto& pod_logs : session.party_logs) {
+    for (const std::size_t party : {0u, 2u}) {
+      for (const auto& event : pod_logs[party].events) {
+        ++honest_events;
+        EXPECT_EQ(event.suspect, 1)
+            << mpc::to_string(event.kind) << " seen by " << party;
+      }
+    }
+  }
+  EXPECT_GT(honest_events, 0u);
+}
+
 }  // namespace
 }  // namespace trustddl::fleet
