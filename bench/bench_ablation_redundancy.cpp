@@ -37,7 +37,7 @@ struct OpenStats {
 };
 
 OpenStats measure_opens(mpc::SecurityMode mode, std::size_t elements,
-                        int rounds, bool optimistic = false) {
+                        int rounds) {
   Rng rng(42);
   const RingTensor secret = random_ring(Shape{elements}, rng);
   const auto views = mpc::share_secret(secret, rng);
@@ -48,7 +48,6 @@ OpenStats measure_opens(mpc::SecurityMode mode, std::size_t elements,
     ctx.endpoint = network.endpoint(party);
     ctx.party = party;
     ctx.mode = mode;
-    ctx.optimistic = optimistic;
   }
   Stopwatch watch;
   net::run_parties(3, [&](net::PartyId party) {
@@ -83,17 +82,6 @@ int main() {
   for (const auto& tier : tiers) {
     const OpenStats stats = measure_opens(tier.mode, 4096, 50);
     std::printf("%-22s %12.3f %14.1f %12.1f\n", tier.name,
-                stats.seconds_per_open * 1e3, stats.kilobytes_per_open,
-                stats.messages_per_open);
-  }
-  {
-    // The paper's future-work communication optimization: pairs +
-    // per-component commitments on the fast path, escalation only on
-    // mismatch (no mismatch here: honest run).
-    const OpenStats stats =
-        measure_opens(mpc::SecurityMode::kMalicious, 4096, 50,
-                      /*optimistic=*/true);
-    std::printf("%-22s %12.3f %14.1f %12.1f\n", "Malicious (optimistic)",
                 stats.seconds_per_open * 1e3, stats.kilobytes_per_open,
                 stats.messages_per_open);
   }

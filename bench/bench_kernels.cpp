@@ -310,21 +310,11 @@ int main(int argc, char** argv) {
     bench::do_not_optimize(mdst[0]);
   });
 
-  // Digest micro-kernels sized like the robust opening's per-component
-  // commitment streams: three 64 KB messages hashed side by side, and
-  // one long single-stream hash.
+  // The commitment digest micro-kernel: one long single-stream hash.
   Bytes sha_payload(3 * 65536);
   for (std::size_t i = 0; i < sha_payload.size(); ++i) {
     sha_payload[i] = static_cast<std::uint8_t>(rng.next_u64());
   }
-  const std::vector<Bytes> sha_messages = {
-      Bytes(sha_payload.begin(), sha_payload.begin() + 65536),
-      Bytes(sha_payload.begin() + 65536, sha_payload.begin() + 2 * 65536),
-      Bytes(sha_payload.begin() + 2 * 65536, sha_payload.end()),
-  };
-  micro_case("sha256_batch3_64KiB", sha_payload.size(), [&] {
-    bench::do_not_optimize(sha256_batch(sha_messages)[0][0]);
-  });
   micro_case("sha256_single_192KiB", sha_payload.size(), [&] {
     bench::do_not_optimize(Sha256::hash(sha_payload)[0]);
   });

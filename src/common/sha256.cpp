@@ -154,77 +154,6 @@ bool sha_ni_enabled() {
          simd::active_backend() != simd::Backend::kScalar;
 }
 
-// --- 4-lane lockstep compressor (plain SSE2, x86-64 baseline) -------
-//
-// Lane l of every vector holds message l's value of that word: the 64
-// rounds run once for four independent blocks.  Used while all lanes
-// of a batch still have full blocks; ragged tails finish per lane.
-
-inline __m128i rotr_epi32(__m128i x, int n) {
-  return _mm_or_si128(_mm_srli_epi32(x, n), _mm_slli_epi32(x, 32 - n));
-}
-
-void compress_x4(__m128i state[8], const std::uint8_t* const blocks[4]) {
-  __m128i w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = _mm_set_epi32(
-        static_cast<int>(load_be32(blocks[3] + 4 * i)),
-        static_cast<int>(load_be32(blocks[2] + 4 * i)),
-        static_cast<int>(load_be32(blocks[1] + 4 * i)),
-        static_cast<int>(load_be32(blocks[0] + 4 * i)));
-  }
-  for (int i = 16; i < 64; ++i) {
-    const __m128i w15 = w[i - 15];
-    const __m128i w2 = w[i - 2];
-    const __m128i s0 = _mm_xor_si128(
-        _mm_xor_si128(rotr_epi32(w15, 7), rotr_epi32(w15, 18)),
-        _mm_srli_epi32(w15, 3));
-    const __m128i s1 = _mm_xor_si128(
-        _mm_xor_si128(rotr_epi32(w2, 17), rotr_epi32(w2, 19)),
-        _mm_srli_epi32(w2, 10));
-    w[i] = _mm_add_epi32(_mm_add_epi32(w[i - 16], s0),
-                         _mm_add_epi32(w[i - 7], s1));
-  }
-
-  __m128i a = state[0], b = state[1], c = state[2], d = state[3];
-  __m128i e = state[4], f = state[5], g = state[6], h = state[7];
-
-  for (int i = 0; i < 64; ++i) {
-    const __m128i s1 = _mm_xor_si128(
-        _mm_xor_si128(rotr_epi32(e, 6), rotr_epi32(e, 11)),
-        rotr_epi32(e, 25));
-    const __m128i ch =
-        _mm_xor_si128(_mm_and_si128(e, f), _mm_andnot_si128(e, g));
-    const __m128i temp1 = _mm_add_epi32(
-        _mm_add_epi32(_mm_add_epi32(h, s1), _mm_add_epi32(ch, w[i])),
-        _mm_set1_epi32(static_cast<int>(kRoundConstants[i])));
-    const __m128i s0 = _mm_xor_si128(
-        _mm_xor_si128(rotr_epi32(a, 2), rotr_epi32(a, 13)),
-        rotr_epi32(a, 22));
-    const __m128i maj = _mm_xor_si128(
-        _mm_xor_si128(_mm_and_si128(a, b), _mm_and_si128(a, c)),
-        _mm_and_si128(b, c));
-    const __m128i temp2 = _mm_add_epi32(s0, maj);
-    h = g;
-    g = f;
-    f = e;
-    e = _mm_add_epi32(d, temp1);
-    d = c;
-    c = b;
-    b = a;
-    a = _mm_add_epi32(temp1, temp2);
-  }
-
-  state[0] = _mm_add_epi32(state[0], a);
-  state[1] = _mm_add_epi32(state[1], b);
-  state[2] = _mm_add_epi32(state[2], c);
-  state[3] = _mm_add_epi32(state[3], d);
-  state[4] = _mm_add_epi32(state[4], e);
-  state[5] = _mm_add_epi32(state[5], f);
-  state[6] = _mm_add_epi32(state[6], g);
-  state[7] = _mm_add_epi32(state[7], h);
-}
-
 #endif  // TRUSTDDL_SHA_X86
 
 void compress_blocks(State& state, const std::uint8_t* data,
@@ -248,76 +177,6 @@ void store_digest(const State& state, Sha256Digest& digest) {
     digest[4 * i + 3] = static_cast<std::uint8_t>(state[i]);
   }
 }
-
-/// Finish one message from mid-stream: `rest` are the bytes after the
-/// blocks already compressed into `state`; `total_bytes` the full
-/// message length.  Byte-identical to Sha256 update+finish.
-Sha256Digest finish_from(State state, const std::uint8_t* rest,
-                         std::size_t rest_size, std::uint64_t total_bytes) {
-  const std::size_t full = rest_size / 64;
-  compress_blocks(state, rest, full);
-  rest += full * 64;
-  rest_size -= full * 64;
-
-  std::uint8_t pad[128] = {0};
-  std::memcpy(pad, rest, rest_size);
-  pad[rest_size] = 0x80;
-  const std::size_t pad_blocks = rest_size < 56 ? 1 : 2;
-  const std::uint64_t bit_length = total_bytes * 8;
-  for (int i = 0; i < 8; ++i) {
-    pad[pad_blocks * 64 - 8 + i] =
-        static_cast<std::uint8_t>(bit_length >> (8 * (7 - i)));
-  }
-  compress_blocks(state, pad, pad_blocks);
-
-  Sha256Digest digest;
-  store_digest(state, digest);
-  return digest;
-}
-
-#if defined(TRUSTDDL_SHA_X86)
-
-/// Up to four messages in lockstep.  `digests[l]` may be null for
-/// padding lanes (shorter final groups re-point spare lanes at the
-/// first message and discard their output).
-void sha256_batch4(const Bytes* const messages[4],
-                   Sha256Digest* const digests[4]) {
-  std::size_t min_blocks = messages[0]->size() / 64;
-  for (int l = 1; l < 4; ++l) {
-    min_blocks = std::min(min_blocks, messages[l]->size() / 64);
-  }
-
-  __m128i state[8];
-  for (int j = 0; j < 8; ++j) {
-    state[j] = _mm_set1_epi32(static_cast<int>(kInitState[j]));
-  }
-  const std::uint8_t* blocks[4];
-  for (std::size_t b = 0; b < min_blocks; ++b) {
-    for (int l = 0; l < 4; ++l) {
-      blocks[l] = messages[l]->data() + 64 * b;
-    }
-    compress_x4(state, blocks);
-  }
-
-  alignas(16) std::uint32_t words[8][4];
-  for (int j = 0; j < 8; ++j) {
-    _mm_store_si128(reinterpret_cast<__m128i*>(words[j]), state[j]);
-  }
-  for (int l = 0; l < 4; ++l) {
-    if (digests[l] == nullptr) {
-      continue;
-    }
-    State lane_state;
-    for (int j = 0; j < 8; ++j) {
-      lane_state[j] = words[j][l];
-    }
-    *digests[l] = finish_from(lane_state, messages[l]->data() + 64 * min_blocks,
-                              messages[l]->size() - 64 * min_blocks,
-                              messages[l]->size());
-  }
-}
-
-#endif  // TRUSTDDL_SHA_X86
 
 }  // namespace
 
@@ -404,42 +263,6 @@ std::string Sha256::hex(const Sha256Digest& digest) {
     out.push_back(kHex[byte & 0x0f]);
   }
   return out;
-}
-
-void sha256_batch(const Bytes* messages, std::size_t count,
-                  Sha256Digest* digests) {
-#if defined(TRUSTDDL_SHA_X86)
-  // The 4-lane path needs >= 2 real messages to beat single-stream
-  // (which may itself be SHA-NI); spare lanes in a final short group
-  // re-hash messages[i] with their output discarded.
-  if (simd::active_backend() == simd::Backend::kAvx2) {
-    std::size_t i = 0;
-    while (count - i >= 2) {
-      const std::size_t lanes = std::min<std::size_t>(4, count - i);
-      const Bytes* lane_messages[4];
-      Sha256Digest* lane_digests[4];
-      for (std::size_t l = 0; l < 4; ++l) {
-        lane_messages[l] = l < lanes ? &messages[i + l] : &messages[i];
-        lane_digests[l] = l < lanes ? &digests[i + l] : nullptr;
-      }
-      sha256_batch4(lane_messages, lane_digests);
-      i += lanes;
-    }
-    for (; i < count; ++i) {
-      digests[i] = Sha256::hash(messages[i]);
-    }
-    return;
-  }
-#endif
-  for (std::size_t i = 0; i < count; ++i) {
-    digests[i] = Sha256::hash(messages[i]);
-  }
-}
-
-std::vector<Sha256Digest> sha256_batch(const std::vector<Bytes>& messages) {
-  std::vector<Sha256Digest> digests(messages.size());
-  sha256_batch(messages.data(), messages.size(), digests.data());
-  return digests;
 }
 
 }  // namespace trustddl

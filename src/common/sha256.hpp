@@ -2,23 +2,17 @@
 // Byzantine-tolerant protocols (paper §III-B: parties commit to the
 // hash of their shares before exchanging them).
 //
-// Two accelerated paths sit behind the portable compressor, selected
-// at runtime via numeric/simd.hpp (TRUSTDDL_SIMD=scalar disables
-// both):
-//  * single-stream: the x86 SHA extensions (sha256rnds2/msg1/msg2)
-//    when the CPU has them — used by Sha256::update's bulk-block fast
-//    path;
-//  * multi-stream: a 4-lane SSE2 compressor that runs four
-//    independent messages in lockstep, used by sha256_batch for the
-//    per-component commitment digests of the robust opening.
-// Every path produces byte-identical digests (asserted against NIST
-// vectors and batch-vs-single differential tests).
+// The portable compressor has one accelerated path, selected at
+// runtime via numeric/simd.hpp (TRUSTDDL_SIMD=scalar disables it): the
+// x86 SHA extensions (sha256rnds2/msg1/msg2) when the CPU has them,
+// used by Sha256::update's bulk-block fast path.  Both paths produce
+// byte-identical digests (asserted against NIST vectors and a
+// per-backend differential test).
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/bytes.hpp"
 
@@ -58,15 +52,5 @@ class Sha256 {
   std::uint64_t total_bytes_ = 0;
   bool finished_ = false;
 };
-
-/// Hash `count` independent messages; digests[i] is byte-identical to
-/// Sha256::hash(messages[i]).  On x86 with a non-scalar SIMD backend
-/// the messages are compressed four at a time in lockstep (the common
-/// full blocks run vectorized, ragged tails finish per lane), which is
-/// how the robust opening hashes its three per-component commitment
-/// streams in one pass.
-void sha256_batch(const Bytes* messages, std::size_t count,
-                  Sha256Digest* digests);
-std::vector<Sha256Digest> sha256_batch(const std::vector<Bytes>& messages);
 
 }  // namespace trustddl

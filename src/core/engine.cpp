@@ -21,8 +21,6 @@ mpc::PartyContext make_party_context(const EngineConfig& config, int party,
   pctx.mode = config.mode;
   pctx.frac_bits = config.frac_bits;
   pctx.dist_tolerance = config.dist_tolerance;
-  pctx.share_authentication = config.share_authentication;
-  pctx.optimistic = config.optimistic_open;
   pctx.kernels = config.kernels;
   if (party == config.byzantine_party) {
     pctx.adversary = adversary;

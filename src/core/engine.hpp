@@ -48,10 +48,6 @@ struct EngineConfig {
   /// asserts the two agree so a party context built outside the engine
   /// behaves the same.
   std::uint64_t dist_tolerance = 64;
-  bool share_authentication = true;
-  /// Optimistic openings in malicious mode (the paper's future-work
-  /// communication optimization; see mpc::PartyContext::optimistic).
-  bool optimistic_open = false;
   /// Deferred-opening round scheduling (mpc::OpenBatch): independent
   /// openings within a layer/step share commitment rounds.  Off
   /// reproduces the eager one-round-per-protocol-call structure with

@@ -118,24 +118,16 @@ struct PartyContext {
   /// duplicate copies during robust openings.  This hardening (beyond
   /// the paper; see DESIGN.md §4) costs no communication and defeats
   /// coordinated-offset attacks that can forge an agreeing
-  /// reconstruction pair under the bare minimum-distance rule.
+  /// reconstruction pair under the bare minimum-distance rule.  The
+  /// engine always keeps it on; only the redundancy ablation and the
+  /// tests of the bare decision rule turn it off.
   bool share_authentication = true;
-  /// Optimistic opening (the communication optimization the paper
-  /// lists as future work, implemented here): in malicious mode,
-  /// exchange only (share-1, share-2) pairs bound by per-component
-  /// commitments, check that the three set reconstructions agree, and
-  /// escalate to the full triple exchange + six-way decision rule only
-  /// when any party reports a mismatch.  Honest-run traffic drops to
-  /// roughly the HbC level; any effective corruption forces the
-  /// escalation (see open.cpp for the verdict-forwarding round that
-  /// keeps honest parties' escalation decisions in agreement).
-  bool optimistic = false;
   /// Protocol-level misbehaviour; nullptr for an honest party.
   AdversaryHooks* adversary = nullptr;
   /// Compute-kernel configuration for this party's protocol work
-  /// (reconstruction candidates, share-auth scans, commitment
-  /// digests).  Defaults to the process-global/env settings;
-  /// core::make_party_context copies EngineConfig.kernels here.
+  /// (reconstruction candidates, share-auth scans).  Defaults to the
+  /// process-global/env settings; core::make_party_context copies
+  /// EngineConfig.kernels here.
   ::trustddl::kernels::KernelConfig kernels =
       ::trustddl::kernels::global_config();
   /// Step counter feeding message tags; advances identically at every

@@ -3,7 +3,6 @@
 #include <array>
 #include <functional>
 #include <iterator>
-#include <optional>
 
 #include "common/logging.hpp"
 #include "common/sha256.hpp"
@@ -11,7 +10,6 @@
 #include "mpc/robust_reconstruct.hpp"
 #include "mpc/share_serde.hpp"
 #include "numeric/kernels.hpp"
-#include "numeric/serde.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -20,11 +18,11 @@ namespace {
 
 constexpr const char* kLog = "mpc.open";
 
-/// How the adversary hooks act on an outgoing message: not at all, by
-/// dropping it, or by dropping it or replacing the shares it carries.
-enum class Hook { kNone, kDrop, kShares };
+/// How the adversary hooks act on an outgoing message: by dropping it,
+/// or by dropping it or replacing the shares it carries.
+enum class Hook { kDrop, kShares };
 
-/// The full opening's commitment: SHA-256 over (step ‖ sender ‖
+/// The malicious opening's commitment: SHA-256 over (step ‖ sender ‖
 /// payload), the payload being the share triples exactly as sent.
 Bytes commitment_digest(std::uint64_t step, int sender, const Bytes& payload) {
   Sha256 hasher;
@@ -37,53 +35,17 @@ Bytes commitment_digest(std::uint64_t step, int sender, const Bytes& payload) {
   return Bytes(digest.begin(), digest.end());
 }
 
-/// The optimistic opening's commitments, one per component (0 =
-/// primary, 1 = duplicate, 2 = second): SHA-256 over (step ‖ sender ‖
-/// component ‖ count ‖ that component of every share).  The streams
-/// serialize side by side on the pool and hash as one SIMD batch; the
-/// digests come back concatenated in `components` order.
-Bytes component_digests(std::uint64_t step, int sender,
-                        const std::vector<int>& components,
-                        const kernels::KernelConfig& config,
-                        const std::vector<PartyShare>& shares) {
-  std::vector<Bytes> messages(components.size());
-  kernels::parallel_for(
-      config, components.size(), 1, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-          ByteWriter writer;
-          writer.write_u64(step);
-          writer.write_u8(static_cast<std::uint8_t>(sender));
-          writer.write_u8(static_cast<std::uint8_t>(components[i]));
-          writer.write_u64(shares.size());
-          for (const auto& share : shares) {
-            write_tensor(writer, components[i] == 0   ? share.primary
-                                 : components[i] == 1 ? share.duplicate
-                                                      : share.second);
-          }
-          messages[i] = writer.take();
-        }
-      });
-  Bytes digests;
-  for (const auto& digest : sha256_batch(messages)) {
-    digests.insert(digests.end(), digest.begin(), digest.end());
-  }
-  return digests;
-}
-
 /// One opening round over `values` (DESIGN.md §4 "Opening round").
 /// Each security mode runs a fixed subset of the phases
 ///
-///   commit? → confirm? → exchange(pairs | triples)
-///           → [agree → verdict/forward → escalate(triples)]? → decide
+///   commit? → confirm? → exchange(pairs | triples) → decide
 ///
 /// HbC exchanges pairs and takes the median of the three sets;
 /// crash-fault adds a heartbeat confirmation first.  Malicious mode
-/// commits, confirms, exchanges triples and applies the decision rule;
-/// its optimistic variant exchanges pairs bound by per-component
-/// commitments and escalates to the triples only when some party saw
-/// the sets disagree.  Every phase is written once: `send` applies the
-/// adversary hooks, `gather` handles exclusion, timeouts and
-/// missing-message records, `exchange` decodes and verifies shares.
+/// commits, confirms, exchanges triples and applies the decision rule.
+/// Every phase is written once: `send` applies the adversary hooks,
+/// `gather` handles exclusion, timeouts and missing-message records,
+/// `exchange` decodes and verifies shares.
 class Round {
  public:
   Round(PartyContext& ctx, const std::vector<PartyShare>& values,
@@ -94,7 +56,6 @@ class Round {
         step_(ctx.next_step()),
         peers_(peers_of(ctx.party)),
         malicious_(ctx.mode == SecurityMode::kMalicious),
-        optimistic_(malicious_ && ctx.optimistic),
         adversary_(malicious_ ? ctx.adversary : nullptr) {
     if (adversary_ != nullptr) {
       // Case 3: a corrupted copy feeds both the commitment and the
@@ -106,50 +67,26 @@ class Round {
   }
 
   std::vector<RingTensor> run() {
-    const bool pairs = !malicious_ || optimistic_;
-    // Encoded once for both peers; the full opening commits to exactly
-    // these bytes.
+    const bool pairs = !malicious_;
+    // Encoded once for both peers; the malicious opening commits to
+    // exactly these bytes.
     const Bytes wire = write_share_vector(*outgoing_, pairs);
     if (malicious_) {
-      commit(optimistic_ ? component_digests(step_, ctx_.party, {0, 1, 2},
-                                             ctx_.kernels, *outgoing_)
-                         : commitment_digest(step_, ctx_.party, wire));
+      commit(commitment_digest(step_, ctx_.party, wire));
     }
     if (ctx_.mode != SecurityMode::kHonestButCurious) {
       confirm();
     }
     {
       obs::ScopedSpan span("open.exchange", ctx_.party, step_);
-      exchange("s", "exchange", pairs, wire);
+      exchange(pairs, wire);
     }
-    std::vector<Candidates> sets;
-    const bool escalate = optimistic_ && !agree(sets);
     count_opening();
-    if (!malicious_) {
-      note_liveness();
-      obs::ScopedSpan span("open.reconstruct", ctx_.party, step_);
-      sets = build_candidates(shares_by_value(), {}, ctx_.kernels,
-                              /*hats=*/false);
-      return medians(sets);
-    }
-    if (optimistic_ && !escalate) {
-      note_liveness();
-      return medians(sets);
-    }
-    std::optional<obs::ScopedSpan> escalate_span;
-    if (escalate) {
-      // The full triples, verified against the SAME commitments.  A
-      // second exchange round, so the opening counts again.
-      TRUSTDDL_LOG_WARN(kLog) << "party " << ctx_.party
-                              << ": optimistic opening escalated at step "
-                              << step_;
-      ctx_.detections.recovered_opens += 1;
-      count_opening();
-      escalate_span.emplace("open.escalate", ctx_.party, step_);
-      exchange("s2", "escalate", /*pairs=*/false,
-               write_share_vector(*outgoing_, /*pairs=*/false));
-    }
     note_liveness();
+    if (!malicious_) {
+      obs::ScopedSpan span("open.reconstruct", ctx_.party, step_);
+      return medians();
+    }
     return decide();
   }
 
@@ -171,7 +108,7 @@ class Round {
             bool pairs = false) {
     const int peer = peers_[i];
     Bytes replaced;
-    if (adversary_ != nullptr && hook != Hook::kNone) {
+    if (adversary_ != nullptr) {
       if (adversary_->drop_messages_to(step_, peer)) {
         return;
       }
@@ -233,7 +170,7 @@ class Round {
   void commit(const Bytes& own) {
     obs::ScopedSpan span("open.commit", ctx_.party, step_);
     broadcast("c", own, Hook::kDrop);
-    gather("c", "commit", optimistic_ ? "escalate" : "discard_shares",
+    gather("c", "commit", "discard_shares",
            [&](std::size_t i, Bytes payload) {
              if (payload.size() == own.size()) {
                commitments_[static_cast<std::size_t>(peers_[i])] =
@@ -274,43 +211,23 @@ class Round {
     return true;
   }
 
-  /// Whether `shares`, received from `peer` as `payload`, match its
-  /// commitments: the full opening's digest over the raw payload, or
-  /// the optimistic per-component digests of the components sent.
-  bool committed(int peer, const Bytes& payload,
-                 const std::vector<PartyShare>& shares, bool pairs) const {
+  /// Whether `payload`, received from `peer`, matches its commitment:
+  /// the digest over the raw payload.
+  bool committed(int peer, const Bytes& payload) const {
     const Bytes& commitment = commitments_[static_cast<std::size_t>(peer)];
-    if (commitment.empty()) {
-      return false;
-    }
-    if (!optimistic_) {
-      return commitment == commitment_digest(step_, peer, payload);
-    }
-    const std::vector<int> components =
-        pairs ? std::vector<int>{0, 2} : std::vector<int>{0, 1, 2};
-    Bytes committed_digests;
-    for (const int component : components) {
-      const auto digest = commitment.begin() + 32 * component;
-      committed_digests.insert(committed_digests.end(), digest, digest + 32);
-    }
-    return committed_digests ==
-           component_digests(step_, peer, components, ctx_.kernels, shares);
+    return !commitment.empty() &&
+           commitment == commitment_digest(step_, peer, payload);
   }
 
   /// Share exchange (Algorithm 4 lines 9-14): send `wire`, then decode
-  /// and verify each peer's shares.  The optimistic fast path escalates
-  /// on anything wrong; otherwise a violator's shares are discarded and
-  /// a silent peer's sets are reconstructed from the remaining shares.
-  void exchange(const char* tag, const char* phase, bool pairs,
-                const Bytes& wire) {
-    broadcast(tag, wire, Hook::kShares, pairs);
-    const bool fast_path = malicious_ && pairs;
-    const char* violation = fast_path ? "escalate" : "discard_shares";
-    usable_ = {};
+  /// and verify each peer's shares.  A violator's shares are discarded
+  /// and a silent peer's sets are reconstructed from the remaining
+  /// shares.
+  void exchange(bool pairs, const Bytes& wire) {
+    broadcast("s", wire, Hook::kShares, pairs);
     usable_[static_cast<std::size_t>(ctx_.party)] = &values_;
-    delivered_ = {};
     const auto timed_out = gather(
-        tag, phase, fast_path ? "escalate" : "reconstruct_remaining",
+        "s", "exchange", "reconstruct_remaining",
         [&](std::size_t i, Bytes payload) {
           const int peer = peers_[i];
           const auto index = static_cast<std::size_t>(peer);
@@ -324,17 +241,17 @@ class Round {
             if (!malicious_) {
               throw;
             }
-            record(DetectionEvent::Kind::kCommitmentViolation, peer, phase,
-                   violation);
+            record(DetectionEvent::Kind::kCommitmentViolation, peer,
+                   "exchange", "discard_shares");
             return;
           }
           delivered_[index] = true;
-          if (!malicious_ || committed(peer, payload, received_[index], pairs)) {
+          if (!malicious_ || committed(peer, payload)) {
             usable_[index] = &received_[index];
             return;
           }
-          record(DetectionEvent::Kind::kCommitmentViolation, peer, phase,
-                 violation);
+          record(DetectionEvent::Kind::kCommitmentViolation, peer, "exchange",
+                 "discard_shares");
           TRUSTDDL_LOG_WARN(kLog) << "party " << ctx_.party
                                   << ": commitment check failed for party "
                                   << peer << " at step " << step_;
@@ -344,8 +261,8 @@ class Round {
     }
   }
 
-  /// Liveness is noted once per opening, from its last share exchange
-  /// (see PartyContext::exclusion_threshold).
+  /// Liveness is noted once per opening, from its share exchange (see
+  /// PartyContext::exclusion_threshold).
   void note_liveness() {
     for (const int peer : peers_) {
       if (delivered_[static_cast<std::size_t>(peer)]) {
@@ -372,55 +289,13 @@ class Round {
   /// value's elementwise median of its sets: the HbC reconstruction,
   /// which also absorbs the rare ±big glitches of share-local
   /// truncation.
-  std::vector<RingTensor> medians(std::vector<Candidates>& sets) {
+  std::vector<RingTensor> medians() {
+    std::vector<Candidates> sets = build_candidates(
+        shares_by_value(), {}, ctx_.kernels, /*hats=*/false);
     std::vector<RingTensor> opened;
     decide_group(sets, 0, sets.size(), ctx_.dist_tolerance, ctx_.party,
                  opened);
     return opened;
-  }
-
-  /// Optimistic fast path: every peer delivered committed pairs, the
-  /// three sets of every value agree, and so does every party.  Each
-  /// party broadcasts ok/escalate and then FORWARDS the verdicts it
-  /// received, so an adversary that tells one honest party "ok" and the
-  /// other "escalate" cannot split them: the escalating party's verdict
-  /// reaches everyone directly.  `sets` receives the reconstructions.
-  bool agree(std::vector<Candidates>& sets) {
-    bool ok = usable_[static_cast<std::size_t>(peers_[0])] != nullptr &&
-              usable_[static_cast<std::size_t>(peers_[1])] != nullptr;
-    if (ok) {
-      obs::ScopedSpan span("open.reconstruct", ctx_.party, step_);
-      sets = build_candidates(shares_by_value(), {}, ctx_.kernels,
-                              /*hats=*/false);
-      for (std::size_t v = 0; ok && v < sets.size(); ++v) {
-        for (std::size_t a = 0; a < kNumSets; ++a) {
-          for (std::size_t b = a + 1; b < kNumSets; ++b) {
-            ok = ok && ring_distance(*sets[v][a][0], *sets[v][b][0]) <=
-                           ctx_.dist_tolerance;
-          }
-        }
-        if (!ok) {
-          record(DetectionEvent::Kind::kDistanceAnomaly, -1, "reconstruct",
-                 "escalate");
-        }
-      }
-    }
-    obs::ScopedSpan span("open.verdict", ctx_.party, step_);
-    broadcast("v", Bytes{ok ? std::uint8_t{0} : std::uint8_t{1}}, Hook::kNone);
-    std::array<std::uint8_t, 2> verdicts{1, 1};  // missing => escalate
-    gather("v", "verdict", nullptr, [&](std::size_t i, Bytes verdict) {
-      verdicts[i] = verdict.empty() ? 1 : verdict[0];
-    });
-    for (std::size_t i = 0; i < peers_.size(); ++i) {
-      // Forward the OTHER peer's verdict to this peer.
-      send(i, "w", Bytes{verdicts[1 - i]}, Hook::kNone);
-    }
-    std::array<bool, 2> forwarded_ok{};
-    gather("w", "verdict", nullptr, [&](std::size_t i, Bytes forwarded) {
-      forwarded_ok[i] = !forwarded.empty() && forwarded[0] == 0;
-    });
-    return ok && verdicts[0] == 0 && verdicts[1] == 0 && forwarded_ok[0] &&
-           forwarded_ok[1];
   }
 
   /// Share-copy authentication (hardening beyond the paper; DESIGN.md
@@ -531,15 +406,14 @@ class Round {
   const std::uint64_t step_;
   const std::array<int, 2> peers_;
   const bool malicious_;
-  const bool optimistic_;
   /// The hooks act in malicious mode only.
   AdversaryHooks* const adversary_;
   std::vector<PartyShare> corrupted_;
   /// What this party sends: its shares, or the adversary's corruption.
   const std::vector<PartyShare>* outgoing_ = &values_;
   /// Per party: its commitment payload (empty if none arrived), the
-  /// shares its last exchange decoded, those shares while usable (own
-  /// shares always), and whether that exchange delivered or timed out.
+  /// shares its exchange decoded, those shares while usable (own shares
+  /// always), and whether that exchange delivered or timed out.
   std::array<Bytes, kNumParties> commitments_;
   std::array<std::vector<PartyShare>, kNumParties> received_;
   std::array<const std::vector<PartyShare>*, kNumParties> usable_{};

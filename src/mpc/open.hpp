@@ -8,8 +8,6 @@
 //   HbC          exchange(pairs) → median of the three sets
 //   crash-fault  heartbeat → exchange(pairs) → median of the sets left
 //   malicious    commit → confirm → exchange(triples) → decide
-//   optimistic   commit → confirm → exchange(pairs) → agree →
-//                verdict/forward → [escalate(triples) → decide]
 //
 // Commitments are SHA-256 digests that every party sends and confirms
 // before any share moves.  `decide` is the decision rule the owners use
@@ -20,8 +18,7 @@
 // whose messages never arrived) are dropped; one Byzantine party can
 // corrupt at most {s^a, ŝ^{a+1}, s^{a+2}, ŝ^{a+2}}, so a clean pair
 // always survives and every honest party recovers without aborting
-// (guaranteed output delivery).  The optimistic round escalates to the
-// triples only when some party saw its sets disagree.
+// (guaranteed output delivery).
 #pragma once
 
 #include <functional>

@@ -16,7 +16,7 @@ PartyShare read_party_share(ByteReader& reader);
 
 /// A share vector as the openings send it: a u64 count, then each
 /// share's three components — or, with `pairs`, only the (primary,
-/// second) pair of the HbC and optimistic exchanges.
+/// second) pair of the HbC and crash-fault exchanges.
 Bytes write_share_vector(const std::vector<PartyShare>& shares, bool pairs);
 /// Throws SerializationError on a malformed vector.
 std::vector<PartyShare> read_share_vector(const Bytes& data, bool pairs);

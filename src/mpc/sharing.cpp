@@ -120,27 +120,4 @@ PartyShare transpose_share(const PartyShare& share) {
   });
 }
 
-std::vector<RingTensor> create_additive_shares(const RingTensor& secret,
-                                               int num_shares, Rng& rng) {
-  TRUSTDDL_REQUIRE(num_shares >= 2, "need at least two shares");
-  std::vector<RingTensor> shares;
-  shares.reserve(static_cast<std::size_t>(num_shares));
-  RingTensor sum(secret.shape());
-  for (int i = 0; i + 1 < num_shares; ++i) {
-    shares.push_back(random_ring_tensor(secret.shape(), rng));
-    sum += shares.back();
-  }
-  shares.push_back(secret - sum);
-  return shares;
-}
-
-RingTensor reconstruct_additive(const std::vector<RingTensor>& shares) {
-  TRUSTDDL_REQUIRE(!shares.empty(), "no shares to reconstruct");
-  RingTensor sum(shares[0].shape());
-  for (const auto& share : shares) {
-    sum += share;
-  }
-  return sum;
-}
-
 }  // namespace trustddl::mpc

@@ -130,12 +130,4 @@ PartyShare transform_share(const PartyShare& share, const Fn& fn) {
 /// Rank-2 transpose of a shared matrix (local transformation).
 PartyShare transpose_share(const PartyShare& share);
 
-/// Plain (non-replicated) N-party additive sharing of Algorithm 1,
-/// used by the §II baseline protocols and by SecureNN-style baselines.
-std::vector<RingTensor> create_additive_shares(const RingTensor& secret,
-                                               int num_shares, Rng& rng);
-
-/// Sum of plain additive shares.
-RingTensor reconstruct_additive(const std::vector<RingTensor>& shares);
-
 }  // namespace trustddl::mpc

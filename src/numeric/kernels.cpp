@@ -421,22 +421,6 @@ void parallel_chunks(
   run_chunked(config, count, grain, body);
 }
 
-void parallel_invoke(const KernelConfig& config,
-                     std::initializer_list<std::function<void()>> tasks) {
-  const std::vector<std::function<void()>> list(tasks);
-  // grain = 1: every task is its own chunk (capped by config.threads).
-  run_chunked(config, list.size(), 1,
-              [&list](std::size_t, std::size_t lo, std::size_t hi) {
-                for (std::size_t i = lo; i < hi; ++i) {
-                  list[i]();
-                }
-              });
-}
-
-void parallel_invoke(std::initializer_list<std::function<void()>> tasks) {
-  parallel_invoke(global_config(), tasks);
-}
-
 template <typename T>
 Tensor<T> matmul_naive(const Tensor<T>& lhs, const Tensor<T>& rhs) {
   TRUSTDDL_REQUIRE(lhs.rank() == 2 && rhs.rank() == 2,

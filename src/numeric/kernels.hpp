@@ -38,7 +38,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <initializer_list>
 #include <utility>
 #include <vector>
 
@@ -122,14 +121,6 @@ void parallel_chunks(
     const KernelConfig& config, std::size_t count, std::size_t grain,
     const std::function<void(std::size_t chunk, std::size_t lo,
                              std::size_t hi)>& body);
-
-/// Run a handful of independent tasks concurrently; returns when all
-/// finished.  Used for e.g. the three per-component commitment digests
-/// of an optimistic opening (each digest stays byte-identical — only
-/// the hashers run side by side).
-void parallel_invoke(const KernelConfig& config,
-                     std::initializer_list<std::function<void()>> tasks);
-void parallel_invoke(std::initializer_list<std::function<void()>> tasks);
 
 /// The seed's single-threaded triple-loop matmul, kept as the
 /// differential-test oracle and the bench baseline.  Its inner loop

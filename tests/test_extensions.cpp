@@ -1,6 +1,5 @@
 // Tests for the extension features beyond the paper's Table I scope:
-// max pooling (plaintext, secure, generic-backend) and the optimistic
-// opening (the paper's future-work communication optimization).
+// max pooling (plaintext, secure and generic-backend).
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -9,8 +8,6 @@
 #include "baselines/securenn/securenn.hpp"
 #include "core/engine.hpp"
 #include "core/owner_service.hpp"
-#include "mpc/adversary.hpp"
-#include "mpc/open.hpp"
 #include "nn/layers.hpp"
 #include "nn/loss.hpp"
 #include "test_util.hpp"
@@ -18,9 +15,7 @@
 namespace trustddl {
 namespace {
 
-using testing::ThreePartyHarness;
 using testing::random_real;
-using testing::random_ring;
 
 constexpr int kF = fx::kDefaultFracBits;
 
@@ -182,95 +177,6 @@ TEST(SecureMaxPoolTest, BaselinesEvaluatePooledModel) {
   const auto falcon_expected = falcon_fw.reference_model().predict(images);
   falcon_fw.infer(images, 1, &predictions);
   EXPECT_EQ(predictions, falcon_expected);
-}
-
-// ---------- Optimistic opening ----------
-
-TEST(OptimisticOpenTest, HonestFastPathMatchesAndIsCheaper) {
-  Rng rng(6);
-  const RingTensor secret = random_ring(Shape{32, 32}, rng);
-  const auto views = mpc::share_secret(secret, rng);
-
-  const auto run = [&](bool optimistic) {
-    ThreePartyHarness harness(mpc::SecurityMode::kMalicious);
-    for (auto& ctx : harness.contexts) {
-      ctx.optimistic = optimistic;
-    }
-    std::array<RingTensor, 3> results;
-    harness.run([&](mpc::PartyContext& ctx) {
-      results[static_cast<std::size_t>(ctx.party)] = mpc::open_value(
-          ctx, views[static_cast<std::size_t>(ctx.party)]);
-    });
-    for (const auto& result : results) {
-      EXPECT_EQ(result, secret);
-    }
-    return harness.network.traffic().total_bytes;
-  };
-
-  const auto full_bytes = run(false);
-  const auto optimistic_bytes = run(true);
-  EXPECT_LT(optimistic_bytes, full_bytes);
-  // Pairs are 2/3 of triples; with hashes/verdicts the saving is
-  // roughly 25-35% on a tensor this size.
-  EXPECT_LT(static_cast<double>(optimistic_bytes),
-            0.85 * static_cast<double>(full_bytes));
-}
-
-class OptimisticByzantineSweep
-    : public ::testing::TestWithParam<mpc::ByzantineConfig::Behavior> {};
-
-TEST_P(OptimisticByzantineSweep, EscalatesAndRecovers) {
-  ThreePartyHarness harness(mpc::SecurityMode::kMalicious);
-  for (auto& ctx : harness.contexts) {
-    ctx.optimistic = true;
-  }
-  mpc::ByzantineConfig config;
-  config.behavior = GetParam();
-  config.target_peer = 0;
-  harness.make_byzantine(1, config);
-
-  Rng rng(7);
-  const RingTensor secret = random_ring(Shape{6}, rng);
-  const auto views = mpc::share_secret(secret, rng);
-  std::array<RingTensor, 3> results;
-  harness.run([&](mpc::PartyContext& ctx) {
-    results[static_cast<std::size_t>(ctx.party)] = mpc::open_value(
-        ctx, views[static_cast<std::size_t>(ctx.party)]);
-  });
-  EXPECT_EQ(results[0], secret);
-  EXPECT_EQ(results[2], secret);
-  // The attack forced the escalation path.
-  EXPECT_GE(harness.contexts[0].detections.recovered_opens +
-                harness.contexts[2].detections.recovered_opens,
-            1u);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Behaviors, OptimisticByzantineSweep,
-    ::testing::Values(
-        mpc::ByzantineConfig::Behavior::kConsistentCorruption,
-        mpc::ByzantineConfig::Behavior::kCommitmentViolationGlobal,
-        mpc::ByzantineConfig::Behavior::kCommitmentViolationSingle,
-        mpc::ByzantineConfig::Behavior::kCoordinatedDelta));
-
-TEST(OptimisticOpenTest, EngineRunsWithOptimisticOpenings) {
-  Rng rng(8);
-  core::EngineConfig config;
-  config.optimistic_open = true;
-  config.collect_timeout = std::chrono::milliseconds(300);
-  core::TrustDdlEngine engine(nn::mnist_mlp_spec(), config);
-  data::Dataset inputs;
-  inputs.images = random_real(Shape{2, 784}, rng, 0.5);
-  inputs.labels.assign(2, 0);
-  const auto expected = engine.reference_model().predict(inputs.images);
-  const core::InferResult result = engine.infer(inputs, 2);
-  EXPECT_EQ(result.labels, expected);
-
-  core::EngineConfig full_config = config;
-  full_config.optimistic_open = false;
-  core::TrustDdlEngine full_engine(nn::mnist_mlp_spec(), full_config);
-  const core::InferResult full_result = full_engine.infer(inputs, 2);
-  EXPECT_LT(result.cost.proxy_bytes, full_result.cost.proxy_bytes);
 }
 
 }  // namespace

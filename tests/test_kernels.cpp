@@ -179,17 +179,6 @@ TEST(KernelParallelForTest, NestedCallsRunInline) {
   }
 }
 
-TEST(KernelParallelInvokeTest, RunsEveryTask) {
-  const kernels::KernelConfig config = config_with_threads(3);
-  std::array<std::atomic<int>, 3> ran{};
-  kernels::parallel_invoke(config, {[&] { ran[0] = 1; },
-                                    [&] { ran[1] = 1; },
-                                    [&] { ran[2] = 1; }});
-  EXPECT_EQ(ran[0], 1);
-  EXPECT_EQ(ran[1], 1);
-  EXPECT_EQ(ran[2], 1);
-}
-
 // --- blocked matmul: differential vs naive --------------------------
 
 TEST(KernelMatmulTest, RingBlockedMatchesNaiveOnWraparoundInputs) {

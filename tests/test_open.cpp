@@ -396,12 +396,11 @@ TEST(OpenTest, ProbabilisticAttackerCaughtOnAttackedSteps) {
             attacks);
 }
 
-TEST(OpenTest, OptimisticMissesMustBeConsecutiveToExclude) {
-  // Party 0 drops everything at steps 0 and 3 only.  The fast-path
-  // openings in between prove it alive, so its miss counter restarts
-  // and it is never excluded: only the two attacked openings escalate.
-  // A barrier after each opening keeps the dropper in step with the
-  // honest parties' timeouts.
+TEST(OpenTest, MissesMustBeConsecutiveToExclude) {
+  // Party 0 drops everything at steps 0 and 3 only.  The openings in
+  // between prove it alive, so its miss counter restarts and it is
+  // never excluded.  A barrier after each opening keeps the dropper in
+  // step with the honest parties' timeouts.
   class DropAtSteps final : public AdversaryHooks {
    public:
     bool drop_messages_to(std::uint64_t step, int) override {
@@ -411,9 +410,6 @@ TEST(OpenTest, OptimisticMissesMustBeConsecutiveToExclude) {
   net::NetworkConfig net_config;
   net_config.recv_timeout = std::chrono::milliseconds(80);
   ThreePartyHarness harness(SecurityMode::kMalicious, net_config);
-  for (auto& ctx : harness.contexts) {
-    ctx.optimistic = true;
-  }
   DropAtSteps dropper;
   harness.contexts[0].adversary = &dropper;
 
@@ -443,7 +439,6 @@ TEST(OpenTest, OptimisticMissesMustBeConsecutiveToExclude) {
   for (const std::size_t party : {1u, 2u}) {
     const PartyContext& ctx = harness.contexts[party];
     EXPECT_FALSE(ctx.excluded[0]) << "party " << party;
-    EXPECT_EQ(ctx.detections.recovered_opens, 2u) << "party " << party;
     EXPECT_EQ(results[party], secrets) << "party " << party;
   }
 }
@@ -453,9 +448,8 @@ TEST(OpenTest, OptimisticMissesMustBeConsecutiveToExclude) {
 // transcript under each stock party-1 behaviour, pinned so that any
 // restructuring of the opening round reproduces them exactly.
 
-/// The four openings: HbC, crash-fault, and the full and optimistic
-/// variants of the malicious opening.
-enum class OpenMode { kHbc, kCrashFault, kFull, kOptimistic };
+/// The three openings: HbC, crash-fault and the full malicious one.
+enum class OpenMode { kHbc, kCrashFault, kFull };
 
 const char* to_string(OpenMode mode) {
   switch (mode) {
@@ -465,8 +459,6 @@ const char* to_string(OpenMode mode) {
       return "CrashFault";
     case OpenMode::kFull:
       return "Full";
-    case OpenMode::kOptimistic:
-      return "Optimistic";
   }
   return "?";
 }
@@ -482,12 +474,6 @@ SecurityMode security_mode(OpenMode mode) {
   }
 }
 
-void set_optimistic(ThreePartyHarness& harness, OpenMode mode) {
-  for (auto& ctx : harness.contexts) {
-    ctx.optimistic = mode == OpenMode::kOptimistic;
-  }
-}
-
 TEST(OpenWireCostTest, OneOpeningOf4096ElementsPerMode) {
   struct Expected {
     OpenMode mode;
@@ -497,10 +483,8 @@ TEST(OpenWireCostTest, OneOpeningOf4096ElementsPerMode) {
   for (const Expected& expected :
        {Expected{OpenMode::kHbc, 6, 393570},
         Expected{OpenMode::kCrashFault, 12, 393696},
-        Expected{OpenMode::kFull, 18, 590700},
-        Expected{OpenMode::kOptimistic, 30, 394620}}) {
+        Expected{OpenMode::kFull, 18, 590700}}) {
     ThreePartyHarness harness(security_mode(expected.mode));
-    set_optimistic(harness, expected.mode);
     Rng rng(13);
     const RingTensor secret = random_ring(Shape{4096}, rng);
     for (const auto& result : open_once(harness, secret)) {
@@ -531,7 +515,6 @@ std::string transcript_digest(OpenMode mode, Behavior behavior) {
   net_config.num_parties = 3;
   net_config.recv_timeout = std::chrono::milliseconds(80);
   ThreePartyHarness harness(security_mode(mode), net_config);
-  set_optimistic(harness, mode);
   const bool attacked = behavior != Behavior::kNone;
   if (attacked) {
     ByzantineConfig config;
@@ -642,16 +625,6 @@ constexpr TranscriptCell kTranscripts[] = {
     {OpenMode::kFull, Behavior::kDropMessages, "cd92243c3e620574"},
     {OpenMode::kFull, Behavior::kCoordinatedDelta, "52157df4590217fd"},
     {OpenMode::kFull, Behavior::kStealthyDupSecond, "41524023e0c5bdd1"},
-    {OpenMode::kOptimistic, Behavior::kNone, "12c1ac50f43437f2"},
-    {OpenMode::kOptimistic, Behavior::kCommitmentViolationGlobal,
-     "df2fa00f5f604011"},
-    {OpenMode::kOptimistic, Behavior::kCommitmentViolationSingle,
-     "b9058e87d1a61a65"},
-    {OpenMode::kOptimistic, Behavior::kConsistentCorruption,
-     "04b4ec0be5480184"},
-    {OpenMode::kOptimistic, Behavior::kDropMessages, "caf24c6c65753423"},
-    {OpenMode::kOptimistic, Behavior::kCoordinatedDelta, "04b4ec0be5480184"},
-    {OpenMode::kOptimistic, Behavior::kStealthyDupSecond, "624a9f4b0c836732"},
 };
 
 std::string behavior_name(Behavior behavior) {

@@ -379,8 +379,6 @@ TEST(EngineConfigTest, MakePartyContextPropagatesEveryKnob) {
   config.mode = mpc::SecurityMode::kHonestButCurious;
   config.frac_bits = 12;
   config.dist_tolerance = 5;
-  config.share_authentication = false;
-  config.optimistic_open = true;
   config.byzantine_party = 1;
   mpc::StandardAdversary adversary(config.byzantine);
 
@@ -391,8 +389,6 @@ TEST(EngineConfigTest, MakePartyContextPropagatesEveryKnob) {
     EXPECT_EQ(ctx.mode, config.mode);
     EXPECT_EQ(ctx.frac_bits, config.frac_bits);
     EXPECT_EQ(ctx.dist_tolerance, config.dist_tolerance);
-    EXPECT_EQ(ctx.share_authentication, config.share_authentication);
-    EXPECT_EQ(ctx.optimistic, config.optimistic_open);
     // The adversary lands only on the configured Byzantine party.
     EXPECT_EQ(ctx.adversary, party == 1 ? &adversary : nullptr);
   }

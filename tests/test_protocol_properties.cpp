@@ -1,7 +1,7 @@
 // Randomized property sweeps over the Byzantine-tolerant protocols:
 // correctness of SecMatMul-BT for random dimensions, accumulation
 // through chained operations, comparison edge cases, and robustness of
-// the optimistic opening under randomized corruption patterns.
+// the malicious opening under randomized corruption patterns.
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
@@ -144,9 +144,9 @@ TEST(ProtocolPropertyTest, ReluMaskIdempotentOnGradients) {
   EXPECT_EQ(squared, masks[0]);
 }
 
-class OptimisticRandomCorruption : public ::testing::TestWithParam<int> {};
+class RandomCorruption : public ::testing::TestWithParam<int> {};
 
-TEST_P(OptimisticRandomCorruption, AlwaysDeliversCorrectValueToHonest) {
+TEST_P(RandomCorruption, AlwaysDeliversCorrectValueToHonest) {
   // Randomized single-party corruption pattern per seed: behaviour,
   // Byzantine index and probability drawn from the seed.
   Rng meta(static_cast<std::uint64_t>(GetParam()) * 131 + 17);
@@ -164,9 +164,6 @@ TEST_P(OptimisticRandomCorruption, AlwaysDeliversCorrectValueToHonest) {
   config.seed = meta.next_u64();
 
   ThreePartyHarness harness;
-  for (auto& ctx : harness.contexts) {
-    ctx.optimistic = true;
-  }
   harness.make_byzantine(byzantine, config);
 
   Rng rng(meta.next_u64());
@@ -199,7 +196,7 @@ TEST_P(OptimisticRandomCorruption, AlwaysDeliversCorrectValueToHonest) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, OptimisticRandomCorruption,
+INSTANTIATE_TEST_SUITE_P(Seeds, RandomCorruption,
                          ::testing::Range(0, 12));
 
 }  // namespace

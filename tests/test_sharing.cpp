@@ -187,29 +187,6 @@ TEST(SharingTest, ZeroShareIsValidSharingOfZero) {
   EXPECT_EQ(reconstruct(views), RingTensor(Shape{3}));
 }
 
-TEST(SharingTest, PlainAdditiveSharesRoundTrip) {
-  Rng rng(11);
-  const RingTensor secret = random_ring(Shape{4, 4}, rng);
-  for (int n : {2, 3, 5}) {
-    const auto shares = create_additive_shares(secret, n, rng);
-    EXPECT_EQ(shares.size(), static_cast<std::size_t>(n));
-    EXPECT_EQ(reconstruct_additive(shares), secret);
-  }
-}
-
-TEST(SharingTest, SingleAdditiveShareRevealsNothingStructural) {
-  // Shares of two different secrets are both uniform; check that the
-  // first share (pure randomness) does not depend on the secret.
-  Rng rng_a(12);
-  Rng rng_b(12);
-  const RingTensor secret_a = RingTensor::full(Shape{4}, 1);
-  const RingTensor secret_b = RingTensor::full(Shape{4}, 999);
-  const auto shares_a = create_additive_shares(secret_a, 2, rng_a);
-  const auto shares_b = create_additive_shares(secret_b, 2, rng_b);
-  EXPECT_EQ(shares_a[0], shares_b[0]);
-  EXPECT_NE(shares_a[1], shares_b[1]);
-}
-
 class SharingPropertySweep
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
 

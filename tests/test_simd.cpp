@@ -239,33 +239,6 @@ std::vector<Bytes> digest_messages() {
   return messages;
 }
 
-TEST(SimdSha256Test, BatchMatchesSingleOnEveryBackend) {
-  const auto all = digest_messages();
-  const auto backends = testable_backends();
-  BackendGuard guard;
-  // Every batch size from 0 up — covers the 4-lane groups, the
-  // 2-or-3-message partial group, and the serial remainder.
-  for (std::size_t count = 0; count <= all.size(); ++count) {
-    const std::vector<Bytes> batch(all.begin(),
-                                   all.begin() + static_cast<long>(count));
-    ASSERT_TRUE(simd::force_backend(simd::Backend::kScalar));
-    std::vector<Sha256Digest> expected;
-    for (const Bytes& message : batch) {
-      expected.push_back(Sha256::hash(message));
-    }
-    for (simd::Backend backend : backends) {
-      ASSERT_TRUE(simd::force_backend(backend));
-      const auto digests = sha256_batch(batch);
-      ASSERT_EQ(digests.size(), expected.size());
-      for (std::size_t i = 0; i < digests.size(); ++i) {
-        EXPECT_EQ(Sha256::hex(digests[i]), Sha256::hex(expected[i]))
-            << "backend=" << simd::backend_name(backend) << " batch="
-            << count << " message=" << i;
-      }
-    }
-  }
-}
-
 TEST(SimdSha256Test, SingleStreamMatchesScalarOnEveryBackend) {
   const auto messages = digest_messages();
   const auto backends = testable_backends();
