@@ -218,7 +218,7 @@ void BM_SecCompBt(benchmark::State& state) {
           contexts[static_cast<std::size_t>(party)],
           x_views[static_cast<std::size_t>(party)],
           y_views[static_cast<std::size_t>(party)],
-          source.comp_aux(shape), source.mul_triple(shape)));
+          {source.comp_aux(shape), source.mul_triple(shape)}));
     });
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

@@ -6,9 +6,11 @@
 //   SafeML    (crash-fault)
 //   TrustDDL  (honest-but-curious and malicious)
 // plus the "TrustDDL + reusable masks" extension rows: the same engine
-// opening each dense weight's mask once per weight version instead of
-// once per product (EngineConfig::reuse_weight_masks; the TrustDDL rows
-// above keep the paper's per-product opening).
+// opening each masked value once — weight masks once per weight
+// version, the conv's raw input instead of its im2col columns, and
+// comparison triples instead of an opened t − a (EngineConfig::
+// reuse_masks; the TrustDDL rows above keep the paper's per-product
+// openings).
 //
 // Costs are MARGINAL per step: the one-time weight-sharing setup is
 // cancelled by differencing a 3-step and a 1-step session.  Two times
@@ -209,7 +211,7 @@ int main(int argc, char** argv) {
   for (const mpc::SecurityMode mode : {mpc::SecurityMode::kHonestButCurious,
                                       mpc::SecurityMode::kMalicious}) {
     auto framework = baselines::make_trustddl(spec, mode, 7,
-                                              /*reuse_weight_masks=*/true);
+                                              /*reuse_masks=*/true);
     rows.push_back({framework->name(), framework->adversary_model(),
                     "Training", marginal_train(*framework, image, onehot, lr)});
   }
@@ -249,7 +251,7 @@ int main(int argc, char** argv) {
   for (const mpc::SecurityMode mode : {mpc::SecurityMode::kHonestButCurious,
                                       mpc::SecurityMode::kMalicious}) {
     auto framework = baselines::make_trustddl(spec, mode, 7,
-                                              /*reuse_weight_masks=*/true);
+                                              /*reuse_masks=*/true);
     rows.push_back({framework->name(), framework->adversary_model(),
                     "Inference", marginal_infer(*framework, image)});
   }

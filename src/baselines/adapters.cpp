@@ -75,13 +75,13 @@ StepCost EngineFramework::infer(const RealTensor& images, int repeats,
 std::unique_ptr<Framework> make_trustddl(nn::ModelSpec spec,
                                          mpc::SecurityMode mode,
                                          std::uint64_t seed,
-                                         bool reuse_weight_masks) {
+                                         bool reuse_masks) {
   core::EngineConfig config;
   config.mode = mode;
   config.seed = seed;
-  config.reuse_weight_masks = reuse_weight_masks;
+  config.reuse_masks = reuse_masks;
   return std::make_unique<EngineFramework>(
-      reuse_weight_masks ? "TrustDDL + reusable masks" : "TrustDDL",
+      reuse_masks ? "TrustDDL + reusable masks" : "TrustDDL",
       std::move(spec), config);
 }
 
@@ -90,7 +90,7 @@ std::unique_ptr<Framework> make_safeml(nn::ModelSpec spec,
   core::EngineConfig config;
   config.mode = mpc::SecurityMode::kCrashFault;
   config.seed = seed;
-  config.reuse_weight_masks = false;
+  config.reuse_masks = false;
   return std::make_unique<EngineFramework>("SafeML", std::move(spec),
                                            config);
 }

@@ -40,12 +40,12 @@ class EngineFramework final : public Framework {
 };
 
 /// TrustDDL in the requested adversary model: paper-faithful, or with
-/// reusable weight masks (EngineConfig::reuse_weight_masks) for the
+/// reusable masks (EngineConfig::reuse_masks) for the
 /// "TrustDDL + reusable masks" extension rows.
 std::unique_ptr<Framework> make_trustddl(nn::ModelSpec spec,
                                          mpc::SecurityMode mode,
                                          std::uint64_t seed = 7,
-                                         bool reuse_weight_masks = false);
+                                         bool reuse_masks = false);
 
 /// SafeML: crash-fault-tolerant predecessor.
 std::unique_ptr<Framework> make_safeml(nn::ModelSpec spec,

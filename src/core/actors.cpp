@@ -101,6 +101,11 @@ InferJob make_infer_job(nn::ModelSpec spec, const EngineConfig& config,
                         std::size_t batch_size) {
   TRUSTDDL_REQUIRE(batch_size >= 1, "infer: invalid batch size");
   TRUSTDDL_REQUIRE(inputs.size() >= 1, "infer: empty dataset");
+  TRUSTDDL_REQUIRE(inputs.images.cols() == spec.input_features,
+                   "infer: input rows have " +
+                       std::to_string(inputs.images.cols()) +
+                       " features, the model takes " +
+                       std::to_string(spec.input_features));
   InferJob job;
   job.spec = std::move(spec);
   job.config = config;
@@ -214,6 +219,11 @@ TrainJob make_train_job(nn::ModelSpec spec, const EngineConfig& config,
                         std::size_t param_count) {
   TRUSTDDL_REQUIRE(options.epochs >= 1 && options.batch_size >= 1,
                    "train: invalid options");
+  TRUSTDDL_REQUIRE(train_data.images.cols() == spec.input_features,
+                   "train: input rows have " +
+                       std::to_string(train_data.images.cols()) +
+                       " features, the model takes " +
+                       std::to_string(spec.input_features));
   TrainJob job;
   job.spec = std::move(spec);
   job.config = config;

@@ -36,7 +36,7 @@ SecureExecContext make_exec_context(const EngineConfig& config,
   sctx.owner = &link;
   sctx.trunc_mode = config.resolved_trunc_mode();
   sctx.batch_openings = config.batch_openings;
-  sctx.reuse_weight_masks = config.reuse_weight_masks;
+  sctx.reuse_masks = config.reuse_masks;
   return sctx;
 }
 

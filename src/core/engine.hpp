@@ -53,14 +53,18 @@ struct EngineConfig {
   /// reproduces the eager one-round-per-protocol-call structure with
   /// bit-identical results; only the round-trip count changes.
   bool batch_openings = true;
-  /// Reusable dense-layer weight masks (DESIGN.md §"Reusable weight
-  /// masks"): the dealer binds one mask B to each (dense layer, weight
+  /// Open each masked value once (DESIGN.md §"Reusable masks"): the
+  /// dealer binds one mask B to each (dense or conv layer, weight
   /// version) and W − B is opened once per version — once per model
   /// load when serving, once per SGD step when training — instead of
-  /// once per product.  Off keeps the paper's per-product opening of
-  /// Algorithm 4 (Table II's paper-faithful rows, equivalence tests).
-  /// Under masked-open truncation results are bit-identical either way.
-  bool reuse_weight_masks = true;
+  /// once per product; the conv opens x − a_x on its raw input, not on
+  /// its im2col expansion; comparisons draw dealt (t, b, t ⊙ b) triples
+  /// and never open t − a; the first layer skips its unread input
+  /// gradient; and each layer fetches its material in one dealer round
+  /// trip.  Off keeps the paper's per-product openings of Algorithms 4
+  /// and 5 (Table II's paper-faithful rows, equivalence tests).  Under
+  /// masked-open truncation results are bit-identical either way.
+  bool reuse_masks = true;
   /// Sleep link_latency per message to emulate a LAN, making round
   /// trips dominate wall time as they would in deployment.
   bool emulate_latency = false;
@@ -173,7 +177,7 @@ mpc::PartyContext make_party_context(const EngineConfig& config, int party,
 
 /// Build the layer-execution context over an already-built party
 /// context and owner link; propagates trunc_mode, batch_openings and
-/// reuse_weight_masks.
+/// reuse_masks.
 SecureExecContext make_exec_context(const EngineConfig& config,
                                     mpc::PartyContext& pctx, OwnerLink& link);
 

@@ -18,7 +18,7 @@ constexpr std::size_t kMaxFillCost = std::size_t{1} << 28;
 
 Shape read_shape(ByteReader& reader) {
   const std::uint64_t rank = reader.read_u64();
-  if (rank > 8) {
+  if (rank > mpc::kMaxKeyDims) {
     throw SerializationError("shape rank too large");
   }
   Shape shape(rank);

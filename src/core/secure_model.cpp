@@ -1,5 +1,8 @@
 #include "core/secure_model.hpp"
 
+#include <optional>
+#include <utility>
+
 #include "numeric/conv.hpp"
 #include "numeric/fixed_point.hpp"
 #include "obs/trace.hpp"
@@ -14,39 +17,99 @@ mpc::PartyShare SecureExecContext::rescale(const mpc::PartyShare& product) {
   return mpc::truncate_product_local(product, mpc->frac_bits);
 }
 
+std::vector<std::optional<mpc::TruncPairShare>> SecureExecContext::trunc_pairs(
+    const std::vector<Shape>& shapes) {
+  std::vector<std::optional<mpc::TruncPairShare>> pairs(shapes.size());
+  if (trunc_mode != TruncationMode::kMaskedOpen) {
+    return pairs;
+  }
+  std::vector<mpc::TripleKey> keys;
+  for (const Shape& shape : shapes) {
+    keys.push_back(mpc::TripleKey::trunc_pair(shape));
+  }
+  std::vector<mpc::MaterialEntry> entries = triples->next_many(keys);
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    pairs[i] = std::move(entries[i].pair);
+  }
+  return pairs;
+}
+
 mpc::DeferredShare SecureExecContext::rescale_prepare(
-    mpc::OpenBatch& batch, const mpc::PartyShare& product) {
+    mpc::OpenBatch& batch, const mpc::PartyShare& product,
+    const std::optional<mpc::TruncPairShare>& pair) {
+  mpc::DeferredShare out;
   if (trunc_mode == TruncationMode::kMaskedOpen) {
-    const mpc::TruncPairShare pair = triples->trunc_pair(product.shape());
-    mpc::DeferredShare out =
-        mpc::truncate_product_masked_prepare(batch, product, pair);
+    TRUSTDDL_REQUIRE(pair.has_value(),
+                     "masked-open rescale needs a truncation pair");
+    out = mpc::truncate_product_masked_prepare(batch, product, *pair);
     if (!batch_openings) {
       batch.flush_all();
     }
     return out;
   }
-  mpc::DeferredShare out;
   out.set(mpc::truncate_product_local(product, mpc->frac_bits));
   return out;
 }
 
 mpc::DeferredShare SecureExecContext::matmul_rescaled_prepare(
     mpc::OpenBatch& batch, const mpc::PartyShare& x, const mpc::PartyShare& y,
-    const mpc::BeaverTripleShare& triple) {
-  mpc::DeferredShare out;
-  if (trunc_mode == TruncationMode::kMaskedOpen) {
-    const mpc::TruncPairShare pair =
-        triples->trunc_pair(Shape{x.shape()[0], y.shape()[1]});
-    out = mpc::sec_matmul_bt_rescaled_prepare(
-        batch, x, y, triple, TruncationMode::kMaskedOpen, &pair);
-  } else {
-    out = mpc::sec_matmul_bt_rescaled_prepare(batch, x, y, triple,
-                                              TruncationMode::kLocal, nullptr);
-  }
+    const ProductMaterial& material) {
+  mpc::DeferredShare out = mpc::sec_matmul_bt_rescaled_prepare(
+      batch, x, y, material.triple, trunc_mode, material.pair_or_null());
   if (!batch_openings) {
     batch.flush_all();
   }
   return out;
+}
+
+std::vector<mpc::ComparisonMaterial> SecureExecContext::comparisons(
+    const Shape& shape, std::size_t count) {
+  std::vector<mpc::TripleKey> keys;
+  for (std::size_t i = 0; i < count; ++i) {
+    for (const mpc::TripleKey& key :
+         mpc::comparison_keys(shape, reuse_masks)) {
+      keys.push_back(key);
+    }
+  }
+  std::vector<mpc::MaterialEntry> entries = triples->next_many(keys);
+  std::vector<mpc::ComparisonMaterial> material;
+  for (std::size_t at = 0; at < entries.size();) {
+    material.push_back(mpc::take_comparison(entries, &at, reuse_masks));
+  }
+  return material;
+}
+
+void PassMaterial::add_mask(const mpc::WeightMask& mask,
+                            const mpc::TripleKey& key) {
+  if (!mask.armed()) {
+    keys_.push_back(key);
+  }
+}
+
+void PassMaterial::add_product(const mpc::TripleKey& key,
+                               const Shape& result) {
+  keys_.push_back(key);
+  if (ctx_.trunc_mode == TruncationMode::kMaskedOpen) {
+    keys_.push_back(mpc::TripleKey::trunc_pair(result));
+  }
+}
+
+void PassMaterial::fetch() { entries_ = ctx_.triples->next_many(keys_); }
+
+void PassMaterial::take_mask(mpc::WeightMask& mask) {
+  if (!mask.armed()) {
+    mask.b = std::make_shared<const mpc::PartyShare>(
+        std::move(entries_.at(next_++).share));
+  }
+}
+
+ProductMaterial PassMaterial::take_product() {
+  ProductMaterial material;
+  material.triple = std::move(entries_.at(next_++).triple);
+  if (ctx_.trunc_mode == TruncationMode::kMaskedOpen) {
+    material.pair = std::move(entries_.at(next_++).pair);
+  }
+  return material;
 }
 
 void add_row_broadcast(mpc::PartyShare& matrix, const mpc::PartyShare& bias) {
@@ -89,37 +152,27 @@ void SecureDense::set_weight_version(std::uint64_t version) {
   }
 }
 
-mpc::DeferredShare SecureDense::weight_product_prepare(
-    SecureExecContext& ctx, mpc::OpenBatch& batch, const mpc::PartyShare& x,
-    bool transposed) {
+void SecureDense::add_weight_product(PassMaterial& material, std::size_t rows,
+                                     bool transposed) const {
   const std::size_t in_features = weights_.value.shape()[0];
   const std::size_t out_features = weights_.value.shape()[1];
   const std::size_t k = transposed ? out_features : in_features;
   const std::size_t n = transposed ? in_features : out_features;
-  // Everything the product consumes comes in one round trip: the
-  // version's mask on its first product, the masked-matmul entry, and
-  // the truncation pair in masked-open mode.
-  std::vector<mpc::TripleKey> keys;
-  if (!mask_.armed()) {
-    keys.push_back(mpc::TripleKey::weight_mask(layer_, version_, in_features,
-                                               out_features));
-  }
-  keys.push_back(mpc::TripleKey::masked_matmul(layer_, version_, transposed,
-                                               x.shape()[0], k, n));
-  const bool masked_open = ctx.trunc_mode == TruncationMode::kMaskedOpen;
-  if (masked_open) {
-    keys.push_back(mpc::TripleKey::trunc_pair(Shape{x.shape()[0], n}));
-  }
-  std::vector<mpc::MaterialEntry> entries = ctx.triples->next_many(keys);
-  if (!mask_.armed()) {
-    mask_.b = std::make_shared<const mpc::PartyShare>(
-        std::move(entries.front().share));
-  }
-  const mpc::MaterialEntry& product =
-      entries[keys.size() - (masked_open ? 2 : 1)];
+  material.add_mask(mask_, mpc::TripleKey::weight_mask(
+                               layer_, version_, in_features, out_features));
+  material.add_product(
+      mpc::TripleKey::masked_matmul(layer_, version_, transposed, rows, k, n),
+      Shape{rows, n});
+}
+
+mpc::DeferredShare SecureDense::weight_product_prepare(
+    SecureExecContext& ctx, mpc::OpenBatch& batch, const mpc::PartyShare& x,
+    bool transposed, PassMaterial& material) {
+  material.take_mask(mask_);
+  const ProductMaterial product = material.take_product();
   mpc::DeferredShare out = mpc::sec_matmul_masked_rescaled_prepare(
       batch, x, weights_.value, mask_, product.triple, transposed,
-      ctx.trunc_mode, masked_open ? &entries.back().pair : nullptr);
+      ctx.trunc_mode, product.pair_or_null());
   if (!ctx.batch_openings) {
     batch.flush_all();
   }
@@ -131,10 +184,13 @@ mpc::PartyShare SecureDense::forward(SecureExecContext& ctx,
   obs::ScopedSpan span("layer.dense.forward", ctx.mpc->party, ctx.mpc->step);
   cached_input_ = input;
   mpc::PartyShare output;
-  if (ctx.reuse_weight_masks) {
+  if (ctx.reuse_masks) {
+    PassMaterial material(ctx);
+    add_weight_product(material, input.shape()[0], /*transposed=*/false);
+    material.fetch();
     mpc::OpenBatch open_batch(*ctx.mpc);
-    mpc::DeferredShare product =
-        weight_product_prepare(ctx, open_batch, input, /*transposed=*/false);
+    mpc::DeferredShare product = weight_product_prepare(
+        ctx, open_batch, input, /*transposed=*/false, material);
     open_batch.flush_all();
     output = product.take();
   } else {
@@ -147,44 +203,61 @@ mpc::PartyShare SecureDense::forward(SecureExecContext& ctx,
   return output;
 }
 
-mpc::PartyShare SecureDense::backward(SecureExecContext& ctx,
-                                      const mpc::PartyShare& grad_output) {
+mpc::PartyShare SecureDense::backward_pass(SecureExecContext& ctx,
+                                           const mpc::PartyShare& grad_output,
+                                           bool input_grad) {
   obs::ScopedSpan span("layer.dense.backward", ctx.mpc->party, ctx.mpc->step);
   const std::size_t batch = cached_input_.shape()[0];
   const std::size_t in_features = cached_input_.shape()[1];
   const std::size_t out_features = grad_output.shape()[1];
 
-  // The weight and input gradients are data-independent, so their
-  // Beaver-mask openings (and, in masked-open mode, their truncation
-  // openings) ride the same rounds.
+  // Both gradients' material comes in one round trip.  They are
+  // data-independent, so their Beaver-mask openings (and, in
+  // masked-open mode, their truncation openings) ride the same rounds.
+  PassMaterial material(ctx);
+  material.add_product(mpc::TripleKey::matmul(in_features, batch, out_features),
+                       Shape{in_features, out_features});
+  if (input_grad && ctx.reuse_masks) {
+    add_weight_product(material, batch, /*transposed=*/true);
+  } else if (input_grad) {
+    material.add_product(
+        mpc::TripleKey::matmul(batch, out_features, in_features),
+        Shape{batch, in_features});
+  }
+  material.fetch();
   mpc::OpenBatch open_batch(*ctx.mpc);
 
   const mpc::PartyShare input_t = mpc::transpose_share(cached_input_);
-  const mpc::BeaverTripleShare w_triple =
-      ctx.triples->matmul_triple(in_features, batch, out_features);
-  mpc::DeferredShare w_grad =
-      ctx.matmul_rescaled_prepare(open_batch, input_t, grad_output, w_triple);
+  mpc::DeferredShare w_grad = ctx.matmul_rescaled_prepare(
+      open_batch, input_t, grad_output, material.take_product());
 
   bias_.grad += mpc::transform_share(grad_output, [](const RingTensor& g) {
     return sum_rows(g);
   });
 
   mpc::DeferredShare x_grad;
-  if (ctx.reuse_weight_masks) {
+  if (!input_grad) {
+    x_grad.set(mpc::PartyShare{});
+  } else if (ctx.reuse_masks) {
     // dY·Wᵀ reuses the forward pass's mask: only e = dY − a opens.
     x_grad = weight_product_prepare(ctx, open_batch, grad_output,
-                                    /*transposed=*/true);
+                                    /*transposed=*/true, material);
   } else {
     const mpc::PartyShare weights_t = mpc::transpose_share(weights_.value);
-    const mpc::BeaverTripleShare x_triple =
-        ctx.triples->matmul_triple(batch, out_features, in_features);
     x_grad = ctx.matmul_rescaled_prepare(open_batch, grad_output, weights_t,
-                                         x_triple);
+                                         material.take_product());
   }
 
   open_batch.flush_all();
   weights_.grad += w_grad.take();
   return x_grad.take();
+}
+
+void SecureConv::set_weight_version(std::uint64_t version) {
+  if (version != version_) {
+    version_ = version;
+    mask_ = mpc::WeightMask{};  // the next product deals a fresh B
+  }
 }
 
 mpc::PartyShare SecureConv::forward(SecureExecContext& ctx,
@@ -196,18 +269,41 @@ mpc::PartyShare SecureConv::forward(SecureExecContext& ctx,
   cached_columns_ = mpc::transform_share(input, [&](const RingTensor& x) {
     return batch_im2col(x, spec_);
   });
-  const mpc::BeaverTripleShare triple = ctx.triples->matmul_triple(
-      spec_.out_channels, spec_.col_rows(), batch * pixels);
-  mpc::PartyShare maps = ctx.rescale(mpc::sec_matmul_bt(
-      *ctx.mpc, weights_.value, cached_columns_, triple));
+  mpc::PartyShare maps;
+  if (ctx.reuse_masks) {
+    // Opens x − a_x on the raw input (and W − B once per version);
+    // the parties expand both operands' columns locally.
+    PassMaterial material(ctx);
+    material.add_mask(mask_, mpc::TripleKey::weight_mask(
+                                 layer_, version_, spec_.out_channels,
+                                 spec_.col_rows()));
+    material.add_product(
+        mpc::TripleKey::masked_conv(layer_, version_, batch, spec_),
+        Shape{spec_.out_channels, batch * pixels});
+    material.fetch();
+    material.take_mask(mask_);
+    const ProductMaterial product = material.take_product();
+    mpc::OpenBatch open_batch(*ctx.mpc);
+    mpc::DeferredShare deferred = mpc::sec_conv_masked_rescaled_prepare(
+        open_batch, input, weights_.value, mask_, product.triple, spec_,
+        ctx.trunc_mode, product.pair_or_null());
+    open_batch.flush_all();
+    maps = deferred.take();
+  } else {
+    const mpc::BeaverTripleShare triple = ctx.triples->matmul_triple(
+        spec_.out_channels, spec_.col_rows(), batch * pixels);
+    maps = ctx.rescale(mpc::sec_matmul_bt(*ctx.mpc, weights_.value,
+                                          cached_columns_, triple));
+  }
   add_col_broadcast(maps, bias_.value);
   return mpc::transform_share(maps, [&](const RingTensor& m) {
     return maps_to_rows(m, batch, pixels);
   });
 }
 
-mpc::PartyShare SecureConv::backward(SecureExecContext& ctx,
-                                     const mpc::PartyShare& grad_output) {
+mpc::PartyShare SecureConv::backward_pass(SecureExecContext& ctx,
+                                          const mpc::PartyShare& grad_output,
+                                          bool input_grad) {
   obs::ScopedSpan span("layer.conv.backward", ctx.mpc->party, ctx.mpc->step);
   const std::size_t batch = cached_batch_;
   const std::size_t pixels = spec_.col_cols();
@@ -216,28 +312,42 @@ mpc::PartyShare SecureConv::backward(SecureExecContext& ctx,
         return rows_to_maps(g, spec_.out_channels, pixels);
       });
 
-  // As in SecureDense::backward, the two gradient matmuls are
-  // data-independent and share opening rounds.
+  // As in SecureDense::backward_pass, both gradients' material comes
+  // in one round trip and their openings share rounds.
+  PassMaterial material(ctx);
+  material.add_product(mpc::TripleKey::matmul(spec_.out_channels,
+                                              batch * pixels,
+                                              spec_.col_rows()),
+                       Shape{spec_.out_channels, spec_.col_rows()});
+  if (input_grad) {
+    material.add_product(mpc::TripleKey::matmul(spec_.col_rows(),
+                                                spec_.out_channels,
+                                                batch * pixels),
+                         Shape{spec_.col_rows(), batch * pixels});
+  }
+  material.fetch();
   mpc::OpenBatch open_batch(*ctx.mpc);
 
   const mpc::PartyShare columns_t = mpc::transpose_share(cached_columns_);
-  const mpc::BeaverTripleShare w_triple = ctx.triples->matmul_triple(
-      spec_.out_channels, batch * pixels, spec_.col_rows());
-  mpc::DeferredShare w_grad =
-      ctx.matmul_rescaled_prepare(open_batch, grad_maps, columns_t, w_triple);
+  mpc::DeferredShare w_grad = ctx.matmul_rescaled_prepare(
+      open_batch, grad_maps, columns_t, material.take_product());
 
   bias_.grad += mpc::transform_share(grad_maps, [](const RingTensor& g) {
     return sum_cols(g);
   });
 
-  const mpc::PartyShare weights_t = mpc::transpose_share(weights_.value);
-  const mpc::BeaverTripleShare x_triple = ctx.triples->matmul_triple(
-      spec_.col_rows(), spec_.out_channels, batch * pixels);
-  mpc::DeferredShare x_grad =
-      ctx.matmul_rescaled_prepare(open_batch, weights_t, grad_maps, x_triple);
+  mpc::DeferredShare x_grad;
+  if (input_grad) {
+    const mpc::PartyShare weights_t = mpc::transpose_share(weights_.value);
+    x_grad = ctx.matmul_rescaled_prepare(open_batch, weights_t, grad_maps,
+                                         material.take_product());
+  }
 
   open_batch.flush_all();
   weights_.grad += w_grad.take();
+  if (!input_grad) {
+    return mpc::PartyShare{};
+  }
   const mpc::PartyShare grad_columns = x_grad.take();
   return mpc::transform_share(grad_columns, [&](const RingTensor& cols) {
     return batch_col2im(cols, spec_, batch);
@@ -247,10 +357,8 @@ mpc::PartyShare SecureConv::backward(SecureExecContext& ctx,
 mpc::PartyShare SecureRelu::forward(SecureExecContext& ctx,
                                     const mpc::PartyShare& input) {
   obs::ScopedSpan span("layer.relu.forward", ctx.mpc->party, ctx.mpc->step);
-  const Shape& shape = input.shape();
-  const mpc::PartyShare t_aux = ctx.triples->comp_aux(shape);
-  const mpc::BeaverTripleShare triple = ctx.triples->mul_triple(shape);
-  const RingTensor signs = mpc::sec_sign_bt(*ctx.mpc, input, t_aux, triple);
+  const RingTensor signs = mpc::sec_sign_bt(
+      *ctx.mpc, input, ctx.comparisons(input.shape(), 1).front());
   cached_mask_ = mpc::positive_mask(signs);
   mpc::PartyShare output = input;
   output.mul_public(cached_mask_);
@@ -330,16 +438,19 @@ mpc::PartyShare SecureMaxPool::forward(SecureExecContext& ctx,
     candidates.push_back(std::move(candidate));
   }
 
-  // Tournament: one batched SecComp per round halves the candidates.
+  // Tournament: window^2 − 1 comparisons on the [batch, pools] shape,
+  // whose material comes in one round trip.  Each round halves the
+  // candidates.
+  const std::vector<mpc::ComparisonMaterial> material =
+      ctx.comparisons(Shape{batch, pools}, window_size - 1);
+  std::size_t comparison = 0;
   while (candidates.size() > 1) {
     std::vector<Candidate> next;
     for (std::size_t i = 0; i + 1 < candidates.size(); i += 2) {
       Candidate& lhs = candidates[i];
       Candidate& rhs = candidates[i + 1];
-      const Shape shape = lhs.share.shape();
       const RingTensor signs = mpc::sec_comp_bt(
-          *ctx.mpc, lhs.share, rhs.share, ctx.triples->comp_aux(shape),
-          ctx.triples->mul_triple(shape));
+          *ctx.mpc, lhs.share, rhs.share, material[comparison++]);
       const RingTensor mask = mpc::positive_mask(signs);  // 1 where lhs > rhs
       // winner = mask (.) (lhs - rhs) + rhs, computed locally.
       Candidate winner;
@@ -417,7 +528,8 @@ SecureModel::SecureModel(const nn::ModelSpec& spec,
         mpc::PartyShare weights = take();
         mpc::PartyShare bias = take();
         layers_.push_back(std::make_unique<SecureConv>(
-            layer.conv, std::move(weights), std::move(bias)));
+            layer.conv, std::move(weights), std::move(bias),
+            layers_.size()));
         break;
       }
       case nn::LayerSpec::Kind::kDense: {
@@ -455,11 +567,20 @@ mpc::PartyShare SecureModel::forward(SecureExecContext& ctx,
 void SecureModel::backward_from_logit_grad(
     SecureExecContext& ctx, const mpc::PartyShare& grad_logits) {
   obs::ScopedSpan span("model.backward", ctx.mpc->party, ctx.mpc->step);
+  if (layers_.size() < 2) {
+    return;  // only the skipped softmax
+  }
   mpc::PartyShare grad = grad_logits;
   // Skip the trailing softmax layer: the fused gradient is already
   // w.r.t. the logits.
-  for (std::size_t i = layers_.size() - 1; i-- > 0;) {
+  for (std::size_t i = layers_.size() - 1; i-- > 1;) {
     grad = layers_[i]->backward(ctx, grad);
+  }
+  // Nothing reads the first layer's input gradient.
+  if (ctx.reuse_masks) {
+    layers_.front()->backward_params(ctx, grad);
+  } else {
+    (void)layers_.front()->backward(ctx, grad);
   }
 }
 
@@ -474,15 +595,21 @@ void SecureModel::sgd_step(SecureExecContext& ctx, double learning_rate,
   // mode exists to eliminate (weight shares are persistent state, so
   // any drift compounds into divergence between parties under attack —
   // see DESIGN.md §4).  The per-parameter rescales are independent, so
-  // in masked-open mode their openings share ONE round for the whole
-  // update.
-  mpc::OpenBatch open_batch(*ctx.mpc);
+  // in masked-open mode their pairs come in one round trip and their
+  // openings share ONE round for the whole update.
   std::vector<SecureParameter*> params = parameters();
+  std::vector<Shape> shapes;
+  for (const SecureParameter* parameter : params) {
+    shapes.push_back(parameter->grad.shape());
+  }
+  const std::vector<std::optional<mpc::TruncPairShare>> pairs =
+      ctx.trunc_pairs(shapes);
+  mpc::OpenBatch open_batch(*ctx.mpc);
   std::vector<mpc::DeferredShare> deltas;
   deltas.reserve(params.size());
-  for (SecureParameter* parameter : params) {
-    deltas.push_back(
-        ctx.rescale_prepare(open_batch, parameter->grad.scaled(lr_encoded)));
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    deltas.push_back(ctx.rescale_prepare(
+        open_batch, params[i]->grad.scaled(lr_encoded), pairs[i]));
   }
   open_batch.flush_all();
   for (std::size_t i = 0; i < params.size(); ++i) {

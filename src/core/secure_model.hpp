@@ -7,6 +7,13 @@
 //  * ReLU uses SecComp-BT: the sign of the activation is revealed to
 //    the computing parties (as in the paper) and applied as a public
 //    0/1 mask — which also serves the backward pass.
+//  * Backward passes, and with reusable masks forward passes too, fetch
+//    all of their material in one dealer round trip (PassMaterial).
+//    With reusable masks (SecureExecContext::reuse_masks) dense and
+//    conv weights open W − B once per weight version, the conv opens
+//    its raw input instead of its im2col expansion, comparisons use
+//    comparison triples, and the first layer skips its unread input
+//    gradient (DESIGN.md §"Reusable masks").
 //  * Softmax (and its derivative) is outsourced to the model owner.
 //  * Local transformations (im2col, reshapes, transposes) are applied
 //    to each share component directly.
@@ -15,6 +22,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/owner_link.hpp"
@@ -26,6 +34,17 @@ namespace trustddl::core {
 
 /// How fixed-point products are rescaled (see mpc::TruncationMode).
 using mpc::TruncationMode;
+
+/// One rescaled product's material: its Beaver (or masked) entry and,
+/// in masked-open mode, the truncation pair of its result.
+struct ProductMaterial {
+  mpc::BeaverTripleShare triple;
+  std::optional<mpc::TruncPairShare> pair;
+
+  const mpc::TruncPairShare* pair_or_null() const {
+    return pair ? &*pair : nullptr;
+  }
+};
 
 /// Everything a secure layer needs at execution time.
 struct SecureExecContext {
@@ -39,28 +58,66 @@ struct SecureExecContext {
   /// immediately) — reconstructed values are identical either way; only
   /// the number of round trips changes.
   bool batch_openings = true;
-  /// Dense layers bind one dealer mask B to each weight version and
-  /// open W − B once per version instead of once per product
-  /// (EngineConfig::reuse_weight_masks).  Results are bit-identical
-  /// under masked-open truncation; only bytes and dealing change.
-  bool reuse_weight_masks = true;
+  /// Open each masked value once (EngineConfig::reuse_masks): dense
+  /// and conv layers bind one dealer mask B to each weight version and
+  /// open W − B once per version, the conv masks its raw input,
+  /// comparisons use comparison triples, and the first layer skips its
+  /// input gradient.  Results are bit-identical under masked-open
+  /// truncation; only bytes, dealer round trips and dealing change.
+  bool reuse_masks = true;
 
   /// Rescale a double-precision product share back to f fractional
   /// bits according to the configured strategy.
   mpc::PartyShare rescale(const mpc::PartyShare& product);
 
-  /// Deferred rescale against `batch` (fetches the truncation pair now,
-  /// keeping SPMD preprocessing order aligned).  With kLocal truncation
-  /// the result is ready immediately; with kMaskedOpen it resolves one
-  /// flush later.
-  mpc::DeferredShare rescale_prepare(mpc::OpenBatch& batch,
-                                     const mpc::PartyShare& product);
+  /// Truncation pairs for rescaling products of `shapes`, fetched in
+  /// one round trip: one per shape in masked-open mode, none (nullopt)
+  /// under local truncation.
+  std::vector<std::optional<mpc::TruncPairShare>> trunc_pairs(
+      const std::vector<Shape>& shapes);
+
+  /// Deferred rescale against `batch` with `pair` from trunc_pairs.
+  /// With kLocal truncation the result is ready immediately; with
+  /// kMaskedOpen it resolves one flush later.
+  mpc::DeferredShare rescale_prepare(
+      mpc::OpenBatch& batch, const mpc::PartyShare& product,
+      const std::optional<mpc::TruncPairShare>& pair);
 
   /// Deferred matmul + rescale against `batch`; honours batch_openings
   /// by flushing eagerly when batching is off.
-  mpc::DeferredShare matmul_rescaled_prepare(
-      mpc::OpenBatch& batch, const mpc::PartyShare& x,
-      const mpc::PartyShare& y, const mpc::BeaverTripleShare& triple);
+  mpc::DeferredShare matmul_rescaled_prepare(mpc::OpenBatch& batch,
+                                             const mpc::PartyShare& x,
+                                             const mpc::PartyShare& y,
+                                             const ProductMaterial& material);
+
+  /// Material of `count` comparisons on `shape`, fetched in one round
+  /// trip (mpc::comparison_keys; comparison triples with reuse_masks).
+  std::vector<mpc::ComparisonMaterial> comparisons(const Shape& shape,
+                                                   std::size_t count);
+};
+
+/// The material one layer pass consumes, fetched in one dealer round
+/// trip: keys are added in consumption order, fetched once, then taken
+/// back in the same order.
+class PassMaterial {
+ public:
+  explicit PassMaterial(SecureExecContext& ctx) : ctx_(ctx) {}
+
+  /// The key of `mask`'s B, unless the mask is already armed.
+  void add_mask(const mpc::WeightMask& mask, const mpc::TripleKey& key);
+  /// A product's entry, then in masked-open mode the truncation pair
+  /// of its `result` shape.
+  void add_product(const mpc::TripleKey& key, const Shape& result);
+  void fetch();
+  /// Arms `mask` from the entry add_mask asked for (no-op if armed).
+  void take_mask(mpc::WeightMask& mask);
+  ProductMaterial take_product();
+
+ private:
+  SecureExecContext& ctx_;
+  std::vector<mpc::TripleKey> keys_;
+  std::vector<mpc::MaterialEntry> entries_;
+  std::size_t next_ = 0;
 };
 
 /// A shared trainable parameter and its shared gradient accumulator.
@@ -81,13 +138,19 @@ class SecureLayer {
                                   const mpc::PartyShare& input) = 0;
   virtual mpc::PartyShare backward(SecureExecContext& ctx,
                                    const mpc::PartyShare& grad_output) = 0;
+  /// Backward pass of a model's first layer, whose input gradient has
+  /// no reader: accumulates the parameter gradients only.
+  virtual void backward_params(SecureExecContext& ctx,
+                               const mpc::PartyShare& grad_output) {
+    (void)backward(ctx, grad_output);
+  }
   virtual std::vector<SecureParameter*> parameters() { return {}; }
   /// The model's parameters now hold weight version `version`.
   virtual void set_weight_version(std::uint64_t /*version*/) {}
 };
 
-/// Fully connected layer on shares: y = xW + b.  With reusable weight
-/// masks, products against W (forward x·W, backward dY·Wᵀ) consume
+/// Fully connected layer on shares: y = xW + b.  With reusable masks,
+/// products against W (forward x·W, backward dY·Wᵀ) consume
 /// masked-matmul entries bound to the current version's mask.
 class SecureDense final : public SecureLayer {
  public:
@@ -100,20 +163,38 @@ class SecureDense final : public SecureLayer {
   mpc::PartyShare forward(SecureExecContext& ctx,
                           const mpc::PartyShare& input) override;
   mpc::PartyShare backward(SecureExecContext& ctx,
-                           const mpc::PartyShare& grad_output) override;
+                           const mpc::PartyShare& grad_output) override {
+    return backward_pass(ctx, grad_output, /*input_grad=*/true);
+  }
+  void backward_params(SecureExecContext& ctx,
+                       const mpc::PartyShare& grad_output) override {
+    (void)backward_pass(ctx, grad_output, /*input_grad=*/false);
+  }
   std::vector<SecureParameter*> parameters() override {
     return {&weights_, &bias_};
   }
   void set_weight_version(std::uint64_t version) override;
 
  private:
+  /// Accumulates dW and db; returns dX, or an empty share when
+  /// `input_grad` is false.
+  mpc::PartyShare backward_pass(SecureExecContext& ctx,
+                                const mpc::PartyShare& grad_output,
+                                bool input_grad);
+  /// Asks `material` for an [rows, ·] product against W (Wᵀ when
+  /// `transposed`): the version's mask on its first product, then the
+  /// masked-matmul entry.
+  void add_weight_product(PassMaterial& material, std::size_t rows,
+                          bool transposed) const;
   /// Deferred x·W (x·Wᵀ when `transposed`) + rescale against the
-  /// current version's mask, dealt on the version's first product;
-  /// honours batch_openings like matmul_rescaled_prepare.
+  /// current version's mask, from material asked for by
+  /// add_weight_product; honours batch_openings like
+  /// matmul_rescaled_prepare.
   mpc::DeferredShare weight_product_prepare(SecureExecContext& ctx,
                                             mpc::OpenBatch& batch,
                                             const mpc::PartyShare& x,
-                                            bool transposed);
+                                            bool transposed,
+                                            PassMaterial& material);
 
   std::size_t layer_;
   SecureParameter weights_;
@@ -123,27 +204,49 @@ class SecureDense final : public SecureLayer {
   mpc::WeightMask mask_;
 };
 
-/// Convolution on shares via share-local im2col + SecMatMul-BT.
+/// Convolution on shares via share-local im2col + SecMatMul-BT.  With
+/// reusable masks the forward product consumes a masked-conv entry
+/// bound to the current version's mask and opens x − a_x on the raw
+/// input; the backward pass uses the cached columns as before.
 class SecureConv final : public SecureLayer {
  public:
+  /// `layer` names the dealer's mask stream, as for SecureDense.
   SecureConv(const ConvSpec& spec, mpc::PartyShare weights,
-             mpc::PartyShare bias)
-      : spec_(spec), weights_(std::move(weights)), bias_(std::move(bias)) {}
+             mpc::PartyShare bias, std::size_t layer = 0)
+      : spec_(spec),
+        layer_(layer),
+        weights_(std::move(weights)),
+        bias_(std::move(bias)) {}
 
   mpc::PartyShare forward(SecureExecContext& ctx,
                           const mpc::PartyShare& input) override;
   mpc::PartyShare backward(SecureExecContext& ctx,
-                           const mpc::PartyShare& grad_output) override;
+                           const mpc::PartyShare& grad_output) override {
+    return backward_pass(ctx, grad_output, /*input_grad=*/true);
+  }
+  void backward_params(SecureExecContext& ctx,
+                       const mpc::PartyShare& grad_output) override {
+    (void)backward_pass(ctx, grad_output, /*input_grad=*/false);
+  }
   std::vector<SecureParameter*> parameters() override {
     return {&weights_, &bias_};
   }
+  void set_weight_version(std::uint64_t version) override;
 
  private:
+  /// As SecureDense::backward_pass.
+  mpc::PartyShare backward_pass(SecureExecContext& ctx,
+                                const mpc::PartyShare& grad_output,
+                                bool input_grad);
+
   ConvSpec spec_;
+  std::size_t layer_;
   SecureParameter weights_;  ///< [out_channels, in_channels*kh*kw]
   SecureParameter bias_;     ///< [out_channels]
   mpc::PartyShare cached_columns_;  ///< [k, batch*outPixels]
   std::size_t cached_batch_ = 0;
+  std::uint64_t version_ = 0;
+  mpc::WeightMask mask_;
 };
 
 /// ReLU via SecComp-BT; the public sign mask is cached for backward.
@@ -159,9 +262,9 @@ class SecureRelu final : public SecureLayer {
 };
 
 /// 2-D max pooling via a tournament of SecComp-BT comparisons
-/// (extension beyond the paper's Table I network).  Each tournament
-/// round compares all surviving window candidates pairwise in ONE
-/// batched comparison; the revealed sign masks select winners locally
+/// (extension beyond the paper's Table I network).  Each comparison
+/// ranks one pair of window slots across the whole [batch, pools]
+/// candidate shape; the revealed sign masks select winners locally
 /// and determine the (public) argmax routing for backward — the same
 /// public-mask pattern the paper uses for ReLU.
 class SecureMaxPool final : public SecureLayer {
@@ -212,7 +315,8 @@ class SecureModel {
 
   /// Backward pass from the fused softmax+cross-entropy gradient
   /// (p - y), which is w.r.t. the logits, so the softmax layer is
-  /// skipped — mirroring nn::Sequential::train_step.
+  /// skipped — mirroring nn::Sequential::train_step.  With reuse_masks
+  /// the first layer does not form its (unread) input gradient.
   void backward_from_logit_grad(SecureExecContext& ctx,
                                 const mpc::PartyShare& grad_logits);
 

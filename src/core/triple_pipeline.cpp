@@ -62,28 +62,38 @@ DemandPlan profile_step_demand(const nn::ModelSpec& spec,
                  : mpc::TripleKey::matmul(batch_rows, k, n),
              1);
   };
+  const auto trunc = [&](const Shape& shape) {
+    if (masked) {
+      plan.add(mpc::TripleKey::trunc_pair(shape), 1);
+    }
+  };
+  const auto comparisons = [&](const Shape& shape, std::size_t count) {
+    for (const mpc::TripleKey& key :
+         mpc::comparison_keys(shape, masks.reuse)) {
+      plan.add(key, count);
+    }
+  };
   std::size_t features = spec.input_features;
   for (std::size_t index = 0; index < spec.layers.size(); ++index) {
     const nn::LayerSpec& layer = spec.layers[index];
+    // With reusable masks nothing reads layer 0's input gradient.
+    const bool input_grad = training && !(masks.reuse && index == 0);
     switch (layer.kind) {
       case nn::LayerSpec::Kind::kDense: {
         // forward: x·W + masked rescale of the product.
         weight_product(index, /*transposed=*/false, layer.in, layer.out);
-        if (masked) {
-          plan.add(mpc::TripleKey::trunc_pair(Shape{batch_rows, layer.out}),
-                   1);
-        }
+        trunc(Shape{batch_rows, layer.out});
         if (training) {
           // backward: weight grad (in x batch)·(batch x out), input
           // grad (batch x out)·(out x in), each rescaled.
           plan.add(mpc::TripleKey::matmul(layer.in, batch_rows, layer.out),
                    1);
-          weight_product(index, /*transposed=*/true, layer.out, layer.in);
-          if (masked) {
-            plan.add(mpc::TripleKey::trunc_pair(Shape{layer.in, layer.out}),
-                     1);
-            plan.add(
-                mpc::TripleKey::trunc_pair(Shape{batch_rows, layer.in}), 1);
+          if (input_grad) {
+            weight_product(index, /*transposed=*/true, layer.out, layer.in);
+          }
+          trunc(Shape{layer.in, layer.out});
+          if (input_grad) {
+            trunc(Shape{batch_rows, layer.in});
           }
         }
         features = layer.out;
@@ -93,49 +103,40 @@ DemandPlan profile_step_demand(const nn::ModelSpec& spec,
         const ConvSpec& conv = layer.conv;
         const std::size_t pixels = conv.col_cols();
         const std::size_t cols = batch_rows * pixels;
-        plan.add(
-            mpc::TripleKey::matmul(conv.out_channels, conv.col_rows(), cols),
-            1);
-        if (masked) {
-          plan.add(
-              mpc::TripleKey::trunc_pair(Shape{conv.out_channels, cols}), 1);
-        }
+        plan.add(masks.reuse ? mpc::TripleKey::masked_conv(
+                                   index, masks.version, batch_rows, conv)
+                             : mpc::TripleKey::matmul(conv.out_channels,
+                                                      conv.col_rows(), cols),
+                 1);
+        trunc(Shape{conv.out_channels, cols});
         if (training) {
           plan.add(mpc::TripleKey::matmul(conv.out_channels, cols,
                                           conv.col_rows()),
                    1);
-          plan.add(mpc::TripleKey::matmul(conv.col_rows(), conv.out_channels,
-                                          cols),
-                   1);
-          if (masked) {
-            plan.add(mpc::TripleKey::trunc_pair(
-                         Shape{conv.out_channels, conv.col_rows()}),
+          if (input_grad) {
+            plan.add(mpc::TripleKey::matmul(conv.col_rows(),
+                                            conv.out_channels, cols),
                      1);
-            plan.add(
-                mpc::TripleKey::trunc_pair(Shape{conv.col_rows(), cols}), 1);
+          }
+          trunc(Shape{conv.out_channels, conv.col_rows()});
+          if (input_grad) {
+            trunc(Shape{conv.col_rows(), cols});
           }
         }
         features = conv.out_channels * pixels;
         break;
       }
-      case nn::LayerSpec::Kind::kRelu: {
-        // forward: one SecSign = comparison auxiliary + mul triple on
-        // the activation shape.  Backward is a public-mask product —
-        // no material.
-        const Shape shape{batch_rows, features};
-        plan.add(mpc::TripleKey::comp_aux(shape), 1);
-        plan.add(mpc::TripleKey::mul(shape), 1);
+      case nn::LayerSpec::Kind::kRelu:
+        // forward: one SecSign on the activation shape.  Backward is a
+        // public-mask product — no material.
+        comparisons(Shape{batch_rows, features}, 1);
         break;
-      }
       case nn::LayerSpec::Kind::kMaxPool: {
         // Tournament over window^2 candidates: window^2 - 1 batched
         // comparisons, each on the [batch, pools] candidate shape.
         const std::size_t window_size = layer.pool.window * layer.pool.window;
-        const Shape shape{batch_rows, layer.pool.out_features()};
-        if (window_size > 1) {
-          plan.add(mpc::TripleKey::comp_aux(shape), window_size - 1);
-          plan.add(mpc::TripleKey::mul(shape), window_size - 1);
-        }
+        comparisons(Shape{batch_rows, layer.pool.out_features()},
+                    window_size - 1);
         features = layer.pool.out_features();
         break;
       }
@@ -144,19 +145,10 @@ DemandPlan profile_step_demand(const nn::ModelSpec& spec,
         break;
     }
   }
-  if (training && masked) {
+  if (training) {
     // sgd_step: one masked rescale per parameter, in layer order.
-    for (const nn::LayerSpec& layer : spec.layers) {
-      if (layer.kind == nn::LayerSpec::Kind::kDense) {
-        plan.add(mpc::TripleKey::trunc_pair(Shape{layer.in, layer.out}), 1);
-        plan.add(mpc::TripleKey::trunc_pair(Shape{1, layer.out}), 1);
-      } else if (layer.kind == nn::LayerSpec::Kind::kConv) {
-        plan.add(mpc::TripleKey::trunc_pair(
-                     Shape{layer.conv.out_channels, layer.conv.col_rows()}),
-                 1);
-        plan.add(mpc::TripleKey::trunc_pair(Shape{layer.conv.out_channels}),
-                 1);
-      }
+    for (const Shape& shape : nn::parameter_shapes(spec)) {
+      trunc(shape);
     }
   }
   return plan;
@@ -171,6 +163,11 @@ DemandPlan profile_version_demand(const nn::ModelSpec& spec,
       plan.add(
           mpc::TripleKey::weight_mask(index, version, layer.in, layer.out),
           1);
+    } else if (layer.kind == nn::LayerSpec::Kind::kConv) {
+      plan.add(mpc::TripleKey::weight_mask(index, version,
+                                           layer.conv.out_channels,
+                                           layer.conv.col_rows()),
+               1);
     }
   }
   return plan;
@@ -217,27 +214,17 @@ DemandPlan profile_train_round_demand(
       plan.add(mpc::TripleKey::trunc_pair(Shape{rows, spec.classes}), 1);
     }
   }
-  // Parameter shapes in layer order (W then b), mirroring
-  // SecureModel::parameters().
-  std::vector<Shape> param_shapes;
-  for (const nn::LayerSpec& layer : spec.layers) {
-    if (layer.kind == nn::LayerSpec::Kind::kDense) {
-      param_shapes.push_back(Shape{layer.in, layer.out});
-      param_shapes.push_back(Shape{1, layer.out});
-    } else if (layer.kind == nn::LayerSpec::Kind::kConv) {
-      param_shapes.push_back(
-          Shape{layer.conv.out_channels, layer.conv.col_rows()});
-      param_shapes.push_back(Shape{layer.conv.out_channels});
-    }
-  }
   mpc::AggregateOptions options = aggregation;
   options.trunc_mode = trunc_mode;
-  for (const Shape& shape : param_shapes) {
+  // One aggregation per parameter, in SecureModel::parameters() order.
+  for (const Shape& shape : nn::parameter_shapes(spec)) {
     const mpc::AggregateDemand demand =
         mpc::aggregate_demand(owner_rows.size(), shape, options);
     if (demand.needs_comparison) {
-      plan.add(mpc::TripleKey::comp_aux(demand.comparison_shape), 1);
-      plan.add(mpc::TripleKey::mul(demand.comparison_shape), 1);
+      for (const mpc::TripleKey& key :
+           mpc::comparison_keys(demand.comparison_shape, masks.reuse)) {
+        plan.add(key, 1);
+      }
     }
     if (demand.needs_trunc_pair) {
       plan.add(mpc::TripleKey::trunc_pair(demand.trunc_shape), 1);
@@ -316,7 +303,7 @@ void TriplePipeline::plan_step(const nn::ModelSpec& spec, std::size_t rows,
   }
   DemandPlan step = profile_step_demand(
       spec, rows, config_.resolved_trunc_mode(), /*training=*/false,
-      WeightMaskUse{config_.reuse_weight_masks, 0});
+      WeightMaskUse{config_.reuse_masks, 0});
   DemandPlan scaled;
   for (const auto& [key, count] : step.counts) {
     scaled.add(key, count * std::max<std::size_t>(depth_factor, 1));
@@ -332,7 +319,7 @@ void TriplePipeline::plan_job_window(const nn::ModelSpec& spec,
   }
   plan(profile_job_demand(spec, batch_rows, config_.resolved_trunc_mode(),
                           training,
-                          WeightMaskUse{config_.reuse_weight_masks, 0}, first,
+                          WeightMaskUse{config_.reuse_masks, 0}, first,
                           config_.triple_max_depth));
 }
 

@@ -47,8 +47,10 @@ struct DemandPlan {
   std::size_t total() const;
 };
 
-/// Which reusable weight masks a step's dense products draw on
-/// (EngineConfig::reuse_weight_masks): none, or those of `version`.
+/// Which material a step draws (EngineConfig::reuse_masks): the paper's
+/// per-product material, or with `reuse` the reusable masks of weight
+/// version `version`, comparison triples, and no input gradient for
+/// the first layer.
 struct WeightMaskUse {
   bool reuse = false;
   std::uint64_t version = 0;
@@ -58,16 +60,19 @@ struct WeightMaskUse {
 /// `batch_rows` samples: forward pass always; backward + SGD update
 /// when `training`.  Truncation pairs appear only in kMaskedOpen mode
 /// (local truncation consumes no material).  With masks.reuse the dense
-/// products draw masked-matmul entries of masks.version; the version's
-/// kWeightMask entries are not included (see profile_version_demand).
-/// Mirrors the consumption sites in secure_model.cpp layer by layer.
+/// and conv products draw masked-matmul and masked-conv entries of
+/// masks.version, comparisons draw comparison triples, and the first
+/// layer's input gradient draws nothing; the version's kWeightMask
+/// entries are not included (see profile_version_demand).  Mirrors the
+/// consumption sites in secure_model.cpp layer by layer.
 DemandPlan profile_step_demand(const nn::ModelSpec& spec,
                                std::size_t batch_rows,
                                TruncationMode trunc_mode, bool training,
                                const WeightMaskUse& masks = {});
 
 /// The reusable masks weight version `version` deals: one kWeightMask
-/// entry per dense layer, consumed by the version's first product.
+/// entry per dense and conv layer, consumed by the version's first
+/// product.
 DemandPlan profile_version_demand(const nn::ModelSpec& spec,
                                   std::uint64_t version);
 

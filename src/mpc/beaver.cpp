@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 #include <utility>
 
 #include "common/error.hpp"
+#include "numeric/conv.hpp"
 #include "numeric/fixed_point.hpp"
 
 namespace trustddl::mpc {
@@ -31,6 +33,82 @@ std::array<BeaverTripleShare, kNumParties> package_triple(
                                    std::move(c_views[index])};
   }
   return out;
+}
+
+/// Positive fixed-point values in [0.5, 2), drawn one per element.
+RingTensor positive_ring_tensor(const Shape& shape, int frac_bits, Rng& rng) {
+  RingTensor t(shape);
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    t[i] = fx::encode(rng.next_double(0.5, 2.0), frac_bits);
+  }
+  return t;
+}
+
+/// a × b, or std::nullopt when it overflows std::size_t.
+std::optional<std::size_t> checked_mul(std::size_t a, std::size_t b) {
+  if (b != 0 && a > std::numeric_limits<std::size_t>::max() / b) {
+    return std::nullopt;
+  }
+  return a * b;
+}
+
+/// a × b, saturating at SIZE_MAX.
+std::size_t saturating_mul(std::size_t a, std::size_t b) {
+  return checked_mul(a, b).value_or(std::numeric_limits<std::size_t>::max());
+}
+
+/// The geometry a masked-conv key carries (dims 3..10).
+ConvSpec conv_of(const TripleKey& key) {
+  const auto& d = key.dims;
+  ConvSpec conv;
+  conv.in_channels = d[3];
+  conv.in_height = d[4];
+  conv.in_width = d[5];
+  conv.out_channels = d[6];
+  conv.kernel_h = d[7];
+  conv.kernel_w = d[8];
+  conv.pad = d[9];
+  conv.stride = d[10];
+  return conv;
+}
+
+/// Dealing cost of a masked-conv entry: the input mask plus the
+/// product B × im2col(a_x).  Throws on a geometry im2col cannot expand.
+std::size_t masked_conv_cost(const TripleKey& key) {
+  if (key.dims.size() != kMaxKeyDims) {
+    throw SerializationError(
+        "masked-conv key needs dims {layer, version, batch, in_channels, "
+        "in_height, in_width, out_channels, kernel_h, kernel_w, pad, "
+        "stride}");
+  }
+  const std::size_t batch = key.dims[2];
+  const ConvSpec conv = conv_of(key);
+  const std::size_t max = std::numeric_limits<std::size_t>::max();
+  if (conv.stride == 0) {
+    throw SerializationError("masked-conv key has a zero stride");
+  }
+  if (conv.pad > (max - std::max(conv.in_height, conv.in_width)) / 2) {
+    throw SerializationError("masked-conv key's padded input overflows");
+  }
+  if (conv.kernel_h > conv.in_height + 2 * conv.pad ||
+      conv.kernel_w > conv.in_width + 2 * conv.pad) {
+    throw SerializationError(
+        "masked-conv key has a kernel larger than the padded input");
+  }
+  std::optional<std::size_t> columns = checked_mul(
+      conv.in_channels, conv.kernel_h);
+  for (std::size_t factor :
+       {conv.kernel_w, batch, conv.out_height(), conv.out_width()}) {
+    columns = columns ? checked_mul(*columns, factor) : std::nullopt;
+  }
+  if (!columns) {
+    throw SerializationError("masked-conv key's im2col size overflows");
+  }
+  const std::size_t input = saturating_mul(
+      saturating_mul(batch, conv.in_channels),
+      saturating_mul(conv.in_height, conv.in_width));
+  const std::size_t product = saturating_mul(conv.out_channels, *columns);
+  return input > max - product ? max : input + product;
 }
 
 /// splitmix64 finalizer: the standard 64-bit avalanche mix.
@@ -64,11 +142,15 @@ std::array<BeaverTripleShare, kNumParties> deal_matmul_triple(std::size_t m,
 std::array<PartyShare, kNumParties> deal_positive_aux(const Shape& shape,
                                                       int frac_bits,
                                                       Rng& rng) {
-  RingTensor t(shape);
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    t[i] = fx::encode(rng.next_double(0.5, 2.0), frac_bits);
-  }
-  return share_secret(t, rng);
+  return share_secret(positive_ring_tensor(shape, frac_bits, rng), rng);
+}
+
+std::array<BeaverTripleShare, kNumParties> deal_comp_triple(
+    const Shape& shape, int frac_bits, Rng& rng) {
+  const RingTensor t = positive_ring_tensor(shape, frac_bits, rng);
+  const RingTensor b = random_ring_tensor(shape, rng);
+  const RingTensor c = hadamard(t, b);
+  return package_triple(t, b, c, rng);
 }
 
 std::array<TruncPairShare, kNumParties> deal_trunc_pair(const Shape& shape,
@@ -106,6 +188,10 @@ const char* triple_kind_name(TripleKind kind) {
       return "weight_mask";
     case TripleKind::kMaskedMatMul:
       return "masked_matmul";
+    case TripleKind::kMaskedConv:
+      return "masked_conv";
+    case TripleKind::kCompTriple:
+      return "comp_triple";
   }
   return "unknown";
 }
@@ -148,16 +234,20 @@ std::size_t material_cost(const TripleKey& key) {
       }
       value_dims_from = 3;
       break;
+    case TripleKind::kMaskedConv:
+      return masked_conv_cost(key);
+    case TripleKind::kCompTriple:
+      if (key.dims.empty() || key.dims.size() > 2) {
+        throw SerializationError(
+            "comparison-triple key needs a rank-1 or rank-2 shape");
+      }
+      break;
     default:
       throw SerializationError("unknown material kind");
   }
   std::size_t cost = 1;
   for (std::size_t i = value_dims_from; i < key.dims.size(); ++i) {
-    const std::size_t dim = std::max<std::size_t>(key.dims[i], 1);
-    if (cost > std::numeric_limits<std::size_t>::max() / dim) {
-      return std::numeric_limits<std::size_t>::max();
-    }
-    cost *= dim;
+    cost = saturating_mul(cost, std::max<std::size_t>(key.dims[i], 1));
   }
   return cost;
 }
@@ -196,8 +286,13 @@ std::array<MaterialBatch, kNumParties> deal_material(const TripleKey& key,
   const auto& d = key.dims;
   // A version's B is the same for every entry of its streams.
   RingTensor mask;
+  ConvSpec conv;
   if (key.kind == TripleKind::kWeightMask) {
     mask = weight_mask_value(master_seed, d[0], d[1], d[2], d[3]);
+  } else if (key.kind == TripleKind::kMaskedConv) {
+    conv = conv_of(key);
+    mask = weight_mask_value(master_seed, d[0], d[1], conv.out_channels,
+                             conv.col_rows());
   } else if (key.kind == TripleKind::kMaskedMatMul) {
     const bool transposed = d[2] == 1;
     mask = weight_mask_value(master_seed, d[0], d[1],
@@ -238,16 +333,25 @@ std::array<MaterialBatch, kNumParties> deal_material(const TripleKey& key,
       case TripleKind::kWeightMask:
         put(share_secret(mask, rng), &MaterialEntry::share);
         break;
-      case TripleKind::kMaskedMatMul: {
-        const RingTensor a = random_ring_tensor(Shape{d[3], d[4]}, rng);
+      case TripleKind::kMaskedMatMul:
+      case TripleKind::kMaskedConv: {
+        const bool is_conv = key.kind == TripleKind::kMaskedConv;
+        const RingTensor a = random_ring_tensor(
+            is_conv ? Shape{d[2], d[3] * d[4] * d[5]} : Shape{d[3], d[4]},
+            rng);
         auto a_views = share_secret(a, rng);
-        auto c_views = share_secret(matmul(a, mask), rng);
+        auto c_views = share_secret(
+            is_conv ? matmul(mask, batch_im2col(a, conv)) : matmul(a, mask),
+            rng);
         for (std::size_t p = 0; p < kNumParties; ++p) {
           out[p][i].triple.a = std::move(a_views[p]);
           out[p][i].triple.c = std::move(c_views[p]);
         }
         break;
       }
+      case TripleKind::kCompTriple:
+        put(deal_comp_triple(d, frac_bits, rng), &MaterialEntry::triple);
+        break;
     }
   }
   return out;

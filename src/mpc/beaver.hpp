@@ -4,17 +4,25 @@
 // for ... auxiliary values (e.g., Beaver triples and auxiliary
 // positive numbers)").
 //
-// Four kinds of material are dealt:
+// The paper's per-product material:
 //  * multiplication triples  (a, b, c = a·b or a×b), replicated-shared
 //  * comparison auxiliaries  t with positive entries (SecComp masks
 //    x−y multiplicatively, preserving the sign)
 //  * truncation pairs        (r, ⌊r/2^f⌋) for the exact masked-open
 //    fixed-point rescale (see protocols_bt.hpp for the two truncation
 //    strategies)
-//  * reusable weight masks   shares of one Beaver mask B per (dense
-//    layer, weight version), plus triples (a, c = a×B or a×Bᵀ) bound to
-//    it, so a product against an unchanged weight opens only its own
-//    e = x − a (DESIGN.md §"Reusable weight masks")
+//
+// Reusable masks (DESIGN.md §"Reusable masks"), so that each masked
+// value is opened once:
+//  * weight masks            shares of one Beaver mask B per (dense or
+//    conv layer, weight version); W − B opens once per version
+//  * masked matmuls          (a, c = a×B or a×Bᵀ) bound to a dense
+//    layer's B, so a product opens only its own e = x − a
+//  * masked convolutions     (a_x, C = B×im2col(a_x)) bound to a conv
+//    layer's B, with a_x shaped like the raw input: the product opens
+//    x − a_x, not its im2col expansion
+//  * comparison triples      (t, b, c = t ⊙ b) with t as the comparison
+//    auxiliary draws it, so SecComp-BT never opens t − a
 //
 // Material is organized into *streams*: one FIFO sequence per
 // (kind, dims) shape class, addressed by a `TripleKey` and an entry
@@ -37,6 +45,7 @@
 
 #include "common/rng.hpp"
 #include "mpc/sharing.hpp"
+#include "numeric/conv.hpp"
 
 namespace trustddl::mpc {
 
@@ -65,6 +74,10 @@ std::array<BeaverTripleShare, kNumParties> deal_matmul_triple(std::size_t m,
 /// Positive auxiliary values, fixed-point encoded in [0.5, 2).
 std::array<PartyShare, kNumParties> deal_positive_aux(const Shape& shape,
                                                       int frac_bits, Rng& rng);
+/// Comparison triple (t, b, c = t ⊙ b): t drawn as deal_positive_aux
+/// draws it, b uniform; returned as the triple's (a, b, c).
+std::array<BeaverTripleShare, kNumParties> deal_comp_triple(
+    const Shape& shape, int frac_bits, Rng& rng);
 std::array<TruncPairShare, kNumParties> deal_trunc_pair(const Shape& shape,
                                                         int frac_bits,
                                                         Rng& rng);
@@ -78,24 +91,42 @@ enum class TripleKind : std::uint8_t {
   kMatMul = 1,
   kCompAux = 2,
   kTruncPair = 3,
-  /// Shares of the reusable mask B of one dense-layer weight version.
+  /// Shares of the reusable mask B of one dense or conv layer's weight
+  /// version.
   kWeightMask = 4,
   /// A fresh a with c = a×B (or a×Bᵀ) against a kWeightMask's B; the
   /// entry carries no b (the party holds B's shares already).
   kMaskedMatMul = 5,
+  /// A fresh input mask a_x with c = B×im2col(a_x) against a conv
+  /// layer's kWeightMask B; carried as the triple's a and c, no b.
+  kMaskedConv = 6,
+  /// A comparison triple (t, b, c = t ⊙ b) with positive t, carried as
+  /// the triple's (a, b, c).
+  kCompTriple = 7,
 };
 
+/// Most dims any key carries (a masked-conv key's); decoders bound a
+/// key's rank by it before reading the dims.
+inline constexpr std::size_t kMaxKeyDims = 11;
+
 /// Stable lowercase name for metrics/logs ("mul", "matmul",
-/// "comp_aux", "trunc_pair", "weight_mask", "masked_matmul").
+/// "comp_aux", "trunc_pair", "weight_mask", "masked_matmul",
+/// "masked_conv", "comp_triple").
 const char* triple_kind_name(TripleKind kind);
 
 /// Identity of one material stream.  `dims` per kind:
 ///   kMul / kCompAux / kTruncPair   the tensor shape
+///   kCompTriple                    the tensor shape, rank 1 or 2
 ///   kMatMul                        {m, k, n}
-///   kWeightMask                    {layer, version, in, out}
+///   kWeightMask                    {layer, version, rows, cols} of W
 ///   kMaskedMatMul                  {layer, version, transposed, m, k, n}
+///   kMaskedConv                    {layer, version, batch, in_channels,
+///                                   in_height, in_width, out_channels,
+///                                   kernel_h, kernel_w, pad, stride}
 /// A masked-matmul entry multiplies an [m, k] mask a by B ([k, n]) or,
-/// when transposed, by Bᵀ (B is [n, k]).
+/// when transposed, by Bᵀ (B is [n, k]).  A masked-conv entry carries
+/// the geometry because the dealer forms im2col(a_x) without the model;
+/// its B is the [out_channels, in_channels·kh·kw] mask of the layer.
 struct TripleKey {
   TripleKind kind = TripleKind::kMul;
   Shape dims;
@@ -126,6 +157,17 @@ struct TripleKey {
     return TripleKey{TripleKind::kMaskedMatMul,
                      Shape{layer, version, transposed ? 1u : 0u, m, k, n}};
   }
+  static TripleKey masked_conv(std::size_t layer, std::uint64_t version,
+                               std::size_t batch, const ConvSpec& conv) {
+    return TripleKey{
+        TripleKind::kMaskedConv,
+        Shape{layer, version, batch, conv.in_channels, conv.in_height,
+              conv.in_width, conv.out_channels, conv.kernel_h, conv.kernel_w,
+              conv.pad, conv.stride}};
+  }
+  static TripleKey comp_triple(const Shape& shape) {
+    return TripleKey{TripleKind::kCompTriple, shape};
+  }
 
   /// Streams whose key names a weight version.  They are finite — a
   /// version's entries are never needed again once the weights moved
@@ -133,7 +175,8 @@ struct TripleKey {
   /// keep topped up.
   bool versioned() const {
     return kind == TripleKind::kWeightMask ||
-           kind == TripleKind::kMaskedMatMul;
+           kind == TripleKind::kMaskedMatMul ||
+           kind == TripleKind::kMaskedConv;
   }
 };
 
@@ -144,9 +187,12 @@ struct TripleKeyHash {
 /// Dealing cost of one entry of `key`: the product of its value dims
 /// (the tensor shape, {m, k, n}, or {in, out}; layer, version and the
 /// transposed flag do not count, zero dims count as 1), saturating at
-/// SIZE_MAX instead of wrapping.  Throws SerializationError when the
-/// key is malformed for its kind: unknown kind, wrong dims arity, or a
-/// transposed flag other than 0/1.
+/// SIZE_MAX instead of wrapping.  A masked-conv entry costs its input
+/// mask plus out_channels × its im2col size.  Throws SerializationError
+/// when the key is malformed for its kind: unknown kind, wrong dims
+/// arity, a transposed flag other than 0/1, a comparison shape of rank
+/// 0 or above 2, or a conv geometry with a zero stride, a kernel larger
+/// than the padded input or an im2col size past SIZE_MAX.
 std::size_t material_cost(const TripleKey& key);
 
 /// Seed of entry `index` of stream `key` under `master_seed`
@@ -156,7 +202,7 @@ std::uint64_t derive_material_seed(std::uint64_t master_seed,
                                    const TripleKey& key, std::uint64_t index);
 
 /// The reusable mask B ([in, out]) of weight version `version` of
-/// dense layer `layer`.  Its generator is seeded under its own domain
+/// layer `layer`.  Its generator is seeded under its own domain
 /// tag, never by an entry seed: B must not share randomness with the
 /// entries that secret-share it, or one share component would equal B.
 RingTensor weight_mask_value(std::uint64_t master_seed, std::size_t layer,
@@ -166,7 +212,8 @@ RingTensor weight_mask_value(std::uint64_t master_seed, std::size_t layer,
 /// One party's view of one entry of a material stream; exactly one
 /// member is meaningful, selected by the stream key's kind.
 struct MaterialEntry {
-  BeaverTripleShare triple;  ///< kMul / kMatMul / kMaskedMatMul (no b)
+  /// kMul / kMatMul / kCompTriple; kMaskedMatMul / kMaskedConv (no b)
+  BeaverTripleShare triple;
   PartyShare share;          ///< kCompAux / kWeightMask
   TruncPairShare pair;       ///< kTruncPair
 };

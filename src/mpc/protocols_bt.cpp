@@ -2,6 +2,7 @@
 
 #include <optional>
 
+#include "numeric/conv.hpp"
 #include "numeric/fixed_point.hpp"
 #include "numeric/kernels.hpp"
 #include "obs/trace.hpp"
@@ -86,6 +87,26 @@ PartyShare combine_with_mask(const RingTensor& e, const RingTensor& f,
   return z;
 }
 
+/// Combine step of a convolution against a reusable mask:
+/// z = c + B×E + F×A + F×E with E = im2col(e) and A = im2col(a_x),
+/// F×E folded into share 2 as F×im2col(a + e) (im2col is linear).
+PartyShare combine_with_conv_mask(const RingTensor& e, const RingTensor& f,
+                                  const PartyShare& mask,
+                                  const BeaverTripleShare& triple,
+                                  const ConvSpec& conv) {
+  const RingTensor e_columns = batch_im2col(e, conv);
+  const auto component = [&](const RingTensor& c, const RingTensor& b,
+                             const RingTensor& a) {
+    return c + matmul(b, e_columns) + matmul(f, batch_im2col(a, conv));
+  };
+  PartyShare z;
+  z.primary = component(triple.c.primary, mask.primary, triple.a.primary);
+  z.duplicate =
+      component(triple.c.duplicate, mask.duplicate, triple.a.duplicate);
+  z.second = component(triple.c.second, mask.second, triple.a.second + e);
+  return z;
+}
+
 RingTensor signs_from_beta(const RingTensor& beta) {
   RingTensor signs(beta.shape());
   for (std::size_t i = 0; i < signs.size(); ++i) {
@@ -151,7 +172,53 @@ void rescale_into(OpenBatch& batch, PartyShare z,
   truncate_into(batch, z, *pair, std::move(out));
 }
 
+/// Shared head of the products against a reusable mask: open e = x − a,
+/// plus f = W − B on the mask's first product (same round, so reuse
+/// adds none), and resolve with combine(e, f) rescaled.
+template <typename Combine>
+DeferredShare masked_weight_product_prepare(
+    OpenBatch& batch, const PartyShare& x, const PartyShare& weight,
+    WeightMask& mask, const PartyShare& a,
+    std::optional<TruncPairShare> trunc, Combine combine) {
+  std::vector<PartyShare> masked;
+  masked.push_back(x - a);
+  const bool open_f = !mask.f_requested;
+  if (open_f) {
+    masked.push_back(weight - *mask.b);
+    mask.f_requested = true;
+  }
+  DeferredShare out;
+  batch.enqueue(std::move(masked),
+                [&batch, out, trunc, f = mask.f, open_f,
+                 combine](std::vector<RingTensor> opened) mutable {
+                  if (open_f) {
+                    f.set(std::move(opened[1]));
+                  }
+                  rescale_into(batch, combine(opened[0], f.get()), trunc,
+                               out);
+                });
+  return out;
+}
+
 }  // namespace
+
+std::vector<TripleKey> comparison_keys(const Shape& shape,
+                                       bool comp_triples) {
+  if (comp_triples) {
+    return {TripleKey::comp_triple(shape)};
+  }
+  return {TripleKey::comp_aux(shape), TripleKey::mul(shape)};
+}
+
+ComparisonMaterial take_comparison(std::vector<MaterialEntry>& entries,
+                                   std::size_t* at, bool comp_triples) {
+  ComparisonMaterial material;
+  if (!comp_triples) {
+    material.t_aux = std::move(entries.at((*at)++).share);
+  }
+  material.triple = std::move(entries.at((*at)++).triple);
+  return material;
+}
 
 DeferredShare sec_mul_bt_prepare(OpenBatch& batch, const PartyShare& x,
                                  const PartyShare& y,
@@ -171,23 +238,34 @@ DeferredShare sec_matmul_bt_prepare(OpenBatch& batch, const PartyShare& x,
 }
 
 void sec_comp_bt_prepare_on(OpenBatch& batch, const PartyShare& x,
-                            const PartyShare& y, const PartyShare& t_aux,
-                            const BeaverTripleShare& triple,
+                            const PartyShare& y,
+                            const ComparisonMaterial& material,
                             std::function<void(RingTensor)> on_signs) {
   TRUSTDDL_REQUIRE(x.shape() == y.shape(),
                    "sec_comp_bt: operand shapes differ");
   // beta = t ⊙ (x - y); t has positive entries, so sign(beta) equals
   // sign(x - y) while the magnitude stays masked.
   const PartyShare alpha = x - y;
+  const bool dealt_product = !material.t_aux;
   std::vector<PartyShare> masked;
-  masked.push_back(t_aux - triple.a);
-  masked.push_back(alpha - triple.b);
+  if (!dealt_product) {
+    masked.push_back(*material.t_aux - material.triple.a);
+  }
+  masked.push_back(alpha - material.triple.b);
   batch.enqueue(
       std::move(masked),
-      [&batch, on_signs = std::move(on_signs),
-       triple](std::vector<RingTensor> opened) mutable {
-        PartyShare beta = combine_with_triple(opened[0], opened[1], triple,
-                                              hadamard_product);
+      [&batch, on_signs = std::move(on_signs), triple = material.triple,
+       dealt_product](std::vector<RingTensor> opened) mutable {
+        PartyShare beta;
+        if (dealt_product) {
+          // Comparison triple: β = c + t ⊙ f with f = α − b public.
+          beta = triple.a;
+          beta.mul_public(opened[0]);
+          beta += triple.c;
+        } else {
+          beta = combine_with_triple(opened[0], opened[1], triple,
+                                     hadamard_product);
+        }
         // The β opening depends on this round's result, so it lands in
         // the NEXT flush — alongside every other chained opening.
         std::vector<PartyShare> follow_up;
@@ -202,10 +280,9 @@ void sec_comp_bt_prepare_on(OpenBatch& batch, const PartyShare& x,
 
 DeferredTensor sec_comp_bt_prepare(OpenBatch& batch, const PartyShare& x,
                                    const PartyShare& y,
-                                   const PartyShare& t_aux,
-                                   const BeaverTripleShare& triple) {
+                                   const ComparisonMaterial& material) {
   DeferredTensor out;
-  sec_comp_bt_prepare_on(batch, x, y, t_aux, triple,
+  sec_comp_bt_prepare_on(batch, x, y, material,
                          [out](RingTensor signs) mutable {
                            out.set(std::move(signs));
                          });
@@ -213,9 +290,8 @@ DeferredTensor sec_comp_bt_prepare(OpenBatch& batch, const PartyShare& x,
 }
 
 DeferredTensor sec_sign_bt_prepare(OpenBatch& batch, const PartyShare& x,
-                                   const PartyShare& t_aux,
-                                   const BeaverTripleShare& triple) {
-  return sec_comp_bt_prepare(batch, x, zero_share(x.shape()), t_aux, triple);
+                                   const ComparisonMaterial& material) {
+  return sec_comp_bt_prepare(batch, x, zero_share(x.shape()), material);
 }
 
 DeferredShare truncate_product_masked_prepare(OpenBatch& batch,
@@ -262,30 +338,36 @@ DeferredShare sec_matmul_masked_rescaled_prepare(
                        x.shape() == triple.a.shape() &&
                        x.shape()[1] == weight.shape()[transposed ? 1 : 0],
                    "masked matmul: incompatible operand shapes");
-  const std::optional<TruncPairShare> trunc = rescale_pair(
-      trunc_mode, pair,
-      Shape{x.shape()[0], weight.shape()[transposed ? 0 : 1]});
-  std::vector<PartyShare> masked;
-  masked.push_back(x - triple.a);
-  const bool open_f = !mask.f_requested;
-  if (open_f) {
-    masked.push_back(weight - *mask.b);
-    mask.f_requested = true;
-  }
-  DeferredShare out;
-  batch.enqueue(
-      std::move(masked),
-      [&batch, out, triple, trunc, b = mask.b, f = mask.f, open_f,
-       transposed](std::vector<RingTensor> opened) mutable {
-        if (open_f) {
-          f.set(std::move(opened[1]));
-        }
-        rescale_into(batch,
-                     combine_with_mask(opened[0], f.get(), *b, triple,
-                                       transposed),
-                     trunc, out);
+  return masked_weight_product_prepare(
+      batch, x, weight, mask, triple.a,
+      rescale_pair(trunc_mode, pair,
+                   Shape{x.shape()[0], weight.shape()[transposed ? 0 : 1]}),
+      [triple, b = mask.b, transposed](const RingTensor& e,
+                                       const RingTensor& f) {
+        return combine_with_mask(e, f, *b, triple, transposed);
       });
-  return out;
+}
+
+DeferredShare sec_conv_masked_rescaled_prepare(
+    OpenBatch& batch, const PartyShare& x, const PartyShare& weight,
+    WeightMask& mask, const BeaverTripleShare& triple, const ConvSpec& conv,
+    TruncationMode trunc_mode, const TruncPairShare* pair) {
+  TRUSTDDL_REQUIRE(mask.armed(), "masked conv: weight mask not dealt");
+  const std::size_t in_features =
+      conv.in_channels * conv.in_height * conv.in_width;
+  TRUSTDDL_REQUIRE(x.shape().size() == 2 && x.shape()[1] == in_features &&
+                       x.shape() == triple.a.shape() &&
+                       weight.shape() == mask.b->shape() &&
+                       weight.shape() ==
+                           (Shape{conv.out_channels, conv.col_rows()}),
+                   "masked conv: incompatible operand shapes");
+  return masked_weight_product_prepare(
+      batch, x, weight, mask, triple.a,
+      rescale_pair(trunc_mode, pair,
+                   Shape{conv.out_channels, x.shape()[0] * conv.col_cols()}),
+      [triple, b = mask.b, conv](const RingTensor& e, const RingTensor& f) {
+        return combine_with_conv_mask(e, f, *b, triple, conv);
+      });
 }
 
 PartyShare sec_mul_bt(PartyContext& ctx, const PartyShare& x,
@@ -308,19 +390,18 @@ PartyShare sec_matmul_bt(PartyContext& ctx, const PartyShare& x,
 }
 
 RingTensor sec_comp_bt(PartyContext& ctx, const PartyShare& x,
-                       const PartyShare& y, const PartyShare& t_aux,
-                       const BeaverTripleShare& triple) {
+                       const PartyShare& y,
+                       const ComparisonMaterial& material) {
   obs::ScopedSpan span("proto.sec_comp_bt", ctx.party, ctx.step);
   OpenBatch batch(ctx);
-  DeferredTensor signs = sec_comp_bt_prepare(batch, x, y, t_aux, triple);
+  DeferredTensor signs = sec_comp_bt_prepare(batch, x, y, material);
   batch.flush_all();
   return signs.take();
 }
 
 RingTensor sec_sign_bt(PartyContext& ctx, const PartyShare& x,
-                       const PartyShare& t_aux,
-                       const BeaverTripleShare& triple) {
-  return sec_comp_bt(ctx, x, zero_share(x.shape()), t_aux, triple);
+                       const ComparisonMaterial& material) {
+  return sec_comp_bt(ctx, x, zero_share(x.shape()), material);
 }
 
 RingTensor positive_mask(const RingTensor& signs) {

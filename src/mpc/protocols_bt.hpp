@@ -9,9 +9,13 @@
 // (SecComp) on top.
 #pragma once
 
+#include <optional>
+#include <vector>
+
 #include "mpc/beaver.hpp"
 #include "mpc/context.hpp"
 #include "mpc/open.hpp"
+#include "numeric/conv.hpp"
 
 namespace trustddl::mpc {
 
@@ -26,18 +30,36 @@ PartyShare sec_mul_bt(PartyContext& ctx, const PartyShare& x,
 PartyShare sec_matmul_bt(PartyContext& ctx, const PartyShare& x,
                          const PartyShare& y, const BeaverTripleShare& triple);
 
+/// One party's material for one SecComp-BT (Algorithm 5).  The paper
+/// deals the positive mask t as its own kCompAux entry (`t_aux`) beside
+/// an independent kMul triple, and the parties open t − a to multiply t
+/// by α = x − y.  A comparison triple (kCompTriple) deals t as
+/// `triple.a` with c = t ⊙ b and leaves `t_aux` empty: only α − b
+/// opens, and t never does.
+struct ComparisonMaterial {
+  std::optional<PartyShare> t_aux;
+  BeaverTripleShare triple;
+};
+
+/// Keys of one comparison's material on `shape`, in fetch order: one
+/// kCompTriple when `comp_triples`, else the paper's kCompAux and kMul.
+std::vector<TripleKey> comparison_keys(const Shape& shape, bool comp_triples);
+
+/// One comparison's material from entries fetched for comparison_keys,
+/// starting at entries[*at]; advances *at past it.
+ComparisonMaterial take_comparison(std::vector<MaterialEntry>& entries,
+                                   std::size_t* at, bool comp_triples);
+
 /// Elementwise comparison (Algorithm 5): returns sign(x - y) publicly
 /// as a tensor with elements 1, 0 or 2^64-1 (i.e. -1 in the ring).
-/// `t_aux` are shares of the dealer's positive masking values.
 RingTensor sec_comp_bt(PartyContext& ctx, const PartyShare& x,
-                       const PartyShare& y, const PartyShare& t_aux,
-                       const BeaverTripleShare& triple);
+                       const PartyShare& y,
+                       const ComparisonMaterial& material);
 
 /// sign(x) — comparison against zero without spending share material
 /// on the zero operand.
 RingTensor sec_sign_bt(PartyContext& ctx, const PartyShare& x,
-                       const PartyShare& t_aux,
-                       const BeaverTripleShare& triple);
+                       const ComparisonMaterial& material);
 
 /// 0/1 mask (raw ring values) from a sign tensor: 1 where sign is
 /// positive.  Multiplying shares by this public mask implements ReLU
@@ -97,8 +119,7 @@ DeferredShare sec_matmul_bt_prepare(OpenBatch& batch, const PartyShare& x,
 /// the β = t⊙(x−y) opening the second; resolves after two flushes.
 DeferredTensor sec_comp_bt_prepare(OpenBatch& batch, const PartyShare& x,
                                    const PartyShare& y,
-                                   const PartyShare& t_aux,
-                                   const BeaverTripleShare& triple);
+                                   const ComparisonMaterial& material);
 
 /// Continuation-style SecComp-BT for protocols built on top of the
 /// revealed comparison (robust aggregation, tournaments): `on_signs`
@@ -107,14 +128,13 @@ DeferredTensor sec_comp_bt_prepare(OpenBatch& batch, const PartyShare& x,
 /// Round structure is identical to sec_comp_bt_prepare, which is a
 /// thin wrapper over this.
 void sec_comp_bt_prepare_on(OpenBatch& batch, const PartyShare& x,
-                            const PartyShare& y, const PartyShare& t_aux,
-                            const BeaverTripleShare& triple,
+                            const PartyShare& y,
+                            const ComparisonMaterial& material,
                             std::function<void(RingTensor)> on_signs);
 
 /// Deferred sign(x); same round structure as sec_comp_bt_prepare.
 DeferredTensor sec_sign_bt_prepare(OpenBatch& batch, const PartyShare& x,
-                                   const PartyShare& t_aux,
-                                   const BeaverTripleShare& triple);
+                                   const ComparisonMaterial& material);
 
 /// Deferred masked-open rescale: resolves after one flush.
 DeferredShare truncate_product_masked_prepare(OpenBatch& batch,
@@ -141,7 +161,7 @@ DeferredShare sec_matmul_bt_rescaled_prepare(
 // one B to W instead: every triple (a, c = a×B) shares it, the first
 // product opens f alongside its own e, and later products open only
 // e = x − a.  Reopening the same f reveals nothing new; a new weight
-// value needs a new B (DESIGN.md §"Reusable weight masks").
+// value needs a new B (DESIGN.md §"Reusable masks").
 
 /// One party's view of the reusable mask B of one fixed weight W.
 /// Copies share the opened f.
@@ -161,6 +181,18 @@ struct WeightMask {
 DeferredShare sec_matmul_masked_rescaled_prepare(
     OpenBatch& batch, const PartyShare& x, const PartyShare& weight,
     WeightMask& mask, const BeaverTripleShare& triple, bool transposed,
+    TruncationMode trunc_mode, const TruncPairShare* pair);
+
+/// Deferred convolution W×im2col(x) against the reusable mask of the
+/// conv weight W ([out_channels, C·kh·kw]), fused with the rescale as
+/// above.  `triple` is a masked-conv entry for `mask`'s B: a is a mask
+/// a_x shaped like x ([batch, C·H·W]) and c = B×im2col(a_x).  Only
+/// e = x − a_x opens (plus f on the version's first product); im2col
+/// is linear, so the parties expand im2col(e) and their shares of
+/// im2col(a_x) locally.  The result is [out_channels, batch·P].
+DeferredShare sec_conv_masked_rescaled_prepare(
+    OpenBatch& batch, const PartyShare& x, const PartyShare& weight,
+    WeightMask& mask, const BeaverTripleShare& triple, const ConvSpec& conv,
     TruncationMode trunc_mode, const TruncPairShare* pair);
 
 }  // namespace trustddl::mpc

@@ -138,6 +138,7 @@ AggregateDemand aggregate_demand(std::size_t num_inputs, const Shape& shape,
 DeferredShare robust_aggregate_prepare(OpenBatch& batch, TripleSource& triples,
                                        const std::vector<PartyShare>& inputs,
                                        const AggregateOptions& options,
+                                       bool comp_triples,
                                        AggregateStats* stats) {
   TRUSTDDL_REQUIRE(!inputs.empty(), "robust_aggregate: no inputs");
   const Shape shape = inputs[0].shape();
@@ -164,14 +165,28 @@ DeferredShare robust_aggregate_prepare(OpenBatch& batch, TripleSource& triples,
     return out;
   }
 
-  // All preprocessing material is fetched here, before any opening is
-  // enqueued, so the SPMD request order is a pure function of
-  // (k, shape, options) at every party.
+  // All preprocessing material is fetched here in one round trip,
+  // before any opening is enqueued, so the SPMD request order is a pure
+  // function of (k, shape, options) at every party.
+  const std::size_t npairs = k * (k - 1) / 2;
+  const Shape comparison_shape{npairs, numel};
   const bool needs_pair =
       n_sel > 1 && options.trunc_mode == TruncationMode::kMaskedOpen;
+  std::vector<TripleKey> keys;
+  if (needs_pair) {
+    keys.push_back(TripleKey::trunc_pair(shape));
+  }
+  if (needs_comparison) {
+    for (const TripleKey& key :
+         comparison_keys(comparison_shape, comp_triples)) {
+      keys.push_back(key);
+    }
+  }
+  std::vector<MaterialEntry> entries = triples.next_many(keys);
+  std::size_t at = 0;
   TruncPairShare pair;
   if (needs_pair) {
-    pair = triples.trunc_pair(shape);
+    pair = std::move(entries[at++].pair);
   }
 
   if (!needs_comparison) {
@@ -186,16 +201,14 @@ DeferredShare robust_aggregate_prepare(OpenBatch& batch, TripleSource& triples,
     return out;
   }
 
-  const std::size_t npairs = k * (k - 1) / 2;
-  const Shape comparison_shape{npairs, numel};
   const PartyShare xs = stack_pair_rows(inputs, numel, npairs, true);
   const PartyShare ys = stack_pair_rows(inputs, numel, npairs, false);
-  const PartyShare t_aux = triples.comp_aux(comparison_shape);
-  const BeaverTripleShare triple = triples.mul_triple(comparison_shape);
+  const ComparisonMaterial material =
+      take_comparison(entries, &at, comp_triples);
 
   const TruncationMode trunc_mode = options.trunc_mode;
   sec_comp_bt_prepare_on(
-      batch, xs, ys, t_aux, triple,
+      batch, xs, ys, material,
       [&batch, out, inputs, shape, numel, k, window, n_sel, trunc_mode,
        pair](RingTensor signs) mutable {
         // Per-coordinate rank of each owner: the number of owners it
@@ -238,11 +251,11 @@ DeferredShare robust_aggregate_prepare(OpenBatch& batch, TripleSource& triples,
 PartyShare robust_aggregate(PartyContext& ctx, TripleSource& triples,
                             const std::vector<PartyShare>& inputs,
                             const AggregateOptions& options,
-                            AggregateStats* stats) {
+                            bool comp_triples, AggregateStats* stats) {
   obs::ScopedSpan span("proto.robust_aggregate", ctx.party, ctx.step);
   OpenBatch batch(ctx);
-  DeferredShare out =
-      robust_aggregate_prepare(batch, triples, inputs, options, stats);
+  DeferredShare out = robust_aggregate_prepare(batch, triples, inputs,
+                                               options, comp_triples, stats);
   batch.flush_all();
   return out.take();
 }

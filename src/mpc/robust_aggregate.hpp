@@ -9,6 +9,8 @@
 // all K(K-1)/2 pairwise differences, stacked into a single comparison
 // tensor so the whole aggregation costs the same two opening rounds as
 // one SecComp (plus one more for the masked-open rescale, when used).
+// With comparison triples (t, b, t ⊙ b) a comparison opens two values
+// per coordinate instead of three.
 // The revealed information is the per-coordinate rank permutation of
 // the owners — the same leakage class as the ReLU sign reveal the
 // framework already accepts (magnitudes stay masked by the positive
@@ -63,9 +65,10 @@ struct AggregateStats {
 };
 
 /// Preprocessing demand of one robust_aggregate call, for the
-/// TriplePipeline profiler: at most one comp_aux + mul triple of shape
-/// {K(K-1)/2, numel} and one trunc pair of the input shape.
-/// Mirrors the consumption of robust_aggregate_prepare exactly.
+/// TriplePipeline profiler: at most one comparison's material
+/// (mpc::comparison_keys) of shape {K(K-1)/2, numel} and one trunc pair
+/// of the input shape.  Mirrors the consumption of
+/// robust_aggregate_prepare exactly.
 struct AggregateDemand {
   bool needs_comparison = false;
   Shape comparison_shape;  ///< {npairs, numel}
@@ -80,20 +83,24 @@ AggregateDemand aggregate_demand(std::size_t num_inputs, const Shape& shape,
 /// aggregate calls prepared against the same batch — e.g. one per
 /// model parameter — share ALL their opening rounds.
 ///
-/// Preprocessing material is fetched from `triples` at prepare time
-/// (SPMD request-order rule); inputs must all share one shape and
-/// inputs.size() ≥ 1.  `frac_bits` is taken from the batch's context.
-/// `stats`, when non-null, is filled at prepare time (the counts are
+/// Preprocessing material is fetched from `triples` at prepare time, in
+/// one TripleSource::next_many (SPMD request-order rule); inputs must
+/// all share one shape and inputs.size() ≥ 1.  The ranking compares
+/// with comparison triples when `comp_triples` (mpc::comparison_keys).
+/// `frac_bits` is taken from the batch's context.  `stats`, when
+/// non-null, is filled at prepare time (the counts are
 /// data-independent).
 DeferredShare robust_aggregate_prepare(OpenBatch& batch, TripleSource& triples,
                                        const std::vector<PartyShare>& inputs,
                                        const AggregateOptions& options,
+                                       bool comp_triples,
                                        AggregateStats* stats = nullptr);
 
 /// Eager wrapper: prepare + flush_all on a private batch.
 PartyShare robust_aggregate(PartyContext& ctx, TripleSource& triples,
                             const std::vector<PartyShare>& inputs,
                             const AggregateOptions& options,
+                            bool comp_triples,
                             AggregateStats* stats = nullptr);
 
 /// Plaintext reference of the same selection semantics (dealer-side,

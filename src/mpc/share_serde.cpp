@@ -82,9 +82,11 @@ void write_material_entry(ByteWriter& writer, TripleKind kind,
   switch (kind) {
     case TripleKind::kMul:
     case TripleKind::kMatMul:
+    case TripleKind::kCompTriple:
       write_beaver_share(writer, entry.triple);
       break;
     case TripleKind::kMaskedMatMul:
+    case TripleKind::kMaskedConv:
       write_party_share(writer, entry.triple.a);
       write_party_share(writer, entry.triple.c);
       break;
@@ -103,9 +105,11 @@ MaterialEntry read_material_entry(ByteReader& reader, TripleKind kind) {
   switch (kind) {
     case TripleKind::kMul:
     case TripleKind::kMatMul:
+    case TripleKind::kCompTriple:
       entry.triple = read_beaver_share(reader);
       break;
     case TripleKind::kMaskedMatMul:
+    case TripleKind::kMaskedConv:
       entry.triple.a = read_party_share(reader);
       entry.triple.c = read_party_share(reader);
       break;
@@ -128,8 +132,10 @@ std::size_t min_material_entry_bytes(TripleKind kind) {
   switch (kind) {
     case TripleKind::kMul:
     case TripleKind::kMatMul:
+    case TripleKind::kCompTriple:
       return 3 * kShareBytes;
     case TripleKind::kMaskedMatMul:
+    case TripleKind::kMaskedConv:
     case TripleKind::kTruncPair:
       return 2 * kShareBytes;
     default:

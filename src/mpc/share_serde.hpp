@@ -29,7 +29,7 @@ TruncPairShare read_trunc_pair(ByteReader& reader);
 
 /// One material entry in its kind's layout — the shared format of the
 /// owner service's fill responses and persisted TDST stores.  A
-/// masked-matmul entry carries only a and c.
+/// masked-matmul or masked-conv entry carries only a and c.
 void write_material_entry(ByteWriter& writer, TripleKind kind,
                           const MaterialEntry& entry);
 MaterialEntry read_material_entry(ByteReader& reader, TripleKind kind);

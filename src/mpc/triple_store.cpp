@@ -347,14 +347,16 @@ bool TripleStore::load(const std::string& path, std::uint64_t provenance) {
     TripleKey key;
     key.kind = static_cast<TripleKind>(reader.read_u8());
     const std::uint64_t rank = reader.read_u64();
-    if (rank > 8) {
+    if (rank > kMaxKeyDims) {
       throw SerializationError("triple store: shape rank too large");
     }
     key.dims.resize(rank);
     for (auto& dim : key.dims) {
       dim = reader.read_u64();
     }
-    (void)material_cost(key);  // rejects unknown kinds and bad arity
+    // Rejects unknown kinds, bad arity and impossible conv geometry
+    // before anything is sized from the key.
+    (void)material_cost(key);
     const std::uint64_t first_index = reader.read_u64();
     const std::uint64_t target = reader.read_u64();
     const std::uint64_t depth = reader.read_u64();

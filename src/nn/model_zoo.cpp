@@ -140,6 +140,20 @@ Sequential build_model(const ModelSpec& spec, Rng& rng) {
   return model;
 }
 
+std::vector<Shape> parameter_shapes(const ModelSpec& spec) {
+  std::vector<Shape> shapes;
+  for (const LayerSpec& layer : spec.layers) {
+    if (layer.kind == LayerSpec::Kind::kDense) {
+      shapes.push_back(Shape{layer.in, layer.out});
+      shapes.push_back(Shape{1, layer.out});
+    } else if (layer.kind == LayerSpec::Kind::kConv) {
+      shapes.push_back(Shape{layer.conv.out_channels, layer.conv.col_rows()});
+      shapes.push_back(Shape{layer.conv.out_channels});
+    }
+  }
+  return shapes;
+}
+
 void validate_spec(const ModelSpec& spec) {
   TRUSTDDL_REQUIRE(!spec.layers.empty(), "model spec has no layers");
   std::size_t features = spec.input_features;

@@ -95,4 +95,9 @@ Sequential build_model(const ModelSpec& spec, Rng& rng);
 /// Validate that consecutive layer shapes agree; throws on mismatch.
 void validate_spec(const ModelSpec& spec);
 
+/// Shapes of the spec's parameters in Sequential::parameters() order:
+/// per conv layer W [out_channels, in_channels·kh·kw] then b
+/// [out_channels]; per dense layer W [in, out] then b [1, out].
+std::vector<Shape> parameter_shapes(const ModelSpec& spec);
+
 }  // namespace trustddl::nn

@@ -1,6 +1,8 @@
 #include "serve/server.hpp"
 
+#include <algorithm>
 #include <future>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -179,6 +181,24 @@ void serve_model_owner_body(const nn::ModelSpec& spec,
                             nn::Sequential& model, net::Endpoint endpoint,
                             const ServeConfig& serve_config, int num_clients,
                             SchedulerStats* stats_out) {
+  // The parties build SecureModel(spec, …) from these shares and wait
+  // for exactly one per spec parameter: a model of another shape would
+  // leave them blocked until their actor timeout.
+  const std::vector<Shape> expected = nn::parameter_shapes(spec);
+  const std::vector<nn::Parameter*> parameters = model.parameters();
+  for (std::size_t i = 0; i < std::max(expected.size(), parameters.size());
+       ++i) {
+    const std::string actual =
+        i < parameters.size() ? shape_to_string(parameters[i]->value.shape())
+                              : "missing";
+    const std::string wanted =
+        i < expected.size() ? shape_to_string(expected[i]) : "absent";
+    if (actual != wanted) {
+      throw InvalidArgument("serve: parameter " + std::to_string(i) +
+                            " of the model is " + actual + ", spec '" +
+                            spec.name + "' expects " + wanted);
+    }
+  }
   // Same parameter-sharing seed derivation as one-shot inference, so a
   // serving deployment distributes bit-identical parameter shares.
   Rng rng(config.seed * 59 + 29);

@@ -151,7 +151,7 @@ bool TrainServer::run(core::SecureModel& model, core::SecureExecContext& ctx,
       for (std::uint64_t ahead = 0; ahead < 2; ++ahead) {
         pipeline_->plan(core::profile_train_round_demand(
             *spec_, owner_rows, ctx.trunc_mode, agg_options, use_momentum,
-            core::WeightMaskUse{ctx.reuse_weight_masks,
+            core::WeightMaskUse{ctx.reuse_masks,
                                 model.weight_version() + ahead}));
       }
     }
@@ -212,7 +212,8 @@ bool TrainServer::run(core::SecureModel& model, core::SecureExecContext& ctx,
       for (std::size_t i = 0; i < params.size(); ++i) {
         mpc::AggregateStats stats;
         aggregated.push_back(mpc::robust_aggregate_prepare(
-            batch, *ctx.triples, owner_grads[i], agg_options, &stats));
+            batch, *ctx.triples, owner_grads[i], agg_options,
+            /*comp_triples=*/ctx.reuse_masks, &stats));
         totals.values_submitted += stats.values_submitted;
         totals.values_aggregated += stats.values_aggregated;
         totals.values_trimmed += stats.values_trimmed;
@@ -232,12 +233,18 @@ bool TrainServer::run(core::SecureModel& model, core::SecureExecContext& ctx,
       // v <- m*v + g; the m*v rescales share one opening round.
       const std::uint64_t momentum_encoded =
           fx::encode(config_.momentum, frac_bits);
+      std::vector<Shape> shapes;
+      for (const mpc::PartyShare& v : velocity) {
+        shapes.push_back(v.shape());
+      }
+      const std::vector<std::optional<mpc::TruncPairShare>> pairs =
+          ctx.trunc_pairs(shapes);
       mpc::OpenBatch batch(*ctx.mpc);
       std::vector<mpc::DeferredShare> damped;
       damped.reserve(params.size());
       for (std::size_t i = 0; i < params.size(); ++i) {
         damped.push_back(ctx.rescale_prepare(
-            batch, velocity[i].scaled(momentum_encoded)));
+            batch, velocity[i].scaled(momentum_encoded), pairs[i]));
       }
       batch.flush_all();
       for (std::size_t i = 0; i < params.size(); ++i) {

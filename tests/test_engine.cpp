@@ -288,6 +288,19 @@ TEST(EngineTest, InferRejectsEmptyDataset) {
                InvalidArgument);
 }
 
+TEST(EngineTest, RejectsRowsOfTheWrongWidth) {
+  // 28×28 rows for the 12×12 tiny CNN: rejected before any party runs,
+  // instead of a party throwing mid-protocol while its peers wait.
+  const auto split = small_split(8, 4);
+  TrustDdlEngine engine(nn::tiny_cnn_spec(), fast_config());
+  EXPECT_THROW(engine.infer(split.test, /*batch_size=*/2), InvalidArgument);
+  TrainOptions options;
+  options.epochs = 1;
+  options.batch_size = 4;
+  EXPECT_THROW(engine.train(split.train, split.test, options),
+               InvalidArgument);
+}
+
 TEST(SessionTest, CostRoundsComeFromLowestHonestParty) {
   // Party 0 is the configured Byzantine party; a tolerated failure left
   // its log at the default.  The honest parties' counters agree (SPMD),

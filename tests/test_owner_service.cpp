@@ -191,6 +191,9 @@ Bytes fill_request(std::uint8_t kind, const std::vector<std::uint64_t>& dims,
 TEST(OwnerServiceTest, HostileFillsNeitherKillTheDealerNorStarveOthers) {
   ServiceHarness harness;
   const auto matmul = static_cast<std::uint8_t>(mpc::TripleKind::kMatMul);
+  const auto conv = static_cast<std::uint8_t>(mpc::TripleKind::kMaskedConv);
+  const auto comparison =
+      static_cast<std::uint8_t>(mpc::TripleKind::kCompTriple);
   const std::vector<Bytes> hostile = {
       // 46 bytes whose dims product wraps size_t to 0.
       fill_request(matmul, {std::uint64_t{1} << 62, 4, 1}, 1),
@@ -202,6 +205,19 @@ TEST(OwnerServiceTest, HostileFillsNeitherKillTheDealerNorStarveOthers) {
       fill_request(static_cast<std::uint8_t>(mpc::TripleKind::kWeightMask),
                    {0, 0, 1}, 1),                      // wrong arity
       fill_request(42, {1}, 1),                        // unknown kind
+      // Masked-conv keys {layer, version, batch, C, H, W, outC, kh, kw,
+      // pad, stride}: wrong arity, zero stride, a kernel past the
+      // padded input, an im2col size past SIZE_MAX, one too costly.
+      fill_request(conv, {0, 0, 1, 1, 4, 4, 1, 3, 3, 1}, 1),
+      fill_request(conv, {0, 0, 1, 1, 4, 4, 1, 3, 3, 1, 0}, 1),
+      fill_request(conv, {0, 0, 1, 1, 4, 4, 1, 3, 9, 1, 1}, 1),
+      fill_request(conv,
+                   {0, 0, std::uint64_t{1} << 40, 1, std::uint64_t{1} << 20,
+                    std::uint64_t{1} << 20, 1, 1, 1, 0, 1},
+                   1),
+      fill_request(conv, {0, 0, 1 << 12, 1, 64, 64, 64, 5, 5, 2, 1}, 1),
+      fill_request(comparison, {2, 2, 2}, 1),          // wrong arity
+      fill_request(comparison, {}, 1),
   };
   ASSERT_EQ(hostile[0].size(), 46u);
   net::Endpoint attacker = harness.network.endpoint(0);

@@ -109,7 +109,7 @@ TEST(ProtocolPropertyTest, ComparisonEdgeCases) {
     LocalTripleSource source(dealer, ctx.party);
     signs[index] =
         sec_comp_bt(ctx, x_views[index], y_views[index],
-                    source.comp_aux(Shape{6}), source.mul_triple(Shape{6}));
+                    {source.comp_aux(Shape{6}), source.mul_triple(Shape{6})});
   });
   const std::vector<int> expected{0, 1, -1, 1, -1, 0};
   for (const auto& result : signs) {
@@ -134,8 +134,8 @@ TEST(ProtocolPropertyTest, ReluMaskIdempotentOnGradients) {
     const auto index = static_cast<std::size_t>(ctx.party);
     LocalTripleSource source(dealer, ctx.party);
     const RingTensor signs =
-        sec_sign_bt(ctx, x_views[index], source.comp_aux(shape),
-                    source.mul_triple(shape));
+        sec_sign_bt(ctx, x_views[index],
+                    {source.comp_aux(shape), source.mul_triple(shape)});
     masks[index] = positive_mask(signs);
   });
   EXPECT_EQ(masks[0], masks[1]);

@@ -107,14 +107,20 @@ TEST(SecCompBtTest, SignsMatchPlaintextComparison) {
   const auto y_views = share_secret(to_ring(y, kF), rng);
   auto dealer = std::make_shared<SharedDealer>(555, kF);
 
-  std::array<RingTensor, 3> signs;
+  // Both dealt forms: the paper's t and mul triple, and a comparison
+  // triple (t, b, t ⊙ b).
+  std::array<RingTensor, 6> signs;
   harness.run([&](PartyContext& ctx) {
     const auto index = static_cast<std::size_t>(ctx.party);
     LocalTripleSource source(dealer, ctx.party);
-    const auto triple = source.mul_triple(shape);
-    const auto t_aux = source.comp_aux(shape);
-    signs[index] = sec_comp_bt(ctx, x_views[index], y_views[index], t_aux,
-                               triple);
+    for (const bool comp_triples : {false, true}) {
+      std::vector<MaterialEntry> entries =
+          source.next_many(comparison_keys(shape, comp_triples));
+      std::size_t at = 0;
+      signs[index + (comp_triples ? 3 : 0)] =
+          sec_comp_bt(ctx, x_views[index], y_views[index],
+                      take_comparison(entries, &at, comp_triples));
+    }
   });
   for (const auto& result : signs) {
     for (std::size_t i = 0; i < result.size(); ++i) {
@@ -143,9 +149,9 @@ TEST(SecCompBtTest, SignAgainstZeroAndPositiveMask) {
   harness.run([&](PartyContext& ctx) {
     const auto index = static_cast<std::size_t>(ctx.party);
     LocalTripleSource source(dealer, ctx.party);
-    const auto signs = sec_sign_bt(ctx, x_views[index],
-                                   source.comp_aux(shape),
-                                   source.mul_triple(shape));
+    const auto signs =
+        sec_sign_bt(ctx, x_views[index],
+                    {source.comp_aux(shape), source.mul_triple(shape)});
     masks[index] = positive_mask(signs);
   });
   const AlignedVector<std::uint64_t> expected{0, 0, 0, 1, 1, 1};

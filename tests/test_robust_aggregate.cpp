@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <array>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -59,24 +60,29 @@ struct AggFixture {
   }
 };
 
-/// Run the eager aggregate at every party and open the result.
-std::array<RealTensor, 3> run_aggregate(const AggFixture& fixture,
+/// Run the eager aggregate at every party and open the result, once
+/// per comparison path (the paper's t and mul triple, then comparison
+/// triples): results [0, 3) and [3, 6) are the parties' openings.
+std::array<RealTensor, 6> run_aggregate(const AggFixture& fixture,
                                         const AggregateOptions& options,
                                         AggregateStats* stats = nullptr) {
-  ThreePartyHarness harness;
-  std::array<RealTensor, 3> results;
-  harness.run([&](PartyContext& ctx) {
-    const auto index = static_cast<std::size_t>(ctx.party);
-    LocalTripleSource source(fixture.dealer, ctx.party);
-    AggregateStats local_stats;
-    PartyShare agg = robust_aggregate(ctx, source,
-                                      fixture.party_inputs(ctx.party), options,
-                                      &local_stats);
-    if (ctx.party == 0 && stats != nullptr) {
-      *stats = local_stats;
-    }
-    results[index] = to_real(open_value(ctx, agg), kF);
-  });
+  std::array<RealTensor, 6> results;
+  for (const bool comp_triples : {false, true}) {
+    ThreePartyHarness harness;
+    harness.run([&](PartyContext& ctx) {
+      const auto index = static_cast<std::size_t>(ctx.party);
+      LocalTripleSource source(fixture.dealer, ctx.party);
+      AggregateStats local_stats;
+      PartyShare agg =
+          robust_aggregate(ctx, source, fixture.party_inputs(ctx.party),
+                           options, comp_triples, &local_stats);
+      if (ctx.party == 0 && stats != nullptr) {
+        *stats = local_stats;
+      }
+      results[index + (comp_triples ? 3 : 0)] =
+          to_real(open_value(ctx, agg), kF);
+    });
+  }
   return results;
 }
 
@@ -251,8 +257,11 @@ TEST(RobustAggregateTest, PreparedAggregatesShareOpeningRounds) {
   AggFixture fx_a(5, Shape{3, 2}, 110);
   AggFixture fx_b(5, Shape{4}, 111);
   AggFixture fx_c(5, Shape{2, 2}, 112);
-  for (const TruncationMode mode :
-       {TruncationMode::kLocal, TruncationMode::kMaskedOpen}) {
+  for (const auto& [mode, comp_triples] :
+       {std::pair{TruncationMode::kLocal, false},
+        std::pair{TruncationMode::kMaskedOpen, false},
+        std::pair{TruncationMode::kLocal, true},
+        std::pair{TruncationMode::kMaskedOpen, true}}) {
     const std::uint64_t expected_flushes =
         mode == TruncationMode::kLocal ? 2u : 3u;
     AggregateOptions options{AggregationRule::kTrimmedMean, 1, mode};
@@ -269,7 +278,7 @@ TEST(RobustAggregateTest, PreparedAggregatesShareOpeningRounds) {
                                                          ctx.party);
         deferred[i] = robust_aggregate_prepare(
             batch, *sources[i], fixtures[i]->party_inputs(ctx.party),
-            options);
+            options, comp_triples);
       }
       batch.flush_all();
       EXPECT_EQ(batch.flushes(), expected_flushes);

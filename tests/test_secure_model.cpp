@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <thread>
 
 #include "core/engine.hpp"
@@ -329,6 +330,70 @@ TEST(SecureModelTest, TrainingStepMatchesPlaintextUpdate) {
         {updated[0][i], updated[1][i], updated[2][i]});
     EXPECT_LT(max_abs_diff(secure_value, plain_params[i]->value), 5e-3)
         << plain_params[i]->name;
+  }
+}
+
+/// Forwards to another source and records every key requested.
+class RecordingSource final : public mpc::TripleSource {
+ public:
+  explicit RecordingSource(mpc::TripleSource& inner) : inner_(inner) {}
+  mpc::MaterialEntry next(const mpc::TripleKey& key) override {
+    keys.push_back(key);
+    return inner_.next(key);
+  }
+  std::vector<mpc::MaterialEntry> next_many(
+      const std::vector<mpc::TripleKey>& requested) override {
+    keys.insert(keys.end(), requested.begin(), requested.end());
+    return inner_.next_many(requested);
+  }
+  std::vector<mpc::TripleKey> keys;
+
+ private:
+  mpc::TripleSource& inner_;
+};
+
+TEST(SecureModelTest, FirstLayerInputGradientIsNeverRequested) {
+  // Nothing reads the conv's input gradient: with reusable masks its
+  // Wᵀ·dY triple ({k, outC, batch·P}) and truncation pair are never
+  // fetched; the paper's path still fetches them.
+  Rng rng(10);
+  const nn::ModelSpec spec = nn::tiny_cnn_spec();
+  const ConvSpec& conv = spec.layers[0].conv;
+  constexpr std::size_t kRows = 2;
+  const std::size_t columns = kRows * conv.col_cols();
+  const mpc::TripleKey x_grad =
+      mpc::TripleKey::matmul(conv.col_rows(), conv.out_channels, columns);
+  const mpc::TripleKey x_grad_pair =
+      mpc::TripleKey::trunc_pair(Shape{conv.col_rows(), columns});
+  nn::Sequential plain = nn::build_model(spec, rng);
+  const RealTensor input = random_real(Shape{kRows, 144}, rng, 0.5);
+  const RealTensor targets = nn::one_hot({1, 3}, spec.classes);
+  for (const bool reuse : {false, true}) {
+    FiveActorHarness harness(mpc::SecurityMode::kMalicious,
+                             TruncationMode::kMaskedOpen);
+    auto param_shares = share_model_params(plain, harness);
+    const auto x_views = harness.share(input);
+    const auto y_views = harness.share(targets);
+    std::array<std::vector<mpc::TripleKey>, 3> requested;
+    harness.run([&](SecureExecContext& ctx, int party) {
+      const auto index = static_cast<std::size_t>(party);
+      RecordingSource recording(*ctx.triples);
+      ctx.triples = &recording;
+      ctx.reuse_masks = reuse;
+      SecureModel model(spec, std::move(param_shares[index]));
+      const mpc::PartyShare probabilities =
+          model.forward(ctx, x_views[index]);
+      model.backward_from_logit_grad(ctx, probabilities - y_views[index]);
+      requested[index] = recording.keys;
+    });
+    for (const auto& keys : requested) {
+      const auto count = [&](const mpc::TripleKey& key) {
+        return std::count(keys.begin(), keys.end(), key);
+      };
+      EXPECT_EQ(count(x_grad), reuse ? 0 : 1) << "reuse " << reuse;
+      EXPECT_EQ(count(x_grad_pair), reuse ? 0 : 1) << "reuse " << reuse;
+      EXPECT_EQ(keys, requested[0]) << "parties request in SPMD order";
+    }
   }
 }
 

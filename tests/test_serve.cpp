@@ -16,7 +16,10 @@
 #include "obs/events.hpp"
 #include "obs/metrics.hpp"
 #include "serve/batch_queue.hpp"
+#include "net/network.hpp"
+#include "nn/model_zoo.hpp"
 #include "serve/harness.hpp"
+#include "serve/server.hpp"
 #include "serve/wire.hpp"
 
 namespace trustddl::serve {
@@ -226,6 +229,31 @@ std::vector<std::size_t> reference_labels(const nn::ModelSpec& spec,
                                           const data::Dataset& sample) {
   core::TrustDdlEngine engine(spec, config);
   return engine.infer(sample, /*batch_size=*/4).labels;
+}
+
+TEST(ServeModelOwnerTest, RejectsAModelTheSpecDoesNotDescribe) {
+  // The parties load SecureModel(spec, …): a model of other shapes
+  // must fail at the owner, before any parameter share is sent, rather
+  // than leave every party blocked in receive_parameters.
+  net::Network network(net::NetworkConfig{.num_parties = core::kNumActors});
+  Rng rng(3);
+  nn::Sequential tiny = nn::build_model(nn::tiny_cnn_spec(), rng);
+  try {
+    serve_model_owner_body(nn::mnist_cnn_spec(), core::EngineConfig{}, tiny,
+                           network.endpoint(core::kModelOwner), ServeConfig{},
+                           /*num_clients=*/1);
+    FAIL() << "owner body accepted a tiny-CNN model for the Table I spec";
+  } catch (const InvalidArgument& error) {
+    EXPECT_NE(std::string(error.what()).find("parameter 0"),
+              std::string::npos)
+        << error.what();
+  }
+  for (int party = 0; party < core::kComputingParties; ++party) {
+    Bytes share;
+    EXPECT_FALSE(
+        network.endpoint(party).try_recv(core::kModelOwner, "init/0", share))
+        << "party " << party;
+  }
 }
 
 TEST(ServeSessionTest, ConcurrentClientsMatchSequentialInference) {

@@ -219,6 +219,22 @@ TEST(TripleStoreTest, CraftedHeadersFailAsSerializationErrors) {
        std::uint64_t{1} << 40, 0},
       {TripleKind::kMatMul, Shape{2, 2}, 0, 1, 0},  // wrong arity
       {static_cast<TripleKind>(9), shape, 0, 1, 0},  // unknown kind
+      // Masked-conv keys {layer, version, batch, C, H, W, outC, kh, kw,
+      // pad, stride}: wrong arity, zero stride, a kernel past the
+      // padded input, an im2col size past SIZE_MAX.
+      {TripleKind::kMaskedConv, Shape{0, 0, 1, 1, 4, 4, 1, 3, 3, 1}, 0, 1,
+       0},
+      {TripleKind::kMaskedConv, Shape{0, 0, 1, 1, 4, 4, 1, 3, 3, 1, 0}, 0, 1,
+       0},
+      {TripleKind::kMaskedConv, Shape{0, 0, 1, 1, 4, 4, 1, 7, 3, 1, 1}, 0, 1,
+       0},
+      {TripleKind::kMaskedConv,
+       Shape{0, 0, std::size_t{1} << 40, 1, std::size_t{1} << 20,
+             std::size_t{1} << 20, 1, 1, 1, 0, 1},
+       0, 1, 0},
+      {TripleKind::kCompTriple, Shape{2, 2, 2}, 0, 1, 0},  // wrong arity
+      {TripleKind::kCompTriple, Shape{}, 0, 1, 0},
+      {TripleKind::kMul, Shape(kMaxKeyDims + 1, 1), 0, 1, 0},  // rank
   };
   for (const auto& c : cases) {
     write_store_header(path, c.kind, c.dims, c.cursor, c.target, c.depth);
@@ -239,6 +255,19 @@ TEST(TripleStoreTest, CraftedHeadersFailAsSerializationErrors) {
   const TripleKey key = TripleKey::masked_matmul(0, 0, false, 1, 1, 1);
   EXPECT_EQ(store.consumed(key), std::uint64_t{1} << 40);
   EXPECT_EQ(store.refill(key, 16), 4u);
+  // So does a well-formed masked-conv key, the widest one.
+  ConvSpec conv;
+  conv.in_height = 4;
+  conv.in_width = 4;
+  conv.kernel_h = 3;
+  conv.kernel_w = 3;
+  conv.pad = 1;
+  const TripleKey conv_key = TripleKey::masked_conv(0, 0, 1, conv);
+  ASSERT_EQ(conv_key.dims.size(), kMaxKeyDims);
+  write_store_header(path, TripleKind::kMaskedConv, conv_key.dims, 0, 1, 0);
+  TripleStore conv_store(backend, /*party=*/0);
+  ASSERT_TRUE(conv_store.load(path, 0xfeedULL));
+  EXPECT_EQ(conv_store.refill(conv_key, 16), 1u);
   std::remove(path.c_str());
 }
 
@@ -304,11 +333,14 @@ TEST(TripleStoreTest, ConcurrentProducerAndConsumerPreserveStreamOrder) {
 
 // --- Demand profiler + engine-level equivalence ----------------------
 
-data::TrainTestSplit tiny_split(std::size_t train, std::size_t test) {
+data::TrainTestSplit tiny_split(std::size_t train, std::size_t test,
+                                std::size_t side = 28) {
   data::SyntheticMnistConfig config;
   config.train_count = train;
   config.test_count = test;
   config.seed = 42;
+  config.height = side;
+  config.width = side;
   return data::generate_synthetic_mnist(config);
 }
 
@@ -344,7 +376,7 @@ TEST(DemandProfilerTest, CountsMergeAcrossBatchSizes) {
 }
 
 TEST(PrefetchExactnessTest, InferLabelsBitIdenticalAndStoreNeverMisses) {
-  const auto split = tiny_split(30, 16);
+  const auto split = tiny_split(30, 16, /*side=*/12);  // tiny CNN input
   const data::Dataset sample = data::slice(split.test, 0, 6);
 
   core::TrustDdlEngine sync_engine(nn::tiny_cnn_spec(),
