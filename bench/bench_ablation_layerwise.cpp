@@ -113,7 +113,8 @@ int main() {
     print_row("conv 5x5 backward",
               measure([&](core::SecureExecContext& ctx, int party) {
                 (void)layers[static_cast<std::size_t>(party)]->backward(
-                    ctx, g[static_cast<std::size_t>(party)]);
+                    ctx, g[static_cast<std::size_t>(party)],
+                    /*input_grad=*/true);
               }));
   }
 
@@ -168,7 +169,7 @@ int main() {
     print_row(bwd_name, measure([&](core::SecureExecContext& ctx,
                                     int party) {
       (void)layers[static_cast<std::size_t>(party)]->backward(
-          ctx, g[static_cast<std::size_t>(party)]);
+          ctx, g[static_cast<std::size_t>(party)], /*input_grad=*/true);
     }));
   };
   dense_rows(980, 100, "fc 980->100 forward", "fc 980->100 backward");

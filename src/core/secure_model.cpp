@@ -17,31 +17,13 @@ mpc::PartyShare SecureExecContext::rescale(const mpc::PartyShare& product) {
   return mpc::truncate_product_local(product, mpc->frac_bits);
 }
 
-std::vector<std::optional<mpc::TruncPairShare>> SecureExecContext::trunc_pairs(
-    const std::vector<Shape>& shapes) {
-  std::vector<std::optional<mpc::TruncPairShare>> pairs(shapes.size());
-  if (trunc_mode != TruncationMode::kMaskedOpen) {
-    return pairs;
-  }
-  std::vector<mpc::TripleKey> keys;
-  for (const Shape& shape : shapes) {
-    keys.push_back(mpc::TripleKey::trunc_pair(shape));
-  }
-  std::vector<mpc::MaterialEntry> entries = triples->next_many(keys);
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    pairs[i] = std::move(entries[i].pair);
-  }
-  return pairs;
-}
-
 mpc::DeferredShare SecureExecContext::rescale_prepare(
     mpc::OpenBatch& batch, const mpc::PartyShare& product,
-    const std::optional<mpc::TruncPairShare>& pair) {
+    PassMaterial& material) {
   mpc::DeferredShare out;
   if (trunc_mode == TruncationMode::kMaskedOpen) {
-    TRUSTDDL_REQUIRE(pair.has_value(),
-                     "masked-open rescale needs a truncation pair");
-    out = mpc::truncate_product_masked_prepare(batch, product, *pair);
+    out = mpc::truncate_product_masked_prepare(batch, product,
+                                               *material.take_trunc());
     if (!batch_openings) {
       batch.flush_all();
     }
@@ -62,23 +44,6 @@ mpc::DeferredShare SecureExecContext::matmul_rescaled_prepare(
   return out;
 }
 
-std::vector<mpc::ComparisonMaterial> SecureExecContext::comparisons(
-    const Shape& shape, std::size_t count) {
-  std::vector<mpc::TripleKey> keys;
-  for (std::size_t i = 0; i < count; ++i) {
-    for (const mpc::TripleKey& key :
-         mpc::comparison_keys(shape, reuse_masks)) {
-      keys.push_back(key);
-    }
-  }
-  std::vector<mpc::MaterialEntry> entries = triples->next_many(keys);
-  std::vector<mpc::ComparisonMaterial> material;
-  for (std::size_t at = 0; at < entries.size();) {
-    material.push_back(mpc::take_comparison(entries, &at, reuse_masks));
-  }
-  return material;
-}
-
 void PassMaterial::add_mask(const mpc::WeightMask& mask,
                             const mpc::TripleKey& key) {
   if (!mask.armed()) {
@@ -89,8 +54,19 @@ void PassMaterial::add_mask(const mpc::WeightMask& mask,
 void PassMaterial::add_product(const mpc::TripleKey& key,
                                const Shape& result) {
   keys_.push_back(key);
+  add_trunc(result);
+}
+
+void PassMaterial::add_trunc(const Shape& shape) {
   if (ctx_.trunc_mode == TruncationMode::kMaskedOpen) {
-    keys_.push_back(mpc::TripleKey::trunc_pair(result));
+    keys_.push_back(mpc::TripleKey::trunc_pair(shape));
+  }
+}
+
+void PassMaterial::add_comparison(const Shape& shape) {
+  for (const mpc::TripleKey& key :
+       mpc::comparison_keys(shape, ctx_.reuse_masks)) {
+    keys_.push_back(key);
   }
 }
 
@@ -106,10 +82,19 @@ void PassMaterial::take_mask(mpc::WeightMask& mask) {
 ProductMaterial PassMaterial::take_product() {
   ProductMaterial material;
   material.triple = std::move(entries_.at(next_++).triple);
-  if (ctx_.trunc_mode == TruncationMode::kMaskedOpen) {
-    material.pair = std::move(entries_.at(next_++).pair);
-  }
+  material.pair = take_trunc();
   return material;
+}
+
+std::optional<mpc::TruncPairShare> PassMaterial::take_trunc() {
+  if (ctx_.trunc_mode != TruncationMode::kMaskedOpen) {
+    return std::nullopt;
+  }
+  return std::move(entries_.at(next_++).pair);
+}
+
+mpc::ComparisonMaterial PassMaterial::take_comparison() {
+  return mpc::take_comparison(entries_, &next_, ctx_.reuse_masks);
 }
 
 void add_row_broadcast(mpc::PartyShare& matrix, const mpc::PartyShare& bias) {
@@ -203,9 +188,9 @@ mpc::PartyShare SecureDense::forward(SecureExecContext& ctx,
   return output;
 }
 
-mpc::PartyShare SecureDense::backward_pass(SecureExecContext& ctx,
-                                           const mpc::PartyShare& grad_output,
-                                           bool input_grad) {
+mpc::PartyShare SecureDense::backward(SecureExecContext& ctx,
+                                      const mpc::PartyShare& grad_output,
+                                      bool input_grad) {
   obs::ScopedSpan span("layer.dense.backward", ctx.mpc->party, ctx.mpc->step);
   const std::size_t batch = cached_input_.shape()[0];
   const std::size_t in_features = cached_input_.shape()[1];
@@ -301,9 +286,9 @@ mpc::PartyShare SecureConv::forward(SecureExecContext& ctx,
   });
 }
 
-mpc::PartyShare SecureConv::backward_pass(SecureExecContext& ctx,
-                                          const mpc::PartyShare& grad_output,
-                                          bool input_grad) {
+mpc::PartyShare SecureConv::backward(SecureExecContext& ctx,
+                                     const mpc::PartyShare& grad_output,
+                                     bool input_grad) {
   obs::ScopedSpan span("layer.conv.backward", ctx.mpc->party, ctx.mpc->step);
   const std::size_t batch = cached_batch_;
   const std::size_t pixels = spec_.col_cols();
@@ -312,7 +297,7 @@ mpc::PartyShare SecureConv::backward_pass(SecureExecContext& ctx,
         return rows_to_maps(g, spec_.out_channels, pixels);
       });
 
-  // As in SecureDense::backward_pass, both gradients' material comes
+  // As in SecureDense::backward, both gradients' material comes
   // in one round trip and their openings share rounds.
   PassMaterial material(ctx);
   material.add_product(mpc::TripleKey::matmul(spec_.out_channels,
@@ -357,8 +342,11 @@ mpc::PartyShare SecureConv::backward_pass(SecureExecContext& ctx,
 mpc::PartyShare SecureRelu::forward(SecureExecContext& ctx,
                                     const mpc::PartyShare& input) {
   obs::ScopedSpan span("layer.relu.forward", ctx.mpc->party, ctx.mpc->step);
-  const RingTensor signs = mpc::sec_sign_bt(
-      *ctx.mpc, input, ctx.comparisons(input.shape(), 1).front());
+  PassMaterial material(ctx);
+  material.add_comparison(input.shape());
+  material.fetch();
+  const RingTensor signs =
+      mpc::sec_sign_bt(*ctx.mpc, input, material.take_comparison());
   cached_mask_ = mpc::positive_mask(signs);
   mpc::PartyShare output = input;
   output.mul_public(cached_mask_);
@@ -366,7 +354,8 @@ mpc::PartyShare SecureRelu::forward(SecureExecContext& ctx,
 }
 
 mpc::PartyShare SecureRelu::backward(SecureExecContext& /*ctx*/,
-                                     const mpc::PartyShare& grad_output) {
+                                     const mpc::PartyShare& grad_output,
+                                     bool /*input_grad*/) {
   obs::ScopedSpan span("layer.relu.backward");
   TRUSTDDL_REQUIRE(grad_output.shape() == cached_mask_.shape(),
                    "secure relu: backward before forward");
@@ -441,16 +430,18 @@ mpc::PartyShare SecureMaxPool::forward(SecureExecContext& ctx,
   // Tournament: window^2 − 1 comparisons on the [batch, pools] shape,
   // whose material comes in one round trip.  Each round halves the
   // candidates.
-  const std::vector<mpc::ComparisonMaterial> material =
-      ctx.comparisons(Shape{batch, pools}, window_size - 1);
-  std::size_t comparison = 0;
+  PassMaterial material(ctx);
+  for (std::size_t i = 0; i + 1 < window_size; ++i) {
+    material.add_comparison(Shape{batch, pools});
+  }
+  material.fetch();
   while (candidates.size() > 1) {
     std::vector<Candidate> next;
     for (std::size_t i = 0; i + 1 < candidates.size(); i += 2) {
       Candidate& lhs = candidates[i];
       Candidate& rhs = candidates[i + 1];
       const RingTensor signs = mpc::sec_comp_bt(
-          *ctx.mpc, lhs.share, rhs.share, material[comparison++]);
+          *ctx.mpc, lhs.share, rhs.share, material.take_comparison());
       const RingTensor mask = mpc::positive_mask(signs);  // 1 where lhs > rhs
       // winner = mask (.) (lhs - rhs) + rhs, computed locally.
       Candidate winner;
@@ -480,7 +471,8 @@ mpc::PartyShare SecureMaxPool::forward(SecureExecContext& ctx,
 }
 
 mpc::PartyShare SecureMaxPool::backward(SecureExecContext& /*ctx*/,
-                                        const mpc::PartyShare& grad_output) {
+                                        const mpc::PartyShare& grad_output,
+                                        bool /*input_grad*/) {
   obs::ScopedSpan span("layer.maxpool.backward");
   TRUSTDDL_REQUIRE(grad_output.shape().size() == 2 &&
                        grad_output.shape()[0] == cached_batch_ &&
@@ -507,7 +499,8 @@ mpc::PartyShare SecureSoftmax::forward(SecureExecContext& ctx,
 }
 
 mpc::PartyShare SecureSoftmax::backward(SecureExecContext& ctx,
-                                        const mpc::PartyShare& grad_output) {
+                                        const mpc::PartyShare& grad_output,
+                                        bool /*input_grad*/) {
   obs::ScopedSpan span("layer.softmax.backward", ctx.mpc->party,
                        ctx.mpc->step);
   return ctx.owner->softmax_backward(cached_probabilities_, grad_output);
@@ -572,15 +565,11 @@ void SecureModel::backward_from_logit_grad(
   }
   mpc::PartyShare grad = grad_logits;
   // Skip the trailing softmax layer: the fused gradient is already
-  // w.r.t. the logits.
-  for (std::size_t i = layers_.size() - 1; i-- > 1;) {
-    grad = layers_[i]->backward(ctx, grad);
-  }
-  // Nothing reads the first layer's input gradient.
-  if (ctx.reuse_masks) {
-    layers_.front()->backward_params(ctx, grad);
-  } else {
-    (void)layers_.front()->backward(ctx, grad);
+  // w.r.t. the logits.  Nothing reads the first layer's input gradient;
+  // the paper's protocol forms it anyway.
+  for (std::size_t i = layers_.size() - 1; i-- > 0;) {
+    grad = layers_[i]->backward(ctx, grad,
+                                /*input_grad=*/i > 0 || !ctx.reuse_masks);
   }
 }
 
@@ -598,18 +587,17 @@ void SecureModel::sgd_step(SecureExecContext& ctx, double learning_rate,
   // in masked-open mode their pairs come in one round trip and their
   // openings share ONE round for the whole update.
   std::vector<SecureParameter*> params = parameters();
-  std::vector<Shape> shapes;
+  PassMaterial material(ctx);
   for (const SecureParameter* parameter : params) {
-    shapes.push_back(parameter->grad.shape());
+    material.add_trunc(parameter->grad.shape());
   }
-  const std::vector<std::optional<mpc::TruncPairShare>> pairs =
-      ctx.trunc_pairs(shapes);
+  material.fetch();
   mpc::OpenBatch open_batch(*ctx.mpc);
   std::vector<mpc::DeferredShare> deltas;
   deltas.reserve(params.size());
-  for (std::size_t i = 0; i < params.size(); ++i) {
+  for (SecureParameter* parameter : params) {
     deltas.push_back(ctx.rescale_prepare(
-        open_batch, params[i]->grad.scaled(lr_encoded), pairs[i]));
+        open_batch, parameter->grad.scaled(lr_encoded), material));
   }
   open_batch.flush_all();
   for (std::size_t i = 0; i < params.size(); ++i) {

@@ -46,6 +46,8 @@ struct ProductMaterial {
   }
 };
 
+class PassMaterial;
+
 /// Everything a secure layer needs at execution time.
 struct SecureExecContext {
   mpc::PartyContext* mpc = nullptr;       ///< party-to-party protocols
@@ -70,18 +72,12 @@ struct SecureExecContext {
   /// bits according to the configured strategy.
   mpc::PartyShare rescale(const mpc::PartyShare& product);
 
-  /// Truncation pairs for rescaling products of `shapes`, fetched in
-  /// one round trip: one per shape in masked-open mode, none (nullopt)
-  /// under local truncation.
-  std::vector<std::optional<mpc::TruncPairShare>> trunc_pairs(
-      const std::vector<Shape>& shapes);
-
-  /// Deferred rescale against `batch` with `pair` from trunc_pairs.
-  /// With kLocal truncation the result is ready immediately; with
-  /// kMaskedOpen it resolves one flush later.
-  mpc::DeferredShare rescale_prepare(
-      mpc::OpenBatch& batch, const mpc::PartyShare& product,
-      const std::optional<mpc::TruncPairShare>& pair);
+  /// Deferred rescale against `batch`, taking the pair add_trunc asked
+  /// `material` for.  With kLocal truncation the result is ready
+  /// immediately; with kMaskedOpen it resolves one flush later.
+  mpc::DeferredShare rescale_prepare(mpc::OpenBatch& batch,
+                                     const mpc::PartyShare& product,
+                                     PassMaterial& material);
 
   /// Deferred matmul + rescale against `batch`; honours batch_openings
   /// by flushing eagerly when batching is off.
@@ -89,29 +85,31 @@ struct SecureExecContext {
                                              const mpc::PartyShare& x,
                                              const mpc::PartyShare& y,
                                              const ProductMaterial& material);
-
-  /// Material of `count` comparisons on `shape`, fetched in one round
-  /// trip (mpc::comparison_keys; comparison triples with reuse_masks).
-  std::vector<mpc::ComparisonMaterial> comparisons(const Shape& shape,
-                                                   std::size_t count);
 };
 
-/// The material one layer pass consumes, fetched in one dealer round
-/// trip: keys are added in consumption order, fetched once, then taken
-/// back in the same order.
+/// The material one layer pass or parameter update consumes, fetched
+/// in one dealer round trip: keys are added in consumption order,
+/// fetched once, then taken back in the same order.
 class PassMaterial {
  public:
   explicit PassMaterial(SecureExecContext& ctx) : ctx_(ctx) {}
 
   /// The key of `mask`'s B, unless the mask is already armed.
   void add_mask(const mpc::WeightMask& mask, const mpc::TripleKey& key);
-  /// A product's entry, then in masked-open mode the truncation pair
-  /// of its `result` shape.
+  /// A product's entry, then add_trunc of its `result` shape.
   void add_product(const mpc::TripleKey& key, const Shape& result);
+  /// In masked-open mode, the truncation pair of a rescale of `shape`.
+  void add_trunc(const Shape& shape);
+  /// One comparison's material on `shape` (mpc::comparison_keys: a
+  /// comparison triple with reuse_masks).
+  void add_comparison(const Shape& shape);
   void fetch();
   /// Arms `mask` from the entry add_mask asked for (no-op if armed).
   void take_mask(mpc::WeightMask& mask);
   ProductMaterial take_product();
+  /// The pair add_trunc asked for; nullopt under local truncation.
+  std::optional<mpc::TruncPairShare> take_trunc();
+  mpc::ComparisonMaterial take_comparison();
 
  private:
   SecureExecContext& ctx_;
@@ -136,14 +134,12 @@ class SecureLayer {
   virtual ~SecureLayer() = default;
   virtual mpc::PartyShare forward(SecureExecContext& ctx,
                                   const mpc::PartyShare& input) = 0;
+  /// Accumulates the parameter gradients and returns the input
+  /// gradient; a layer with parameters returns an empty share instead
+  /// when `input_grad` is false (its input gradient has no reader).
   virtual mpc::PartyShare backward(SecureExecContext& ctx,
-                                   const mpc::PartyShare& grad_output) = 0;
-  /// Backward pass of a model's first layer, whose input gradient has
-  /// no reader: accumulates the parameter gradients only.
-  virtual void backward_params(SecureExecContext& ctx,
-                               const mpc::PartyShare& grad_output) {
-    (void)backward(ctx, grad_output);
-  }
+                                   const mpc::PartyShare& grad_output,
+                                   bool input_grad) = 0;
   virtual std::vector<SecureParameter*> parameters() { return {}; }
   /// The model's parameters now hold weight version `version`.
   virtual void set_weight_version(std::uint64_t /*version*/) {}
@@ -163,24 +159,14 @@ class SecureDense final : public SecureLayer {
   mpc::PartyShare forward(SecureExecContext& ctx,
                           const mpc::PartyShare& input) override;
   mpc::PartyShare backward(SecureExecContext& ctx,
-                           const mpc::PartyShare& grad_output) override {
-    return backward_pass(ctx, grad_output, /*input_grad=*/true);
-  }
-  void backward_params(SecureExecContext& ctx,
-                       const mpc::PartyShare& grad_output) override {
-    (void)backward_pass(ctx, grad_output, /*input_grad=*/false);
-  }
+                           const mpc::PartyShare& grad_output,
+                           bool input_grad) override;
   std::vector<SecureParameter*> parameters() override {
     return {&weights_, &bias_};
   }
   void set_weight_version(std::uint64_t version) override;
 
  private:
-  /// Accumulates dW and db; returns dX, or an empty share when
-  /// `input_grad` is false.
-  mpc::PartyShare backward_pass(SecureExecContext& ctx,
-                                const mpc::PartyShare& grad_output,
-                                bool input_grad);
   /// Asks `material` for an [rows, ·] product against W (Wᵀ when
   /// `transposed`): the version's mask on its first product, then the
   /// masked-matmul entry.
@@ -221,24 +207,14 @@ class SecureConv final : public SecureLayer {
   mpc::PartyShare forward(SecureExecContext& ctx,
                           const mpc::PartyShare& input) override;
   mpc::PartyShare backward(SecureExecContext& ctx,
-                           const mpc::PartyShare& grad_output) override {
-    return backward_pass(ctx, grad_output, /*input_grad=*/true);
-  }
-  void backward_params(SecureExecContext& ctx,
-                       const mpc::PartyShare& grad_output) override {
-    (void)backward_pass(ctx, grad_output, /*input_grad=*/false);
-  }
+                           const mpc::PartyShare& grad_output,
+                           bool input_grad) override;
   std::vector<SecureParameter*> parameters() override {
     return {&weights_, &bias_};
   }
   void set_weight_version(std::uint64_t version) override;
 
  private:
-  /// As SecureDense::backward_pass.
-  mpc::PartyShare backward_pass(SecureExecContext& ctx,
-                                const mpc::PartyShare& grad_output,
-                                bool input_grad);
-
   ConvSpec spec_;
   std::size_t layer_;
   SecureParameter weights_;  ///< [out_channels, in_channels*kh*kw]
@@ -255,7 +231,8 @@ class SecureRelu final : public SecureLayer {
   mpc::PartyShare forward(SecureExecContext& ctx,
                           const mpc::PartyShare& input) override;
   mpc::PartyShare backward(SecureExecContext& ctx,
-                           const mpc::PartyShare& grad_output) override;
+                           const mpc::PartyShare& grad_output,
+                           bool input_grad) override;
 
  private:
   RingTensor cached_mask_;
@@ -274,7 +251,8 @@ class SecureMaxPool final : public SecureLayer {
   mpc::PartyShare forward(SecureExecContext& ctx,
                           const mpc::PartyShare& input) override;
   mpc::PartyShare backward(SecureExecContext& ctx,
-                           const mpc::PartyShare& grad_output) override;
+                           const mpc::PartyShare& grad_output,
+                           bool input_grad) override;
 
  private:
   nn::PoolSpec spec_;
@@ -289,7 +267,8 @@ class SecureSoftmax final : public SecureLayer {
   mpc::PartyShare forward(SecureExecContext& ctx,
                           const mpc::PartyShare& input) override;
   mpc::PartyShare backward(SecureExecContext& ctx,
-                           const mpc::PartyShare& grad_output) override;
+                           const mpc::PartyShare& grad_output,
+                           bool input_grad) override;
 
   const mpc::PartyShare& cached_probabilities() const {
     return cached_probabilities_;

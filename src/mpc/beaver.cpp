@@ -1,6 +1,7 @@
 #include "mpc/beaver.hpp"
 
 #include <algorithm>
+#include <initializer_list>
 #include <limits>
 #include <optional>
 #include <utility>
@@ -72,8 +73,10 @@ ConvSpec conv_of(const TripleKey& key) {
   return conv;
 }
 
-/// Dealing cost of a masked-conv entry: the input mask plus the
-/// product B × im2col(a_x).  Throws on a geometry im2col cannot expand.
+/// Dealing cost of a masked-conv entry: the input mask plus
+/// out_channels × the im2col size, with every zero dim counted as 1 so
+/// each tensor dealing sizes (a_x, B, im2col(a_x) and C) stays within
+/// the cost.  Throws on a geometry im2col cannot expand.
 std::size_t masked_conv_cost(const TripleKey& key) {
   if (key.dims.size() != kMaxKeyDims) {
     throw SerializationError(
@@ -81,7 +84,6 @@ std::size_t masked_conv_cost(const TripleKey& key) {
         "in_height, in_width, out_channels, kernel_h, kernel_w, pad, "
         "stride}");
   }
-  const std::size_t batch = key.dims[2];
   const ConvSpec conv = conv_of(key);
   const std::size_t max = std::numeric_limits<std::size_t>::max();
   if (conv.stride == 0) {
@@ -95,20 +97,29 @@ std::size_t masked_conv_cost(const TripleKey& key) {
     throw SerializationError(
         "masked-conv key has a kernel larger than the padded input");
   }
-  std::optional<std::size_t> columns = checked_mul(
-      conv.in_channels, conv.kernel_h);
-  for (std::size_t factor :
-       {conv.kernel_w, batch, conv.out_height(), conv.out_width()}) {
-    columns = columns ? checked_mul(*columns, factor) : std::nullopt;
+  const auto product = [](std::initializer_list<std::size_t> factors) {
+    std::optional<std::size_t> out = 1;
+    for (std::size_t factor : factors) {
+      out = out ? checked_mul(*out, std::max<std::size_t>(factor, 1))
+                : std::nullopt;
+    }
+    return out;
+  };
+  const std::size_t batch = key.dims[2];
+  const std::optional<std::size_t> input = product(
+      {batch, conv.in_channels, conv.in_height, conv.in_width});
+  const std::optional<std::size_t> columns =
+      product({conv.in_channels, conv.kernel_h, conv.kernel_w, batch,
+               conv.out_height(), conv.out_width()});
+  if (!input || !columns) {
+    throw SerializationError("masked-conv key's input or im2col size "
+                             "overflows");
   }
-  if (!columns) {
-    throw SerializationError("masked-conv key's im2col size overflows");
-  }
-  const std::size_t input = saturating_mul(
-      saturating_mul(batch, conv.in_channels),
-      saturating_mul(conv.in_height, conv.in_width));
-  const std::size_t product = saturating_mul(conv.out_channels, *columns);
-  return input > max - product ? max : input + product;
+  // out_channels × columns bounds B ([out_channels, C·kh·kw]) and C
+  // ([out_channels, batch·outH·outW]) as well as the product itself.
+  const std::size_t c_cost =
+      saturating_mul(std::max<std::size_t>(conv.out_channels, 1), *columns);
+  return *input > max - c_cost ? max : *input + c_cost;
 }
 
 /// splitmix64 finalizer: the standard 64-bit avalanche mix.

@@ -188,11 +188,13 @@ struct TripleKeyHash {
 /// (the tensor shape, {m, k, n}, or {in, out}; layer, version and the
 /// transposed flag do not count, zero dims count as 1), saturating at
 /// SIZE_MAX instead of wrapping.  A masked-conv entry costs its input
-/// mask plus out_channels × its im2col size.  Throws SerializationError
-/// when the key is malformed for its kind: unknown kind, wrong dims
-/// arity, a transposed flag other than 0/1, a comparison shape of rank
-/// 0 or above 2, or a conv geometry with a zero stride, a kernel larger
-/// than the padded input or an im2col size past SIZE_MAX.
+/// mask plus out_channels × its im2col size, zero dims again counting
+/// as 1, so no tensor dealing sizes exceeds the cost.  Throws
+/// SerializationError when the key is malformed for its kind: unknown
+/// kind, wrong dims arity, a transposed flag other than 0/1, a
+/// comparison shape of rank 0 or above 2, or a conv geometry with a
+/// zero stride, a kernel larger than the padded input or an input or
+/// im2col size past SIZE_MAX.
 std::size_t material_cost(const TripleKey& key);
 
 /// Seed of entry `index` of stream `key` under `master_seed`

@@ -186,18 +186,21 @@ void serve_model_owner_body(const nn::ModelSpec& spec,
   // leave them blocked until their actor timeout.
   const std::vector<Shape> expected = nn::parameter_shapes(spec);
   const std::vector<nn::Parameter*> parameters = model.parameters();
-  for (std::size_t i = 0; i < std::max(expected.size(), parameters.size());
+  for (std::size_t i = 0; i < std::min(expected.size(), parameters.size());
        ++i) {
-    const std::string actual =
-        i < parameters.size() ? shape_to_string(parameters[i]->value.shape())
-                              : "missing";
-    const std::string wanted =
-        i < expected.size() ? shape_to_string(expected[i]) : "absent";
-    if (actual != wanted) {
+    const Shape& actual = parameters[i]->value.shape();
+    if (actual != expected[i]) {
       throw InvalidArgument("serve: parameter " + std::to_string(i) +
-                            " of the model is " + actual + ", spec '" +
-                            spec.name + "' expects " + wanted);
+                            " of the model is " + shape_to_string(actual) +
+                            ", spec '" + spec.name + "' expects " +
+                            shape_to_string(expected[i]));
     }
+  }
+  if (parameters.size() != expected.size()) {
+    throw InvalidArgument("serve: the model has " +
+                          std::to_string(parameters.size()) +
+                          " parameters, spec '" + spec.name + "' expects " +
+                          std::to_string(expected.size()));
   }
   // Same parameter-sharing seed derivation as one-shot inference, so a
   // serving deployment distributes bit-identical parameter shares.

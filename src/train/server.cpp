@@ -233,18 +233,17 @@ bool TrainServer::run(core::SecureModel& model, core::SecureExecContext& ctx,
       // v <- m*v + g; the m*v rescales share one opening round.
       const std::uint64_t momentum_encoded =
           fx::encode(config_.momentum, frac_bits);
-      std::vector<Shape> shapes;
+      core::PassMaterial material(ctx);
       for (const mpc::PartyShare& v : velocity) {
-        shapes.push_back(v.shape());
+        material.add_trunc(v.shape());
       }
-      const std::vector<std::optional<mpc::TruncPairShare>> pairs =
-          ctx.trunc_pairs(shapes);
+      material.fetch();
       mpc::OpenBatch batch(*ctx.mpc);
       std::vector<mpc::DeferredShare> damped;
       damped.reserve(params.size());
-      for (std::size_t i = 0; i < params.size(); ++i) {
+      for (const mpc::PartyShare& v : velocity) {
         damped.push_back(ctx.rescale_prepare(
-            batch, velocity[i].scaled(momentum_encoded), pairs[i]));
+            batch, v.scaled(momentum_encoded), material));
       }
       batch.flush_all();
       for (std::size_t i = 0; i < params.size(); ++i) {

@@ -207,7 +207,9 @@ TEST(OwnerServiceTest, HostileFillsNeitherKillTheDealerNorStarveOthers) {
       fill_request(42, {1}, 1),                        // unknown kind
       // Masked-conv keys {layer, version, batch, C, H, W, outC, kh, kw,
       // pad, stride}: wrong arity, zero stride, a kernel past the
-      // padded input, an im2col size past SIZE_MAX, one too costly.
+      // padded input, an input size past SIZE_MAX, one too costly, and
+      // two whose zero out_channels or batch would have hidden a 32769²
+      // im2col or a [2^16, 2^14] weight mask.
       fill_request(conv, {0, 0, 1, 1, 4, 4, 1, 3, 3, 1}, 1),
       fill_request(conv, {0, 0, 1, 1, 4, 4, 1, 3, 3, 1, 0}, 1),
       fill_request(conv, {0, 0, 1, 1, 4, 4, 1, 3, 9, 1, 1}, 1),
@@ -216,6 +218,8 @@ TEST(OwnerServiceTest, HostileFillsNeitherKillTheDealerNorStarveOthers) {
                     std::uint64_t{1} << 20, 1, 1, 1, 0, 1},
                    1),
       fill_request(conv, {0, 0, 1 << 12, 1, 64, 64, 64, 5, 5, 2, 1}, 1),
+      fill_request(conv, {0, 0, 1, 1, 1, 1, 0, 1, 1, 16384, 1}, 1),
+      fill_request(conv, {0, 0, 0, 1 << 14, 1, 1, 1 << 16, 1, 1, 0, 1}, 1),
       fill_request(comparison, {2, 2, 2}, 1),          // wrong arity
       fill_request(comparison, {}, 1),
   };

@@ -227,6 +227,17 @@ TEST(ReusableMaskTest, MalformedKeysAreRejectedAndCostsSaturate) {
                  d[3] = std::size_t{1} << 20;
                })),
                SerializationError);  // im2col size past SIZE_MAX
+  // Zero dims count as 1, so the cost still bounds what dealing sizes:
+  // zero out_channels cannot hide a 32769² im2col, nor a zero batch a
+  // [2^16, 2^14] weight mask.
+  EXPECT_GE(mpc::material_cost(
+                TripleKey{mpc::TripleKind::kMaskedConv,
+                          Shape{0, 0, 1, 1, 1, 1, 0, 1, 1, 16384, 1}}),
+            std::size_t{32769} * 32769);
+  EXPECT_GE(mpc::material_cost(TripleKey{
+                mpc::TripleKind::kMaskedConv,
+                Shape{0, 0, 0, 1 << 14, 1, 1, 1 << 16, 1, 1, 0, 1}}),
+            std::size_t{1} << 30);
   // Comparison triples are dealt for a vector or a matrix.
   EXPECT_EQ(mpc::material_cost(TripleKey::comp_triple(Shape{4, 5})), 20u);
   EXPECT_THROW(mpc::material_cost(TripleKey::comp_triple(Shape{2, 2, 2})),

@@ -129,7 +129,7 @@ TEST(SecureDenseTest, BackwardGradientsMatchPlaintext) {
     const auto index = static_cast<std::size_t>(party);
     SecureDense layer(w_views[index], b_views[index]);
     layer.forward(ctx, x_views[index]);
-    dx_views[index] = layer.backward(ctx, g_views[index]);
+    dx_views[index] = layer.backward(ctx, g_views[index], /*input_grad=*/true);
     dw_views[index] = layer.parameters()[0]->grad;
     db_views[index] = layer.parameters()[1]->grad;
   });
@@ -172,7 +172,7 @@ TEST(SecureConvTest, ForwardAndBackwardMatchPlaintext) {
     const auto index = static_cast<std::size_t>(party);
     SecureConv layer(spec, w_views[index], b_views[index]);
     out_views[index] = layer.forward(ctx, x_views[index]);
-    dx_views[index] = layer.backward(ctx, g_views[index]);
+    dx_views[index] = layer.backward(ctx, g_views[index], /*input_grad=*/true);
     dw_views[index] = layer.parameters()[0]->grad;
     db_views[index] = layer.parameters()[1]->grad;
   });
@@ -204,7 +204,7 @@ TEST(SecureReluTest, MaskMatchesPlaintextAndDrivesBackward) {
     const auto index = static_cast<std::size_t>(party);
     SecureRelu layer;
     out_views[index] = layer.forward(ctx, x_views[index]);
-    dx_views[index] = layer.backward(ctx, g_views[index]);
+    dx_views[index] = layer.backward(ctx, g_views[index], /*input_grad=*/true);
   });
   EXPECT_LT(max_abs_diff(harness.reconstruct(out_views), expected_out), 1e-4);
   EXPECT_LT(max_abs_diff(harness.reconstruct(dx_views), expected_dx), 1e-4);
@@ -242,7 +242,7 @@ TEST(SecureSoftmaxTest, OutsourcedBackwardMatchesPlaintext) {
     const auto index = static_cast<std::size_t>(party);
     SecureSoftmax layer;
     layer.forward(ctx, x_views[index]);
-    out_views[index] = layer.backward(ctx, g_views[index]);
+    out_views[index] = layer.backward(ctx, g_views[index], /*input_grad=*/true);
   });
   EXPECT_LT(max_abs_diff(harness.reconstruct(out_views), expected), 1e-3);
 }
