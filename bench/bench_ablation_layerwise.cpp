@@ -16,7 +16,7 @@
 #include "common/rng.hpp"
 #include "common/stopwatch.hpp"
 #include "core/secure_model.hpp"
-#include "mpc/beaver.hpp"
+#include "mpc/triple_store.hpp"
 #include "net/runtime.hpp"
 #include "nn/layers.hpp"
 
@@ -44,7 +44,6 @@ struct OpCost {
 template <typename Body>
 OpCost measure(const Body& body) {
   net::Network network(net::NetworkConfig{.num_parties = 3});
-  auto dealer = std::make_shared<mpc::SharedDealer>(7, kF);
   std::array<mpc::PartyContext, 3> contexts;
   for (int party = 0; party < 3; ++party) {
     auto& ctx = contexts[static_cast<std::size_t>(party)];
@@ -53,7 +52,8 @@ OpCost measure(const Body& body) {
   }
   Stopwatch watch;
   net::run_parties(3, [&](net::PartyId party) {
-    mpc::LocalTripleSource triples(dealer, party);
+    mpc::DealerBackend dealer(7, kF, party);
+    mpc::TripleStore triples(dealer, party);
     core::SecureExecContext ctx;
     ctx.mpc = &contexts[static_cast<std::size_t>(party)];
     ctx.triples = &triples;

@@ -28,9 +28,9 @@
 #include "common/sha256.hpp"
 #include "common/stopwatch.hpp"
 #include "core/engine.hpp"
-#include "mpc/beaver.hpp"
 #include "mpc/open.hpp"
 #include "mpc/protocols_bt.hpp"
+#include "mpc/triple_store.hpp"
 #include "net/runtime.hpp"
 #include "numeric/fixed_point.hpp"
 #include "obs/admin_server.hpp"
@@ -132,7 +132,6 @@ void BM_SecMulBt(benchmark::State& state) {
   const auto y_views = mpc::share_secret(random_ring(shape, rng), rng);
   for (auto _ : state) {
     net::Network network(net::NetworkConfig{.num_parties = 3});
-    auto dealer = std::make_shared<mpc::SharedDealer>(5, kF);
     std::array<mpc::PartyContext, 3> contexts;
     for (int party = 0; party < 3; ++party) {
       auto& ctx = contexts[static_cast<std::size_t>(party)];
@@ -140,7 +139,8 @@ void BM_SecMulBt(benchmark::State& state) {
       ctx.party = party;
     }
     net::run_parties(3, [&](net::PartyId party) {
-      mpc::LocalTripleSource source(dealer, party);
+      mpc::DealerBackend dealer(5, kF, party);
+      mpc::TripleStore source(dealer, party);
       const auto triple = source.mul_triple(shape);
       benchmark::DoNotOptimize(mpc::sec_mul_bt(
           contexts[static_cast<std::size_t>(party)],
@@ -160,7 +160,6 @@ void run_sec_matmul_bt_once(std::size_t n,
                             const std::array<mpc::PartyShare, 3>& x_views,
                             const std::array<mpc::PartyShare, 3>& y_views) {
   net::Network network(net::NetworkConfig{.num_parties = 3});
-  auto dealer = std::make_shared<mpc::SharedDealer>(7, kF);
   std::array<mpc::PartyContext, 3> contexts;
   for (int party = 0; party < 3; ++party) {
     auto& ctx = contexts[static_cast<std::size_t>(party)];
@@ -168,7 +167,8 @@ void run_sec_matmul_bt_once(std::size_t n,
     ctx.party = party;
   }
   net::run_parties(3, [&](net::PartyId party) {
-    mpc::LocalTripleSource source(dealer, party);
+    mpc::DealerBackend dealer(7, kF, party);
+    mpc::TripleStore source(dealer, party);
     const auto triple = source.matmul_triple(n, n, n);
     benchmark::DoNotOptimize(mpc::sec_matmul_bt(
         contexts[static_cast<std::size_t>(party)],
@@ -205,7 +205,6 @@ void BM_SecCompBt(benchmark::State& state) {
   const auto y_views = mpc::share_secret(random_ring(shape, rng), rng);
   for (auto _ : state) {
     net::Network network(net::NetworkConfig{.num_parties = 3});
-    auto dealer = std::make_shared<mpc::SharedDealer>(9, kF);
     std::array<mpc::PartyContext, 3> contexts;
     for (int party = 0; party < 3; ++party) {
       auto& ctx = contexts[static_cast<std::size_t>(party)];
@@ -213,7 +212,8 @@ void BM_SecCompBt(benchmark::State& state) {
       ctx.party = party;
     }
     net::run_parties(3, [&](net::PartyId party) {
-      mpc::LocalTripleSource source(dealer, party);
+      mpc::DealerBackend dealer(9, kF, party);
+      mpc::TripleStore source(dealer, party);
       benchmark::DoNotOptimize(mpc::sec_comp_bt(
           contexts[static_cast<std::size_t>(party)],
           x_views[static_cast<std::size_t>(party)],
@@ -233,7 +233,6 @@ void BM_Truncation(benchmark::State& state, mpc::TruncationMode mode) {
   const auto z_views = mpc::share_secret(random_ring(shape, rng), rng);
   for (auto _ : state) {
     net::Network network(net::NetworkConfig{.num_parties = 3});
-    auto dealer = std::make_shared<mpc::SharedDealer>(11, kF);
     std::array<mpc::PartyContext, 3> contexts;
     for (int party = 0; party < 3; ++party) {
       auto& ctx = contexts[static_cast<std::size_t>(party)];
@@ -245,7 +244,8 @@ void BM_Truncation(benchmark::State& state, mpc::TruncationMode mode) {
       if (mode == mpc::TruncationMode::kLocal) {
         benchmark::DoNotOptimize(mpc::truncate_product_local(z, kF));
       } else {
-        mpc::LocalTripleSource source(dealer, party);
+        mpc::DealerBackend dealer(11, kF, party);
+        mpc::TripleStore source(dealer, party);
         benchmark::DoNotOptimize(mpc::truncate_product_masked(
             contexts[static_cast<std::size_t>(party)], z,
             source.trunc_pair(shape)));
@@ -327,7 +327,6 @@ void BM_BackwardPairRescaled(benchmark::State& state, bool batched) {
   std::uint64_t messages = 0;
   for (auto _ : state) {
     net::Network network(net::NetworkConfig{.num_parties = 3});
-    auto dealer = std::make_shared<mpc::SharedDealer>(14, kF);
     std::array<mpc::PartyContext, 3> contexts;
     for (int party = 0; party < 3; ++party) {
       auto& ctx = contexts[static_cast<std::size_t>(party)];
@@ -337,7 +336,8 @@ void BM_BackwardPairRescaled(benchmark::State& state, bool batched) {
     net::run_parties(3, [&](net::PartyId party) {
       const auto index = static_cast<std::size_t>(party);
       auto& ctx = contexts[index];
-      mpc::LocalTripleSource source(dealer, party);
+      mpc::DealerBackend dealer(14, kF, party);
+      mpc::TripleStore source(dealer, party);
       mpc::OpenBatch batch(ctx);
       std::array<mpc::DeferredShare, 2> products;
       for (auto& product : products) {

@@ -13,9 +13,9 @@
 
 #include "common/rng.hpp"
 #include "mpc/adversary.hpp"
-#include "mpc/beaver.hpp"
 #include "mpc/open.hpp"
 #include "mpc/protocols_bt.hpp"
+#include "mpc/triple_store.hpp"
 #include "net/runtime.hpp"
 #include "numeric/fixed_point.hpp"
 
@@ -35,9 +35,6 @@ void run_once(bool with_byzantine) {
   // Fixed-point encode and split into the three replicated share sets.
   const auto x_views = mpc::share_secret(to_ring(x, kF), rng);
   const auto y_views = mpc::share_secret(to_ring(y, kF), rng);
-
-  // The model owner deals one Beaver triple for the multiplication.
-  auto dealer = std::make_shared<mpc::SharedDealer>(7, kF);
 
   // One optional Byzantine party that corrupts its shares while still
   // honoring the commitment phase (Case 3 of the security proof).
@@ -59,7 +56,10 @@ void run_once(bool with_byzantine) {
   std::array<RealTensor, 3> results;
   net::run_parties(3, [&](net::PartyId party) {
     auto& ctx = contexts[static_cast<std::size_t>(party)];
-    mpc::LocalTripleSource triples(dealer, party);
+    // The model owner deals one Beaver triple for the multiplication;
+    // each party draws its view through its own material store.
+    mpc::DealerBackend dealer(/*master_seed=*/7, kF, party);
+    mpc::TripleStore triples(dealer, party);
 
     // z = x (.) y on shares: Beaver masking + commitment + redundant
     // reconstruction, then a fixed-point rescale.

@@ -89,8 +89,6 @@
 //   --triple-prefetch    offline/online split: prefetch preprocessing
 //                        material into shape-keyed triple stores ahead
 //                        of the online phase (DESIGN.md §10)
-//   --triple-low-water F producer refill trigger as a fraction of each
-//                        store's target depth [0.5]
 //   --triple-store-dir PATH    persist/restore triple stores under
 //                        this directory (per party and per mode;
 //                        survives process restarts)
@@ -176,7 +174,6 @@ struct Options {
   fleet::PodSpec pod;
   int admin_port = -1;  // -1 = no admin endpoint; 0 = ephemeral
   bool triple_prefetch = false;
-  double triple_low_water = 0.5;
   std::string triple_store_dir;
   std::string mnist_dir;
 };
@@ -271,7 +268,6 @@ Options parse_options(int argc, char** argv) {
       .value("--pod", opt.pod_name)
       .value("--admin-port", opt.admin_port)
       .set("--triple-prefetch", opt.triple_prefetch)
-      .value("--triple-low-water", opt.triple_low_water)
       .value("--triple-store-dir", opt.triple_store_dir)
       .value("--mnist-dir", opt.mnist_dir)
       .parse(argc, argv);
@@ -289,9 +285,6 @@ Options parse_options(int argc, char** argv) {
   }
   if (opt.images < 1 || opt.rows < 1 || opt.batch < 1 || opt.epochs < 1) {
     cli::usage_error("--images/--rows/--batch/--epochs must be >= 1");
-  }
-  if (opt.triple_low_water <= 0.0 || opt.triple_low_water > 1.0) {
-    cli::usage_error("--triple-low-water must be in (0, 1]");
   }
   const bool serving = opt.task == "serve";
   const bool train_serving = opt.task == "train-serve";
@@ -755,7 +748,6 @@ int main(int argc, char** argv) {
   core::EngineConfig config =
       cli::engine_config(opt.task, opt.mode, opt.batch_openings, opt.seed);
   config.triple_prefetch = opt.triple_prefetch;
-  config.triple_low_water = opt.triple_low_water;
   config.triple_store_dir = opt.triple_store_dir;
   config.metrics_out = opt.metrics_out;
   config.trace_out = opt.trace_out;

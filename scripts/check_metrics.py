@@ -23,7 +23,8 @@ docs/metrics.schema.json's contract:
     serve.batch.rows histogram saw every dispatched batch
     (count == serve.batches);
   * triple-ledger consistency (only when the export carries triple.*
-    counters, i.e. the run prefetched material): per kind,
+    counters, i.e. a computing party's store ran in the process,
+    prefetching or synchronous): per kind,
     triple.produced.<kind> == triple.consumed.<kind> + the
     triple.store.depth.<kind> gauge — every dealt entry was either
     consumed online or is still buffered, none vanished;
@@ -170,12 +171,14 @@ def check_serve_section(metrics):
 
 
 def check_triple_section(metrics):
-    """Preprocessing-ledger invariants, skipped for sync-dealing runs.
+    """Preprocessing-ledger invariants, skipped when no party ran here.
 
-    The TripleStore counts every entry it deals (produced) and every
-    entry the online phase pops (consumed); whatever remains buffered
-    is the store-depth gauge.  An imbalance means material was dealt
-    and lost, or served twice.
+    Every computing party draws its material through one TripleStore,
+    which counts every entry it deals (produced) and every entry the
+    online phase takes (consumed); whatever remains buffered is the
+    store-depth gauge.  A synchronous run buffers nothing, so there
+    every entry is a store miss and produced == consumed.  An imbalance
+    means material was dealt and lost, or served twice.
     """
     counters = metrics["counters"]
     kinds = sorted({name.split(".", 2)[2] for name in counters

@@ -181,19 +181,17 @@ mpc::DetectionLog infer_computing_party_body(const InferJob& job, int party,
 
   mpc::PartyContext pctx =
       make_party_context(job.config, party, endpoint, adversary);
-  SecureExecContext sctx = make_exec_context(job.config, pctx, link);
-
-  // Offline phase: size the stores from the exact per-batch demand,
-  // warm them synchronously, then keep them topped up in the
-  // background while the online steps run.
   TriplePipeline pipeline(job.config, link, party, /*training=*/false);
+  SecureExecContext sctx =
+      make_exec_context(job.config, pctx, link, pipeline.store());
+
+  // Offline phase (with prefetch): size the store from the exact
+  // per-batch demand, warm it synchronously, then keep it topped up in
+  // the background while the online steps run.
   const std::vector<std::size_t> batch_rows = job_batch_rows(job.batches);
-  if (pipeline.active()) {
-    pipeline.plan_job_window(job.spec, batch_rows, /*training=*/false, 0);
-    pipeline.warm();
-    pipeline.start();
-    sctx.triples = &pipeline.source();
-  }
+  pipeline.plan_job_window(job.spec, batch_rows, /*training=*/false, 0);
+  pipeline.warm();
+  pipeline.start();
 
   for (std::size_t step = 0; step < job.batches.size(); ++step) {
     ByteReader reader(
@@ -282,16 +280,14 @@ mpc::DetectionLog train_computing_party_body(const TrainJob& job, int party,
 
   mpc::PartyContext pctx =
       make_party_context(job.config, party, endpoint, adversary);
-  SecureExecContext sctx = make_exec_context(job.config, pctx, link);
-
   TriplePipeline pipeline(job.config, link, party, /*training=*/true);
+  SecureExecContext sctx =
+      make_exec_context(job.config, pctx, link, pipeline.store());
+
   const std::vector<std::size_t> batch_rows = job_batch_rows(job.batches);
-  if (pipeline.active()) {
-    pipeline.plan_job_window(job.spec, batch_rows, /*training=*/true, 0);
-    pipeline.warm();
-    pipeline.start();
-    sctx.triples = &pipeline.source();
-  }
+  pipeline.plan_job_window(job.spec, batch_rows, /*training=*/true, 0);
+  pipeline.warm();
+  pipeline.start();
 
   std::size_t epoch = 0;
   for (std::size_t step = 0; step < job.batches.size(); ++step) {

@@ -29,10 +29,11 @@ mpc::PartyContext make_party_context(const EngineConfig& config, int party,
 }
 
 SecureExecContext make_exec_context(const EngineConfig& config,
-                                    mpc::PartyContext& pctx, OwnerLink& link) {
+                                    mpc::PartyContext& pctx, OwnerLink& link,
+                                    mpc::TripleStore& triples) {
   SecureExecContext sctx;
   sctx.mpc = &pctx;
-  sctx.triples = &link;
+  sctx.triples = &triples;
   sctx.owner = &link;
   sctx.trunc_mode = config.resolved_trunc_mode();
   sctx.batch_openings = config.batch_openings;

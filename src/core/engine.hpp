@@ -93,21 +93,16 @@ struct EngineConfig {
   /// opened at the start of each train()/infer() call, closed at the
   /// end.  Tracing also captures detection events.
   std::string trace_out;
-  /// Offline/online split (DESIGN.md §10).  When on, each computing
-  /// party prefetches preprocessing material into a shape-keyed
-  /// TripleStore ahead of the online phase (a demand profiler sizes
-  /// the stores from the model architecture) and a background producer
-  /// keeps them topped up; the online hot path then pops prefetched
-  /// entries instead of blocking on the owner.  Off reproduces the
-  /// synchronous request-per-entry path with bit-identical results —
-  /// both modes consume the same derived-seed material streams in the
-  /// same order.
+  /// Offline/online split (DESIGN.md §10).  Every computing party
+  /// draws its material through one shape-keyed TripleStore.  When on,
+  /// the store prefetches ahead of the online phase (a demand profiler
+  /// sizes it from the model architecture) and a background producer
+  /// keeps it topped up; the online hot path then pops prefetched
+  /// entries instead of blocking on the owner.  Off, the store buffers
+  /// nothing and fetches each entry when it is needed, with
+  /// bit-identical results — both modes consume the same derived-seed
+  /// material streams in the same order.
   bool triple_prefetch = false;
-  /// Producer refill trigger: a store is refilled when its depth falls
-  /// below this fraction of its per-shape target.
-  double triple_low_water = 0.5;
-  /// Entries fetched per refill round trip (per shape class).
-  std::size_t triple_refill_batch = 32;
   /// Cap on any one shape class's store target (bounds memory for
   /// long jobs; the producer keeps refilling as entries are consumed).
   std::size_t triple_max_depth = 32;
@@ -176,10 +171,11 @@ mpc::PartyContext make_party_context(const EngineConfig& config, int party,
                                      mpc::AdversaryHooks* adversary = nullptr);
 
 /// Build the layer-execution context over an already-built party
-/// context and owner link; propagates trunc_mode, batch_openings and
-/// reuse_masks.
+/// context, owner link and material store; propagates trunc_mode,
+/// batch_openings and reuse_masks.
 SecureExecContext make_exec_context(const EngineConfig& config,
-                                    mpc::PartyContext& pctx, OwnerLink& link);
+                                    mpc::PartyContext& pctx, OwnerLink& link,
+                                    mpc::TripleStore& triples);
 
 class TrustDdlEngine {
  public:

@@ -76,33 +76,24 @@ void OwnerLink::collective_send(Bytes request) {
 
 mpc::MaterialBatch OwnerLink::fill(const mpc::TripleKey& key,
                                    std::uint64_t start, std::size_t count) {
-  const std::uint64_t id = unary_send(fill_request(key, start, count));
-  return fill_response(unary_recv(id), key, count);
+  return std::move(fill_many({mpc::FillRange{key, start, count}}).at(0));
 }
 
-std::vector<mpc::MaterialEntry> OwnerLink::next_many(
-    const std::vector<mpc::TripleKey>& keys) {
+std::vector<mpc::MaterialBatch> OwnerLink::fill_many(
+    const std::vector<mpc::FillRange>& ranges) {
   std::vector<std::uint64_t> ids;
-  ids.reserve(keys.size());
-  for (const mpc::TripleKey& key : keys) {
-    std::uint64_t index = 0;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      index = stream_cursor_[key]++;
-    }
-    ids.push_back(unary_send(fill_request(key, index, 1)));
+  ids.reserve(ranges.size());
+  for (const mpc::FillRange& range : ranges) {
+    ids.push_back(
+        unary_send(fill_request(range.key, range.start, range.count)));
   }
-  std::vector<mpc::MaterialEntry> entries;
-  entries.reserve(keys.size());
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    entries.push_back(
-        std::move(fill_response(unary_recv(ids[i]), keys[i], 1).at(0)));
+  std::vector<mpc::MaterialBatch> batches;
+  batches.reserve(ranges.size());
+  for (std::size_t i = 0; i < ranges.size(); ++i) {
+    batches.push_back(
+        fill_response(unary_recv(ids[i]), ranges[i].key, ranges[i].count));
   }
-  return entries;
-}
-
-mpc::MaterialEntry OwnerLink::next(const mpc::TripleKey& key) {
-  return std::move(next_many({key}).at(0));
+  return batches;
 }
 
 mpc::PartyShare OwnerLink::softmax_forward(const mpc::PartyShare& logits) {

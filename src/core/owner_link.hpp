@@ -13,7 +13,9 @@
 //    Material is addressed by (stream key, index range) and dealt
 //    statelessly from derived seeds, so requests need no cross-party
 //    coordination — a background prefetch thread may issue them at any
-//    time, interleaved differently on every party.  Thread-safe.
+//    time, interleaved differently on every party.  Thread-safe.  The
+//    link is only the party's mpc::TripleStore's backend: the store
+//    keeps the stream cursors and decides what to fetch.
 //  * collective stream ("col/<id>" -> "crsp/<id>"): Softmax
 //    forward/backward, reveals, stop.  The owner groups the three
 //    parties' payloads by this counter, so it must advance identically
@@ -29,7 +31,7 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
 #include "mpc/beaver.hpp"
 #include "net/network.hpp"
@@ -46,7 +48,7 @@ enum class OwnerOp : std::uint8_t {
   kStop = 7,
 };
 
-class OwnerLink final : public mpc::TripleSource, public mpc::TripleBackend {
+class OwnerLink final : public mpc::TripleBackend {
  public:
   OwnerLink(net::Endpoint endpoint, int party,
             std::chrono::milliseconds response_timeout =
@@ -55,18 +57,15 @@ class OwnerLink final : public mpc::TripleSource, public mpc::TripleBackend {
         party_(party),
         response_timeout_(response_timeout) {}
 
-  /// TripleBackend: fetch entries [start, start+count) of `key` in one
-  /// round trip.  Thread-safe (prefetch producer + protocol thread).
+  /// Fetch entries [start, start+count) of `key` in one round trip.
+  /// Thread-safe (prefetch producer + protocol thread).
   mpc::MaterialBatch fill(const mpc::TripleKey& key, std::uint64_t start,
                           std::size_t count) override;
 
-  /// TripleSource — synchronous single-entry convenience over fill():
-  /// each key's entries are handed out in stream order starting at 0,
-  /// so a link used directly (no store) matches a store-backed run bit
-  /// for bit.
-  mpc::MaterialEntry next(const mpc::TripleKey& key) override;
-  std::vector<mpc::MaterialEntry> next_many(
-      const std::vector<mpc::TripleKey>& keys) override;
+  /// One kBatchFill per range: every request is sent before the first
+  /// reply is awaited, so the call costs one round trip.
+  std::vector<mpc::MaterialBatch> fill_many(
+      const std::vector<mpc::FillRange>& ranges) override;
 
   /// Outsourced Softmax forward: send logit shares, receive fresh
   /// shares of the probabilities (collective op — the owner combines
@@ -111,9 +110,6 @@ class OwnerLink final : public mpc::TripleSource, public mpc::TripleBackend {
   mutable std::mutex mu_;
   std::uint64_t unary_counter_ = 0;
   std::uint64_t collective_counter_ = 0;
-  /// Per-key stream cursor for direct (store-less) TripleSource use.
-  std::unordered_map<mpc::TripleKey, std::uint64_t, mpc::TripleKeyHash>
-      stream_cursor_;
 };
 
 }  // namespace trustddl::core

@@ -428,21 +428,33 @@ mpc::PartyShare SecureMaxPool::forward(SecureExecContext& ctx,
   }
 
   // Tournament: window^2 − 1 comparisons on the [batch, pools] shape,
-  // whose material comes in one round trip.  Each round halves the
-  // candidates.
+  // whose material comes in one round trip.  Each level halves the
+  // candidates; its pairs are independent, so their comparisons share
+  // one batch's two opening rounds (one flush per comparison without
+  // batch_openings).
   PassMaterial material(ctx);
   for (std::size_t i = 0; i + 1 < window_size; ++i) {
     material.add_comparison(Shape{batch, pools});
   }
   material.fetch();
   while (candidates.size() > 1) {
+    mpc::OpenBatch open_batch(*ctx.mpc);
+    std::vector<mpc::DeferredTensor> level_signs;
+    for (std::size_t i = 0; i + 1 < candidates.size(); i += 2) {
+      level_signs.push_back(mpc::sec_comp_bt_prepare(
+          open_batch, candidates[i].share, candidates[i + 1].share,
+          material.take_comparison()));
+      if (!ctx.batch_openings) {
+        open_batch.flush_all();
+      }
+    }
+    open_batch.flush_all();
     std::vector<Candidate> next;
     for (std::size_t i = 0; i + 1 < candidates.size(); i += 2) {
       Candidate& lhs = candidates[i];
       Candidate& rhs = candidates[i + 1];
-      const RingTensor signs = mpc::sec_comp_bt(
-          *ctx.mpc, lhs.share, rhs.share, material.take_comparison());
-      const RingTensor mask = mpc::positive_mask(signs);  // 1 where lhs > rhs
+      // 1 where lhs > rhs.
+      const RingTensor mask = mpc::positive_mask(level_signs[i / 2].take());
       // winner = mask (.) (lhs - rhs) + rhs, computed locally.
       Candidate winner;
       mpc::PartyShare diff = lhs.share - rhs.share;

@@ -28,6 +28,7 @@
 #include "core/owner_link.hpp"
 #include "mpc/context.hpp"
 #include "mpc/protocols_bt.hpp"
+#include "mpc/triple_store.hpp"
 #include "nn/model_zoo.hpp"
 
 namespace trustddl::core {
@@ -51,7 +52,7 @@ class PassMaterial;
 /// Everything a secure layer needs at execution time.
 struct SecureExecContext {
   mpc::PartyContext* mpc = nullptr;       ///< party-to-party protocols
-  mpc::TripleSource* triples = nullptr;   ///< preprocessing material
+  mpc::TripleStore* triples = nullptr;    ///< preprocessing material
   OwnerLink* owner = nullptr;             ///< Softmax outsourcing
   TruncationMode trunc_mode = TruncationMode::kLocal;
   /// Schedule data-independent openings within a layer/step through a

@@ -1,6 +1,8 @@
 #include "core/session.hpp"
 
 #include <fstream>
+#include <mutex>
+#include <optional>
 #include <thread>
 
 #include "common/logging.hpp"
@@ -27,26 +29,41 @@ std::string failure_reason(const std::exception_ptr& error) {
 
 }  // namespace
 
-void run_roles(const std::vector<Role>& roles) {
+void run_roles(const std::vector<Role>& roles,
+               const std::function<void()>& on_critical_failure) {
+  std::mutex first_mu;
+  std::optional<std::size_t> first_critical;
   const auto outcomes = net::run_parties(
       static_cast<int>(roles.size()),
-      [&](net::PartyId i) { roles[static_cast<std::size_t>(i)].body(); },
+      [&](net::PartyId i) {
+        const auto index = static_cast<std::size_t>(i);
+        try {
+          roles[index].body();
+        } catch (...) {
+          bool first = false;
+          if (roles[index].critical) {
+            const std::lock_guard<std::mutex> lock(first_mu);
+            first = !first_critical.has_value();
+            if (first) {
+              first_critical = index;
+            }
+          }
+          if (first && on_critical_failure) {
+            on_critical_failure();
+          }
+          throw;
+        }
+      },
       /*rethrow=*/false);
-  const net::PartyOutcome* first_critical = nullptr;
   for (std::size_t i = 0; i < roles.size(); ++i) {
-    if (outcomes[i].ok) {
-      continue;
-    }
-    if (!roles[i].critical) {
+    if (!outcomes[i].ok && !roles[i].critical) {
       TRUSTDDL_LOG_WARN(kLog) << "tolerated actor " << roles[i].id
                               << " failed: "
                               << failure_reason(outcomes[i].error);
-    } else if (first_critical == nullptr) {
-      first_critical = &outcomes[i];
     }
   }
-  if (first_critical != nullptr) {
-    std::rethrow_exception(first_critical->error);
+  if (first_critical) {
+    std::rethrow_exception(outcomes[*first_critical].error);
   }
 }
 
@@ -207,7 +224,17 @@ Role Session::party_role(int party,
 
 void Session::run(const std::vector<Role>& roles) {
   watch_.reset();
-  run_roles(roles);
+  // A critical failure strands its peers in receives that would each
+  // wait out a timeout; closing the transports this session owns makes
+  // them fail at once.  A caller-owned transport is left alone.
+  run_roles(roles, [this] {
+    if (network_ != nullptr) {
+      network_->close();
+    }
+    for (auto& transport : tcp_) {
+      transport->shutdown();
+    }
+  });
   wall_ = watch_.elapsed_seconds();
 }
 

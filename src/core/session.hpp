@@ -32,9 +32,12 @@ struct Role {
 };
 
 /// Runs every role on its own thread (net::run_parties), joins them
-/// all, then rethrows the first critical failure in table order and
-/// logs the tolerated ones.
-void run_roles(const std::vector<Role>& roles);
+/// all, logs the tolerated failures and rethrows the critical failure
+/// that happened first.  `on_critical_failure`, if set, runs once, on
+/// that role's thread, as it fails — before the peers it strands are
+/// joined — and must not throw.
+void run_roles(const std::vector<Role>& roles,
+               const std::function<void()>& on_critical_failure = {});
 
 /// Detection logs of the computing parties a session hosts, by party
 /// id; parties hosted elsewhere stay empty.
@@ -110,7 +113,10 @@ class Session {
   /// configured Byzantine party.
   Role party_role(int party, std::function<mpc::DetectionLog()> body);
 
-  /// Runs the role table (run_roles) and times it.
+  /// Runs the role table (run_roles) and times it.  The first critical
+  /// failure closes the transports the session owns — its in-memory
+  /// Network or hosted TcpTransports, never a caller-owned one — so
+  /// every peer blocked in a receive fails at once.
   void run(const std::vector<Role>& roles);
 
   /// Wall time of run(); live while it is in progress.

@@ -12,6 +12,13 @@ namespace {
 
 constexpr const char* kLog = "core.triples";
 
+/// Entries fetched per refill round trip (per shape class).
+constexpr std::size_t kRefillBatch = 32;
+
+/// The producer refills a stream whose depth falls below this fraction
+/// of its target.
+constexpr double kLowWater = 0.5;
+
 }  // namespace
 
 void DemandPlan::add(const mpc::TripleKey& key, std::size_t count) {
@@ -255,17 +262,14 @@ std::string TriplePipeline::store_path(const std::string& dir, int party,
 
 TriplePipeline::TriplePipeline(const EngineConfig& config, OwnerLink& link,
                                int party, bool training)
-    : config_(config), link_(link), party_(party), training_(training) {
-  if (!config_.triple_prefetch && config_.triple_store_dir.empty()) {
-    return;
-  }
-  store_ = std::make_unique<mpc::TripleStore>(link_, party_);
+    : config_(config), party_(party), training_(training),
+      store_(link, party) {
   if (!config_.triple_store_dir.empty()) {
     const std::string path =
         store_path(config_.triple_store_dir, party_, training_);
-    if (store_->load(path, store_provenance(config_, training_))) {
+    if (store_.load(path, store_provenance(config_, training_))) {
       TRUSTDDL_LOG_INFO(kLog)
-          << "party " << party_ << " restored " << store_->depth()
+          << "party " << party_ << " restored " << store_.depth()
           << " prefetched entries from " << path;
     }
   }
@@ -280,25 +284,18 @@ TriplePipeline::~TriplePipeline() {
   }
 }
 
-mpc::TripleSource& TriplePipeline::source() {
-  if (store_ != nullptr) {
-    return *store_;
-  }
-  return link_;
-}
-
 void TriplePipeline::plan(const DemandPlan& plan) {
-  if (store_ == nullptr) {
+  if (!config_.triple_prefetch) {
     return;
   }
   for (const auto& [key, count] : plan.counts) {
-    store_->demand(key, std::min(count, config_.triple_max_depth));
+    store_.demand(key, std::min(count, config_.triple_max_depth));
   }
 }
 
 void TriplePipeline::plan_step(const nn::ModelSpec& spec, std::size_t rows,
                                std::size_t depth_factor) {
-  if (store_ == nullptr) {
+  if (!config_.triple_prefetch) {
     return;
   }
   DemandPlan step = profile_step_demand(
@@ -314,7 +311,7 @@ void TriplePipeline::plan_step(const nn::ModelSpec& spec, std::size_t rows,
 void TriplePipeline::plan_job_window(const nn::ModelSpec& spec,
                                      const std::vector<std::size_t>& batch_rows,
                                      bool training, std::size_t first) {
-  if (store_ == nullptr) {
+  if (!config_.triple_prefetch) {
     return;
   }
   plan(profile_job_demand(spec, batch_rows, config_.resolved_trunc_mode(),
@@ -324,20 +321,17 @@ void TriplePipeline::plan_job_window(const nn::ModelSpec& spec,
 }
 
 void TriplePipeline::retire_versions_before(std::uint64_t version) {
-  if (store_ != nullptr) {
-    store_->retire_versions_before(version);
-  }
+  store_.retire_versions_before(version);
 }
 
 std::size_t TriplePipeline::warm() {
-  if (store_ == nullptr || !config_.triple_prefetch) {
+  if (!config_.triple_prefetch) {
     return 0;
   }
   obs::ScopedSpan span("triple.warm", party_);
   std::size_t total = 0;
   for (;;) {
-    const std::size_t added =
-        store_->refill_toward_targets(config_.triple_refill_batch);
+    const std::size_t added = store_.refill_toward_targets(kRefillBatch);
     if (added == 0) {
       break;
     }
@@ -347,14 +341,14 @@ std::size_t TriplePipeline::warm() {
 }
 
 std::size_t TriplePipeline::refill_once() {
-  if (store_ == nullptr || !config_.triple_prefetch) {
+  if (!config_.triple_prefetch) {
     return 0;
   }
-  return store_->refill_toward_targets(config_.triple_refill_batch);
+  return store_.refill_toward_targets(kRefillBatch);
 }
 
 void TriplePipeline::start() {
-  if (store_ == nullptr || !config_.triple_prefetch || producer_.joinable()) {
+  if (!config_.triple_prefetch || producer_.joinable()) {
     return;
   }
   stop_.store(false, std::memory_order_relaxed);
@@ -364,12 +358,11 @@ void TriplePipeline::start() {
 void TriplePipeline::producer_loop() {
   while (!stop_.load(std::memory_order_relaxed)) {
     std::size_t added = 0;
-    for (const mpc::TripleKey& key :
-         store_->keys_below(config_.triple_low_water)) {
+    for (const mpc::TripleKey& key : store_.keys_below(kLowWater)) {
       if (stop_.load(std::memory_order_relaxed)) {
         break;
       }
-      added += store_->refill(key, config_.triple_refill_batch);
+      added += store_.refill(key, kRefillBatch);
     }
     if (added == 0) {
       // Nothing under water: idle briefly rather than spin on the
@@ -384,16 +377,16 @@ void TriplePipeline::shutdown() {
     stop_.store(true, std::memory_order_relaxed);
     producer_.join();
   }
-  if (shut_down_ || store_ == nullptr) {
+  if (shut_down_) {
     return;
   }
   shut_down_ = true;
   if (!config_.triple_store_dir.empty()) {
     const std::string path =
         store_path(config_.triple_store_dir, party_, training_);
-    store_->save(path, store_provenance(config_, training_));
+    store_.save(path, store_provenance(config_, training_));
     TRUSTDDL_LOG_INFO(kLog)
-        << "party " << party_ << " persisted " << store_->depth()
+        << "party " << party_ << " persisted " << store_.depth()
         << " prefetched entries to " << path;
   }
 }

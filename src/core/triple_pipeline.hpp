@@ -7,22 +7,23 @@
 //    (kind, shape) material a forward/backward/sgd step consumes —
 //    the same arithmetic the Secure* layers perform, so a warm store
 //    holds precisely what the online phase will pop;
-//  * a TripleStore over the party's OwnerLink-as-backend, with
-//    optional disk persistence (material survives restarts);
+//  * the party's TripleStore over its OwnerLink, the one source of
+//    material, with optional disk persistence (material survives
+//    restarts);
 //  * warm() — the synchronous offline phase — and a background
 //    producer thread that keeps stores above the low-water mark while
 //    the online phase runs.
 //
-// When prefetch and persistence are both disabled the pipeline is
-// inert and source() hands back the link itself: the synchronous
-// dealing path, bit-identical to the store-backed one (both consume
-// each per-key stream in order from index 0).
+// Without EngineConfig::triple_prefetch the store plans nothing,
+// buffers nothing and no thread starts: every entry is a miss,
+// fetched at its stream cursor with one kBatchFill per entry — the
+// synchronous dealing path, bit-identical to the prefetching one (both
+// consume each per-key stream in order from index 0).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <string>
 #include <thread>
 #include <utility>
@@ -103,9 +104,8 @@ DemandPlan profile_train_round_demand(
 
 class TriplePipeline {
  public:
-  /// Builds the store when EngineConfig enables prefetch and/or
-  /// persistence; otherwise stays inert.  Loads a persisted store for
-  /// this party/role if one exists under triple_store_dir.
+  /// Builds the party's store over `link`, and loads a persisted store
+  /// for this party/role if one exists under triple_store_dir.
   TriplePipeline(const EngineConfig& config, OwnerLink& link, int party,
                  bool training);
   ~TriplePipeline();
@@ -113,18 +113,13 @@ class TriplePipeline {
   TriplePipeline(const TriplePipeline&) = delete;
   TriplePipeline& operator=(const TriplePipeline&) = delete;
 
-  /// False when the pipeline is pass-through (source() == the link).
-  bool active() const { return store_ != nullptr; }
-
-  /// What the online phase should consume from.
-  mpc::TripleSource& source();
-
-  /// The underlying store; nullptr when inactive.
-  mpc::TripleStore* store() { return store_.get(); }
+  /// What the online phase consumes from.
+  mpc::TripleStore& store() { return store_; }
 
   /// Raise per-key targets from a demand plan (each capped at
   /// EngineConfig::triple_max_depth).  A versioned key's count is what
-  /// it should deliver beyond the entries already consumed.
+  /// it should deliver beyond the entries already consumed.  No-op
+  /// without prefetch.
   void plan(const DemandPlan& plan);
 
   /// Plan steps [first, first + EngineConfig::triple_max_depth) of an
@@ -147,14 +142,14 @@ class TriplePipeline {
                  std::size_t depth_factor);
 
   /// Synchronous offline phase: refill every store to target.  Returns
-  /// entries fetched.  No-op when inactive.
+  /// entries fetched.  No-op without prefetch.
   std::size_t warm();
 
   /// One bounded refill pass (for idle loops).  Returns entries added.
   std::size_t refill_once();
 
   /// Start the background producer (refills keys below the low-water
-  /// mark).  No-op when inactive or prefetch is off.
+  /// mark).  No-op without prefetch.
   void start();
 
   /// Stop the producer and persist the store if a store dir is
@@ -174,10 +169,9 @@ class TriplePipeline {
   void producer_loop();
 
   EngineConfig config_;
-  OwnerLink& link_;
   int party_;
   bool training_;
-  std::unique_ptr<mpc::TripleStore> store_;
+  mpc::TripleStore store_;
   std::thread producer_;
   std::atomic<bool> stop_{false};
   bool shut_down_ = false;

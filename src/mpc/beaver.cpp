@@ -368,57 +368,4 @@ std::array<MaterialBatch, kNumParties> deal_material(const TripleKey& key,
   return out;
 }
 
-SharedDealer::SharedDealer(std::uint64_t seed, int frac_bits)
-    : seed_(seed), frac_bits_(frac_bits) {}
-
-MaterialEntry SharedDealer::next(int party, const TripleKey& key) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const std::uint64_t index =
-      counters_[key][static_cast<std::size_t>(party)]++;
-  auto& per_key = cache_[key];
-  auto it = per_key.find(index);
-  if (it == per_key.end()) {
-    // Derived-seed generation: regenerating an evicted entry yields the
-    // identical material, so eviction below is always safe.
-    it = per_key
-             .emplace(index,
-                      Entry{deal_material(key, index, 1, seed_, frac_bits_),
-                            0})
-             .first;
-    cache_fifo_.emplace_back(key, index);
-    ++cache_size_;
-    while (cache_size_ > kMaxCacheEntries) {
-      const auto [old_key, old_index] = cache_fifo_.front();
-      cache_fifo_.pop_front();
-      auto bucket = cache_.find(old_key);
-      if (bucket != cache_.end() && bucket->second.erase(old_index) > 0) {
-        --cache_size_;
-        if (bucket->second.empty()) {
-          cache_.erase(bucket);
-        }
-      }
-      // The FIFO may hold stale records for entries already retired by
-      // the all-parties-served fast path; skip those and keep draining.
-      // The entry just inserted is newest in FIFO order, so it is never
-      // evicted here and `it` stays valid (erase only invalidates
-      // iterators to the erased elements).
-    }
-  }
-  MaterialEntry view = it->second.views[static_cast<std::size_t>(party)][0];
-  it->second.served |= (1 << party);
-  if (it->second.served == 0b111) {
-    cache_[key].erase(index);
-    if (cache_[key].empty()) {
-      cache_.erase(key);
-    }
-    --cache_size_;
-  }
-  return view;
-}
-
-std::size_t SharedDealer::cache_entries() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return cache_size_;
-}
-
 }  // namespace trustddl::mpc

@@ -28,19 +28,18 @@
 // (kind, dims) shape class, addressed by a `TripleKey` and an entry
 // index.  Entry i of a stream is generated from a seed derived from
 // (master seed, key, i) alone — never from arrival order — so any
-// backend (the in-process SharedDealer, the networked owner service)
-// regenerates the same entry at any time.  That makes caches and
-// prefetch stores pure optimizations: eviction, restarts and
-// request-interleaving differences between parties cannot change what
-// a party receives for a given (key, index).
+// backend (the in-process DealerBackend, the networked owner service)
+// regenerates the same entry at any time.  That makes prefetching and
+// persistence pure optimizations: restarts and request-interleaving
+// differences between parties cannot change what a party receives for
+// a given (key, index).  Every party draws its entries through one
+// mpc::TripleStore (triple_store.hpp), which keeps each stream's
+// cursor.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <deque>
-#include <memory>
-#include <mutex>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -233,75 +232,43 @@ std::array<MaterialBatch, kNumParties> deal_material(const TripleKey& key,
                                                      std::uint64_t master_seed,
                                                      int frac_bits);
 
-/// Per-party access to preprocessing material.  Implementations hand
-/// out each stream's entries in order from index 0 and must return the
-/// *same* underlying material to all parties for the same request
-/// sequence (the protocols are SPMD, so parties request in identical
-/// order).
-class TripleSource {
- public:
-  virtual ~TripleSource() = default;
-
-  /// The next entry of stream `key`.
-  virtual MaterialEntry next(const TripleKey& key) = 0;
-
-  /// The next entry of each of `keys`, in order.  A networked source
-  /// sends every request before awaiting the first reply, so material
-  /// one operation needs from several streams costs one round trip.
-  virtual std::vector<MaterialEntry> next_many(
-      const std::vector<TripleKey>& keys) {
-    std::vector<MaterialEntry> entries;
-    entries.reserve(keys.size());
-    for (const TripleKey& key : keys) {
-      entries.push_back(next(key));
-    }
-    return entries;
-  }
-
-  BeaverTripleShare mul_triple(const Shape& shape) {
-    return std::move(next(TripleKey::mul(shape)).triple);
-  }
-  BeaverTripleShare matmul_triple(std::size_t m, std::size_t k,
-                                  std::size_t n) {
-    return std::move(next(TripleKey::matmul(m, k, n)).triple);
-  }
-  PartyShare comp_aux(const Shape& shape) {
-    return std::move(next(TripleKey::comp_aux(shape)).share);
-  }
-  TruncPairShare trunc_pair(const Shape& shape) {
-    return std::move(next(TripleKey::trunc_pair(shape)).pair);
-  }
-  /// Shares of B for weight `version` of dense layer `layer`.
-  PartyShare weight_mask(std::size_t layer, std::uint64_t version,
-                         std::size_t in, std::size_t out) {
-    return std::move(
-        next(TripleKey::weight_mask(layer, version, in, out)).share);
-  }
-  /// (a, c = a×B) for an [m, k] operand, or c = a×Bᵀ when `transposed`;
-  /// the returned triple's b is empty.
-  BeaverTripleShare masked_matmul(std::size_t layer, std::uint64_t version,
-                                  bool transposed, std::size_t m,
-                                  std::size_t k, std::size_t n) {
-    return std::move(
-        next(TripleKey::masked_matmul(layer, version, transposed, m, k, n))
-            .triple);
-  }
+/// Entries [start, start + count) of stream `key`.
+struct FillRange {
+  TripleKey key;
+  std::uint64_t start = 0;
+  std::size_t count = 0;
 };
 
-/// Batched range access to one party's material streams — the
-/// offline-phase counterpart of TripleSource.  One call fills N
-/// entries of a shape class (one round trip when the backend is the
-/// networked owner link).
+/// Range access to one party's material streams: where a TripleStore
+/// fetches what it does not hold.  The networked owner link
+/// (core::OwnerLink) and the in-process DealerBackend implement it.
 class TripleBackend {
  public:
   virtual ~TripleBackend() = default;
+
+  /// Entries [start, start+count) of `key`, in one round trip.
   virtual MaterialBatch fill(const TripleKey& key, std::uint64_t start,
                              std::size_t count) = 0;
+
+  /// Each of `ranges`, in order.  A networked backend sends every
+  /// request before awaiting the first reply, so one call costs one
+  /// round trip; this default fills the ranges one after another.
+  virtual std::vector<MaterialBatch> fill_many(
+      const std::vector<FillRange>& ranges) {
+    std::vector<MaterialBatch> batches;
+    batches.reserve(ranges.size());
+    for (const FillRange& range : ranges) {
+      batches.push_back(fill(range.key, range.start, range.count));
+    }
+    return batches;
+  }
 };
 
 /// In-process TripleBackend for one party: derives every entry
 /// locally from the master seed (the same derivation the owner
-/// service uses, so in-process and networked supplies agree).
+/// service uses, so in-process and networked supplies agree).  Three
+/// parties' stores over DealerBackends of one seed stand in for the
+/// model owner in protocol tests, micro-benches and the quickstart.
 class DealerBackend final : public TripleBackend {
  public:
   DealerBackend(std::uint64_t master_seed, int frac_bits, int party)
@@ -317,63 +284,6 @@ class DealerBackend final : public TripleBackend {
  private:
   std::uint64_t master_seed_;
   int frac_bits_;
-  int party_;
-};
-
-/// Dealer shared by the three in-process parties; thread-safe.  Each
-/// party's LocalTripleSource pulls its view by per-key stream index;
-/// entries are derived-seed generated on first request and retired
-/// once all parties fetched them.  The cache is bounded: a crashed or
-/// silent party can no longer leak every subsequent triple — evicted
-/// entries are simply regenerated if a straggler asks later.  Used by
-/// unit tests and microbenchmarks; the full framework deals through
-/// the network instead so dealing traffic is metered.
-class SharedDealer {
- public:
-  /// Retire-on-eviction bound: at most this many in-flight entries are
-  /// cached before the oldest is dropped (regenerable, so always safe).
-  static constexpr std::size_t kMaxCacheEntries = 256;
-
-  SharedDealer(std::uint64_t seed, int frac_bits);
-
-  /// Party `party`'s view of the next entry of its stream `key`.
-  MaterialEntry next(int party, const TripleKey& key);
-
-  /// Entries currently cached (regression guard for the bounded-cache
-  /// fix; never exceeds kMaxCacheEntries).
-  std::size_t cache_entries() const;
-
- private:
-  struct Entry {
-    std::array<MaterialBatch, kNumParties> views;
-    int served = 0;  ///< bitmask of parties that fetched their view
-  };
-
-  mutable std::mutex mu_;
-  std::uint64_t seed_;
-  int frac_bits_;
-  std::unordered_map<TripleKey, std::array<std::uint64_t, kNumParties>,
-                     TripleKeyHash>
-      counters_;
-  std::unordered_map<TripleKey, std::unordered_map<std::uint64_t, Entry>,
-                     TripleKeyHash>
-      cache_;
-  std::deque<std::pair<TripleKey, std::uint64_t>> cache_fifo_;
-  std::size_t cache_size_ = 0;
-};
-
-/// TripleSource view of a SharedDealer for one party.
-class LocalTripleSource final : public TripleSource {
- public:
-  LocalTripleSource(std::shared_ptr<SharedDealer> dealer, int party)
-      : dealer_(std::move(dealer)), party_(party) {}
-
-  MaterialEntry next(const TripleKey& key) override {
-    return dealer_->next(party_, key);
-  }
-
- private:
-  std::shared_ptr<SharedDealer> dealer_;
   int party_;
 };
 

@@ -135,7 +135,7 @@ AggregateDemand aggregate_demand(std::size_t num_inputs, const Shape& shape,
   return demand;
 }
 
-DeferredShare robust_aggregate_prepare(OpenBatch& batch, TripleSource& triples,
+DeferredShare robust_aggregate_prepare(OpenBatch& batch, TripleStore& triples,
                                        const std::vector<PartyShare>& inputs,
                                        const AggregateOptions& options,
                                        bool comp_triples,
@@ -248,7 +248,7 @@ DeferredShare robust_aggregate_prepare(OpenBatch& batch, TripleSource& triples,
   return out;
 }
 
-PartyShare robust_aggregate(PartyContext& ctx, TripleSource& triples,
+PartyShare robust_aggregate(PartyContext& ctx, TripleStore& triples,
                             const std::vector<PartyShare>& inputs,
                             const AggregateOptions& options,
                             bool comp_triples, AggregateStats* stats) {

@@ -22,9 +22,9 @@
 // averages more than one value.
 #pragma once
 
-#include "mpc/beaver.hpp"
 #include "mpc/open.hpp"
 #include "mpc/protocols_bt.hpp"
+#include "mpc/triple_store.hpp"
 
 namespace trustddl::mpc {
 
@@ -84,20 +84,20 @@ AggregateDemand aggregate_demand(std::size_t num_inputs, const Shape& shape,
 /// model parameter — share ALL their opening rounds.
 ///
 /// Preprocessing material is fetched from `triples` at prepare time, in
-/// one TripleSource::next_many (SPMD request-order rule); inputs must
+/// one TripleStore::next_many (SPMD request-order rule); inputs must
 /// all share one shape and inputs.size() ≥ 1.  The ranking compares
 /// with comparison triples when `comp_triples` (mpc::comparison_keys).
 /// `frac_bits` is taken from the batch's context.  `stats`, when
 /// non-null, is filled at prepare time (the counts are
 /// data-independent).
-DeferredShare robust_aggregate_prepare(OpenBatch& batch, TripleSource& triples,
+DeferredShare robust_aggregate_prepare(OpenBatch& batch, TripleStore& triples,
                                        const std::vector<PartyShare>& inputs,
                                        const AggregateOptions& options,
                                        bool comp_triples,
                                        AggregateStats* stats = nullptr);
 
 /// Eager wrapper: prepare + flush_all on a private batch.
-PartyShare robust_aggregate(PartyContext& ctx, TripleSource& triples,
+PartyShare robust_aggregate(PartyContext& ctx, TripleStore& triples,
                             const std::vector<PartyShare>& inputs,
                             const AggregateOptions& options,
                             bool comp_triples,

@@ -62,55 +62,75 @@ std::shared_ptr<TripleStore::KeyQueue> TripleStore::find_queue(
   return it == queues_.end() ? nullptr : it->second;
 }
 
-MaterialEntry TripleStore::next(const TripleKey& key) {
-  const std::shared_ptr<KeyQueue> owned = queue_for(key);
-  KeyQueue& queue = *owned;
+bool TripleStore::pop(KeyQueue& queue, MaterialEntry& out) {
   const std::uint64_t head = queue.head.load(std::memory_order_relaxed);
-  if (head != queue.tail.load(std::memory_order_acquire)) {
-    // Hot path: prefetched entry, no lock, no wait.
-    MaterialEntry entry =
-        std::move(queue.ring[head & (queue.capacity() - 1)]);
-    queue.head.store(head + 1, std::memory_order_release);
-    count_kind("triple.consumed.", key.kind, 1);
-    gauge_kind(key.kind, -1);
-    if (obs::metrics_enabled()) {
-      obs::observe("triple.online_wait.us", 0);
-    }
-    return entry;
+  if (head == queue.tail.load(std::memory_order_acquire)) {
+    return false;
   }
+  out = std::move(queue.ring[head & (queue.capacity() - 1)]);
+  queue.head.store(head + 1, std::memory_order_release);
+  return true;
+}
 
-  // Store dry: fall back to an on-demand single-entry fetch.  The fill
-  // mutex serializes against the producer so the stream cursor stays
-  // strictly ordered.
+std::vector<MaterialEntry> TripleStore::next_many(
+    const std::vector<TripleKey>& keys) {
   const auto start = std::chrono::steady_clock::now();
-  std::lock_guard<std::mutex> lock(queue.fill_mu);
-  MaterialEntry entry;
-  const std::uint64_t head2 = queue.head.load(std::memory_order_relaxed);
-  if (head2 != queue.tail.load(std::memory_order_acquire)) {
-    // The producer filled while we were acquiring the lock.
-    entry = std::move(queue.ring[head2 & (queue.capacity() - 1)]);
-    queue.head.store(head2 + 1, std::memory_order_release);
-    count_kind("triple.consumed.", key.kind, 1);
-    gauge_kind(key.kind, -1);
-  } else {
-    MaterialBatch batch = backend_.fill(key, queue.next_fill, 1);
-    if (batch.size() != 1) {
+  std::vector<MaterialEntry> entries(keys.size());
+  std::vector<FillRange> misses;
+  std::vector<std::size_t> missed_at;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const std::shared_ptr<KeyQueue> queue = queue_for(keys[i]);
+    // Hot path: a buffered entry, no lock.  Otherwise reserve the
+    // stream's next index under the fill mutex, unless the producer
+    // filled while we were acquiring it.  A reserved index precedes
+    // everything the producer buffers after it, so a later pop of the
+    // same key in this call still lands in stream order.
+    bool popped = pop(*queue, entries[i]);
+    if (!popped) {
+      std::lock_guard<std::mutex> lock(queue->fill_mu);
+      popped = pop(*queue, entries[i]);
+      if (!popped) {
+        misses.push_back(FillRange{keys[i], queue->next_fill++, 1});
+        missed_at.push_back(i);
+      }
+    }
+    if (popped) {
+      count_kind("triple.consumed.", keys[i].kind, 1);
+      gauge_kind(keys[i].kind, -1);
+    }
+  }
+  if (!misses.empty()) {
+    std::vector<MaterialBatch> batches = backend_.fill_many(misses);
+    if (batches.size() != misses.size()) {
       throw ProtocolError("triple backend returned short batch");
     }
-    queue.next_fill += 1;
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    count_kind("triple.produced.", key.kind, 1);
-    count_kind("triple.consumed.", key.kind, 1);
-    obs::count("triple.store.miss");
-    entry = std::move(batch[0]);
+    for (std::size_t j = 0; j < misses.size(); ++j) {
+      if (batches[j].size() != 1) {
+        throw ProtocolError("triple backend returned short batch");
+      }
+      entries[missed_at[j]] = std::move(batches[j][0]);
+      count_kind("triple.produced.", misses[j].key.kind, 1);
+      count_kind("triple.consumed.", misses[j].key.kind, 1);
+    }
+    misses_.fetch_add(misses.size(), std::memory_order_relaxed);
   }
   if (obs::metrics_enabled()) {
-    const auto waited = std::chrono::duration_cast<std::chrono::microseconds>(
-                            std::chrono::steady_clock::now() - start)
-                            .count();
-    obs::observe("triple.online_wait.us", static_cast<std::uint64_t>(waited));
+    obs::count("triple.store.miss", misses.size());
+    // A popped entry waited for nothing, a missed one for the call's
+    // one fetch.
+    const auto waited = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count());
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      obs::observe("triple.online_wait.us", i < misses.size() ? waited : 0);
+    }
   }
-  return entry;
+  return entries;
+}
+
+MaterialEntry TripleStore::next(const TripleKey& key) {
+  return std::move(next_many({key}).at(0));
 }
 
 void TripleStore::grow_ring(KeyQueue& queue, std::size_t min_capacity) {

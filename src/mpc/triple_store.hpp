@@ -1,22 +1,32 @@
-// Shape-keyed prefetch store for preprocessing material — the online
-// half of the offline/online split (FALCON-style: correlated
-// randomness is produced ahead of time so the online phase is pure
-// communication + local compute).
+// Shape-keyed material store: the one place a computing party draws
+// dealt material from (Beaver triples, comparison auxiliaries,
+// truncation pairs, reusable masks), and the online half of the
+// offline/online split (FALCON-style: correlated randomness is
+// produced ahead of time so the online phase is pure communication +
+// local compute).
+//
+// A store sits over one TripleBackend: the party's core::OwnerLink
+// when the model owner deals over the network, a DealerBackend when
+// dealing is in process.  It keeps every stream's cursor.  Without
+// planned demand it buffers nothing and every entry is a *miss*,
+// fetched synchronously at its cursor; with prefetch a producer fills
+// per-stream rings ahead of the consumer.
 //
 // One SPSC ring per (kind, dims) stream: the party's protocol thread
 // is the only consumer, the background producer (or the party thread
 // itself between serving batches) is the only refiller.  The hot path
-// — popping a prefetched entry — is lock-free: one acquire load and
-// one release store on the ring indices.  Only a *miss* (store
-// exhausted) takes the per-key fill mutex and falls back to an
-// on-demand single-entry fetch from the backend, so correctness never
-// depends on the producer keeping up.
+// — popping a buffered entry — is lock-free: one acquire load and one
+// release store on the ring indices.  A miss reserves the stream's
+// next index under the per-key fill mutex; next_many fetches all of a
+// call's misses in one TripleBackend::fill_many (one round trip over
+// the owner link), so correctness never depends on the producer
+// keeping up.
 //
 // Determinism: entries are consumed strictly in stream order per key,
 // starting at index 0, regardless of whether they arrived via a batch
 // refill, a miss, or a disk restore.  Combined with derived-seed
-// dealing (beaver.hpp) this makes store-backed and synchronous runs
-// bit-identical.
+// dealing (beaver.hpp) this makes store-backed runs with and without
+// prefetch bit-identical.
 //
 // Versioned streams (reusable weight masks, TripleKey::versioned) are
 // finite: their targets count entries to deliver over the stream's
@@ -36,13 +46,14 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "mpc/beaver.hpp"
 
 namespace trustddl::mpc {
 
-class TripleStore final : public TripleSource {
+class TripleStore final {
  public:
   /// Bound on entries one key may hold or still owe (its buffered
   /// depth, its target, or for a versioned key its target minus its
@@ -52,9 +63,29 @@ class TripleStore final : public TripleSource {
 
   TripleStore(TripleBackend& backend, int party);
 
-  /// TripleSource — the online hot path: pop the next entry of `key`,
-  /// refilling on demand if the store is dry.
-  MaterialEntry next(const TripleKey& key) override;
+  /// The next entry of each of `keys`, in call order; a key may repeat
+  /// (a max-pool's comparisons share one shape).  Buffered entries are
+  /// popped; each dry key's entry is fetched at its stream cursor, all
+  /// of them in one TripleBackend::fill_many call, so material one
+  /// operation needs from several streams costs one round trip.
+  std::vector<MaterialEntry> next_many(const std::vector<TripleKey>& keys);
+
+  /// The next entry of stream `key` (next_many of one key).
+  MaterialEntry next(const TripleKey& key);
+
+  BeaverTripleShare mul_triple(const Shape& shape) {
+    return std::move(next(TripleKey::mul(shape)).triple);
+  }
+  BeaverTripleShare matmul_triple(std::size_t m, std::size_t k,
+                                  std::size_t n) {
+    return std::move(next(TripleKey::matmul(m, k, n)).triple);
+  }
+  PartyShare comp_aux(const Shape& shape) {
+    return std::move(next(TripleKey::comp_aux(shape)).share);
+  }
+  TruncPairShare trunc_pair(const Shape& shape) {
+    return std::move(next(TripleKey::trunc_pair(shape)).pair);
+  }
 
   /// Raise the refill target for `key` to at least `count` entries —
   /// a depth to keep, or for a versioned key `count` entries beyond
@@ -94,8 +125,8 @@ class TripleStore final : public TripleSource {
   /// bookkeeping; after a restore it starts at the persisted cursor).
   std::uint64_t consumed(const TripleKey& key) const;
 
-  /// Pops that found the store empty and fell back to on-demand
-  /// dealing.
+  /// Entries the store did not hold when asked for, fetched at their
+  /// stream cursor instead.
   std::uint64_t misses() const;
 
   /// Persist buffered entries and stream cursors (versioned binary
@@ -138,6 +169,10 @@ class TripleStore final : public TripleSource {
   /// producer that listed it a moment earlier.
   std::shared_ptr<KeyQueue> queue_for(const TripleKey& key);
   std::shared_ptr<KeyQueue> find_queue(const TripleKey& key) const;
+
+  /// Pop the oldest buffered entry of `queue` into `out`; false when
+  /// the ring is empty.  Consumer thread only.
+  static bool pop(KeyQueue& queue, MaterialEntry& out);
 
   /// Fill up to `want` entries into `queue` (caller holds fill_mu).
   std::size_t fill_locked(const TripleKey& key, KeyQueue& queue,

@@ -50,7 +50,7 @@ std::optional<Bytes> TagMailbox::recv(const std::string& tag,
     }
     // Scanning before this check re-examines the queue once after a
     // timeout, so a notify racing the deadline is never lost.
-    if (now >= deadline) {
+    if (now >= deadline || closed_.load()) {
       return std::nullopt;
     }
     cv_.wait_until(lock, next_wake);
@@ -72,5 +72,15 @@ bool TagMailbox::try_recv(const std::string& tag, Bytes& out) {
   depth_gauge().sub(1);
   return true;
 }
+
+void TagMailbox::close() {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    closed_.store(true);
+  }
+  cv_.notify_all();
+}
+
+bool TagMailbox::closed() const { return closed_.load(); }
 
 }  // namespace trustddl::net

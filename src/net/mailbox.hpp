@@ -10,6 +10,7 @@
 // the deadline, whichever comes first.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <deque>
@@ -37,6 +38,12 @@ class TagMailbox {
   /// Non-blocking: pop a deliverable message with `tag` if present.
   bool try_recv(const std::string& tag, Bytes& out);
 
+  /// No message will arrive any more: wakes every waiting recv, and
+  /// from now on recv returns nullopt at once when nothing deliverable
+  /// matches.  Messages already queued stay receivable.
+  void close();
+  bool closed() const;
+
  private:
   struct Entry {
     Message message;
@@ -46,6 +53,9 @@ class TagMailbox {
   std::mutex mu_;
   std::condition_variable cv_;
   std::deque<Entry> pending_;
+  /// Set under mu_ so a waiter cannot miss it; read without it by
+  /// polls.
+  std::atomic<bool> closed_{false};
 };
 
 }  // namespace trustddl::net

@@ -97,6 +97,9 @@ Bytes Network::blocking_recv(PartyId receiver, PartyId from,
     recv_wait_histogram().observe(obs::now_us() - start_us);
   }
   if (!payload) {
+    if (mailbox(receiver, from).closed()) {
+      throw_recv_closed(receiver, from, tag);
+    }
     throw_recv_timeout(receiver, from, tag);
   }
   return std::move(*payload);
@@ -104,7 +107,20 @@ Bytes Network::blocking_recv(PartyId receiver, PartyId from,
 
 bool Network::probe(PartyId receiver, PartyId from, const std::string& tag,
                     Bytes& out) {
-  return mailbox(receiver, from).try_recv(tag, out);
+  TagMailbox& box = mailbox(receiver, from);
+  if (box.try_recv(tag, out)) {
+    return true;
+  }
+  if (box.closed()) {
+    throw_recv_closed(receiver, from, tag);
+  }
+  return false;
+}
+
+void Network::close() {
+  for (auto& box : mailboxes_) {
+    box->close();
+  }
 }
 
 TrafficSnapshot Network::traffic() const {

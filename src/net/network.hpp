@@ -41,6 +41,12 @@ class Network final : public Transport {
   TrafficSnapshot traffic() const override;
   void reset_traffic() override;
 
+  /// Tear the network down under its parties: every receive, blocked
+  /// or later, that finds no queued match throws at once
+  /// (throw_recv_closed), and so does a poll.  Sends are still
+  /// metered and queued.
+  void close();
+
  private:
   TagMailbox& mailbox(PartyId receiver, PartyId sender) {
     return *mailboxes_[static_cast<std::size_t>(receiver) *

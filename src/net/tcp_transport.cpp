@@ -603,6 +603,9 @@ Bytes TcpTransport::blocking_recv(PartyId receiver, PartyId from,
     obs::observe("net.recv_wait_us", obs::now_us() - start_us);
   }
   if (!payload) {
+    if (inboxes_[static_cast<std::size_t>(from)]->closed()) {
+      throw_recv_closed(receiver, from, tag);
+    }
     throw_recv_timeout(receiver, from, tag);
   }
   return std::move(*payload);
@@ -612,7 +615,14 @@ bool TcpTransport::probe(PartyId receiver, PartyId from,
                          const std::string& tag, Bytes& out) {
   TRUSTDDL_REQUIRE(receiver == self_,
                    "TcpTransport can only receive as its own party");
-  return inboxes_[static_cast<std::size_t>(from)]->try_recv(tag, out);
+  TagMailbox& inbox = *inboxes_[static_cast<std::size_t>(from)];
+  if (inbox.try_recv(tag, out)) {
+    return true;
+  }
+  if (inbox.closed()) {
+    throw_recv_closed(receiver, from, tag);
+  }
+  return false;
 }
 
 void TcpTransport::set_fault_injector(
@@ -680,6 +690,10 @@ void TcpTransport::shutdown() {
     close_quietly(peer->fd);
   }
   close_quietly(listen_fd_);
+  // No frame can arrive any more: receivers still waiting fail at once.
+  for (auto& inbox : inboxes_) {
+    inbox->close();
+  }
 }
 
 TcpFabric::TcpFabric(NetworkConfig config) : config_(config) {

@@ -84,8 +84,10 @@ class TcpTransport final : public Transport {
   /// forever-stale heartbeat.  Call after connect(); at most once.
   void accept_dynamic_peers(PartyId min_id);
 
-  /// Graceful teardown: closes every socket and joins the reader
-  /// threads.  Idempotent; also run by the destructor.
+  /// Graceful teardown: closes every socket, joins the reader threads
+  /// and closes the inboxes, so a receive or poll that finds nothing
+  /// queued fails at once (throw_recv_closed).  Idempotent; also run
+  /// by the destructor.
   void shutdown();
 
   int num_parties() const override { return config_.num_parties; }

@@ -83,6 +83,13 @@ void throw_recv_timeout(PartyId receiver, PartyId from,
                      std::to_string(from));
 }
 
+void throw_recv_closed(PartyId receiver, PartyId from,
+                       const std::string& tag) {
+  throw ProtocolError("recv on a closed transport: party " +
+                      std::to_string(receiver) + " waiting for '" + tag +
+                      "' from party " + std::to_string(from));
+}
+
 std::string tag_class(const std::string& tag) {
   const std::size_t last_slash = tag.rfind('/');
   if (last_slash == std::string::npos) {

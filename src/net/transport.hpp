@@ -160,6 +160,11 @@ class Transport {
 [[noreturn]] void throw_recv_timeout(PartyId receiver, PartyId from,
                                      const std::string& tag);
 
+/// The ProtocolError a receive meets on a closed transport: nothing
+/// will arrive, so it fails at once instead of waiting out a timeout.
+[[noreturn]] void throw_recv_closed(PartyId receiver, PartyId from,
+                                    const std::string& tag);
+
 /// Collapse a message tag into its protocol class for per-class
 /// metrics: the last '/'-separated segment ("12/c" -> "c",
 /// "7/s2" -> "s2"), falling back to the first segment when the last is

@@ -37,16 +37,21 @@ mpc::PartyShare corrupted(const mpc::PartyShare& share) {
 }  // namespace
 
 InferenceServer::InferenceServer(int party, net::Endpoint endpoint,
-                                 ServerOptions options)
-    : party_(party), endpoint_(endpoint), options_(std::move(options)) {}
+                                 ServerOptions options,
+                                 core::TriplePipeline& pipeline,
+                                 const nn::ModelSpec& spec)
+    : party_(party),
+      endpoint_(endpoint),
+      options_(std::move(options)),
+      pipeline_(pipeline),
+      spec_(spec) {}
 
 bool InferenceServer::run(core::SecureModel& model,
-                          core::SecureExecContext& ctx,
-                          std::size_t input_features) {
+                          core::SecureExecContext& ctx) {
   for (std::uint64_t index = 0;; ++index) {
     // Poll for the next manifest, spending idle gaps on triple-store
-    // refills (the serving variant of the offline phase): with a
-    // pipeline attached, the wait between batches becomes productive
+    // refills (the serving variant of the offline phase): with
+    // prefetch on, the wait between batches becomes productive
     // preprocessing time instead of a blocking recv.
     Bytes manifest_bytes;
     const auto manifest_deadline =
@@ -56,9 +61,7 @@ bool InferenceServer::run(core::SecureModel& model,
       if (std::chrono::steady_clock::now() > manifest_deadline) {
         throw TimeoutError("serve: no manifest " + std::to_string(index));
       }
-      const std::size_t refilled =
-          pipeline_ != nullptr ? pipeline_->refill_once() : 0;
-      if (refilled == 0) {
+      if (pipeline_.refill_once() == 0) {
         std::this_thread::sleep_for(std::chrono::microseconds(100));
       }
     }
@@ -83,7 +86,7 @@ bool InferenceServer::run(core::SecureModel& model,
     std::vector<mpc::PartyShare> inputs;
     inputs.reserve(manifest.entries.size());
     for (const auto& entry : manifest.entries) {
-      const Shape expected{entry.rows, input_features};
+      const Shape expected{entry.rows, spec_.input_features};
       mpc::PartyShare share = mpc::zero_share(expected);
       try {
         share = decode_share(endpoint_.recv(entry.client,
@@ -121,17 +124,15 @@ bool InferenceServer::run(core::SecureModel& model,
     }
     ++batches_;
     obs::count("serve.party.batches");
-    if (pipeline_ != nullptr && spec_ != nullptr) {
-      // Adaptive steady-state planning: the first manifest of a given
-      // row count pays the on-demand miss cost; raising the targets to
-      // two steps' worth lets later same-size batches pop prefetched
-      // entries filled during the idle poll above.
-      std::size_t total_rows = 0;
-      for (const auto& entry : manifest.entries) {
-        total_rows += entry.rows;
-      }
-      pipeline_->plan_step(*spec_, total_rows, 2);
+    // Adaptive steady-state planning: the first manifest of a given
+    // row count pays the on-demand miss cost; raising the targets to
+    // two steps' worth lets later same-size batches pop prefetched
+    // entries filled during the idle poll above.
+    std::size_t total_rows = 0;
+    for (const auto& entry : manifest.entries) {
+      total_rows += entry.rows;
     }
+    pipeline_.plan_step(spec_, total_rows, 2);
 
     if (options_.max_batches != 0 && batches_ >= options_.max_batches) {
       TRUSTDDL_LOG_WARN(kLog) << "party " << party_
@@ -153,19 +154,15 @@ mpc::DetectionLog serve_computing_party_body(
 
   mpc::PartyContext pctx =
       core::make_party_context(config, party, endpoint, adversary);
-  core::SecureExecContext sctx = core::make_exec_context(config, pctx, link);
-
   // Serving uses the idle-poll refill inside InferenceServer::run
   // rather than a producer thread: the gaps between manifests are the
   // natural offline phase, and a restarted party restores whatever the
   // previous incarnation persisted.
   core::TriplePipeline pipeline(config, link, party, /*training=*/false);
-  InferenceServer server(party, endpoint, options);
-  if (pipeline.active()) {
-    sctx.triples = &pipeline.source();
-    server.set_pipeline(&pipeline, &spec);
-  }
-  const bool clean = server.run(model, sctx, spec.input_features);
+  core::SecureExecContext sctx =
+      core::make_exec_context(config, pctx, link, pipeline.store());
+  InferenceServer server(party, endpoint, options, pipeline, spec);
+  const bool clean = server.run(model, sctx);
   if (batches_out != nullptr) {
     *batches_out = server.batches_executed();
   }

@@ -43,24 +43,18 @@ struct ServerOptions {
 
 class InferenceServer {
  public:
-  InferenceServer(int party, net::Endpoint endpoint, ServerOptions options);
-
-  /// Attach the offline/online preprocessing pipeline (DESIGN.md §10).
-  /// While waiting for the next manifest the server tops the triple
-  /// stores up instead of idling, and after each executed batch it
-  /// raises the per-shape targets from the batch's demand so repeat
-  /// batch sizes pop prefetched material.  `spec` is needed for the
-  /// demand profile; both must outlive run().
-  void set_pipeline(core::TriplePipeline* pipeline,
-                    const nn::ModelSpec* spec) {
-    pipeline_ = pipeline;
-    spec_ = spec;
-  }
+  /// `pipeline` is the party's preprocessing pipeline (DESIGN.md §10).
+  /// With prefetch on, the server tops the store up while waiting for
+  /// the next manifest instead of idling, and after each executed
+  /// batch it raises the per-shape targets from the batch's demand
+  /// (profiled from `spec`) so repeat batch sizes pop prefetched
+  /// material.  Both must outlive the server.
+  InferenceServer(int party, net::Endpoint endpoint, ServerOptions options,
+                  core::TriplePipeline& pipeline, const nn::ModelSpec& spec);
 
   /// Serve manifests until the owner's shutdown manifest (returns
   /// true) or the max_batches crash point (returns false).
-  bool run(core::SecureModel& model, core::SecureExecContext& ctx,
-           std::size_t input_features);
+  bool run(core::SecureModel& model, core::SecureExecContext& ctx);
 
   std::size_t batches_executed() const { return batches_; }
 
@@ -69,8 +63,8 @@ class InferenceServer {
   net::Endpoint endpoint_;
   ServerOptions options_;
   std::size_t batches_ = 0;
-  core::TriplePipeline* pipeline_ = nullptr;
-  const nn::ModelSpec* spec_ = nullptr;
+  core::TriplePipeline& pipeline_;
+  const nn::ModelSpec& spec_;
 };
 
 /// Full serving actor bodies, mirroring core/actors.hpp: identical

@@ -28,9 +28,10 @@ mpc::PartyShare decode_share(Bytes payload) {
 }  // namespace
 
 TrainServer::TrainServer(int party, net::Endpoint endpoint,
-                         TrainConfig config, std::uint64_t provenance)
+                         TrainConfig config, std::uint64_t provenance,
+                         core::TriplePipeline& pipeline)
     : party_(party), endpoint_(endpoint), config_(std::move(config)),
-      provenance_(provenance) {}
+      provenance_(provenance), pipeline_(pipeline) {}
 
 bool TrainServer::run(core::SecureModel& model, core::SecureExecContext& ctx,
                       core::OwnerLink& link, const nn::ModelSpec& spec) {
@@ -108,9 +109,7 @@ bool TrainServer::run(core::SecureModel& model, core::SecureExecContext& ctx,
       if (std::chrono::steady_clock::now() > deadline) {
         throw TimeoutError("train: no manifest " + std::to_string(round));
       }
-      const std::size_t refilled =
-          pipeline_ != nullptr ? pipeline_->refill_once() : 0;
-      if (refilled == 0) {
+      if (pipeline_.refill_once() == 0) {
         std::this_thread::sleep_for(std::chrono::microseconds(100));
       }
     }
@@ -139,21 +138,19 @@ bool TrainServer::run(core::SecureModel& model, core::SecureExecContext& ctx,
                            std::to_string(manifest.entries.size()));
     obs::HealthState::global().note_progress("train.last_round", round);
     obs::ScopedSpan span("train.round", party_, round);
-    if (pipeline_ != nullptr && spec_ != nullptr) {
-      std::vector<std::size_t> owner_rows;
-      owner_rows.reserve(manifest.entries.size());
-      for (const auto& entry : manifest.entries) {
-        owner_rows.push_back(entry.rows);
-      }
-      // This round's material, and the next round's weight-version
-      // material (assuming the same minibatch sizes) so the idle poll
-      // before it prefetches that too.
-      for (std::uint64_t ahead = 0; ahead < 2; ++ahead) {
-        pipeline_->plan(core::profile_train_round_demand(
-            *spec_, owner_rows, ctx.trunc_mode, agg_options, use_momentum,
-            core::WeightMaskUse{ctx.reuse_masks,
-                                model.weight_version() + ahead}));
-      }
+    std::vector<std::size_t> owner_rows;
+    owner_rows.reserve(manifest.entries.size());
+    for (const auto& entry : manifest.entries) {
+      owner_rows.push_back(entry.rows);
+    }
+    // This round's material, and the next round's weight-version
+    // material (assuming the same minibatch sizes) so the idle poll
+    // before it prefetches that too.
+    for (std::uint64_t ahead = 0; ahead < 2; ++ahead) {
+      pipeline_.plan(core::profile_train_round_demand(
+          spec, owner_rows, ctx.trunc_mode, agg_options, use_momentum,
+          core::WeightMaskUse{ctx.reuse_masks,
+                              model.weight_version() + ahead}));
     }
 
     // Per-owner normalized gradients.  Gradients are scaled by 1/rows
@@ -254,9 +251,7 @@ bool TrainServer::run(core::SecureModel& model, core::SecureExecContext& ctx,
     }
 
     model.sgd_step(ctx, config_.learning_rate, frac_bits);
-    if (pipeline_ != nullptr) {
-      pipeline_->retire_versions_before(model.weight_version());
-    }
+    pipeline_.retire_versions_before(model.weight_version());
     ++rounds_;
     obs::count("train.party.rounds");
 
@@ -279,14 +274,10 @@ mpc::DetectionLog train_service_party_body(
 
   mpc::PartyContext pctx =
       core::make_party_context(config, party, endpoint, adversary);
-  core::SecureExecContext sctx = core::make_exec_context(config, pctx, link);
-
   core::TriplePipeline pipeline(config, link, party, /*training=*/true);
-  TrainServer server(party, endpoint, train_config, config.seed);
-  if (pipeline.active()) {
-    sctx.triples = &pipeline.source();
-    server.set_pipeline(&pipeline, &spec);
-  }
+  core::SecureExecContext sctx =
+      core::make_exec_context(config, pctx, link, pipeline.store());
+  TrainServer server(party, endpoint, train_config, config.seed, pipeline);
   const bool clean = server.run(model, sctx, link, spec);
   if (clean_out != nullptr) {
     *clean_out = clean;

@@ -26,17 +26,12 @@ namespace trustddl::train {
 
 class TrainServer {
  public:
+  /// `pipeline` is the party's preprocessing pipeline: with prefetch
+  /// on, idle manifest polls spend their wait on refills, and each
+  /// manifest raises the store targets by one round's profiled demand.
+  /// It must outlive the server.
   TrainServer(int party, net::Endpoint endpoint, TrainConfig config,
-              std::uint64_t provenance);
-
-  /// Attach an active preprocessing pipeline: idle manifest polls spend
-  /// their wait on refills, and each manifest raises the store targets
-  /// by one round's profiled demand.
-  void set_pipeline(core::TriplePipeline* pipeline,
-                    const nn::ModelSpec* spec) {
-    pipeline_ = pipeline;
-    spec_ = spec;
-  }
+              std::uint64_t provenance, core::TriplePipeline& pipeline);
 
   /// Execute round manifests until shutdown (returns true) or suspend
   /// (returns false).  If a TDCK checkpoint exists under the configured
@@ -53,8 +48,7 @@ class TrainServer {
   net::Endpoint endpoint_;
   TrainConfig config_;
   std::uint64_t provenance_;
-  core::TriplePipeline* pipeline_ = nullptr;
-  const nn::ModelSpec* spec_ = nullptr;
+  core::TriplePipeline& pipeline_;
   std::uint64_t rounds_ = 0;
 };
 

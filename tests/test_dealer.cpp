@@ -1,6 +1,6 @@
 // Dealer-side preprocessing material (mpc/beaver.hpp): triple algebra,
-// auxiliary values, truncation pairs, and the SharedDealer's
-// cross-party consistency under concurrent access.
+// auxiliary values, truncation pairs, and the cross-party consistency
+// of per-party stores over DealerBackends under concurrent access.
 #include "mpc/beaver.hpp"
 
 #include <gtest/gtest.h>
@@ -72,17 +72,17 @@ TEST(DealerTest, TruncPairRelation) {
   }
 }
 
-TEST(DealerTest, SharedDealerServesConsistentViews) {
-  auto dealer = std::make_shared<SharedDealer>(99, kF);
+TEST(DealerTest, PartyStoresServeConsistentViews) {
+  testing::PartyStores stores(99, kF);
   std::array<BeaverTripleShare, 3> triples;
   std::array<TruncPairShare, 3> pairs;
   std::vector<std::thread> threads;
   for (int party = 0; party < 3; ++party) {
     threads.emplace_back([&, party] {
-      LocalTripleSource source(dealer, party);
       triples[static_cast<std::size_t>(party)] =
-          source.matmul_triple(2, 4, 3);
-      pairs[static_cast<std::size_t>(party)] = source.trunc_pair(Shape{5});
+          stores[party].matmul_triple(2, 4, 3);
+      pairs[static_cast<std::size_t>(party)] =
+          stores[party].trunc_pair(Shape{5});
     });
   }
   for (auto& thread : threads) {
@@ -102,47 +102,12 @@ TEST(DealerTest, SharedDealerServesConsistentViews) {
 }
 
 TEST(DealerTest, SequentialRequestsYieldIndependentTriples) {
-  auto dealer = std::make_shared<SharedDealer>(5, kF);
-  LocalTripleSource p0(dealer, 0);
-  LocalTripleSource p1(dealer, 1);
-  LocalTripleSource p2(dealer, 2);
-  const auto first = p0.mul_triple(Shape{4});
-  (void)p1.mul_triple(Shape{4});
-  (void)p2.mul_triple(Shape{4});
-  const auto second_p0 = p0.mul_triple(Shape{4});
+  testing::PartyStores stores(5, kF);
+  const auto first = stores[0].mul_triple(Shape{4});
+  (void)stores[1].mul_triple(Shape{4});
+  (void)stores[2].mul_triple(Shape{4});
+  const auto second_p0 = stores[0].mul_triple(Shape{4});
   EXPECT_NE(first.a.primary, second_p0.a.primary);
-}
-
-TEST(DealerTest, CacheStaysBoundedWhenOnePartyRunsAhead) {
-  // Regression: the cache used to grow without bound when a party
-  // crashed or fell silent — every entry waited forever for the
-  // missing party's fetch.  With derived-seed dealing eviction is
-  // safe (a straggler's entry is regenerated on demand), so the cache
-  // is FIFO-bounded at kMaxCacheEntries.
-  auto dealer = std::make_shared<SharedDealer>(11, kF);
-  LocalTripleSource p0(dealer, 0);
-  constexpr std::size_t kAhead = 600;
-  std::vector<BeaverTripleShare> p0_triples;
-  p0_triples.reserve(kAhead);
-  for (std::size_t i = 0; i < kAhead; ++i) {
-    p0_triples.push_back(p0.mul_triple(Shape{3}));
-  }
-  EXPECT_LE(dealer->cache_entries(), SharedDealer::kMaxCacheEntries);
-
-  // The lagging parties catch up after eviction; regenerated entries
-  // must still combine with party 0's long-gone views into valid
-  // Beaver triples.
-  LocalTripleSource p1(dealer, 1);
-  LocalTripleSource p2(dealer, 2);
-  for (std::size_t i = 0; i < kAhead; ++i) {
-    const std::array<BeaverTripleShare, 3> triples = {
-        p0_triples[i], p1.mul_triple(Shape{3}), p2.mul_triple(Shape{3})};
-    const RingTensor a = reconstruct_member(triples, &BeaverTripleShare::a);
-    const RingTensor b = reconstruct_member(triples, &BeaverTripleShare::b);
-    const RingTensor c = reconstruct_member(triples, &BeaverTripleShare::c);
-    ASSERT_EQ(hadamard(a, b), c) << "entry " << i;
-  }
-  EXPECT_LE(dealer->cache_entries(), SharedDealer::kMaxCacheEntries);
 }
 
 TEST(DealerTest, MaskedTruncationUsesPairExactly) {
@@ -155,12 +120,12 @@ TEST(DealerTest, MaskedTruncationUsesPairExactly) {
   const RealTensor y = testing::random_real(Shape{16}, rng, 3.0);
   const auto x_views = share_secret(to_ring(x, kF), rng);
   const auto y_views = share_secret(to_ring(y, kF), rng);
-  auto dealer = std::make_shared<SharedDealer>(7, kF);
+  testing::PartyStores stores(7, kF);
 
   std::array<RealTensor, 3> results;
   harness.run([&](PartyContext& ctx) {
     const auto index = static_cast<std::size_t>(ctx.party);
-    LocalTripleSource source(dealer, ctx.party);
+    TripleStore& source = stores[ctx.party];
     PartyShare z = sec_mul_bt(ctx, x_views[index], y_views[index],
                               source.mul_triple(Shape{16}));
     z = truncate_product_masked(ctx, z, source.trunc_pair(Shape{16}));

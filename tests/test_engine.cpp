@@ -346,6 +346,35 @@ TEST(SessionTest, RoleTableRethrowsCriticalAndToleratesOthers) {
   EXPECT_THROW(run_roles(critical), InvalidArgument);
 }
 
+TEST(SessionTest, CriticalFailureUnblocksPeersAndRethrowsItsCause) {
+  // Roles 1 and 2 would wait a minute for messages that never come;
+  // role 0's failure closes the session's network under them, and the
+  // session rethrows role 0's error, not their transport errors.
+  Session session(fast_config(), 3);
+  const auto stranded = [&](int id) {
+    return Role{id, [&session, id] {
+                  (void)session.endpoint(id).recv(0, "never",
+                                                  std::chrono::seconds(60));
+                }};
+  };
+  const std::vector<Role> roles = {
+      {0, [] { throw InvalidArgument("role 0 failed"); }},
+      stranded(1),
+      stranded(2)};
+  const auto start = std::chrono::steady_clock::now();
+  try {
+    session.run(roles);
+    FAIL() << "the critical failure must be rethrown";
+  } catch (const InvalidArgument& error) {
+    EXPECT_STREQ(error.what(), "role 0 failed");
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
+  // The closed network fails polls at once too.
+  Bytes payload;
+  EXPECT_THROW((void)session.endpoint(1).try_recv(0, "never", payload),
+               ProtocolError);
+}
+
 TEST(SessionTest, EngineCostTakesRoundsFromHonestPartyWhenPartyZeroAttacks) {
   const auto split = small_split(30, 16);
   const data::Dataset sample = data::slice(split.test, 0, 8);

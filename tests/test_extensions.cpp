@@ -8,6 +8,7 @@
 #include "baselines/securenn/securenn.hpp"
 #include "core/engine.hpp"
 #include "core/owner_service.hpp"
+#include "core/secure_model.hpp"
 #include "nn/layers.hpp"
 #include "nn/loss.hpp"
 #include "test_util.hpp"
@@ -141,6 +142,63 @@ TEST(SecureMaxPoolTest, EngineInferenceMatchesPlaintextWithPooling) {
   const auto expected = engine.reference_model().predict(inputs.images);
   const core::InferResult result = engine.infer(inputs, 4);
   EXPECT_EQ(result.labels, expected);
+}
+
+TEST(SecureMaxPoolTest, TournamentLevelsShareOpeningRounds) {
+  // A 2x2 window runs three comparisons in two tournament levels.  With
+  // batch_openings the first level's two comparisons share their two
+  // rounds, so the pool opens 4 rounds; without, every comparison takes
+  // its own two (6).  Outputs and argmax routing agree bit for bit.
+  const nn::PoolSpec pool = tiny_pool_spec().layers[2].pool;
+  constexpr std::size_t kRows = 3;
+  Rng rng(6);
+  const RealTensor input =
+      random_real(Shape{kRows, pool.in_features()}, rng, 2.0);
+  const auto x_views = mpc::share_secret(to_ring(input, kF), rng);
+  const RealTensor upstream =
+      random_real(Shape{kRows, pool.out_features()}, rng, 1.0);
+  const auto grad_views = mpc::share_secret(to_ring(upstream, kF), rng);
+
+  struct Run {
+    std::array<mpc::PartyShare, 3> out;
+    std::array<mpc::PartyShare, 3> grad;
+    std::array<std::uint64_t, 3> opens{};
+  };
+  const auto run = [&](bool batch_openings) {
+    Run result;
+    testing::ThreePartyHarness harness;
+    testing::PartyStores stores(31, kF);
+    harness.run([&](mpc::PartyContext& pctx) {
+      const auto index = static_cast<std::size_t>(pctx.party);
+      core::SecureExecContext ctx;
+      ctx.mpc = &pctx;
+      ctx.triples = &stores[pctx.party];
+      ctx.batch_openings = batch_openings;
+      core::SecureMaxPool layer(pool);
+      result.out[index] = layer.forward(ctx, x_views[index]);
+      result.opens[index] = pctx.detections.opens;
+      result.grad[index] = layer.backward(ctx, grad_views[index], true);
+    });
+    return result;
+  };
+  const Run batched = run(true);
+  const Run eager = run(false);
+  for (std::size_t party = 0; party < 3; ++party) {
+    EXPECT_EQ(batched.opens[party], 4u) << "party " << party;
+    EXPECT_EQ(eager.opens[party], 6u) << "party " << party;
+    EXPECT_EQ(batched.out[party].primary, eager.out[party].primary);
+    EXPECT_EQ(batched.out[party].second, eager.out[party].second);
+    EXPECT_EQ(batched.grad[party].primary, eager.grad[party].primary);
+    EXPECT_EQ(batched.grad[party].second, eager.grad[party].second);
+  }
+  nn::MaxPoolLayer plain(pool);
+  const RealTensor expected = plain.forward(input);
+  EXPECT_LT(max_abs_diff(to_real(mpc::reconstruct(batched.out), kF),
+                         expected),
+            1e-4);
+  EXPECT_LT(max_abs_diff(to_real(mpc::reconstruct(batched.grad), kF),
+                         plain.backward(upstream)),
+            1e-4);
 }
 
 TEST(SecureMaxPoolTest, EngineTrainsPooledModel) {

@@ -308,10 +308,10 @@ TEST(OpenBatchProtocolTest, PreparedCallsMatchEagerBitIdentically) {
   std::array<RingTensor, 3> eager_products;
   std::array<RingTensor, 3> eager_signs;
   ThreePartyHarness eager(SecurityMode::kMalicious);
-  auto eager_dealer = std::make_shared<SharedDealer>(4242, kF);
+  testing::PartyStores eager_stores(4242, kF);
   eager.run([&](PartyContext& ctx) {
     const auto index = static_cast<std::size_t>(ctx.party);
-    LocalTripleSource source(eager_dealer, ctx.party);
+    TripleStore& source = eager_stores[ctx.party];
     const auto triple = source.matmul_triple(3, 4, 2);
     const auto pair = source.trunc_pair(Shape{3, 2});
     PartyShare z = sec_matmul_bt(ctx, x_views[index], y_views[index], triple);
@@ -326,10 +326,10 @@ TEST(OpenBatchProtocolTest, PreparedCallsMatchEagerBitIdentically) {
   std::array<RingTensor, 3> batch_products;
   std::array<RingTensor, 3> batch_signs;
   ThreePartyHarness batched(SecurityMode::kMalicious);
-  auto batched_dealer = std::make_shared<SharedDealer>(4242, kF);
+  testing::PartyStores batched_stores(4242, kF);
   batched.run([&](PartyContext& ctx) {
     const auto index = static_cast<std::size_t>(ctx.party);
-    LocalTripleSource source(batched_dealer, ctx.party);
+    TripleStore& source = batched_stores[ctx.party];
     OpenBatch batch(ctx);
     const auto triple = source.matmul_triple(3, 4, 2);
     const auto pair = source.trunc_pair(Shape{3, 2});
@@ -402,8 +402,11 @@ TEST(EngineConfigTest, ExecContextCarriesBatchingToggle) {
   config.batch_openings = false;
   mpc::PartyContext pctx = make_party_context(config, 0, network.endpoint(0));
   OwnerLink link(network.endpoint(0), 0, std::chrono::seconds(1));
-  const SecureExecContext sctx = make_exec_context(config, pctx, link);
+  mpc::TripleStore store(link, 0);
+  const SecureExecContext sctx = make_exec_context(config, pctx, link, store);
   EXPECT_EQ(sctx.mpc, &pctx);
+  EXPECT_EQ(sctx.triples, &store);
+  EXPECT_EQ(sctx.owner, &link);
   EXPECT_EQ(sctx.trunc_mode, TruncationMode::kMaskedOpen);
   EXPECT_FALSE(sctx.batch_openings);
 }

@@ -57,7 +57,7 @@ TEST(OwnerServiceTest, DealsConsistentTriplesToAllParties) {
   net::run_parties(3, [&](net::PartyId party) {
     OwnerLink link(harness.network.endpoint(party), party);
     triples[static_cast<std::size_t>(party)] =
-        link.matmul_triple(2, 3, 2);
+        link.fill(mpc::TripleKey::matmul(2, 3, 2), 0, 1).at(0).triple;
     link.stop();
   });
   // The dealt views must reconstruct a consistent triple: c == a x b.
@@ -135,7 +135,7 @@ TEST(OwnerServiceTest, ShutsDownWithTwoStopsAndSilentThirdParty) {
   ServiceHarness harness(std::chrono::milliseconds(150));
   net::run_parties(2, [&](net::PartyId party) {
     OwnerLink link(harness.network.endpoint(party), party);
-    (void)link.mul_triple(Shape{2});
+    (void)link.fill(mpc::TripleKey::mul(Shape{2}), 0, 1);
     link.stop();
   });
   // The harness destructor joins; reaching here without hanging IS the
@@ -240,7 +240,11 @@ TEST(OwnerServiceTest, HostileFillsNeitherKillTheDealerNorStarveOthers) {
         // Legitimate fills at huge versions: layer and version dims do
         // not count toward the size bound.
         const mpc::PartyShare mask =
-            link.weight_mask(1, std::uint64_t{1} << 40, 8, 4);
+            link.fill(mpc::TripleKey::weight_mask(1, std::uint64_t{1} << 40,
+                                                  8, 4),
+                      i, 1)
+                .at(0)
+                .share;
         EXPECT_EQ(mask.shape(), (Shape{8, 4}));
       }
       link.stop();

@@ -29,13 +29,13 @@ TEST_P(MatMulDimensionSweep, RandomDimensionsMatchPlaintext) {
   const RealTensor y = random_real(Shape{k, n}, rng, 2.0);
   const auto x_views = share_secret(to_ring(x, kF), rng);
   const auto y_views = share_secret(to_ring(y, kF), rng);
-  auto dealer = std::make_shared<SharedDealer>(
+  testing::PartyStores stores(
       static_cast<std::uint64_t>(GetParam()) + 1000, kF);
 
   ThreePartyHarness harness;
   std::array<RealTensor, 3> results;
   harness.run([&](PartyContext& ctx) {
-    LocalTripleSource source(dealer, ctx.party);
+    TripleStore& source = stores[ctx.party];
     PartyShare z = sec_matmul_bt(
         ctx, x_views[static_cast<std::size_t>(ctx.party)],
         y_views[static_cast<std::size_t>(ctx.party)],
@@ -67,13 +67,13 @@ TEST(ProtocolPropertyTest, LinearCombinationThenMultiply) {
   const auto x_views = share_secret(to_ring(x, kF), rng);
   const auto y_views = share_secret(to_ring(y, kF), rng);
   const auto w_views = share_secret(to_ring(w, kF), rng);
-  auto dealer = std::make_shared<SharedDealer>(4242, kF);
+  testing::PartyStores stores(4242, kF);
 
   ThreePartyHarness harness;
   std::array<RealTensor, 3> results;
   harness.run([&](PartyContext& ctx) {
     const auto index = static_cast<std::size_t>(ctx.party);
-    LocalTripleSource source(dealer, ctx.party);
+    TripleStore& source = stores[ctx.party];
     // u = 2x - 3y + c, all local: raw-integer scalars preserve the
     // fixed-point scale.
     PartyShare u = x_views[index].scaled(2) - y_views[index].scaled(3);
@@ -100,13 +100,13 @@ TEST(ProtocolPropertyTest, ComparisonEdgeCases) {
   const RealTensor y(Shape{6}, {0.0, 0.0, 0.0, 999.0, -999.0, 0.5});
   const auto x_views = share_secret(to_ring(x, kF), rng);
   const auto y_views = share_secret(to_ring(y, kF), rng);
-  auto dealer = std::make_shared<SharedDealer>(77, kF);
+  testing::PartyStores stores(77, kF);
 
   ThreePartyHarness harness;
   std::array<RingTensor, 3> signs;
   harness.run([&](PartyContext& ctx) {
     const auto index = static_cast<std::size_t>(ctx.party);
-    LocalTripleSource source(dealer, ctx.party);
+    TripleStore& source = stores[ctx.party];
     signs[index] =
         sec_comp_bt(ctx, x_views[index], y_views[index],
                     {source.comp_aux(Shape{6}), source.mul_triple(Shape{6})});
@@ -126,13 +126,13 @@ TEST(ProtocolPropertyTest, ReluMaskIdempotentOnGradients) {
   const Shape shape{12};
   const RealTensor x = random_real(shape, rng, 3.0);
   const auto x_views = share_secret(to_ring(x, kF), rng);
-  auto dealer = std::make_shared<SharedDealer>(99, kF);
+  testing::PartyStores stores(99, kF);
 
   ThreePartyHarness harness;
   std::array<RingTensor, 3> masks;
   harness.run([&](PartyContext& ctx) {
     const auto index = static_cast<std::size_t>(ctx.party);
-    LocalTripleSource source(dealer, ctx.party);
+    TripleStore& source = stores[ctx.party];
     const RingTensor signs =
         sec_sign_bt(ctx, x_views[index],
                     {source.comp_aux(shape), source.mul_triple(shape)});

@@ -20,15 +20,15 @@ struct MulFixture {
   RealTensor y;
   std::array<PartyShare, 3> x_views;
   std::array<PartyShare, 3> y_views;
-  std::shared_ptr<SharedDealer> dealer;
+  testing::PartyStores stores;
 
-  MulFixture(const Shape& shape, std::uint64_t seed, double bound = 4.0) {
+  MulFixture(const Shape& shape, std::uint64_t seed, double bound = 4.0)
+      : stores(seed + 999, kF) {
     Rng rng(seed);
     x = random_real(shape, rng, bound);
     y = random_real(shape, rng, bound);
     x_views = share_secret(to_ring(x, kF), rng);
     y_views = share_secret(to_ring(y, kF), rng);
-    dealer = std::make_shared<SharedDealer>(seed + 999, kF);
   }
 };
 
@@ -38,7 +38,7 @@ TEST(SecMulBtTest, ElementwiseProductMatchesPlaintext) {
   std::array<RealTensor, 3> results;
   harness.run([&](PartyContext& ctx) {
     const auto index = static_cast<std::size_t>(ctx.party);
-    LocalTripleSource source(fixture.dealer, ctx.party);
+    TripleStore& source = fixture.stores[ctx.party];
     const auto triple = source.mul_triple(Shape{3, 4});
     PartyShare z = sec_mul_bt(ctx, fixture.x_views[index],
                               fixture.y_views[index], triple);
@@ -58,12 +58,12 @@ TEST(SecMatMulBtTest, MatrixProductMatchesPlaintext) {
   const RealTensor y = random_real(Shape{6, 5}, rng, 2.0);
   const auto x_views = share_secret(to_ring(x, kF), rng);
   const auto y_views = share_secret(to_ring(y, kF), rng);
-  auto dealer = std::make_shared<SharedDealer>(777, kF);
+  testing::PartyStores stores(777, kF);
 
   std::array<RealTensor, 3> results;
   harness.run([&](PartyContext& ctx) {
     const auto index = static_cast<std::size_t>(ctx.party);
-    LocalTripleSource source(dealer, ctx.party);
+    TripleStore& source = stores[ctx.party];
     const auto triple = source.matmul_triple(4, 6, 5);
     PartyShare z =
         sec_matmul_bt(ctx, x_views[index], y_views[index], triple);
@@ -82,7 +82,7 @@ TEST(SecMulBtTest, MaskedOpenTruncationIsExact) {
   std::array<RealTensor, 3> results;
   harness.run([&](PartyContext& ctx) {
     const auto index = static_cast<std::size_t>(ctx.party);
-    LocalTripleSource source(fixture.dealer, ctx.party);
+    TripleStore& source = fixture.stores[ctx.party];
     const auto triple = source.mul_triple(Shape{8});
     const auto pair = source.trunc_pair(Shape{8});
     PartyShare z = sec_mul_bt(ctx, fixture.x_views[index],
@@ -105,14 +105,14 @@ TEST(SecCompBtTest, SignsMatchPlaintextComparison) {
   x[0] = y[0];  // include an exact tie
   const auto x_views = share_secret(to_ring(x, kF), rng);
   const auto y_views = share_secret(to_ring(y, kF), rng);
-  auto dealer = std::make_shared<SharedDealer>(555, kF);
+  testing::PartyStores stores(555, kF);
 
   // Both dealt forms: the paper's t and mul triple, and a comparison
   // triple (t, b, t ⊙ b).
   std::array<RingTensor, 6> signs;
   harness.run([&](PartyContext& ctx) {
     const auto index = static_cast<std::size_t>(ctx.party);
-    LocalTripleSource source(dealer, ctx.party);
+    TripleStore& source = stores[ctx.party];
     for (const bool comp_triples : {false, true}) {
       std::vector<MaterialEntry> entries =
           source.next_many(comparison_keys(shape, comp_triples));
@@ -143,12 +143,12 @@ TEST(SecCompBtTest, SignAgainstZeroAndPositiveMask) {
   const Shape shape{6};
   const RealTensor x(Shape{6}, {-2.0, -0.5, 0.0, 0.5, 2.0, 7.0});
   const auto x_views = share_secret(to_ring(x, kF), rng);
-  auto dealer = std::make_shared<SharedDealer>(444, kF);
+  testing::PartyStores stores(444, kF);
 
   std::array<RingTensor, 3> masks;
   harness.run([&](PartyContext& ctx) {
     const auto index = static_cast<std::size_t>(ctx.party);
-    LocalTripleSource source(dealer, ctx.party);
+    TripleStore& source = stores[ctx.party];
     const auto signs =
         sec_sign_bt(ctx, x_views[index],
                     {source.comp_aux(shape), source.mul_triple(shape)});
@@ -176,7 +176,7 @@ TEST_P(SecMulByzantineSweep, HonestPartiesComputeCorrectProduct) {
   std::array<PartyShare, 3> product_shares;
   harness.run([&](PartyContext& ctx) {
     const auto index = static_cast<std::size_t>(ctx.party);
-    LocalTripleSource source(fixture.dealer, ctx.party);
+    TripleStore& source = fixture.stores[ctx.party];
     const auto triple = source.mul_triple(Shape{4});
     PartyShare z = sec_mul_bt(ctx, fixture.x_views[index],
                               fixture.y_views[index], triple);
@@ -222,12 +222,12 @@ TEST(SecMulBtTest, ChainedMultiplicationsStayAccurate) {
   const auto x_views = share_secret(to_ring(x, kF), rng);
   const auto y_views = share_secret(to_ring(y, kF), rng);
   const auto w_views = share_secret(to_ring(w, kF), rng);
-  auto dealer = std::make_shared<SharedDealer>(321, kF);
+  testing::PartyStores stores(321, kF);
 
   std::array<RealTensor, 3> results;
   harness.run([&](PartyContext& ctx) {
     const auto index = static_cast<std::size_t>(ctx.party);
-    LocalTripleSource source(dealer, ctx.party);
+    TripleStore& source = stores[ctx.party];
     PartyShare xy = sec_mul_bt(ctx, x_views[index], y_views[index],
                                source.mul_triple(shape));
     xy = truncate_product_local(xy, kF);
@@ -248,7 +248,7 @@ TEST(SecMulBtTest, HbcModeProducesSameResult) {
   std::array<RealTensor, 3> results;
   harness.run([&](PartyContext& ctx) {
     const auto index = static_cast<std::size_t>(ctx.party);
-    LocalTripleSource source(fixture.dealer, ctx.party);
+    TripleStore& source = fixture.stores[ctx.party];
     PartyShare z =
         sec_mul_bt(ctx, fixture.x_views[index], fixture.y_views[index],
                    source.mul_triple(Shape{3, 3}));

@@ -23,32 +23,33 @@ constexpr int kF = fx::kDefaultFracBits;
 // plus one truncation (±1 ulp, +1 carry under masked open).
 constexpr double kAvgTol = 8.0 / (1 << kF);
 
-/// K owner tensors secret-shared to the three parties, plus a dealer.
+/// K owner tensors secret-shared to the three parties, plus their
+/// material stores.
 struct AggFixture {
   std::vector<RealTensor> reals;            ///< decoded (post-to_ring) values
   std::vector<std::array<PartyShare, 3>> views;
-  std::shared_ptr<SharedDealer> dealer;
+  testing::PartyStores stores;
 
   AggFixture(std::size_t k, const Shape& shape, std::uint64_t seed,
-             double bound = 4.0) {
+             double bound = 4.0)
+      : stores(seed + 4242, kF) {
     Rng rng(seed);
     for (std::size_t owner = 0; owner < k; ++owner) {
       const RingTensor ring = to_ring(random_real(shape, rng, bound), kF);
       reals.push_back(to_real(ring, kF));
       views.push_back(share_secret(ring, rng));
     }
-    dealer = std::make_shared<SharedDealer>(seed + 4242, kF);
   }
 
   explicit AggFixture(const std::vector<RealTensor>& values,
-                      std::uint64_t seed) {
+                      std::uint64_t seed)
+      : stores(seed + 4242, kF) {
     Rng rng(seed);
     for (const RealTensor& value : values) {
       const RingTensor ring = to_ring(value, kF);
       reals.push_back(to_real(ring, kF));
       views.push_back(share_secret(ring, rng));
     }
-    dealer = std::make_shared<SharedDealer>(seed + 4242, kF);
   }
 
   std::vector<PartyShare> party_inputs(int party) const {
@@ -71,7 +72,7 @@ std::array<RealTensor, 6> run_aggregate(const AggFixture& fixture,
     ThreePartyHarness harness;
     harness.run([&](PartyContext& ctx) {
       const auto index = static_cast<std::size_t>(ctx.party);
-      LocalTripleSource source(fixture.dealer, ctx.party);
+      TripleStore& source = fixture.stores[ctx.party];
       AggregateStats local_stats;
       PartyShare agg =
           robust_aggregate(ctx, source, fixture.party_inputs(ctx.party),
@@ -272,12 +273,10 @@ TEST(RobustAggregateTest, PreparedAggregatesShareOpeningRounds) {
       OpenBatch batch(ctx);
       std::array<DeferredShare, 3> deferred;
       std::array<const AggFixture*, 3> fixtures{&fx_a, &fx_b, &fx_c};
-      std::array<std::unique_ptr<LocalTripleSource>, 3> sources;
       for (std::size_t i = 0; i < 3; ++i) {
-        sources[i] = std::make_unique<LocalTripleSource>(fixtures[i]->dealer,
-                                                         ctx.party);
         deferred[i] = robust_aggregate_prepare(
-            batch, *sources[i], fixtures[i]->party_inputs(ctx.party),
+            batch, fixtures[i]->stores[ctx.party],
+            fixtures[i]->party_inputs(ctx.party),
             options, comp_triples);
       }
       batch.flush_all();

@@ -7,6 +7,7 @@
 
 #include "core/engine.hpp"
 #include "core/owner_service.hpp"
+#include "core/triple_pipeline.hpp"
 #include "mpc/share_serde.hpp"
 #include "nn/layers.hpp"
 #include "nn/loss.hpp"
@@ -53,15 +54,17 @@ class FiveActorHarness {
     service_thread_.join();
   }
 
-  /// Run the SPMD body on three party threads; each gets its context
-  /// and an OwnerLink.  Sends kStop automatically afterwards.
+  /// Run the SPMD body on three party threads; each gets its context,
+  /// an OwnerLink and a material store over it.  Sends kStop
+  /// automatically afterwards.
   void run(const std::function<void(SecureExecContext&, int)>& body) {
     net::run_parties(3, [&](net::PartyId party) {
       OwnerLink link(network_.endpoint(party), party,
                      std::chrono::seconds(30));
+      mpc::TripleStore store(link, party);
       SecureExecContext ctx;
       ctx.mpc = &contexts_[static_cast<std::size_t>(party)];
-      ctx.triples = &link;
+      ctx.triples = &store;
       ctx.owner = &link;
       ctx.trunc_mode = trunc_;
       try {
@@ -333,23 +336,31 @@ TEST(SecureModelTest, TrainingStepMatchesPlaintextUpdate) {
   }
 }
 
-/// Forwards to another source and records every key requested.
-class RecordingSource final : public mpc::TripleSource {
+/// Forwards to another backend and records the key of every range
+/// fetched, and the number of calls; a store that holds nothing
+/// fetches every entry it hands out.
+class RecordingBackend final : public mpc::TripleBackend {
  public:
-  explicit RecordingSource(mpc::TripleSource& inner) : inner_(inner) {}
-  mpc::MaterialEntry next(const mpc::TripleKey& key) override {
+  explicit RecordingBackend(mpc::TripleBackend& inner) : inner_(inner) {}
+  mpc::MaterialBatch fill(const mpc::TripleKey& key, std::uint64_t start,
+                          std::size_t count) override {
     keys.push_back(key);
-    return inner_.next(key);
+    ++calls;
+    return inner_.fill(key, start, count);
   }
-  std::vector<mpc::MaterialEntry> next_many(
-      const std::vector<mpc::TripleKey>& requested) override {
-    keys.insert(keys.end(), requested.begin(), requested.end());
-    return inner_.next_many(requested);
+  std::vector<mpc::MaterialBatch> fill_many(
+      const std::vector<mpc::FillRange>& ranges) override {
+    for (const mpc::FillRange& range : ranges) {
+      keys.push_back(range.key);
+    }
+    ++calls;
+    return inner_.fill_many(ranges);
   }
   std::vector<mpc::TripleKey> keys;
+  std::size_t calls = 0;
 
  private:
-  mpc::TripleSource& inner_;
+  mpc::TripleBackend& inner_;
 };
 
 TEST(SecureModelTest, FirstLayerInputGradientIsNeverRequested) {
@@ -377,8 +388,9 @@ TEST(SecureModelTest, FirstLayerInputGradientIsNeverRequested) {
     std::array<std::vector<mpc::TripleKey>, 3> requested;
     harness.run([&](SecureExecContext& ctx, int party) {
       const auto index = static_cast<std::size_t>(party);
-      RecordingSource recording(*ctx.triples);
-      ctx.triples = &recording;
+      RecordingBackend recording(*ctx.owner);
+      mpc::TripleStore store(recording, party);
+      ctx.triples = &store;
       ctx.reuse_masks = reuse;
       SecureModel model(spec, std::move(param_shares[index]));
       const mpc::PartyShare probabilities =
@@ -394,6 +406,49 @@ TEST(SecureModelTest, FirstLayerInputGradientIsNeverRequested) {
       EXPECT_EQ(count(x_grad_pair), reuse ? 0 : 1) << "reuse " << reuse;
       EXPECT_EQ(keys, requested[0]) << "parties request in SPMD order";
     }
+  }
+}
+
+TEST(SecureModelTest, DryStoreFetchesEachLayerPassInOneCall) {
+  // A store planned for a batch but not filled yet (prefetch on, the
+  // producer behind) holds nothing, so every entry misses: each layer
+  // pass's misses still reach the backend in one call, not one per key.
+  Rng rng(11);
+  const nn::ModelSpec spec = nn::tiny_cnn_spec();
+  constexpr std::size_t kRows = 3;
+  nn::Sequential plain = nn::build_model(spec, rng);
+  const RealTensor input =
+      random_real(Shape{kRows, spec.input_features}, rng, 0.5);
+  FiveActorHarness harness(mpc::SecurityMode::kMalicious,
+                           TruncationMode::kMaskedOpen);
+  auto param_shares = share_model_params(plain, harness);
+  const auto x_views = harness.share(input);
+  DemandPlan plan = profile_step_demand(spec, kRows,
+                                        TruncationMode::kMaskedOpen,
+                                        /*training=*/false,
+                                        WeightMaskUse{true, 0});
+  plan.merge(profile_version_demand(spec, 0));
+  // conv, relu, dense, relu, dense: softmax draws no material.
+  constexpr std::size_t kPasses = 5;
+  std::array<std::size_t, 3> calls{};
+  std::array<std::size_t, 3> fetched{};
+  harness.run([&](SecureExecContext& ctx, int party) {
+    const auto index = static_cast<std::size_t>(party);
+    RecordingBackend recording(*ctx.owner);
+    mpc::TripleStore store(recording, party);
+    for (const auto& [key, count] : plan.counts) {
+      store.demand(key, count);
+    }
+    ctx.triples = &store;
+    SecureModel model(spec, std::move(param_shares[index]));
+    (void)model.forward(ctx, x_views[index]);
+    calls[index] = recording.calls;
+    fetched[index] = recording.keys.size();
+    EXPECT_EQ(store.misses(), recording.keys.size());
+  });
+  for (std::size_t party = 0; party < 3; ++party) {
+    EXPECT_EQ(calls[party], kPasses) << "party " << party;
+    EXPECT_EQ(fetched[party], plan.total()) << "party " << party;
   }
 }
 

@@ -104,6 +104,103 @@ TEST(TripleStoreTest, ServesTheStreamInOrderAndFallsBackWhenDry) {
   EXPECT_EQ(store.consumed(key), 5u);
 }
 
+/// Forwards to party `party`'s DealerBackend and counts the calls
+/// that reach it.
+class CountingBackend final : public TripleBackend {
+ public:
+  explicit CountingBackend(int party) : inner_(kSeed, kF, party) {}
+  MaterialBatch fill(const TripleKey& key, std::uint64_t start,
+                     std::size_t count) override {
+    ++fills;
+    return inner_.fill(key, start, count);
+  }
+  std::vector<MaterialBatch> fill_many(
+      const std::vector<FillRange>& ranges) override {
+    ++batched_calls;
+    last_ranges = ranges;
+    return inner_.fill_many(ranges);
+  }
+  std::size_t fills = 0;
+  std::size_t batched_calls = 0;
+  std::vector<FillRange> last_ranges;
+
+ private:
+  DealerBackend inner_;
+};
+
+/// Entry `index` of `key` as TripleStore hands it out, encoded.
+Bytes encoded_entry(const TripleKey& key, const MaterialEntry& entry) {
+  return key.kind == TripleKind::kTruncPair ? encode(entry.pair)
+                                            : encode(entry.triple);
+}
+
+TEST(TripleStoreTest, NextManyFetchesEveryDryKeyInOneCall) {
+  // A max-pool's comparisons repeat one key within a call: each
+  // occurrence takes the stream's next index, in call order.
+  CountingBackend backend(0);
+  TripleStore store(backend, /*party=*/0);
+  const TripleKey comp = TripleKey::comp_triple(Shape{2, 3});
+  const TripleKey pair = TripleKey::trunc_pair(Shape{2, 3});
+  const std::vector<TripleKey> keys = {comp, pair, comp, comp};
+  const std::vector<MaterialEntry> entries = store.next_many(keys);
+
+  EXPECT_EQ(backend.batched_calls, 1u);
+  EXPECT_EQ(backend.fills, 0u);
+  const std::vector<std::uint64_t> starts = {0, 0, 1, 2};
+  ASSERT_EQ(backend.last_ranges.size(), keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(backend.last_ranges[i].key, keys[i]) << "range " << i;
+    EXPECT_EQ(backend.last_ranges[i].start, starts[i]) << "range " << i;
+    EXPECT_EQ(backend.last_ranges[i].count, 1u) << "range " << i;
+  }
+  // Successive next() calls on a fresh store return the same entries.
+  DealerBackend reference_backend(kSeed, kF, /*party=*/0);
+  TripleStore reference(reference_backend, /*party=*/0);
+  ASSERT_EQ(entries.size(), keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(encoded_entry(keys[i], entries[i]),
+              encoded_entry(keys[i], reference.next(keys[i])))
+        << "entry " << i;
+  }
+  EXPECT_EQ(store.misses(), 4u);
+  EXPECT_EQ(store.consumed(comp), 3u);
+  EXPECT_EQ(store.consumed(pair), 1u);
+}
+
+TEST(TripleStoreTest, NextManyPopsBufferedKeysWithoutAFetch) {
+  CountingBackend backend(1);
+  TripleStore store(backend, /*party=*/1);
+  const TripleKey comp = TripleKey::comp_triple(Shape{4});
+  const TripleKey pair = TripleKey::trunc_pair(Shape{4});
+  store.demand(comp, 2);
+  EXPECT_EQ(store.refill(comp, 2), 2u);
+
+  // comp's entries 0 and 1 are buffered; pair's 0 and comp's 2 are not.
+  const std::vector<TripleKey> keys = {comp, pair, comp, comp};
+  const std::vector<MaterialEntry> entries = store.next_many(keys);
+  EXPECT_EQ(backend.batched_calls, 1u);
+  ASSERT_EQ(backend.last_ranges.size(), 2u);
+  EXPECT_EQ(backend.last_ranges[0].key, pair);
+  EXPECT_EQ(backend.last_ranges[0].start, 0u);
+  EXPECT_EQ(backend.last_ranges[1].key, comp);
+  EXPECT_EQ(backend.last_ranges[1].start, 2u);
+  const std::vector<std::uint64_t> indices = {0, 0, 1, 2};
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const MaterialBatch expected = std::move(
+        deal_material(keys[i], indices[i], 1, kSeed, kF)[1]);
+    EXPECT_EQ(encoded_entry(keys[i], entries[i]),
+              encoded_entry(keys[i], expected[0]))
+        << "entry " << i;
+  }
+  EXPECT_EQ(store.misses(), 2u);
+
+  // A call whose every key is buffered fetches nothing.
+  EXPECT_EQ(store.refill(comp, 2), 2u);
+  (void)store.next_many({comp, comp});
+  EXPECT_EQ(backend.batched_calls, 1u);
+  EXPECT_EQ(store.misses(), 2u);
+}
+
 TEST(TripleStoreTest, KindsKeepIndependentStreams) {
   DealerBackend backend(kSeed, kF, /*party=*/0);
   TripleStore store(backend, /*party=*/0);
@@ -300,7 +397,8 @@ TEST(TripleStoreTest, VersionedStreamsDeliverTotalsAndRetire) {
 TEST(TripleStoreTest, ConcurrentProducerAndConsumerPreserveStreamOrder) {
   // SPSC contract under real concurrency (run under TSan in CI): a
   // producer thread refills while the consumer pops; every pop must
-  // still see the stream in order, whether it hit the ring or missed.
+  // still see the stream in order, whether it hit the ring or missed,
+  // including misses reserved within one next_many call.
   DealerBackend backend(kSeed, kF, /*party=*/2);
   TripleStore store(backend, /*party=*/2);
   const TripleKey key = TripleKey::mul(Shape{4});
@@ -316,10 +414,14 @@ TEST(TripleStoreTest, ConcurrentProducerAndConsumerPreserveStreamOrder) {
     }
   });
 
+  // Single pops alternate with next_many calls that repeat the key.
   std::vector<Bytes> popped;
   popped.reserve(kEntries);
-  for (std::size_t i = 0; i < kEntries; ++i) {
+  while (popped.size() < kEntries) {
     popped.push_back(encode(store.mul_triple(Shape{4})));
+    for (const MaterialEntry& entry : store.next_many({key, key, key})) {
+      popped.push_back(encode(entry.triple));
+    }
   }
   stop.store(true, std::memory_order_relaxed);
   producer.join();
@@ -439,6 +541,31 @@ TEST(PrefetchExactnessTest, TrainedWeightsBitIdenticalWithPrefetch) {
   ASSERT_FALSE(sync.empty());
   for (std::size_t p = 0; p < sync.size(); ++p) {
     EXPECT_EQ(sync[p], prefetched[p]) << "parameter " << p;
+  }
+}
+
+TEST(TriplePipelineTest, SynchronousRunFetchesEveryEntryAsAMiss) {
+  // Without prefetch the store plans and buffers nothing: every entry
+  // a party draws is a miss fetched at its stream cursor, and the
+  // ledger still balances kind by kind.
+  const auto split = tiny_split(20, 12, /*side=*/12);
+  const data::Dataset sample = data::slice(split.test, 0, 6);
+  obs::MetricsRegistry::global().reset();
+  obs::set_metrics_enabled(true);
+  core::TrustDdlEngine engine(nn::tiny_cnn_spec(), prefetch_config(false));
+  (void)engine.infer(sample, /*batch_size=*/4);
+  obs::set_metrics_enabled(false);
+  const obs::MetricsSnapshot snapshot =
+      obs::MetricsRegistry::global().snapshot();
+
+  const std::uint64_t produced = snapshot.counter_sum("triple.produced");
+  EXPECT_GT(produced, 0u);
+  EXPECT_EQ(snapshot.counter_sum("triple.store.miss"), produced);
+  for (std::uint8_t kind = 0; kind <= 7; ++kind) {
+    const std::string name = triple_kind_name(static_cast<TripleKind>(kind));
+    EXPECT_EQ(snapshot.counter_sum("triple.produced." + name),
+              snapshot.counter_sum("triple.consumed." + name))
+        << name;
   }
 }
 

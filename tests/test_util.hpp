@@ -7,8 +7,8 @@
 
 #include "common/rng.hpp"
 #include "mpc/adversary.hpp"
-#include "mpc/beaver.hpp"
 #include "mpc/context.hpp"
+#include "mpc/triple_store.hpp"
 #include "net/network.hpp"
 #include "net/runtime.hpp"
 #include "numeric/tensor.hpp"
@@ -67,6 +67,33 @@ struct ThreePartyHarness {
       body(contexts[static_cast<std::size_t>(party)]);
     });
   }
+};
+
+/// The model owner's dealing for three in-process parties: one
+/// TripleStore per party over its own DealerBackend, all under one
+/// seed.  Each party's streams advance across calls, so successive
+/// protocol runs over one PartyStores draw fresh material.
+class PartyStores {
+ public:
+  PartyStores(std::uint64_t seed, int frac_bits) {
+    for (int party = 0; party < 3; ++party) {
+      const auto index = static_cast<std::size_t>(party);
+      backends_[index] =
+          std::make_unique<mpc::DealerBackend>(seed, frac_bits, party);
+      stores_[index] =
+          std::make_unique<mpc::TripleStore>(*backends_[index], party);
+    }
+  }
+
+  /// Party `party`'s store.  Const because a fixture holding the
+  /// stores hands them out from const accessors too.
+  mpc::TripleStore& operator[](int party) const {
+    return *stores_[static_cast<std::size_t>(party)];
+  }
+
+ private:
+  std::array<std::unique_ptr<mpc::DealerBackend>, 3> backends_;
+  std::array<std::unique_ptr<mpc::TripleStore>, 3> stores_;
 };
 
 }  // namespace trustddl::testing
