@@ -1,28 +1,19 @@
-// Offline/online split: prefetched triple stores vs synchronous
-// per-op dealing on the Table I CNN (DESIGN.md §10).
+// Offline/online split on the Table I CNN (DESIGN.md §10): how much
+// of the online phase still waits on dealt material.
 //
-// One inference session runs the same 8-row batch three times in the
-// "sync" configuration (every Beaver triple / comparison aux /
-// truncation pair is fetched from the owner with a blocking round
-// trip at the moment a layer needs it) and in the "prefetch"
-// configuration (the demand profiler plans the whole job, a warm
-// phase fills the shape-keyed TripleStore with batched kBatchFill
-// round trips, and the online phase pops material lock-free).
+// One inference session runs the same 8-row batch three times.  Each
+// computing party plans every batch's material one batch ahead, and
+// its TripleStore sends those requests within its window while the
+// party computes, so the dealer deals while the layers run.  Links
+// carry an emulated one-way delay so each round trip costs what a LAN
+// would.
 //
-// Links carry an emulated one-way delay so the round-trip savings
-// show up as wall clock the way a real LAN would.  The offline phase
-// is read back from the `span.triple.warm.us` counter; the parties
-// warm concurrently, so the summed span time over-counts the offline
-// wall segment and `online_seconds = wall - warm` is a conservative
-// (low) estimate of the online phase — the headline comparison is the
-// measured total wall, which already includes the warm phase.
-//
-// Both configurations must predict identical labels: prefetching is a
-// scheduling decision, never a results change (the store serves the
-// same derived-seed streams in the same order).
-//
-// Each configuration runs `kTrials` full sessions; the reported wall
-// time is the bench_util median/P95/CV over the per-session samples.
+// Reported: wall time (bench_util median/P95/CV over kTrials
+// sessions), `triple.online_wait.us` summed over the parties (time
+// spent handing out entries that were not held yet: blocked on an
+// in-flight fill or fetching one nobody planned, receive and decode
+// included), store misses, and produced against consumed — a planned
+// job leaves nothing behind.
 //
 // Pass --json=<path> to write the snapshot committed as
 // BENCH_offline.json at the repo root.
@@ -52,24 +43,18 @@ struct RunStats {
   bench::TrialStats wall;  // median/P95/CV over kTrials sessions
   std::vector<std::size_t> labels;
   // From the metrics snapshot of the run.
-  double warm_seconds = 0.0;      // summed span.triple.warm.us
-  double online_seconds = 0.0;    // wall - warm (clamped at 0)
   std::uint64_t online_wait_us = 0;
   std::uint64_t store_misses = 0;
   std::uint64_t produced = 0;
   std::uint64_t consumed = 0;
 };
 
-RunStats run_once(bool prefetch, const data::Dataset& batch) {
+RunStats run_once(const data::Dataset& batch) {
   core::EngineConfig config;
   config.mode = mpc::SecurityMode::kMalicious;
   config.seed = 7;
   config.emulate_latency = true;
   config.link_latency = kLinkLatency;
-  config.triple_prefetch = prefetch;
-  // Uncapped store depth: the warm phase prefetches the whole job's
-  // demand so the online phase never waits on dealing.
-  config.triple_max_depth = std::size_t{1} << 40;
 
   obs::MetricsRegistry::global().reset();
   obs::set_metrics_enabled(true);
@@ -81,10 +66,6 @@ RunStats run_once(bool prefetch, const data::Dataset& batch) {
   const obs::MetricsSnapshot snapshot =
       obs::MetricsRegistry::global().snapshot();
 
-  stats.warm_seconds =
-      static_cast<double>(snapshot.counter_sum("span.triple.warm.us")) / 1e6;
-  stats.online_seconds =
-      std::max(0.0, stats.cost.wall_seconds - stats.warm_seconds);
   stats.store_misses = snapshot.counter_sum("triple.store.miss");
   stats.produced = snapshot.counter_sum("triple.produced");
   stats.consumed = snapshot.counter_sum("triple.consumed");
@@ -97,13 +78,13 @@ RunStats run_once(bool prefetch, const data::Dataset& batch) {
 }
 
 /// kTrials full sessions; wall median/P95/CV via bench_util, the
-/// ancillary counters (labels, messages, warm split) from the last
-/// session — they are deterministic across trials.
-RunStats run(bool prefetch, const data::Dataset& batch) {
+/// ancillary counters (labels, messages, ledger) from the last session
+/// — labels and the ledger are deterministic across trials.
+RunStats run(const data::Dataset& batch) {
   RunStats stats;
   std::vector<double> walls(kTrials);
   for (int trial = 0; trial < kTrials; ++trial) {
-    RunStats once = run_once(prefetch, batch);
+    RunStats once = run_once(batch);
     walls[static_cast<std::size_t>(trial)] = once.cost.wall_seconds;
     if (trial > 0 && once.labels != stats.labels) {
       std::fprintf(stderr, "FATAL: labels changed between trials\n");
@@ -113,37 +94,7 @@ RunStats run(bool prefetch, const data::Dataset& batch) {
   }
   stats.wall = bench::stats_from_samples(std::move(walls));
   stats.cost.wall_seconds = stats.wall.median_s;
-  stats.online_seconds =
-      std::max(0.0, stats.cost.wall_seconds - stats.warm_seconds);
   return stats;
-}
-
-void print_row(const char* name, const RunStats& stats) {
-  std::printf("%-10s %10.3f %10.3f %10.3f %10llu %12llu %8llu\n", name,
-              stats.cost.wall_seconds, stats.warm_seconds,
-              stats.online_seconds,
-              static_cast<unsigned long long>(stats.cost.messages),
-              static_cast<unsigned long long>(stats.online_wait_us),
-              static_cast<unsigned long long>(stats.store_misses));
-}
-
-void write_json_entry(std::FILE* file, const char* key, const RunStats& stats,
-                      const char* suffix) {
-  std::fprintf(
-      file,
-      "  \"%s\": {\"wall_seconds\": %.6f, \"wall_p95_seconds\": %.6f, "
-      "\"cv\": %.4f, \"warm_seconds\": %.6f, "
-      "\"online_seconds\": %.6f, \"messages\": %llu, \"megabytes\": %.3f, "
-      "\"online_wait_us\": %llu, \"store_misses\": %llu, "
-      "\"triples_produced\": %llu, \"triples_consumed\": %llu}%s\n",
-      key, stats.wall.median_s, stats.wall.p95_s, stats.wall.cv,
-      stats.warm_seconds, stats.online_seconds,
-      static_cast<unsigned long long>(stats.cost.messages),
-      stats.cost.megabytes(),
-      static_cast<unsigned long long>(stats.online_wait_us),
-      static_cast<unsigned long long>(stats.store_misses),
-      static_cast<unsigned long long>(stats.produced),
-      static_cast<unsigned long long>(stats.consumed), suffix);
 }
 
 }  // namespace
@@ -163,40 +114,32 @@ int main(int argc, char** argv) {
   const auto split = data::generate_synthetic_mnist(data_config);
   const data::Dataset batch = data::slice(split.test, 0, kBatchRows);
 
-  std::printf("=== Offline/online split: prefetch vs synchronous dealing "
-              "(Table I CNN, %zu rows x %d batches, malicious, %lldms "
-              "links) ===\n\n",
+  std::printf("=== Offline/online split: dealing ahead (Table I CNN, %zu "
+              "rows x %d batches, malicious, %lldms links) ===\n\n",
               kBatchRows, kRepeats,
               static_cast<long long>(kLinkLatency.count()));
-  std::printf("%-10s %10s %10s %10s %10s %12s %8s\n", "config", "wall (s)",
-              "warm (s)", "online(s)", "messages", "wait (us)", "misses");
-
-  const RunStats sync = run(/*prefetch=*/false, batch);
-  const RunStats prefetched = run(/*prefetch=*/true, batch);
-
-  print_row("sync", sync);
-  print_row("prefetch", prefetched);
-
-  // Prefetching is a scheduling decision: predictions must not change.
-  if (sync.labels != prefetched.labels) {
-    std::fprintf(stderr, "FATAL: configurations disagree on predictions\n");
-    return 1;
-  }
-  if (prefetched.store_misses != 0) {
+  const RunStats stats = run(batch);
+  std::printf("wall (s) median %.3f, p95 %.3f, cv %.3f; %llu messages, "
+              "%.1f MB\n",
+              stats.wall.median_s, stats.wall.p95_s, stats.wall.cv,
+              static_cast<unsigned long long>(stats.cost.messages),
+              stats.cost.megabytes());
+  std::printf("online wait %llu us; misses %llu; produced %llu, "
+              "consumed %llu\n",
+              static_cast<unsigned long long>(stats.online_wait_us),
+              static_cast<unsigned long long>(stats.store_misses),
+              static_cast<unsigned long long>(stats.produced),
+              static_cast<unsigned long long>(stats.consumed));
+  // Every entry was planned, and a planned job leaves nothing behind.
+  if (stats.store_misses != 0 || stats.produced != stats.consumed) {
     std::fprintf(stderr,
-                 "FATAL: warm store missed %llu times — the demand "
-                 "profiler under-counted\n",
-                 static_cast<unsigned long long>(prefetched.store_misses));
+                 "FATAL: %llu misses, produced %llu != consumed %llu — the "
+                 "demand profiler disagrees with the layers\n",
+                 static_cast<unsigned long long>(stats.store_misses),
+                 static_cast<unsigned long long>(stats.produced),
+                 static_cast<unsigned long long>(stats.consumed));
     return 1;
   }
-
-  const double total_speedup =
-      sync.cost.wall_seconds / prefetched.cost.wall_seconds;
-  const double online_speedup =
-      sync.cost.wall_seconds / prefetched.online_seconds;
-  std::printf("\nPrefetch total speedup (warm included): %.2fx; online "
-              "phase vs all-online sync: %.2fx\n",
-              total_speedup, online_speedup);
 
   if (!json_path.empty()) {
     std::FILE* file = std::fopen(json_path.c_str(), "w");
@@ -204,20 +147,26 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
       return 1;
     }
-    std::fprintf(file,
-                 "{\n  \"workload\": \"cnn_offline_online_infer\",\n"
-                 "  \"model\": \"mnist_cnn (Table I)\",\n"
-                 "  \"mode\": \"malicious\",\n  \"batch_rows\": %zu,\n"
-                 "  \"batches\": %d,\n  \"link_latency_ms\": %lld,\n"
-                 "  \"trials\": %d,\n",
-                 kBatchRows, kRepeats,
-                 static_cast<long long>(kLinkLatency.count()), kTrials);
-    write_json_entry(file, "sync", sync, ",");
-    write_json_entry(file, "prefetch", prefetched, ",");
-    std::fprintf(file,
-                 "  \"total_speedup\": %.4f,\n"
-                 "  \"online_speedup\": %.4f\n}\n",
-                 total_speedup, online_speedup);
+    std::fprintf(
+        file,
+        "{\n  \"workload\": \"cnn_offline_online_infer\",\n"
+        "  \"model\": \"mnist_cnn (Table I)\",\n"
+        "  \"mode\": \"malicious\",\n  \"batch_rows\": %zu,\n"
+        "  \"batches\": %d,\n  \"link_latency_ms\": %lld,\n"
+        "  \"trials\": %d,\n"
+        "  \"send_ahead\": {\"wall_seconds\": %.6f, "
+        "\"wall_p95_seconds\": %.6f, \"cv\": %.4f, \"messages\": %llu, "
+        "\"megabytes\": %.3f, \"online_wait_us\": %llu, "
+        "\"store_misses\": %llu, "
+        "\"triples_produced\": %llu, \"triples_consumed\": %llu}\n}\n",
+        kBatchRows, kRepeats, static_cast<long long>(kLinkLatency.count()),
+        kTrials, stats.wall.median_s, stats.wall.p95_s, stats.wall.cv,
+        static_cast<unsigned long long>(stats.cost.messages),
+        stats.cost.megabytes(),
+        static_cast<unsigned long long>(stats.online_wait_us),
+        static_cast<unsigned long long>(stats.store_misses),
+        static_cast<unsigned long long>(stats.produced),
+        static_cast<unsigned long long>(stats.consumed));
     std::fclose(file);
     std::printf("wrote %s\n", json_path.c_str());
   }

@@ -86,12 +86,10 @@
 //                        startup): GET /healthz, /metrics[?format=
 //                        prometheus|pair], /events?n=K, /status — see
 //                        DESIGN.md §12 and scripts/fleet_status.py
-//   --triple-prefetch    offline/online split: prefetch preprocessing
-//                        material into shape-keyed triple stores ahead
-//                        of the online phase (DESIGN.md §10)
-//   --triple-store-dir PATH    persist/restore triple stores under
-//                        this directory (per party and per mode;
-//                        survives process restarts)
+//   --triple-store-dir PATH    persist/restore the parties' triple
+//                        stores (DESIGN.md §10) under this directory
+//                        (per party and per mode; survives process
+//                        restarts)
 //   --mnist-dir PATH     load the real MNIST idx files from this
 //                        directory (train/t10k images + labels);
 //                        falls back to the synthetic substitute when
@@ -173,7 +171,6 @@ struct Options {
   bool fleet = false;      // fleet mode resolved (pod below is valid)
   fleet::PodSpec pod;
   int admin_port = -1;  // -1 = no admin endpoint; 0 = ephemeral
-  bool triple_prefetch = false;
   std::string triple_store_dir;
   std::string mnist_dir;
 };
@@ -267,7 +264,6 @@ Options parse_options(int argc, char** argv) {
       .value("--fleet", opt.fleet_file)
       .value("--pod", opt.pod_name)
       .value("--admin-port", opt.admin_port)
-      .set("--triple-prefetch", opt.triple_prefetch)
       .value("--triple-store-dir", opt.triple_store_dir)
       .value("--mnist-dir", opt.mnist_dir)
       .parse(argc, argv);
@@ -747,7 +743,6 @@ int main(int argc, char** argv) {
   // configuration, model and data from the flags alone.
   core::EngineConfig config =
       cli::engine_config(opt.task, opt.mode, opt.batch_openings, opt.seed);
-  config.triple_prefetch = opt.triple_prefetch;
   config.triple_store_dir = opt.triple_store_dir;
   config.metrics_out = opt.metrics_out;
   config.trace_out = opt.trace_out;

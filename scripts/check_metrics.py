@@ -23,11 +23,10 @@ docs/metrics.schema.json's contract:
     serve.batch.rows histogram saw every dispatched batch
     (count == serve.batches);
   * triple-ledger consistency (only when the export carries triple.*
-    counters, i.e. a computing party's store ran in the process,
-    prefetching or synchronous): per kind,
-    triple.produced.<kind> == triple.consumed.<kind> + the
-    triple.store.depth.<kind> gauge — every dealt entry was either
-    consumed online or is still buffered, none vanished;
+    counters, i.e. a computing party's store ran in the process): per
+    kind, triple.produced.<kind> == triple.consumed.<kind> + the
+    triple.store.depth.<kind> gauge — every received entry was either
+    consumed online or is still held, none vanished;
   * training-ledger consistency (only when the export carries train.*
     counters, i.e. a --task train-serve run): gradient coordinates
     (submitted == aggregated + trimmed), owner submissions

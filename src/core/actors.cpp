@@ -185,15 +185,14 @@ mpc::DetectionLog infer_computing_party_body(const InferJob& job, int party,
   SecureExecContext sctx =
       make_exec_context(job.config, pctx, link, pipeline.store());
 
-  // Offline phase (with prefetch): size the store from the exact
-  // per-batch demand, warm it synchronously, then keep it topped up in
-  // the background while the online steps run.
+  // Each step's material is planned one step ahead, so the dealer deals
+  // it while the party computes the step before.
   const std::vector<std::size_t> batch_rows = job_batch_rows(job.batches);
-  pipeline.plan_job_window(job.spec, batch_rows, /*training=*/false, 0);
-  pipeline.warm();
-  pipeline.start();
+  pipeline.plan_job_step(job.spec, batch_rows, /*training=*/false, 0);
 
   for (std::size_t step = 0; step < job.batches.size(); ++step) {
+    pipeline.plan_job_step(job.spec, batch_rows, /*training=*/false,
+                           step + 1);
     ByteReader reader(
         endpoint.recv(kDataOwner, batch_tag(step, "x"), kActorTimeout));
     const mpc::PartyShare x = mpc::read_party_share(reader);
@@ -201,10 +200,8 @@ mpc::DetectionLog infer_computing_party_body(const InferJob& job, int party,
     ByteWriter writer;
     mpc::write_party_share(writer, probabilities);
     endpoint.send(kDataOwner, pred_tag(step), writer.take());
-    pipeline.plan_job_window(job.spec, batch_rows, /*training=*/false,
-                             step + 1);
   }
-  pipeline.shutdown();  // stop the producer before the owner link closes
+  pipeline.shutdown();  // persist the store before the owner link closes
   link.stop();
   return pctx.detections;
 }
@@ -285,12 +282,12 @@ mpc::DetectionLog train_computing_party_body(const TrainJob& job, int party,
       make_exec_context(job.config, pctx, link, pipeline.store());
 
   const std::vector<std::size_t> batch_rows = job_batch_rows(job.batches);
-  pipeline.plan_job_window(job.spec, batch_rows, /*training=*/true, 0);
-  pipeline.warm();
-  pipeline.start();
+  pipeline.plan_job_step(job.spec, batch_rows, /*training=*/true, 0);
 
   std::size_t epoch = 0;
   for (std::size_t step = 0; step < job.batches.size(); ++step) {
+    pipeline.plan_job_step(job.spec, batch_rows, /*training=*/true,
+                           step + 1);
     ByteReader x_reader(
         endpoint.recv(kDataOwner, batch_tag(step, "x"), kActorTimeout));
     const mpc::PartyShare x = mpc::read_party_share(x_reader);
@@ -307,10 +304,7 @@ mpc::DetectionLog train_computing_party_body(const TrainJob& job, int party,
                    job.options.learning_rate /
                        static_cast<double>(x.shape()[0]),
                    job.config.frac_bits);
-    // Step s ran at weight version s: plan the window's next step and
-    // forget the version just left behind.
-    pipeline.plan_job_window(job.spec, batch_rows, /*training=*/true,
-                             step + 1);
+    // Step s ran at weight version s: forget the version left behind.
     pipeline.retire_versions_before(model.weight_version());
 
     if (step == job.epoch_last_step[epoch]) {
@@ -325,7 +319,7 @@ mpc::DetectionLog train_computing_party_body(const TrainJob& job, int party,
       ++epoch;
     }
   }
-  pipeline.shutdown();  // stop the producer before the owner link closes
+  pipeline.shutdown();  // persist the store before the owner link closes
   link.stop();
   return pctx.detections;
 }

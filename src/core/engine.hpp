@@ -93,19 +93,9 @@ struct EngineConfig {
   /// opened at the start of each train()/infer() call, closed at the
   /// end.  Tracing also captures detection events.
   std::string trace_out;
-  /// Offline/online split (DESIGN.md §10).  Every computing party
-  /// draws its material through one shape-keyed TripleStore.  When on,
-  /// the store prefetches ahead of the online phase (a demand profiler
-  /// sizes it from the model architecture) and a background producer
-  /// keeps it topped up; the online hot path then pops prefetched
-  /// entries instead of blocking on the owner.  Off, the store buffers
-  /// nothing and fetches each entry when it is needed, with
-  /// bit-identical results — both modes consume the same derived-seed
-  /// material streams in the same order.
-  bool triple_prefetch = false;
-  /// Cap on any one shape class's store target (bounds memory for
-  /// long jobs; the producer keeps refilling as entries are consumed).
-  std::size_t triple_max_depth = 32;
+  /// Offline/online split (DESIGN.md §10): every computing party draws
+  /// its material through one TripleStore and plans each unit of work
+  /// one unit ahead, so the dealer deals while the party computes.
   /// Persist/restore store contents under this directory (empty = no
   /// persistence).  Files are per party and per mode (train/infer) and
   /// carry a provenance tag derived from the dealing seed.

@@ -40,7 +40,6 @@ mpc::MaterialBatch fill_response(Bytes payload, const mpc::TripleKey& key,
 }  // namespace
 
 std::uint64_t OwnerLink::unary_send(Bytes request) {
-  std::lock_guard<std::mutex> lock(mu_);
   const std::uint64_t id = unary_counter_++;
   endpoint_.send(kModelOwner, "req/" + std::to_string(id),
                  std::move(request));
@@ -53,11 +52,7 @@ Bytes OwnerLink::unary_recv(std::uint64_t id) {
 }
 
 Bytes OwnerLink::collective_roundtrip(Bytes request) {
-  std::uint64_t id = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    id = collective_counter_++;
-  }
+  const std::uint64_t id = collective_counter_++;
   endpoint_.send(kModelOwner, "col/" + std::to_string(id),
                  std::move(request));
   return endpoint_.recv(kModelOwner, "crsp/" + std::to_string(id),
@@ -65,35 +60,19 @@ Bytes OwnerLink::collective_roundtrip(Bytes request) {
 }
 
 void OwnerLink::collective_send(Bytes request) {
-  std::uint64_t id = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    id = collective_counter_++;
-  }
+  const std::uint64_t id = collective_counter_++;
   endpoint_.send(kModelOwner, "col/" + std::to_string(id),
                  std::move(request));
 }
 
-mpc::MaterialBatch OwnerLink::fill(const mpc::TripleKey& key,
-                                   std::uint64_t start, std::size_t count) {
-  return std::move(fill_many({mpc::FillRange{key, start, count}}).at(0));
+mpc::FillTicket OwnerLink::send_fill(const mpc::FillRange& range) {
+  return mpc::FillTicket{
+      range, unary_send(fill_request(range.key, range.start, range.count))};
 }
 
-std::vector<mpc::MaterialBatch> OwnerLink::fill_many(
-    const std::vector<mpc::FillRange>& ranges) {
-  std::vector<std::uint64_t> ids;
-  ids.reserve(ranges.size());
-  for (const mpc::FillRange& range : ranges) {
-    ids.push_back(
-        unary_send(fill_request(range.key, range.start, range.count)));
-  }
-  std::vector<mpc::MaterialBatch> batches;
-  batches.reserve(ranges.size());
-  for (std::size_t i = 0; i < ranges.size(); ++i) {
-    batches.push_back(
-        fill_response(unary_recv(ids[i]), ranges[i].key, ranges[i].count));
-  }
-  return batches;
+mpc::MaterialBatch OwnerLink::receive_fill(const mpc::FillTicket& ticket) {
+  return fill_response(unary_recv(ticket.id), ticket.range.key,
+                       ticket.range.count);
 }
 
 mpc::PartyShare OwnerLink::softmax_forward(const mpc::PartyShare& logits) {

@@ -9,29 +9,27 @@
 //
 // The link carries TWO independent per-party request streams:
 //
-//  * unary stream ("req/<id>" -> "rsp/<id>"): batched material fills.
-//    Material is addressed by (stream key, index range) and dealt
-//    statelessly from derived seeds, so requests need no cross-party
-//    coordination — a background prefetch thread may issue them at any
-//    time, interleaved differently on every party.  Thread-safe.  The
-//    link is only the party's mpc::TripleStore's backend: the store
-//    keeps the stream cursors and decides what to fetch.
+//  * unary stream ("req/<id>" -> "rsp/<id>"): material fills, one per
+//    mpc::TripleBackend::send_fill.  Material is addressed by (stream
+//    key, index range) and dealt statelessly from derived seeds, so
+//    requests need no cross-party coordination: the party's
+//    mpc::TripleStore sends them ahead of use, and receives each reply
+//    (tag-matched) when it first needs the entries.  The link is only
+//    the store's backend: the store keeps the stream cursors and
+//    decides what to fetch.
 //  * collective stream ("col/<id>" -> "crsp/<id>"): Softmax
 //    forward/backward, reveals, stop.  The owner groups the three
 //    parties' payloads by this counter, so it must advance identically
-//    on every party — these calls stay on the party's protocol thread
-//    (SPMD), untouched by prefetch traffic.
+//    on every party (SPMD), whatever fills are in flight.
 //
-// Splitting the streams is what makes the offline/online overlap safe:
-// before, one shared counter meant any extra dealing request would
-// desynchronize collective grouping across parties.
+// Both streams run on the party's protocol thread; nothing else
+// touches the link.  Splitting them is what lets fills run ahead
+// without desynchronizing collective grouping across parties.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
-#include <mutex>
 #include <string>
-#include <vector>
 
 #include "mpc/beaver.hpp"
 #include "net/network.hpp"
@@ -57,15 +55,11 @@ class OwnerLink final : public mpc::TripleBackend {
         party_(party),
         response_timeout_(response_timeout) {}
 
-  /// Fetch entries [start, start+count) of `key` in one round trip.
-  /// Thread-safe (prefetch producer + protocol thread).
-  mpc::MaterialBatch fill(const mpc::TripleKey& key, std::uint64_t start,
-                          std::size_t count) override;
+  /// Send one kBatchFill for `range`; its ticket is the request id.
+  mpc::FillTicket send_fill(const mpc::FillRange& range) override;
 
-  /// One kBatchFill per range: every request is sent before the first
-  /// reply is awaited, so the call costs one round trip.
-  std::vector<mpc::MaterialBatch> fill_many(
-      const std::vector<mpc::FillRange>& ranges) override;
+  /// Await the reply to the ticket's kBatchFill.
+  mpc::MaterialBatch receive_fill(const mpc::FillTicket& ticket) override;
 
   /// Outsourced Softmax forward: send logit shares, receive fresh
   /// shares of the probabilities (collective op — the owner combines
@@ -87,17 +81,9 @@ class OwnerLink final : public mpc::TripleBackend {
   /// dealing requests may follow.
   void stop();
 
-  std::uint64_t requests_sent() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return unary_counter_ + collective_counter_;
-  }
-
  private:
-  /// Unary request: counter allocation + send are atomic under the
-  /// lock, so ids reach the owner gap-free and in order per party.
-  /// Returns the id whose reply unary_recv awaits — outside the lock,
-  /// and tag-matched, so concurrent requesters cannot steal each
-  /// other's replies.
+  /// Unary request: ids reach the owner gap-free and in order per
+  /// party.  Returns the id whose reply unary_recv awaits.
   std::uint64_t unary_send(Bytes request);
   Bytes unary_recv(std::uint64_t id);
   Bytes collective_roundtrip(Bytes request);
@@ -107,7 +93,6 @@ class OwnerLink final : public mpc::TripleBackend {
   int party_;
   std::chrono::milliseconds response_timeout_;
 
-  mutable std::mutex mu_;
   std::uint64_t unary_counter_ = 0;
   std::uint64_t collective_counter_ = 0;
 };

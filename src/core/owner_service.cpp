@@ -140,6 +140,42 @@ void ModelOwnerService::run() {
   }
 }
 
+ModelOwnerService::FillCacheEntry ModelOwnerService::deal_fill(
+    const Bytes& payload) const {
+  ByteReader reader(payload);
+  (void)reader.read_u8();
+  mpc::TripleKey key;
+  key.kind = static_cast<mpc::TripleKind>(reader.read_u8());
+  key.dims = read_shape(reader);
+  const std::uint64_t start = reader.read_u64();
+  const std::uint32_t count = reader.read_u32();
+  if (count == 0 || count > config_.max_batch_entries) {
+    throw ProtocolError("fill count out of bounds");
+  }
+  // material_cost rejects malformed keys and saturates instead of
+  // wrapping, so a hostile product of dims cannot slip under the
+  // bound and send the dealer into a huge allocation.
+  if (mpc::material_cost(key) > kMaxFillCost / count) {
+    throw ProtocolError("fill request too large");
+  }
+
+  // Stateless derived-seed dealing: the response is a pure function
+  // of (request payload, service seed).
+  const auto views = mpc::deal_material(key, start, count, config_.seed,
+                                        config_.frac_bits);
+  FillCacheEntry entry;
+  for (int p = 0; p < kComputingParties; ++p) {
+    ByteWriter writer;
+    writer.write_u32(count);
+    for (const mpc::MaterialEntry& material :
+         views[static_cast<std::size_t>(p)]) {
+      mpc::write_material_entry(writer, key.kind, material);
+    }
+    entry.responses[static_cast<std::size_t>(p)] = writer.take();
+  }
+  return entry;
+}
+
 void ModelOwnerService::handle_unary(int party, const Bytes& payload,
                                      std::uint64_t id) {
   ByteReader peek(payload);
@@ -148,39 +184,11 @@ void ModelOwnerService::handle_unary(int party, const Bytes& payload,
     throw ProtocolError("unexpected op on unary stream");
   }
 
+  const auto slot = static_cast<std::size_t>(party);
+  const int bit = 1 << party;
   auto it = fill_cache_.find(payload);
   if (it == fill_cache_.end()) {
-    ByteReader reader(payload);
-    (void)reader.read_u8();
-    mpc::TripleKey key;
-    key.kind = static_cast<mpc::TripleKind>(reader.read_u8());
-    key.dims = read_shape(reader);
-    const std::uint64_t start = reader.read_u64();
-    const std::uint32_t count = reader.read_u32();
-    if (count == 0 || count > config_.max_batch_entries) {
-      throw ProtocolError("fill count out of bounds");
-    }
-    // material_cost rejects malformed keys and saturates instead of
-    // wrapping, so a hostile product of dims cannot slip under the
-    // bound and send the dealer into a huge allocation.
-    if (mpc::material_cost(key) > kMaxFillCost / count) {
-      throw ProtocolError("fill request too large");
-    }
-
-    // Stateless derived-seed dealing: the response is a pure function
-    // of (request payload, service seed).
-    const auto views = mpc::deal_material(key, start, count, config_.seed,
-                                          config_.frac_bits);
-    FillCacheEntry entry;
-    for (int p = 0; p < kComputingParties; ++p) {
-      ByteWriter writer;
-      writer.write_u32(count);
-      for (const mpc::MaterialEntry& material :
-           views[static_cast<std::size_t>(p)]) {
-        mpc::write_material_entry(writer, key.kind, material);
-      }
-      entry.responses[static_cast<std::size_t>(p)] = writer.take();
-    }
+    FillCacheEntry entry = deal_fill(payload);
     // Evict BEFORE inserting so the fresh entry is never the victim
     // (FIFO records can be stale after the all-served fast path below).
     while (fill_cache_.size() >= kMaxFillCacheEntries &&
@@ -190,10 +198,14 @@ void ModelOwnerService::handle_unary(int party, const Bytes& payload,
     }
     it = fill_cache_.emplace(payload, std::move(entry)).first;
     fill_cache_fifo_.push_back(payload);
+  } else if ((it->second.served & bit) != 0) {
+    // The party asks again for a range it took (its response moved
+    // out): deal it afresh — dealing is stateless, so it is identical.
+    it->second.responses[slot] = std::move(deal_fill(payload).responses[slot]);
   }
   endpoint_.send(party, "rsp/" + std::to_string(id),
-                 it->second.responses[static_cast<std::size_t>(party)]);
-  it->second.served |= (1 << party);
+                 std::move(it->second.responses[slot]));
+  it->second.served |= bit;
   ++fills_served_;
   if (it->second.served == 0b111) {
     // All parties took this range; drop it early (the FIFO record goes

@@ -7,7 +7,7 @@
 //    Material is dealt *statelessly* — entry (key, index) is generated
 //    from a seed derived from the service seed, so the same range
 //    request yields the same shares no matter which party asks first,
-//    how requests interleave with prefetch traffic, or whether the
+//    how far ahead each party's requests run, or whether the
 //    service restarted in between.  A small response cache only saves
 //    recomputation when the three parties request the same range
 //    back-to-back; evicting it is always safe.
@@ -92,8 +92,12 @@ class ModelOwnerService {
     std::array<bool, kComputingParties> responded{};
   };
 
+  struct FillCacheEntry;
+
   /// Unary-stream request (kBatchFill).
   void handle_unary(int party, const Bytes& payload, std::uint64_t id);
+  /// Every party's response to a kBatchFill payload, freshly dealt.
+  FillCacheEntry deal_fill(const Bytes& payload) const;
   /// Collective-stream request (softmax/reveal/stop).
   void handle_collective(int party, const Bytes& payload, std::uint64_t id);
   void process_group(std::uint64_t id, Group& group);
@@ -113,8 +117,10 @@ class ModelOwnerService {
 
   /// Fill-response cache keyed by the raw request payload: the three
   /// parties issue byte-identical requests for a range, so the second
-  /// and third hit the cache instead of re-dealing.  Bounded FIFO;
-  /// dealing is stateless, so eviction never changes served material.
+  /// and third hit the cache instead of re-dealing.  A party's response
+  /// moves out when it is sent; `served` marks whose did.  Bounded
+  /// FIFO; dealing is stateless, so eviction never changes served
+  /// material.
   static constexpr std::size_t kMaxFillCacheEntries = 64;
   struct FillCacheEntry {
     std::array<Bytes, kComputingParties> responses;

@@ -1,181 +1,178 @@
 #include "core/triple_pipeline.hpp"
 
 #include <algorithm>
-#include <chrono>
 
 #include "common/logging.hpp"
 #include "core/actors.hpp"
-#include "obs/trace.hpp"
 
 namespace trustddl::core {
 namespace {
 
 constexpr const char* kLog = "core.triples";
 
-/// Entries fetched per refill round trip (per shape class).
-constexpr std::size_t kRefillBatch = 32;
+/// Appends to a plan what the Secure* layers of one step draw.  This
+/// walk mirrors the consumption sites in secure_model.cpp — the keys
+/// and their order must match the layers' requests exactly, or the
+/// store sends ahead what the party does not need next.
+/// SecureModelTest.ProfilesListTheDryStoresFetchOrder pins that
+/// equivalence against a recording backend.
+class StepProfile {
+ public:
+  StepProfile(DemandPlan& plan, const nn::ModelSpec& spec,
+              std::size_t batch_rows, TruncationMode trunc_mode,
+              const WeightMaskUse& masks)
+      : plan_(plan), spec_(spec), rows_(batch_rows),
+        masked_(trunc_mode == TruncationMode::kMaskedOpen), masks_(masks) {}
 
-/// The producer refills a stream whose depth falls below this fraction
-/// of its target.
-constexpr double kLowWater = 0.5;
+  void forward() {
+    std::size_t features = spec_.input_features;
+    for (std::size_t index = 0; index < spec_.layers.size(); ++index) {
+      const nn::LayerSpec& layer = spec_.layers[index];
+      switch (layer.kind) {
+        case nn::LayerSpec::Kind::kDense:
+          // x·W and the masked rescale of the product.
+          if (masks_.reuse) {
+            mask(index, layer.in, layer.out);
+            plan_.add(mpc::TripleKey::masked_matmul(
+                index, masks_.version, false, rows_, layer.in, layer.out));
+          } else {
+            plan_.add(mpc::TripleKey::matmul(rows_, layer.in, layer.out));
+          }
+          trunc(Shape{rows_, layer.out});
+          features = layer.out;
+          break;
+        case nn::LayerSpec::Kind::kConv: {
+          const ConvSpec& conv = layer.conv;
+          const std::size_t cols = rows_ * conv.col_cols();
+          if (masks_.reuse) {
+            mask(index, conv.out_channels, conv.col_rows());
+            plan_.add(mpc::TripleKey::masked_conv(index, masks_.version,
+                                                  rows_, conv));
+          } else {
+            plan_.add(
+                mpc::TripleKey::matmul(conv.out_channels, conv.col_rows(),
+                                       cols));
+          }
+          trunc(Shape{conv.out_channels, cols});
+          features = conv.out_channels * conv.col_cols();
+          break;
+        }
+        case nn::LayerSpec::Kind::kRelu:
+          // One SecSign on the activation shape.
+          comparisons(Shape{rows_, features}, 1);
+          break;
+        case nn::LayerSpec::Kind::kMaxPool: {
+          // Tournament over window^2 candidates: window^2 - 1
+          // comparisons, each on the [batch, pools] candidate shape.
+          const std::size_t window = layer.pool.window * layer.pool.window;
+          comparisons(Shape{rows_, layer.pool.out_features()}, window - 1);
+          features = layer.pool.out_features();
+          break;
+        }
+        case nn::LayerSpec::Kind::kSoftmax:
+          // Outsourced to the model owner — no dealt material.
+          break;
+      }
+    }
+  }
+
+  /// From the layer below the trailing softmax down to layer 0; ReLU
+  /// and max-pool backward passes are public-mask products.
+  void backward() {
+    if (spec_.layers.size() < 2) {
+      return;  // only the skipped softmax
+    }
+    for (std::size_t index = spec_.layers.size() - 1; index-- > 0;) {
+      const nn::LayerSpec& layer = spec_.layers[index];
+      // With reusable masks nothing reads layer 0's input gradient.
+      const bool input_grad = index > 0 || !masks_.reuse;
+      if (layer.kind == nn::LayerSpec::Kind::kDense) {
+        // Weight grad (in x batch)·(batch x out), then input grad
+        // (batch x out)·(out x in), each with its rescale.
+        plan_.add(mpc::TripleKey::matmul(layer.in, rows_, layer.out));
+        trunc(Shape{layer.in, layer.out});
+        if (input_grad) {
+          plan_.add(masks_.reuse
+                        ? mpc::TripleKey::masked_matmul(
+                              index, masks_.version, true, rows_, layer.out,
+                              layer.in)
+                        : mpc::TripleKey::matmul(rows_, layer.out, layer.in));
+          trunc(Shape{rows_, layer.in});
+        }
+      } else if (layer.kind == nn::LayerSpec::Kind::kConv) {
+        const ConvSpec& conv = layer.conv;
+        const std::size_t cols = rows_ * conv.col_cols();
+        plan_.add(
+            mpc::TripleKey::matmul(conv.out_channels, cols, conv.col_rows()));
+        trunc(Shape{conv.out_channels, conv.col_rows()});
+        if (input_grad) {
+          plan_.add(mpc::TripleKey::matmul(conv.col_rows(),
+                                           conv.out_channels, cols));
+          trunc(Shape{conv.col_rows(), cols});
+        }
+      }
+    }
+  }
+
+  /// sgd_step: one masked rescale per parameter, in layer order.
+  void sgd() {
+    for (const Shape& shape : nn::parameter_shapes(spec_)) {
+      trunc(shape);
+    }
+  }
+
+  void trunc(const Shape& shape) {
+    if (masked_) {
+      plan_.add(mpc::TripleKey::trunc_pair(shape));
+    }
+  }
+
+ private:
+  /// The version's mask B of a dense or conv layer, drawn with the
+  /// layer's first product of the version.
+  void mask(std::size_t index, std::size_t rows, std::size_t cols) {
+    if (masks_.first_use) {
+      plan_.add(mpc::TripleKey::weight_mask(index, masks_.version, rows,
+                                            cols));
+    }
+  }
+
+  void comparisons(const Shape& shape, std::size_t count) {
+    for (std::size_t i = 0; i < count; ++i) {
+      for (const mpc::TripleKey& key :
+           mpc::comparison_keys(shape, masks_.reuse)) {
+        plan_.add(key);
+      }
+    }
+  }
+
+  DemandPlan& plan_;
+  const nn::ModelSpec& spec_;
+  std::size_t rows_;
+  bool masked_;
+  WeightMaskUse masks_;
+};
 
 }  // namespace
 
 void DemandPlan::add(const mpc::TripleKey& key, std::size_t count) {
-  if (count == 0) {
-    return;
-  }
-  for (auto& [existing, existing_count] : counts) {
-    if (existing == key) {
-      existing_count += count;
-      return;
-    }
-  }
-  counts.emplace_back(key, count);
+  keys.insert(keys.end(), count, key);
 }
 
 void DemandPlan::merge(const DemandPlan& other) {
-  for (const auto& [key, count] : other.counts) {
-    add(key, count);
-  }
-}
-
-std::size_t DemandPlan::total() const {
-  std::size_t sum = 0;
-  for (const auto& [key, count] : counts) {
-    (void)key;
-    sum += count;
-  }
-  return sum;
+  keys.insert(keys.end(), other.keys.begin(), other.keys.end());
 }
 
 DemandPlan profile_step_demand(const nn::ModelSpec& spec,
                                std::size_t batch_rows,
                                TruncationMode trunc_mode, bool training,
                                const WeightMaskUse& masks) {
-  // This walk mirrors the consumption sites in secure_model.cpp — the
-  // shapes below must match the Secure* layers' requests exactly or a
-  // "warm" store will still miss.  PrefetchExactnessTest pins that
-  // equivalence (miss count zero, store drained after the job).
-  const bool masked = trunc_mode == TruncationMode::kMaskedOpen;
   DemandPlan plan;
-  // Products against a dense weight: a matmul triple, or with reusable
-  // masks a masked-matmul entry of the current weight version.
-  const auto weight_product = [&](std::size_t index, bool transposed,
-                                  std::size_t k, std::size_t n) {
-    plan.add(masks.reuse
-                 ? mpc::TripleKey::masked_matmul(index, masks.version,
-                                                 transposed, batch_rows, k, n)
-                 : mpc::TripleKey::matmul(batch_rows, k, n),
-             1);
-  };
-  const auto trunc = [&](const Shape& shape) {
-    if (masked) {
-      plan.add(mpc::TripleKey::trunc_pair(shape), 1);
-    }
-  };
-  const auto comparisons = [&](const Shape& shape, std::size_t count) {
-    for (const mpc::TripleKey& key :
-         mpc::comparison_keys(shape, masks.reuse)) {
-      plan.add(key, count);
-    }
-  };
-  std::size_t features = spec.input_features;
-  for (std::size_t index = 0; index < spec.layers.size(); ++index) {
-    const nn::LayerSpec& layer = spec.layers[index];
-    // With reusable masks nothing reads layer 0's input gradient.
-    const bool input_grad = training && !(masks.reuse && index == 0);
-    switch (layer.kind) {
-      case nn::LayerSpec::Kind::kDense: {
-        // forward: x·W + masked rescale of the product.
-        weight_product(index, /*transposed=*/false, layer.in, layer.out);
-        trunc(Shape{batch_rows, layer.out});
-        if (training) {
-          // backward: weight grad (in x batch)·(batch x out), input
-          // grad (batch x out)·(out x in), each rescaled.
-          plan.add(mpc::TripleKey::matmul(layer.in, batch_rows, layer.out),
-                   1);
-          if (input_grad) {
-            weight_product(index, /*transposed=*/true, layer.out, layer.in);
-          }
-          trunc(Shape{layer.in, layer.out});
-          if (input_grad) {
-            trunc(Shape{batch_rows, layer.in});
-          }
-        }
-        features = layer.out;
-        break;
-      }
-      case nn::LayerSpec::Kind::kConv: {
-        const ConvSpec& conv = layer.conv;
-        const std::size_t pixels = conv.col_cols();
-        const std::size_t cols = batch_rows * pixels;
-        plan.add(masks.reuse ? mpc::TripleKey::masked_conv(
-                                   index, masks.version, batch_rows, conv)
-                             : mpc::TripleKey::matmul(conv.out_channels,
-                                                      conv.col_rows(), cols),
-                 1);
-        trunc(Shape{conv.out_channels, cols});
-        if (training) {
-          plan.add(mpc::TripleKey::matmul(conv.out_channels, cols,
-                                          conv.col_rows()),
-                   1);
-          if (input_grad) {
-            plan.add(mpc::TripleKey::matmul(conv.col_rows(),
-                                            conv.out_channels, cols),
-                     1);
-          }
-          trunc(Shape{conv.out_channels, conv.col_rows()});
-          if (input_grad) {
-            trunc(Shape{conv.col_rows(), cols});
-          }
-        }
-        features = conv.out_channels * pixels;
-        break;
-      }
-      case nn::LayerSpec::Kind::kRelu:
-        // forward: one SecSign on the activation shape.  Backward is a
-        // public-mask product — no material.
-        comparisons(Shape{batch_rows, features}, 1);
-        break;
-      case nn::LayerSpec::Kind::kMaxPool: {
-        // Tournament over window^2 candidates: window^2 - 1 batched
-        // comparisons, each on the [batch, pools] candidate shape.
-        const std::size_t window_size = layer.pool.window * layer.pool.window;
-        comparisons(Shape{batch_rows, layer.pool.out_features()},
-                    window_size - 1);
-        features = layer.pool.out_features();
-        break;
-      }
-      case nn::LayerSpec::Kind::kSoftmax:
-        // Outsourced to the model owner — no dealt material.
-        break;
-    }
-  }
+  StepProfile step(plan, spec, batch_rows, trunc_mode, masks);
+  step.forward();
   if (training) {
-    // sgd_step: one masked rescale per parameter, in layer order.
-    for (const Shape& shape : nn::parameter_shapes(spec)) {
-      trunc(shape);
-    }
-  }
-  return plan;
-}
-
-DemandPlan profile_version_demand(const nn::ModelSpec& spec,
-                                  std::uint64_t version) {
-  DemandPlan plan;
-  for (std::size_t index = 0; index < spec.layers.size(); ++index) {
-    const nn::LayerSpec& layer = spec.layers[index];
-    if (layer.kind == nn::LayerSpec::Kind::kDense) {
-      plan.add(
-          mpc::TripleKey::weight_mask(index, version, layer.in, layer.out),
-          1);
-    } else if (layer.kind == nn::LayerSpec::Kind::kConv) {
-      plan.add(mpc::TripleKey::weight_mask(index, version,
-                                           layer.conv.out_channels,
-                                           layer.conv.col_rows()),
-               1);
-    }
+    step.backward();
+    step.sgd();
   }
   return plan;
 }
@@ -194,53 +191,59 @@ DemandPlan profile_job_demand(const nn::ModelSpec& spec,
     if (training) {
       step_masks.version += step;
     }
+    step_masks.first_use = masks.reuse && (training || step == 0);
     plan.merge(profile_step_demand(spec, batch_rows[step], trunc_mode,
                                    training, step_masks));
-    if (masks.reuse && (training || step == 0)) {
-      plan.merge(profile_version_demand(spec, step_masks.version));
-    }
   }
   return plan;
 }
 
-DemandPlan profile_train_round_demand(
+std::vector<DemandPlan> profile_train_round_demand(
     const nn::ModelSpec& spec, const std::vector<std::size_t>& owner_rows,
     TruncationMode trunc_mode, const mpc::AggregateOptions& aggregation,
     bool momentum, const WeightMaskUse& masks) {
-  const bool masked = trunc_mode == TruncationMode::kMaskedOpen;
-  DemandPlan plan;
-  if (masks.reuse) {
-    plan.merge(profile_version_demand(spec, masks.version));
+  std::vector<DemandPlan> units;
+  for (std::size_t owner = 0; owner < owner_rows.size(); ++owner) {
+    const std::size_t rows = owner_rows[owner];
+    WeightMaskUse owner_masks = masks;
+    owner_masks.first_use = masks.reuse && owner == 0;
+    DemandPlan& unit = units.emplace_back();
+    StepProfile step(unit, spec, rows, trunc_mode, owner_masks);
+    step.forward();
+    // Per-owner logit-gradient normalization: (p - y) * enc(1/rows)
+    // rescaled before backward so owner gradients are comparable.
+    step.trunc(Shape{rows, spec.classes});
+    step.backward();
   }
-  for (std::size_t rows : owner_rows) {
-    plan.merge(profile_step_demand(spec, rows, trunc_mode, /*training=*/true,
-                                   masks));
-    if (masked) {
-      // Per-owner logit-gradient normalization: (p - y) * enc(1/rows)
-      // rescaled before backward so owner gradients are comparable.
-      plan.add(mpc::TripleKey::trunc_pair(Shape{rows, spec.classes}), 1);
-    }
-  }
+
+  DemandPlan& aggregate = units.emplace_back();
   mpc::AggregateOptions options = aggregation;
   options.trunc_mode = trunc_mode;
   // One aggregation per parameter, in SecureModel::parameters() order.
-  for (const Shape& shape : nn::parameter_shapes(spec)) {
+  const std::vector<Shape> shapes = nn::parameter_shapes(spec);
+  for (const Shape& shape : shapes) {
     const mpc::AggregateDemand demand =
         mpc::aggregate_demand(owner_rows.size(), shape, options);
+    if (demand.needs_trunc_pair) {
+      aggregate.add(mpc::TripleKey::trunc_pair(demand.trunc_shape));
+    }
     if (demand.needs_comparison) {
       for (const mpc::TripleKey& key :
            mpc::comparison_keys(demand.comparison_shape, masks.reuse)) {
-        plan.add(key, 1);
+        aggregate.add(key);
       }
     }
-    if (demand.needs_trunc_pair) {
-      plan.add(mpc::TripleKey::trunc_pair(demand.trunc_shape), 1);
-    }
-    if (momentum && masked) {
-      plan.add(mpc::TripleKey::trunc_pair(shape), 1);
+  }
+  if (momentum && trunc_mode == TruncationMode::kMaskedOpen) {
+    // v <- m*v + g: one rescale per parameter.
+    for (const Shape& shape : shapes) {
+      aggregate.add(mpc::TripleKey::trunc_pair(shape));
     }
   }
-  return plan;
+
+  DemandPlan& update = units.emplace_back();
+  StepProfile(update, spec, 0, trunc_mode, masks).sgd();
+  return units;
 }
 
 std::uint64_t TriplePipeline::store_provenance(const EngineConfig& config,
@@ -260,17 +263,18 @@ std::string TriplePipeline::store_path(const std::string& dir, int party,
          (training ? ".train" : ".infer") + ".triples";
 }
 
-TriplePipeline::TriplePipeline(const EngineConfig& config, OwnerLink& link,
-                               int party, bool training)
+TriplePipeline::TriplePipeline(const EngineConfig& config,
+                               mpc::TripleBackend& backend, int party,
+                               bool training)
     : config_(config), party_(party), training_(training),
-      store_(link, party) {
+      store_(backend, party) {
   if (!config_.triple_store_dir.empty()) {
     const std::string path =
         store_path(config_.triple_store_dir, party_, training_);
     if (store_.load(path, store_provenance(config_, training_))) {
       TRUSTDDL_LOG_INFO(kLog)
           << "party " << party_ << " restored " << store_.depth()
-          << " prefetched entries from " << path;
+          << " dealt entries from " << path;
     }
   }
 }
@@ -284,110 +288,27 @@ TriplePipeline::~TriplePipeline() {
   }
 }
 
-void TriplePipeline::plan(const DemandPlan& plan) {
-  if (!config_.triple_prefetch) {
-    return;
-  }
-  for (const auto& [key, count] : plan.counts) {
-    store_.demand(key, std::min(count, config_.triple_max_depth));
-  }
-}
-
-void TriplePipeline::plan_step(const nn::ModelSpec& spec, std::size_t rows,
-                               std::size_t depth_factor) {
-  if (!config_.triple_prefetch) {
-    return;
-  }
-  DemandPlan step = profile_step_demand(
-      spec, rows, config_.resolved_trunc_mode(), /*training=*/false,
-      WeightMaskUse{config_.reuse_masks, 0});
-  DemandPlan scaled;
-  for (const auto& [key, count] : step.counts) {
-    scaled.add(key, count * std::max<std::size_t>(depth_factor, 1));
-  }
-  plan(scaled);
-}
-
-void TriplePipeline::plan_job_window(const nn::ModelSpec& spec,
-                                     const std::vector<std::size_t>& batch_rows,
-                                     bool training, std::size_t first) {
-  if (!config_.triple_prefetch) {
-    return;
-  }
+void TriplePipeline::plan_job_step(const nn::ModelSpec& spec,
+                                   const std::vector<std::size_t>& batch_rows,
+                                   bool training, std::size_t step) {
   plan(profile_job_demand(spec, batch_rows, config_.resolved_trunc_mode(),
-                          training,
-                          WeightMaskUse{config_.reuse_masks, 0}, first,
-                          config_.triple_max_depth));
-}
-
-void TriplePipeline::retire_versions_before(std::uint64_t version) {
-  store_.retire_versions_before(version);
-}
-
-std::size_t TriplePipeline::warm() {
-  if (!config_.triple_prefetch) {
-    return 0;
-  }
-  obs::ScopedSpan span("triple.warm", party_);
-  std::size_t total = 0;
-  for (;;) {
-    const std::size_t added = store_.refill_toward_targets(kRefillBatch);
-    if (added == 0) {
-      break;
-    }
-    total += added;
-  }
-  return total;
-}
-
-std::size_t TriplePipeline::refill_once() {
-  if (!config_.triple_prefetch) {
-    return 0;
-  }
-  return store_.refill_toward_targets(kRefillBatch);
-}
-
-void TriplePipeline::start() {
-  if (!config_.triple_prefetch || producer_.joinable()) {
-    return;
-  }
-  stop_.store(false, std::memory_order_relaxed);
-  producer_ = std::thread([this] { producer_loop(); });
-}
-
-void TriplePipeline::producer_loop() {
-  while (!stop_.load(std::memory_order_relaxed)) {
-    std::size_t added = 0;
-    for (const mpc::TripleKey& key : store_.keys_below(kLowWater)) {
-      if (stop_.load(std::memory_order_relaxed)) {
-        break;
-      }
-      added += store_.refill(key, kRefillBatch);
-    }
-    if (added == 0) {
-      // Nothing under water: idle briefly rather than spin on the
-      // owner link.
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-    }
-  }
+                          training, WeightMaskUse{config_.reuse_masks, 0},
+                          step, 1));
 }
 
 void TriplePipeline::shutdown() {
-  if (producer_.joinable()) {
-    stop_.store(true, std::memory_order_relaxed);
-    producer_.join();
-  }
   if (shut_down_) {
     return;
   }
   shut_down_ = true;
   if (!config_.triple_store_dir.empty()) {
+    store_.drain();
     const std::string path =
         store_path(config_.triple_store_dir, party_, training_);
     store_.save(path, store_provenance(config_, training_));
     TRUSTDDL_LOG_INFO(kLog)
         << "party " << party_ << " persisted " << store_.depth()
-        << " prefetched entries to " << path;
+        << " dealt entries to " << path;
   }
 }
 

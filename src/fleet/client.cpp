@@ -124,12 +124,15 @@ FleetResult FleetClient::infer(const RealTensor& images) {
       ++out.failovers;
     }
     if (!tried_any) {
-      // Every pod is inside its down-cooldown: force one probe of the
-      // home pod rather than spinning.
+      // Every pod is inside its down-cooldown: force one probe rather
+      // than spinning — of the pod down the longest, so a pod that only
+      // answered late (a deadline miss marks it down too) is retried
+      // before a dead home pod is probed again.
       ++attempts;
-      if (try_pod(order.front(), images, out)) {
+      const std::size_t pod = router_.longest_down(order);
+      if (try_pod(pod, images, out)) {
         const std::lock_guard<std::mutex> lock(stats_mu_);
-        ++served_by_pod_[order.front()];
+        ++served_by_pod_[pod];
         failovers_ += static_cast<std::size_t>(out.failovers);
         return out;
       }

@@ -95,6 +95,25 @@ bool PodRouter::eligible(std::size_t pod) const {
          options_.retry_cooldown;
 }
 
+std::size_t PodRouter::longest_down(
+    const std::vector<std::size_t>& order) const {
+  TRUSTDDL_REQUIRE(!order.empty(), "longest_down: empty order");
+  const std::lock_guard<std::mutex> lock(mu_);
+  std::size_t best = order.front();
+  for (const std::size_t pod : order) {
+    TRUSTDDL_REQUIRE(pod < names_.size(), "longest_down: pod out of range");
+    const PodHealth& health = health_[pod];
+    const PodHealth& incumbent = health_[best];
+    if (!incumbent.down) {
+      break;
+    }
+    if (!health.down || health.down_since < incumbent.down_since) {
+      best = pod;
+    }
+  }
+  return best;
+}
+
 bool PodRouter::is_down(std::size_t pod) const {
   TRUSTDDL_REQUIRE(pod < names_.size(), "is_down: pod out of range");
   const std::lock_guard<std::mutex> lock(mu_);

@@ -62,6 +62,13 @@ class PodRouter {
 
   /// True when the pod is up, or down but past the retry cooldown.
   bool eligible(std::size_t pod) const;
+
+  /// The pod of `order` that has been down the longest (an up pod
+  /// first; the earlier of `order` on a tie).  When every pod is inside
+  /// its cooldown, probing this one cycles through the pods — each
+  /// failed probe restarts that pod's cooldown — instead of retrying
+  /// one dead pod while a slow but live one waits out its cooldown.
+  std::size_t longest_down(const std::vector<std::size_t>& order) const;
   bool is_down(std::size_t pod) const;
 
  private:

@@ -263,6 +263,49 @@ std::size_t material_cost(const TripleKey& key) {
   return cost;
 }
 
+std::size_t material_values(const TripleKey& key) {
+  (void)material_cost(key);  // validates the key's arity and geometry
+  const auto& d = key.dims;
+  const auto size = [](std::initializer_list<std::size_t> dims) {
+    std::size_t out = 1;
+    for (std::size_t dim : dims) {
+      out = saturating_mul(out, dim);
+    }
+    return out;
+  };
+  const auto sum = [](std::size_t a, std::size_t b) {
+    return a > std::numeric_limits<std::size_t>::max() - b
+               ? std::numeric_limits<std::size_t>::max()
+               : a + b;
+  };
+  std::size_t shape = 1;
+  for (std::size_t dim : d) {
+    shape = saturating_mul(shape, dim);
+  }
+  switch (key.kind) {
+    case TripleKind::kMul:
+    case TripleKind::kCompTriple:
+      return saturating_mul(3, shape);
+    case TripleKind::kCompAux:
+      return shape;
+    case TripleKind::kTruncPair:
+      return saturating_mul(2, shape);
+    case TripleKind::kMatMul:
+      return sum(sum(size({d[0], d[1]}), size({d[1], d[2]})),
+                 size({d[0], d[2]}));
+    case TripleKind::kWeightMask:
+      return size({d[2], d[3]});
+    case TripleKind::kMaskedMatMul:
+      return sum(size({d[3], d[4]}), size({d[3], d[5]}));
+    case TripleKind::kMaskedConv: {
+      const ConvSpec conv = conv_of(key);
+      return sum(size({d[2], conv.in_channels, conv.in_height, conv.in_width}),
+                 size({conv.out_channels, d[2], conv.col_cols()}));
+    }
+  }
+  return 0;
+}
+
 std::uint64_t derive_material_seed(std::uint64_t master_seed,
                                    const TripleKey& key, std::uint64_t index) {
   std::uint64_t h = mix64(master_seed);
@@ -366,6 +409,28 @@ std::array<MaterialBatch, kNumParties> deal_material(const TripleKey& key,
     }
   }
   return out;
+}
+
+MaterialBatch TripleBackend::fill(const TripleKey& key, std::uint64_t start,
+                                  std::size_t count) {
+  return receive_fill(send_fill(FillRange{key, start, count}));
+}
+
+FillTicket DealerBackend::send_fill(const FillRange& range) {
+  const FillTicket ticket{range, next_id_++};
+  dealt_.emplace(ticket.id,
+                 std::move(deal_material(range.key, range.start, range.count,
+                                         master_seed_, frac_bits_)
+                               [static_cast<std::size_t>(party_)]));
+  return ticket;
+}
+
+MaterialBatch DealerBackend::receive_fill(const FillTicket& ticket) {
+  const auto it = dealt_.find(ticket.id);
+  TRUSTDDL_REQUIRE(it != dealt_.end(), "dealer backend: unknown fill ticket");
+  MaterialBatch batch = std::move(it->second);
+  dealt_.erase(it);
+  return batch;
 }
 
 }  // namespace trustddl::mpc

@@ -29,8 +29,8 @@
 // index.  Entry i of a stream is generated from a seed derived from
 // (master seed, key, i) alone — never from arrival order — so any
 // backend (the in-process DealerBackend, the networked owner service)
-// regenerates the same entry at any time.  That makes prefetching and
-// persistence pure optimizations: restarts and request-interleaving
+// regenerates the same entry at any time.  That makes dealing ahead
+// and persistence pure optimizations: restarts and request-interleaving
 // differences between parties cannot change what a party receives for
 // a given (key, index).  Every party draws its entries through one
 // mpc::TripleStore (triple_store.hpp), which keeps each stream's
@@ -39,6 +39,7 @@
 
 #include <array>
 #include <cstdint>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -170,8 +171,7 @@ struct TripleKey {
 
   /// Streams whose key names a weight version.  They are finite — a
   /// version's entries are never needed again once the weights moved
-  /// on — so stores plan them as cumulative totals, not as a depth to
-  /// keep topped up.
+  /// on — so stores retire them once drained.
   bool versioned() const {
     return kind == TripleKind::kWeightMask ||
            kind == TripleKind::kMaskedMatMul ||
@@ -232,6 +232,13 @@ std::array<MaterialBatch, kNumParties> deal_material(const TripleKey& key,
                                                      std::uint64_t master_seed,
                                                      int frac_bits);
 
+/// Values in one share component of an entry of `key`: the sizes of
+/// the tensors dealt for it, summed (a, b and c of a triple; r and
+/// ⌊r/2^f⌋ of a pair; a_x and C of a masked convolution), saturating
+/// at SIZE_MAX.  A party receives three components of 8-byte values
+/// per entry.  Validates `key` as material_cost does.
+std::size_t material_values(const TripleKey& key);
+
 /// Entries [start, start + count) of stream `key`.
 struct FillRange {
   TripleKey key;
@@ -239,52 +246,55 @@ struct FillRange {
   std::size_t count = 0;
 };
 
+/// A fill that was sent and not received yet.
+struct FillTicket {
+  FillRange range;
+  std::uint64_t id = 0;  ///< the backend's handle on the reply
+};
+
 /// Range access to one party's material streams: where a TripleStore
-/// fetches what it does not hold.  The networked owner link
-/// (core::OwnerLink) and the in-process DealerBackend implement it.
+/// fetches what it does not hold.  A fill is split in two, so a store
+/// can request material long before it consumes it: send_fill issues
+/// the request and returns at once, receive_fill awaits its entries.
+/// The networked owner link (core::OwnerLink) and the in-process
+/// DealerBackend implement it.  One thread uses a backend.
 class TripleBackend {
  public:
   virtual ~TripleBackend() = default;
 
-  /// Entries [start, start+count) of `key`, in one round trip.
-  virtual MaterialBatch fill(const TripleKey& key, std::uint64_t start,
-                             std::size_t count) = 0;
+  /// Request entries [start, start+count) of range.key; the dealer may
+  /// deal them while the caller computes.
+  virtual FillTicket send_fill(const FillRange& range) = 0;
 
-  /// Each of `ranges`, in order.  A networked backend sends every
-  /// request before awaiting the first reply, so one call costs one
-  /// round trip; this default fills the ranges one after another.
-  virtual std::vector<MaterialBatch> fill_many(
-      const std::vector<FillRange>& ranges) {
-    std::vector<MaterialBatch> batches;
-    batches.reserve(ranges.size());
-    for (const FillRange& range : ranges) {
-      batches.push_back(fill(range.key, range.start, range.count));
-    }
-    return batches;
-  }
+  /// The entries of a ticket send_fill returned, awaited if they have
+  /// not arrived.  Each ticket is received once, in any order.
+  virtual MaterialBatch receive_fill(const FillTicket& ticket) = 0;
+
+  /// Entries [start, start+count) of `key`, in one round trip.
+  MaterialBatch fill(const TripleKey& key, std::uint64_t start,
+                     std::size_t count);
 };
 
 /// In-process TripleBackend for one party: derives every entry
 /// locally from the master seed (the same derivation the owner
-/// service uses, so in-process and networked supplies agree).  Three
-/// parties' stores over DealerBackends of one seed stand in for the
-/// model owner in protocol tests, micro-benches and the quickstart.
+/// service uses, so in-process and networked supplies agree), dealing
+/// when a range is sent.  Three parties' stores over DealerBackends of
+/// one seed stand in for the model owner in protocol tests,
+/// micro-benches and the quickstart.
 class DealerBackend final : public TripleBackend {
  public:
   DealerBackend(std::uint64_t master_seed, int frac_bits, int party)
       : master_seed_(master_seed), frac_bits_(frac_bits), party_(party) {}
 
-  MaterialBatch fill(const TripleKey& key, std::uint64_t start,
-                     std::size_t count) override {
-    return std::move(deal_material(key, start, count, master_seed_,
-                                   frac_bits_)[static_cast<std::size_t>(
-        party_)]);
-  }
+  FillTicket send_fill(const FillRange& range) override;
+  MaterialBatch receive_fill(const FillTicket& ticket) override;
 
  private:
   std::uint64_t master_seed_;
   int frac_bits_;
   int party_;
+  std::uint64_t next_id_ = 0;
+  std::unordered_map<std::uint64_t, MaterialBatch> dealt_;
 };
 
 }  // namespace trustddl::mpc

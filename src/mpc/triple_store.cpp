@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <fstream>
+#include <optional>
 #include <utility>
 
 #include "common/error.hpp"
@@ -14,14 +15,17 @@ namespace {
 
 /// "TDST" little-endian: triple-store file magic.
 constexpr std::uint32_t kStoreMagic = 0x54534454;
-constexpr std::uint32_t kStoreVersion = 1;
+/// 2: per key {kind, dims, cursor, depth, entries}; version 1 also
+/// carried a per-key target, so its files fail to load.
+constexpr std::uint32_t kStoreVersion = 2;
 
-std::size_t next_pow2(std::size_t n) {
-  std::size_t cap = 1;
-  while (cap < n) {
-    cap <<= 1;
-  }
-  return cap;
+/// Bytes a party receives for one entry of `key`: three share
+/// components of 8-byte values.
+std::size_t entry_bytes(const TripleKey& key) {
+  const std::size_t values = material_values(key);
+  constexpr std::size_t kPerValue = 3 * sizeof(std::uint64_t);
+  return values > ~std::size_t{0} / kPerValue ? ~std::size_t{0}
+                                              : values * kPerValue;
 }
 
 void count_kind(const char* stem, TripleKind kind, std::uint64_t delta) {
@@ -41,91 +45,119 @@ void gauge_kind(TripleKind kind, std::int64_t delta) {
 }  // namespace
 
 TripleStore::TripleStore(TripleBackend& backend, int party)
-    : backend_(backend), party_(party) {
-  (void)party_;  // identifies the store in errors/persistence only
-}
+    : backend_(backend), party_(party) {}
 
-std::shared_ptr<TripleStore::KeyQueue> TripleStore::queue_for(
-    const TripleKey& key) {
-  std::lock_guard<std::mutex> lock(map_mu_);
-  auto& slot = queues_[key];
-  if (!slot) {
-    slot = std::make_shared<KeyQueue>();
+TripleStore::Slot& TripleStore::slot_for(const TripleKey& key) {
+  auto [it, inserted] = streams_.try_emplace(key);
+  if (inserted) {
+    it->second.entry_bytes = entry_bytes(key);
   }
-  return slot;
+  return *it;
 }
 
-std::shared_ptr<TripleStore::KeyQueue> TripleStore::find_queue(
-    const TripleKey& key) const {
-  std::lock_guard<std::mutex> lock(map_mu_);
-  const auto it = queues_.find(key);
-  return it == queues_.end() ? nullptr : it->second;
+FillTicket TripleStore::send(Slot& slot) {
+  Stream& stream = slot.second;
+  const FillTicket ticket =
+      backend_.send_fill(FillRange{slot.first, stream.next_fill, 1});
+  ++stream.next_fill;
+  held_bytes_ += stream.entry_bytes;
+  return ticket;
 }
 
-bool TripleStore::pop(KeyQueue& queue, MaterialEntry& out) {
-  const std::uint64_t head = queue.head.load(std::memory_order_relaxed);
-  if (head == queue.tail.load(std::memory_order_acquire)) {
-    return false;
+void TripleStore::send_planned() {
+  while (!plan_.empty()) {
+    Slot& slot = *plan_.front();
+    Stream& stream = slot.second;
+    if (stream.sent_early > 0) {
+      --stream.sent_early;
+      plan_.pop_front();
+      continue;
+    }
+    // Stay within the window; an entry larger than it goes alone.
+    if (held_bytes_ > 0 && held_bytes_ + stream.entry_bytes > window_bytes_) {
+      return;
+    }
+    plan_.pop_front();
+    --stream.unsent;
+    stream.in_flight.push_back(send(slot));
   }
-  out = std::move(queue.ring[head & (queue.capacity() - 1)]);
-  queue.head.store(head + 1, std::memory_order_release);
-  return true;
+}
+
+void TripleStore::plan(const std::vector<TripleKey>& keys) {
+  std::size_t unit_bytes = 0;
+  for (const TripleKey& key : keys) {
+    Slot& slot = slot_for(key);
+    Stream& stream = slot.second;
+    unit_bytes += stream.entry_bytes;
+    ++stream.claimed;
+    if (stream.held.size() + stream.in_flight.size() + stream.unsent <
+        stream.claimed) {
+      ++stream.unsent;
+      plan_.push_back(&slot);
+    }
+  }
+  window_bytes_ = std::max(window_bytes_, unit_bytes / kWindowDivisor);
+  send_planned();
 }
 
 std::vector<MaterialEntry> TripleStore::next_many(
     const std::vector<TripleKey>& keys) {
   const auto start = std::chrono::steady_clock::now();
   std::vector<MaterialEntry> entries(keys.size());
-  std::vector<FillRange> misses;
-  std::vector<std::size_t> missed_at;
+  std::vector<Slot*> slots(keys.size());
+  std::vector<std::optional<FillTicket>> awaited(keys.size());
+  std::size_t missed = 0;
   for (std::size_t i = 0; i < keys.size(); ++i) {
-    const std::shared_ptr<KeyQueue> queue = queue_for(keys[i]);
-    // Hot path: a buffered entry, no lock.  Otherwise reserve the
-    // stream's next index under the fill mutex, unless the producer
-    // filled while we were acquiring it.  A reserved index precedes
-    // everything the producer buffers after it, so a later pop of the
-    // same key in this call still lands in stream order.
-    bool popped = pop(*queue, entries[i]);
-    if (!popped) {
-      std::lock_guard<std::mutex> lock(queue->fill_mu);
-      popped = pop(*queue, entries[i]);
-      if (!popped) {
-        misses.push_back(FillRange{keys[i], queue->next_fill++, 1});
-        missed_at.push_back(i);
-      }
+    Slot& slot = slot_for(keys[i]);
+    slots[i] = &slot;
+    Stream& stream = slot.second;
+    if (stream.claimed > 0) {
+      --stream.claimed;
     }
-    if (popped) {
-      count_kind("triple.consumed.", keys[i].kind, 1);
+    if (!stream.held.empty()) {
+      entries[i] = std::move(stream.held.front());
+      stream.held.pop_front();
       gauge_kind(keys[i].kind, -1);
+    } else if (!stream.in_flight.empty()) {
+      awaited[i] = stream.in_flight.front();
+      stream.in_flight.pop_front();
+    } else {
+      // Not sent yet: the key's next planned entry, taken out of plan
+      // order, or else an entry nobody planned.
+      if (stream.unsent > 0) {
+        --stream.unsent;
+        ++stream.sent_early;
+      } else {
+        ++missed;
+      }
+      awaited[i] = send(slot);
     }
   }
-  if (!misses.empty()) {
-    std::vector<MaterialBatch> batches = backend_.fill_many(misses);
-    if (batches.size() != misses.size()) {
-      throw ProtocolError("triple backend returned short batch");
-    }
-    for (std::size_t j = 0; j < misses.size(); ++j) {
-      if (batches[j].size() != 1) {
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    if (awaited[i]) {
+      MaterialBatch batch = backend_.receive_fill(*awaited[i]);
+      if (batch.size() != 1) {
         throw ProtocolError("triple backend returned short batch");
       }
-      entries[missed_at[j]] = std::move(batches[j][0]);
-      count_kind("triple.produced.", misses[j].key.kind, 1);
-      count_kind("triple.consumed.", misses[j].key.kind, 1);
+      entries[i] = std::move(batch[0]);
+      count_kind("triple.produced.", keys[i].kind, 1);
     }
-    misses_.fetch_add(misses.size(), std::memory_order_relaxed);
+    held_bytes_ -= slots[i]->second.entry_bytes;
+    count_kind("triple.consumed.", keys[i].kind, 1);
   }
+  misses_ += missed;
   if (obs::metrics_enabled()) {
-    obs::count("triple.store.miss", misses.size());
-    // A popped entry waited for nothing, a missed one for the call's
-    // one fetch.
+    obs::count("triple.store.miss", missed);
+    // A held entry waited for nothing; the others for this call.
     const auto waited = static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(
             std::chrono::steady_clock::now() - start)
             .count());
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      obs::observe("triple.online_wait.us", i < misses.size() ? waited : 0);
+    for (const std::optional<FillTicket>& ticket : awaited) {
+      obs::observe("triple.online_wait.us", ticket ? waited : 0);
     }
   }
+  send_planned();
   return entries;
 }
 
@@ -133,192 +165,84 @@ MaterialEntry TripleStore::next(const TripleKey& key) {
   return std::move(next_many({key}).at(0));
 }
 
-void TripleStore::grow_ring(KeyQueue& queue, std::size_t min_capacity) {
-  const std::size_t new_cap = next_pow2(min_capacity);
-  if (new_cap <= queue.capacity()) {
-    return;
+void TripleStore::drain() {
+  for (auto& [key, stream] : streams_) {
+    for (const FillTicket& ticket : stream.in_flight) {
+      MaterialBatch batch = backend_.receive_fill(ticket);
+      if (batch.size() != 1) {
+        throw ProtocolError("triple backend returned short batch");
+      }
+      stream.held.push_back(std::move(batch[0]));
+      count_kind("triple.produced.", key.kind, 1);
+      gauge_kind(key.kind, 1);
+    }
+    stream.in_flight.clear();
   }
-  std::vector<MaterialEntry> fresh(new_cap);
-  const std::uint64_t head = queue.head.load(std::memory_order_relaxed);
-  const std::uint64_t tail = queue.tail.load(std::memory_order_relaxed);
-  for (std::uint64_t i = head; i != tail; ++i) {
-    fresh[i & (new_cap - 1)] =
-        std::move(queue.ring[i & (queue.capacity() - 1)]);
-  }
-  queue.ring = std::move(fresh);
-}
-
-void TripleStore::demand(const TripleKey& key, std::size_t count) {
-  const std::shared_ptr<KeyQueue> queue = queue_for(key);
-  std::lock_guard<std::mutex> lock(queue->fill_mu);
-  count = std::min(count, kMaxTarget);
-  // A versioned stream owes `count` entries past what was consumed; a
-  // steady one keeps `count` buffered.
-  const std::uint64_t consumed = queue->next_fill - queue->depth_now();
-  const std::size_t wanted =
-      key.versioned() ? static_cast<std::size_t>(consumed) + count : count;
-  queue->target = std::max(queue->target, wanted);
-  grow_ring(*queue, std::max<std::size_t>(
-                        key.versioned()
-                            ? static_cast<std::size_t>(queue->target - consumed)
-                            : queue->target,
-                        queue->depth_now()));
-}
-
-std::size_t TripleStore::target(const TripleKey& key) const {
-  const std::shared_ptr<KeyQueue> queue = find_queue(key);
-  if (queue == nullptr) {
-    return 0;
-  }
-  std::lock_guard<std::mutex> lock(queue->fill_mu);
-  return queue->target;
 }
 
 void TripleStore::retire_versions_before(std::uint64_t version) {
-  std::lock_guard<std::mutex> lock(map_mu_);
-  for (auto it = queues_.begin(); it != queues_.end();) {
+  for (auto it = streams_.begin(); it != streams_.end();) {
     const TripleKey& key = it->first;
-    bool drained = false;
-    if (key.versioned() && key.dims[1] < version) {
-      std::lock_guard<std::mutex> fill_lock(it->second->fill_mu);
-      drained = it->second->depth_now() == 0 &&
-                it->second->wanted(/*versioned=*/true) == 0;
-    }
-    it = drained ? queues_.erase(it) : std::next(it);
+    const Stream& stream = it->second;
+    // A stream plan_ still points at (unsent or sent_early) stays.
+    const bool drained = key.versioned() && key.dims[1] < version &&
+                         stream.held.empty() && stream.in_flight.empty() &&
+                         stream.unsent == 0 && stream.sent_early == 0;
+    it = drained ? streams_.erase(it) : std::next(it);
   }
-}
-
-std::vector<TripleKey> TripleStore::keys_below(
-    double low_water_fraction) const {
-  std::vector<TripleKey> out;
-  std::lock_guard<std::mutex> lock(map_mu_);
-  for (const auto& [key, queue] : queues_) {
-    std::lock_guard<std::mutex> fill_lock(queue->fill_mu);
-    const bool below =
-        key.versioned()
-            ? queue->wanted(/*versioned=*/true) > 0
-            : static_cast<double>(queue->depth_now()) <
-                  low_water_fraction * static_cast<double>(queue->target);
-    if (below) {
-      out.push_back(key);
-    }
-  }
-  return out;
-}
-
-std::size_t TripleStore::fill_locked(const TripleKey& key, KeyQueue& queue,
-                                     std::size_t want) {
-  const std::uint64_t head = queue.head.load(std::memory_order_acquire);
-  const std::uint64_t tail = queue.tail.load(std::memory_order_relaxed);
-  const std::size_t depth = static_cast<std::size_t>(tail - head);
-  const std::size_t space = queue.capacity() - depth;
-  if (want > space) {
-    want = space;
-  }
-  if (want == 0) {
-    return 0;
-  }
-  MaterialBatch batch = backend_.fill(key, queue.next_fill, want);
-  if (batch.size() != want) {
-    throw ProtocolError("triple backend returned short batch");
-  }
-  for (std::size_t i = 0; i < want; ++i) {
-    queue.ring[(tail + i) & (queue.capacity() - 1)] = std::move(batch[i]);
-  }
-  queue.tail.store(tail + want, std::memory_order_release);
-  queue.next_fill += want;
-  count_kind("triple.produced.", key.kind, want);
-  gauge_kind(key.kind, static_cast<std::int64_t>(want));
-  if (obs::metrics_enabled()) {
-    obs::observe("triple.refill.batch", want);
-  }
-  return want;
-}
-
-std::size_t TripleStore::refill(const TripleKey& key,
-                                std::size_t max_entries) {
-  // A queue retired since the caller listed it has nothing left to
-  // fetch; do not resurrect it.
-  const std::shared_ptr<KeyQueue> queue = find_queue(key);
-  if (queue == nullptr) {
-    return 0;
-  }
-  std::lock_guard<std::mutex> lock(queue->fill_mu);
-  return fill_locked(key, *queue,
-                     std::min(queue->wanted(key.versioned()), max_entries));
-}
-
-std::size_t TripleStore::refill_toward_targets(std::size_t max_entries) {
-  std::vector<TripleKey> keys;
-  {
-    std::lock_guard<std::mutex> lock(map_mu_);
-    keys.reserve(queues_.size());
-    for (const auto& [key, queue] : queues_) {
-      (void)queue;
-      keys.push_back(key);
-    }
-  }
-  std::size_t added = 0;
-  for (const auto& key : keys) {
-    added += refill(key, max_entries);
-  }
-  return added;
 }
 
 std::size_t TripleStore::depth() const {
-  std::lock_guard<std::mutex> lock(map_mu_);
   std::size_t total = 0;
-  for (const auto& [key, queue] : queues_) {
-    (void)key;
-    total += queue->depth_now();
+  for (const auto& [key, stream] : streams_) {
+    total += stream.held.size();
   }
   return total;
 }
 
 std::size_t TripleStore::depth(const TripleKey& key) const {
-  const std::shared_ptr<KeyQueue> queue = find_queue(key);
-  return queue == nullptr ? 0 : queue->depth_now();
+  const auto it = streams_.find(key);
+  return it == streams_.end() ? 0 : it->second.held.size();
+}
+
+std::size_t TripleStore::in_flight() const {
+  std::size_t total = 0;
+  for (const auto& [key, stream] : streams_) {
+    total += stream.in_flight.size();
+  }
+  return total;
 }
 
 std::uint64_t TripleStore::consumed(const TripleKey& key) const {
-  const std::shared_ptr<KeyQueue> queue = find_queue(key);
-  if (queue == nullptr) {
+  const auto it = streams_.find(key);
+  if (it == streams_.end()) {
     return 0;
   }
-  std::lock_guard<std::mutex> lock(queue->fill_mu);
-  return queue->next_fill - queue->depth_now();
-}
-
-std::uint64_t TripleStore::misses() const {
-  return misses_.load(std::memory_order_relaxed);
+  const Stream& stream = it->second;
+  return stream.next_fill - stream.in_flight.size() - stream.held.size();
 }
 
 void TripleStore::save(const std::string& path,
                        std::uint64_t provenance) const {
+  TRUSTDDL_REQUIRE(in_flight() == 0,
+                   "triple store: save with fills in flight (drain first)");
   ByteWriter writer;
   writer.write_u32(kStoreMagic);
   writer.write_u32(kStoreVersion);
   writer.write_u64(provenance);
   writer.write_u32(static_cast<std::uint32_t>(party_));
 
-  std::lock_guard<std::mutex> lock(map_mu_);
-  writer.write_u64(queues_.size());
-  for (const auto& [key, queue] : queues_) {
-    std::lock_guard<std::mutex> fill_lock(queue->fill_mu);
-    const std::uint64_t head = queue->head.load(std::memory_order_acquire);
-    const std::uint64_t tail = queue->tail.load(std::memory_order_acquire);
-    const std::uint64_t depth = tail - head;
+  writer.write_u64(streams_.size());
+  for (const auto& [key, stream] : streams_) {
     writer.write_u8(static_cast<std::uint8_t>(key.kind));
     writer.write_u64(key.dims.size());
     for (std::size_t dim : key.dims) {
       writer.write_u64(dim);
     }
-    writer.write_u64(queue->next_fill - depth);  // stream cursor
-    writer.write_u64(queue->target);
-    writer.write_u64(depth);
-    for (std::uint64_t i = head; i != tail; ++i) {
-      write_material_entry(writer, key.kind,
-                           queue->ring[i & (queue->capacity() - 1)]);
+    writer.write_u64(stream.next_fill - stream.held.size());  // cursor
+    writer.write_u64(stream.held.size());
+    for (const MaterialEntry& entry : stream.held) {
+      write_material_entry(writer, key.kind, entry);
     }
   }
 
@@ -377,37 +301,24 @@ bool TripleStore::load(const std::string& path, std::uint64_t provenance) {
     // Rejects unknown kinds, bad arity and impossible conv geometry
     // before anything is sized from the key.
     (void)material_cost(key);
-    const std::uint64_t first_index = reader.read_u64();
-    const std::uint64_t target = reader.read_u64();
+    const std::uint64_t cursor = reader.read_u64();
     const std::uint64_t depth = reader.read_u64();
-    // Counts are checked before anything is sized from them: a depth
-    // the remaining bytes cannot hold, or a target (for a versioned
-    // key: what it still owes) past kMaxTarget, is a corrupt header.
-    const std::uint64_t owed =
-        key.versioned() ? (target > first_index ? target - first_index : 0)
-                        : target;
+    // A depth the remaining bytes cannot hold, or one that would carry
+    // the cursor past 2^64, is a corrupt header.
     if (depth > reader.remaining() / min_material_entry_bytes(key.kind) ||
-        depth > kMaxTarget || owed > kMaxTarget ||
-        first_index > ~std::uint64_t{0} - depth) {
+        cursor > ~std::uint64_t{0} - depth) {
       throw SerializationError("triple store: entry counts exceed the file");
     }
 
-    const std::shared_ptr<KeyQueue> owned = queue_for(key);
-    KeyQueue& queue = *owned;
-    std::lock_guard<std::mutex> lock(queue.fill_mu);
-    if (queue.next_fill != 0 || queue.depth_now() != 0) {
+    Stream& stream = slot_for(key).second;
+    if (stream.next_fill != 0 || !stream.held.empty()) {
       throw SerializationError("triple store: load into a non-empty store");
     }
-    queue.target = static_cast<std::size_t>(
-        std::max<std::uint64_t>(target, key.versioned() ? 0 : depth));
-    grow_ring(queue, std::max<std::size_t>(
-                         static_cast<std::size_t>(std::max(owed, depth)), 1));
     for (std::uint64_t i = 0; i < depth; ++i) {
-      queue.ring[i & (queue.capacity() - 1)] =
-          read_material_entry(reader, key.kind);
+      stream.held.push_back(read_material_entry(reader, key.kind));
     }
-    queue.tail.store(depth, std::memory_order_release);
-    queue.next_fill = first_index + depth;
+    stream.next_fill = cursor + depth;
+    held_bytes_ += static_cast<std::size_t>(depth) * stream.entry_bytes;
     count_kind("triple.produced.", key.kind, depth);
     gauge_kind(key.kind, static_cast<std::int64_t>(depth));
   }

@@ -7,43 +7,39 @@
 //
 // A store sits over one TripleBackend: the party's core::OwnerLink
 // when the model owner deals over the network, a DealerBackend when
-// dealing is in process.  It keeps every stream's cursor.  Without
-// planned demand it buffers nothing and every entry is a *miss*,
-// fetched synchronously at its cursor; with prefetch a producer fills
-// per-stream rings ahead of the consumer.
+// dealing is in process.  Per (kind, dims) stream it keeps the stream
+// cursor, the entries it holds and the ranges it sent and still
+// awaits.
 //
-// One SPSC ring per (kind, dims) stream: the party's protocol thread
-// is the only consumer, the background producer (or the party thread
-// itself between serving batches) is the only refiller.  The hot path
-// — popping a buffered entry — is lock-free: one acquire load and one
-// release store on the ring indices.  A miss reserves the stream's
-// next index under the per-key fill mutex; next_many fetches all of a
-// call's misses in one TripleBackend::fill_many (one round trip over
-// the owner link), so correctness never depends on the producer
-// keeping up.
+// Send-ahead: the party plans what it will consume next, in the order
+// it will consume it (plan()), and the store sends those requests
+// while the bytes it holds or awaits stay under a window — half of
+// the largest unit planned so far (kWindowDivisor).  Popping entries
+// frees window, so each next_many() sends more before it returns: the
+// dealer deals about half a unit ahead while the party computes.  An
+// entry nobody planned is a *miss*, fetched at its stream cursor; all
+// of one call's sends go out before its first receive, so one call
+// costs at most one round trip.  No thread of its own: the party's
+// protocol thread owns the store and its backend.
 //
-// Determinism: entries are consumed strictly in stream order per key,
-// starting at index 0, regardless of whether they arrived via a batch
-// refill, a miss, or a disk restore.  Combined with derived-seed
-// dealing (beaver.hpp) this makes store-backed runs with and without
-// prefetch bit-identical.
+// Determinism: each key's stream is consumed strictly in index order
+// from 0, whether an entry was held, sent ahead, sent on demand, or
+// restored from disk.  Combined with derived-seed dealing
+// (beaver.hpp) this keeps results independent of what was sent ahead.
 //
 // Versioned streams (reusable weight masks, TripleKey::versioned) are
-// finite: their targets count entries to deliver over the stream's
-// life, so the producer never refetches a weight version that is done,
-// and retire_versions_before() drops their drained queues once the
+// finite: retire_versions_before() drops their drained state once the
 // weights moved past them.
 //
-// Instrumented under `triple.*`: per-kind produced/consumed counters
-// and store-depth gauges, `triple.refill.batch` (entries per refill),
-// `triple.online_wait.us` (time the online path spent waiting for
-// material — ~0 when prefetch keeps up), `triple.store.miss`.
+// Instrumented under `triple.*`: per-kind produced (received) and
+// consumed counters and held-entry gauges (`triple.store.depth.*`),
+// `triple.online_wait.us` (per entry, the time its next_many call
+// spent to hand it out when it was not already held: blocked on an
+// in-flight fill or on a fetch), `triple.store.miss`.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
+#include <deque>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -55,19 +51,40 @@ namespace trustddl::mpc {
 
 class TripleStore final {
  public:
-  /// Bound on entries one key may hold or still owe (its buffered
-  /// depth, its target, or for a versioned key its target minus its
-  /// cursor).  demand() clamps to it and load() rejects files beyond
-  /// it, so a header can never size a ring past ~60 MB.
-  static constexpr std::size_t kMaxTarget = std::size_t{1} << 16;
+  /// The window is 1/kWindowDivisor of the largest unit planned so far,
+  /// counting each entry's real bytes (material_values × 3 components
+  /// × 8 B).  Measured on perfbench byzantine-lan (Table I CNN training
+  /// at 2 ms links, 4-CPU host, seeds 2 and 3):
+  ///
+  ///   request order      window       p50          peak RSS
+  ///   consumption order  half a step  257–276 ms   262–274 MB
+  ///   consumption order  one step     232–242 ms   318–319 MB (+21%)
+  ///   merged order       one step     244–258 ms   315–328 MB (+23%)
+  ///   merged order       half a step  320–345 ms   308–315 MB (+20%)
+  ///
+  /// against 343–371 ms and 264 MB fetching each entry when needed
+  /// ("merged": a key's later uses folded into its first, the weight
+  /// masks after the step).
+  /// Half a unit in consumption order takes most of the gain for ~2%
+  /// more memory; a whole unit buys ~10% more speed for ~20% more.
+  static constexpr std::size_t kWindowDivisor = 2;
 
   TripleStore(TripleBackend& backend, int party);
 
+  /// Plan one unit (an engine step, a serving batch, a training
+  /// owner's step, an aggregation): `keys` in the order next_many will
+  /// consume them, after everything planned before.  Entries the store
+  /// already holds or awaits beyond earlier plans count against the
+  /// unit, so a restored store is drawn down first.  Sends up to the
+  /// window.
+  void plan(const std::vector<TripleKey>& keys);
+
   /// The next entry of each of `keys`, in call order; a key may repeat
-  /// (a max-pool's comparisons share one shape).  Buffered entries are
-  /// popped; each dry key's entry is fetched at its stream cursor, all
-  /// of them in one TripleBackend::fill_many call, so material one
-  /// operation needs from several streams costs one round trip.
+  /// (a max-pool's comparisons share one shape).  Each entry comes
+  /// from the first of: the key's held entries, its oldest fill in
+  /// flight, its next planned entry not sent yet (sent now), or a miss
+  /// at its cursor.  Every send precedes the first receive, then the
+  /// store tops the window up.
   std::vector<MaterialEntry> next_many(const std::vector<TripleKey>& keys);
 
   /// The next entry of stream `key` (next_many of one key).
@@ -87,107 +104,76 @@ class TripleStore final {
     return std::move(next(TripleKey::trunc_pair(shape)).pair);
   }
 
-  /// Raise the refill target for `key` to at least `count` entries —
-  /// a depth to keep, or for a versioned key `count` entries beyond
-  /// those already consumed — and reserve ring capacity.  NOT safe
-  /// concurrently with pops of the same key (may reallocate the ring):
-  /// call during planning, before the online phase, or from the
-  /// consumer thread itself.
-  void demand(const TripleKey& key, std::size_t count);
+  /// Receive every fill in flight into the held entries (before save).
+  void drain();
 
-  /// Current refill target for `key` (0 if never demanded).
-  std::size_t target(const TripleKey& key) const;
-
-  /// Forget the drained queues of versioned streams whose weight
-  /// version is below `version`.  Consumer thread only; versions only
-  /// move forward, so those streams are never popped again.
+  /// Forget the drained streams of versioned keys whose weight version
+  /// is below `version`; versions only move forward, so those streams
+  /// are never drawn from again.
   void retire_versions_before(std::uint64_t version);
 
-  /// Keys whose depth sits below `low_water_fraction` of their target,
-  /// and versioned keys still owed entries (producer work list).
-  std::vector<TripleKey> keys_below(double low_water_fraction) const;
-
-  /// Refill `key` toward its target, fetching at most `max_entries` in
-  /// one backend round trip.  Returns entries added.  Thread-safe
-  /// against the consumer; single producer per store.
-  std::size_t refill(const TripleKey& key, std::size_t max_entries);
-
-  /// One pass over all keys, refilling each toward its target
-  /// (at most `max_entries` per key per call).  Returns entries added.
-  std::size_t refill_toward_targets(std::size_t max_entries);
-
-  /// Entries currently buffered (across all keys / for one key).
+  /// Entries held (across all keys / for one key).
   std::size_t depth() const;
   std::size_t depth(const TripleKey& key) const;
 
-  /// Stream cursor: entries of `key` handed to the consumer so far
-  /// (equals the index the next pop will receive minus buffered depth
-  /// bookkeeping; after a restore it starts at the persisted cursor).
+  /// Entries sent and not received yet.
+  std::size_t in_flight() const;
+
+  /// Bytes held or awaited, and the window that bounds sending ahead.
+  std::size_t held_bytes() const { return held_bytes_; }
+  std::size_t window_bytes() const { return window_bytes_; }
+
+  /// Stream cursor: entries of `key` handed out so far (after a
+  /// restore, counting from the persisted cursor).
   std::uint64_t consumed(const TripleKey& key) const;
 
-  /// Entries the store did not hold when asked for, fetched at their
-  /// stream cursor instead.
-  std::uint64_t misses() const;
+  /// Entries nobody planned, fetched at their stream cursor.
+  std::uint64_t misses() const { return misses_; }
 
-  /// Persist buffered entries and stream cursors (versioned binary
+  /// Persist held entries and stream cursors (versioned binary
   /// format).  `provenance` ties the file to the dealing seed — a
   /// restore under a different seed must fail loudly rather than serve
-  /// material from the wrong stream.  Call with producer stopped.
+  /// material from the wrong stream.  Call after drain().
   void save(const std::string& path, std::uint64_t provenance) const;
 
   /// Restore a saved store.  Returns false if `path` does not exist;
   /// throws SerializationError on a malformed file or provenance
-  /// mismatch.  Call before the online phase starts.
+  /// mismatch.  Call before anything is planned or drawn.
   bool load(const std::string& path, std::uint64_t provenance);
 
  private:
-  struct KeyQueue {
-    std::vector<MaterialEntry> ring;  ///< capacity is a power of two
-    std::atomic<std::uint64_t> head{0};  ///< next pop (consumer-owned)
-    std::atomic<std::uint64_t> tail{0};  ///< next push (producer-owned)
-    /// Stream index of the next backend fetch; guarded by fill_mu.
+  struct Stream {
+    std::size_t entry_bytes = 0;
+    std::deque<MaterialEntry> held;
+    std::deque<FillTicket> in_flight;  ///< oldest first, one entry each
+    /// Stream index of the next send.
     std::uint64_t next_fill = 0;
-    std::size_t target = 0;
-    mutable std::mutex fill_mu;
-
-    std::size_t capacity() const { return ring.size(); }
-    std::size_t depth_now() const {
-      return static_cast<std::size_t>(
-          tail.load(std::memory_order_acquire) -
-          head.load(std::memory_order_acquire));
-    }
-    /// Entries a refill should fetch now (caller holds fill_mu): up to
-    /// the target depth, or for a versioned key up to the target count.
-    std::size_t wanted(bool versioned) const {
-      const std::uint64_t have =
-          versioned ? next_fill : static_cast<std::uint64_t>(depth_now());
-      return have < target ? static_cast<std::size_t>(target - have) : 0;
-    }
+    /// Planned entries not consumed yet; held, awaited and unsent
+    /// entries together always cover them.
+    std::size_t claimed = 0;
+    /// Planned entries not sent yet.
+    std::size_t unsent = 0;
+    /// Entries of plan_ that next_many already sent; skipped there.
+    std::size_t sent_early = 0;
   };
+  using Slot = std::pair<const TripleKey, Stream>;
 
-  /// Shared so a queue retired by the consumer stays alive for a
-  /// producer that listed it a moment earlier.
-  std::shared_ptr<KeyQueue> queue_for(const TripleKey& key);
-  std::shared_ptr<KeyQueue> find_queue(const TripleKey& key) const;
+  Slot& slot_for(const TripleKey& key);
 
-  /// Pop the oldest buffered entry of `queue` into `out`; false when
-  /// the ring is empty.  Consumer thread only.
-  static bool pop(KeyQueue& queue, MaterialEntry& out);
+  /// Send the stream's next entry.
+  FillTicket send(Slot& slot);
 
-  /// Fill up to `want` entries into `queue` (caller holds fill_mu).
-  std::size_t fill_locked(const TripleKey& key, KeyQueue& queue,
-                          std::size_t want);
-
-  void grow_ring(KeyQueue& queue, std::size_t min_capacity);
+  /// Send planned entries, in plan order, while they fit the window.
+  void send_planned();
 
   TripleBackend& backend_;
   int party_;
-
-  mutable std::mutex map_mu_;
-  std::unordered_map<TripleKey, std::shared_ptr<KeyQueue>, TripleKeyHash>
-      queues_;
-
-  std::atomic<std::uint64_t> misses_{0};
+  /// Node-based: plan_ keeps pointers into it.
+  std::unordered_map<TripleKey, Stream, TripleKeyHash> streams_;
+  std::deque<Slot*> plan_;
+  std::size_t window_bytes_ = 0;
+  std::size_t held_bytes_ = 0;
+  std::uint64_t misses_ = 0;
 };
 
 }  // namespace trustddl::mpc

@@ -49,10 +49,8 @@ InferenceServer::InferenceServer(int party, net::Endpoint endpoint,
 bool InferenceServer::run(core::SecureModel& model,
                           core::SecureExecContext& ctx) {
   for (std::uint64_t index = 0;; ++index) {
-    // Poll for the next manifest, spending idle gaps on triple-store
-    // refills (the serving variant of the offline phase): with
-    // prefetch on, the wait between batches becomes productive
-    // preprocessing time instead of a blocking recv.
+    // Poll for the next manifest; nothing is planned past the batches
+    // already dispatched, so the gap has nothing to deal.
     Bytes manifest_bytes;
     const auto manifest_deadline =
         std::chrono::steady_clock::now() + kManifestTimeout;
@@ -61,15 +59,24 @@ bool InferenceServer::run(core::SecureModel& model,
       if (std::chrono::steady_clock::now() > manifest_deadline) {
         throw TimeoutError("serve: no manifest " + std::to_string(index));
       }
-      if (pipeline_.refill_once() == 0) {
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-      }
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
     }
     const BatchManifest manifest = decode_manifest(manifest_bytes);
     if (manifest.shutdown) {
       return true;
     }
     TRUSTDDL_REQUIRE(!manifest.entries.empty(), "serve: empty manifest");
+    // Plan the batch's forward pass before awaiting its inputs, so the
+    // dealer deals while the clients' shares arrive and the layers run.
+    // Nothing is dealt for a batch that was not dispatched.
+    std::size_t total_rows = 0;
+    for (const auto& entry : manifest.entries) {
+      total_rows += entry.rows;
+    }
+    pipeline_.plan(core::profile_step_demand(
+        spec_, total_rows, ctx.trunc_mode, /*training=*/false,
+        core::WeightMaskUse{ctx.reuse_masks, model.weight_version(),
+                            /*first_use=*/batches_ == 0}));
 
     // Correlation scope first (so it outlives the span's destructor):
     // every protocol span this thread emits while executing the batch
@@ -124,15 +131,6 @@ bool InferenceServer::run(core::SecureModel& model,
     }
     ++batches_;
     obs::count("serve.party.batches");
-    // Adaptive steady-state planning: the first manifest of a given
-    // row count pays the on-demand miss cost; raising the targets to
-    // two steps' worth lets later same-size batches pop prefetched
-    // entries filled during the idle poll above.
-    std::size_t total_rows = 0;
-    for (const auto& entry : manifest.entries) {
-      total_rows += entry.rows;
-    }
-    pipeline_.plan_step(spec_, total_rows, 2);
 
     if (options_.max_batches != 0 && batches_ >= options_.max_batches) {
       TRUSTDDL_LOG_WARN(kLog) << "party " << party_
@@ -154,10 +152,8 @@ mpc::DetectionLog serve_computing_party_body(
 
   mpc::PartyContext pctx =
       core::make_party_context(config, party, endpoint, adversary);
-  // Serving uses the idle-poll refill inside InferenceServer::run
-  // rather than a producer thread: the gaps between manifests are the
-  // natural offline phase, and a restarted party restores whatever the
-  // previous incarnation persisted.
+  // InferenceServer::run plans each dispatched batch; a restarted party
+  // restores whatever the previous incarnation persisted.
   core::TriplePipeline pipeline(config, link, party, /*training=*/false);
   core::SecureExecContext sctx =
       core::make_exec_context(config, pctx, link, pipeline.store());

@@ -44,11 +44,9 @@ struct ServerOptions {
 class InferenceServer {
  public:
   /// `pipeline` is the party's preprocessing pipeline (DESIGN.md §10).
-  /// With prefetch on, the server tops the store up while waiting for
-  /// the next manifest instead of idling, and after each executed
-  /// batch it raises the per-shape targets from the batch's demand
-  /// (profiled from `spec`) so repeat batch sizes pop prefetched
-  /// material.  Both must outlive the server.
+  /// When a manifest arrives the server plans the batch's forward pass
+  /// (profiled from `spec`), so its material is dealt while the inputs
+  /// arrive and the layers run.  Both must outlive the server.
   InferenceServer(int party, net::Endpoint endpoint, ServerOptions options,
                   core::TriplePipeline& pipeline, const nn::ModelSpec& spec);
 

@@ -27,6 +27,83 @@ mpc::PartyShare decode_share(Bytes payload) {
 
 }  // namespace
 
+void owner_gradient(core::SecureModel& model, core::SecureExecContext& ctx,
+                    const mpc::PartyShare& x, const mpc::PartyShare& y) {
+  // Gradients are scaled by 1/rows BEFORE backward (not folded into the
+  // learning rate as in the single-owner loop) so owners with different
+  // minibatch sizes contribute comparable coordinates to the
+  // aggregation.
+  model.zero_grads();
+  const mpc::PartyShare probabilities = model.forward(ctx, x);
+  mpc::PartyShare grad_logits = probabilities - y;
+  grad_logits = ctx.rescale(grad_logits.scaled(fx::encode(
+      1.0 / static_cast<double>(x.shape()[0]), ctx.mpc->frac_bits)));
+  model.backward_from_logit_grad(ctx, grad_logits);
+}
+
+void aggregate_and_step(
+    core::SecureModel& model, core::SecureExecContext& ctx,
+    const std::vector<std::vector<mpc::PartyShare>>& owner_grads,
+    const TrainConfig& config, std::vector<mpc::PartyShare>& velocity) {
+  const int frac_bits = ctx.mpc->frac_bits;
+  const std::vector<core::SecureParameter*> params = model.parameters();
+  // Robust aggregation of the per-owner gradient shares: one prepared
+  // call per parameter so all comparison and truncation openings share
+  // rounds across the whole model.
+  {
+    const mpc::AggregateOptions options{config.rule, config.trim,
+                                        ctx.trunc_mode};
+    mpc::OpenBatch batch(*ctx.mpc);
+    std::vector<mpc::DeferredShare> aggregated;
+    aggregated.reserve(params.size());
+    mpc::AggregateStats totals;
+    for (std::size_t i = 0; i < params.size(); ++i) {
+      mpc::AggregateStats stats;
+      aggregated.push_back(mpc::robust_aggregate_prepare(
+          batch, *ctx.triples, owner_grads[i], options,
+          /*comp_triples=*/ctx.reuse_masks, &stats));
+      totals.values_submitted += stats.values_submitted;
+      totals.values_aggregated += stats.values_aggregated;
+      totals.values_trimmed += stats.values_trimmed;
+      totals.comparisons += stats.comparisons;
+    }
+    batch.flush_all();
+    for (std::size_t i = 0; i < params.size(); ++i) {
+      params[i]->grad = aggregated[i].take();
+    }
+    obs::count("train.agg.values.submitted", totals.values_submitted);
+    obs::count("train.agg.values.aggregated", totals.values_aggregated);
+    obs::count("train.agg.values.trimmed", totals.values_trimmed);
+    obs::count("train.agg.comparisons", totals.comparisons);
+  }
+
+  if (config.momentum != 0.0) {
+    // v <- m*v + g; the m*v rescales share one opening round.
+    const std::uint64_t momentum_encoded =
+        fx::encode(config.momentum, frac_bits);
+    core::PassMaterial material(ctx);
+    for (const mpc::PartyShare& v : velocity) {
+      material.add_trunc(v.shape());
+    }
+    material.fetch();
+    mpc::OpenBatch batch(*ctx.mpc);
+    std::vector<mpc::DeferredShare> damped;
+    damped.reserve(params.size());
+    for (const mpc::PartyShare& v : velocity) {
+      damped.push_back(
+          ctx.rescale_prepare(batch, v.scaled(momentum_encoded), material));
+    }
+    batch.flush_all();
+    for (std::size_t i = 0; i < params.size(); ++i) {
+      velocity[i] = damped[i].take();
+      velocity[i] += params[i]->grad;
+      params[i]->grad = velocity[i];
+    }
+  }
+
+  model.sgd_step(ctx, config.learning_rate, frac_bits);
+}
+
 TrainServer::TrainServer(int party, net::Endpoint endpoint,
                          TrainConfig config, std::uint64_t provenance,
                          core::TriplePipeline& pipeline)
@@ -35,7 +112,6 @@ TrainServer::TrainServer(int party, net::Endpoint endpoint,
 
 bool TrainServer::run(core::SecureModel& model, core::SecureExecContext& ctx,
                       core::OwnerLink& link, const nn::ModelSpec& spec) {
-  const int frac_bits = ctx.mpc->frac_bits;
   const std::vector<core::SecureParameter*> params = model.parameters();
   const bool use_momentum = config_.momentum != 0.0;
   std::vector<mpc::PartyShare> velocity;
@@ -99,9 +175,8 @@ bool TrainServer::run(core::SecureModel& model, core::SecureExecContext& ctx,
   };
 
   for (std::uint64_t round = start_round;; ++round) {
-    // Poll for the next manifest, spending idle gaps on triple-store
-    // refills — the gaps between rounds are the training service's
-    // offline phase.
+    // Poll for the next manifest; a round is planned only once its
+    // manifest names the owners and their minibatch sizes.
     Bytes manifest_bytes;
     const auto deadline = std::chrono::steady_clock::now() + kManifestTimeout;
     while (!endpoint_.try_recv(core::kModelOwner, manifest_tag(round),
@@ -109,9 +184,7 @@ bool TrainServer::run(core::SecureModel& model, core::SecureExecContext& ctx,
       if (std::chrono::steady_clock::now() > deadline) {
         throw TimeoutError("train: no manifest " + std::to_string(round));
       }
-      if (pipeline_.refill_once() == 0) {
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-      }
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
     }
     const RoundManifest manifest = decode_round_manifest(manifest_bytes);
     if (manifest.shutdown) {
@@ -143,20 +216,16 @@ bool TrainServer::run(core::SecureModel& model, core::SecureExecContext& ctx,
     for (const auto& entry : manifest.entries) {
       owner_rows.push_back(entry.rows);
     }
-    // This round's material, and the next round's weight-version
-    // material (assuming the same minibatch sizes) so the idle poll
-    // before it prefetches that too.
-    for (std::uint64_t ahead = 0; ahead < 2; ++ahead) {
-      pipeline_.plan(core::profile_train_round_demand(
-          spec, owner_rows, ctx.trunc_mode, agg_options, use_momentum,
-          core::WeightMaskUse{ctx.reuse_masks,
-                              model.weight_version() + ahead}));
+    // The round's material, unit by unit in consumption order: the
+    // store sends the first units ahead while the inputs arrive.
+    for (const core::DemandPlan& unit : core::profile_train_round_demand(
+             spec, owner_rows, ctx.trunc_mode, agg_options, use_momentum,
+             core::WeightMaskUse{ctx.reuse_masks, model.weight_version()})) {
+      pipeline_.plan(unit);
     }
 
-    // Per-owner normalized gradients.  Gradients are scaled by 1/rows
-    // BEFORE backward (not folded into the learning rate as in the
-    // single-owner loop) so owners with different minibatch sizes
-    // contribute comparable coordinates to the aggregation.
+    // Per-owner normalized gradients, then their aggregation and the
+    // update.
     std::vector<std::vector<mpc::PartyShare>> owner_grads(params.size());
     for (auto& grads : owner_grads) {
       grads.reserve(manifest.entries.size());
@@ -187,70 +256,12 @@ bool TrainServer::run(core::SecureModel& model, core::SecureExecContext& ctx,
             << " seq " << entry.seq << " (" << error.what() << ")";
       }
 
-      model.zero_grads();
-      const mpc::PartyShare probabilities = model.forward(ctx, x);
-      mpc::PartyShare grad_logits = probabilities - y;
-      grad_logits = ctx.rescale(grad_logits.scaled(
-          fx::encode(1.0 / static_cast<double>(entry.rows), frac_bits)));
-      model.backward_from_logit_grad(ctx, grad_logits);
+      owner_gradient(model, ctx, x, y);
       for (std::size_t i = 0; i < params.size(); ++i) {
         owner_grads[i].push_back(params[i]->grad);
       }
     }
-
-    // Robust aggregation of the per-owner gradient shares: one
-    // prepared call per parameter so all comparison and truncation
-    // openings share rounds across the whole model.
-    {
-      mpc::OpenBatch batch(*ctx.mpc);
-      std::vector<mpc::DeferredShare> aggregated;
-      aggregated.reserve(params.size());
-      mpc::AggregateStats totals;
-      for (std::size_t i = 0; i < params.size(); ++i) {
-        mpc::AggregateStats stats;
-        aggregated.push_back(mpc::robust_aggregate_prepare(
-            batch, *ctx.triples, owner_grads[i], agg_options,
-            /*comp_triples=*/ctx.reuse_masks, &stats));
-        totals.values_submitted += stats.values_submitted;
-        totals.values_aggregated += stats.values_aggregated;
-        totals.values_trimmed += stats.values_trimmed;
-        totals.comparisons += stats.comparisons;
-      }
-      batch.flush_all();
-      for (std::size_t i = 0; i < params.size(); ++i) {
-        params[i]->grad = aggregated[i].take();
-      }
-      obs::count("train.agg.values.submitted", totals.values_submitted);
-      obs::count("train.agg.values.aggregated", totals.values_aggregated);
-      obs::count("train.agg.values.trimmed", totals.values_trimmed);
-      obs::count("train.agg.comparisons", totals.comparisons);
-    }
-
-    if (use_momentum) {
-      // v <- m*v + g; the m*v rescales share one opening round.
-      const std::uint64_t momentum_encoded =
-          fx::encode(config_.momentum, frac_bits);
-      core::PassMaterial material(ctx);
-      for (const mpc::PartyShare& v : velocity) {
-        material.add_trunc(v.shape());
-      }
-      material.fetch();
-      mpc::OpenBatch batch(*ctx.mpc);
-      std::vector<mpc::DeferredShare> damped;
-      damped.reserve(params.size());
-      for (const mpc::PartyShare& v : velocity) {
-        damped.push_back(ctx.rescale_prepare(
-            batch, v.scaled(momentum_encoded), material));
-      }
-      batch.flush_all();
-      for (std::size_t i = 0; i < params.size(); ++i) {
-        velocity[i] = damped[i].take();
-        velocity[i] += params[i]->grad;
-        params[i]->grad = velocity[i];
-      }
-    }
-
-    model.sgd_step(ctx, config_.learning_rate, frac_bits);
+    aggregate_and_step(model, ctx, owner_grads, config_, velocity);
     pipeline_.retire_versions_before(model.weight_version());
     ++rounds_;
     obs::count("train.party.rounds");

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "core/actors.hpp"
 #include "core/secure_model.hpp"
@@ -24,12 +25,27 @@
 
 namespace trustddl::train {
 
+/// One owner's normalized gradient at a party: forward on `x`, the
+/// fused softmax/cross-entropy gradient p − y scaled by 1/rows and
+/// rescaled, then backward.  Leaves it in the parameters' grads.
+void owner_gradient(core::SecureModel& model, core::SecureExecContext& ctx,
+                    const mpc::PartyShare& x, const mpc::PartyShare& y);
+
+/// The rest of a round at a party: the robust aggregation of
+/// `owner_grads` (per parameter, one share per owner), the momentum
+/// update of `velocity` when config.momentum is set, and the SGD step.
+/// With owner_gradient, draws its material in the order
+/// core::profile_train_round_demand lists it.
+void aggregate_and_step(
+    core::SecureModel& model, core::SecureExecContext& ctx,
+    const std::vector<std::vector<mpc::PartyShare>>& owner_grads,
+    const TrainConfig& config, std::vector<mpc::PartyShare>& velocity);
+
 class TrainServer {
  public:
-  /// `pipeline` is the party's preprocessing pipeline: with prefetch
-  /// on, idle manifest polls spend their wait on refills, and each
-  /// manifest raises the store targets by one round's profiled demand.
-  /// It must outlive the server.
+  /// `pipeline` is the party's preprocessing pipeline: each manifest
+  /// plans the round's profiled demand unit by unit, so its material
+  /// is dealt while the round runs.  It must outlive the server.
   TrainServer(int party, net::Endpoint endpoint, TrainConfig config,
               std::uint64_t provenance, core::TriplePipeline& pipeline);
 

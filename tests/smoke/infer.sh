@@ -1,10 +1,9 @@
 #!/usr/bin/env bash
-# Three-process malicious-mode inference over TCP, every party honest
-# and dealing synchronous (no prefetch): computing parties 1 and 2 run
-# alone, party 0 shares a process with both owners.  That process must
-# reconstruct the in-memory engine's labels exactly (--check), and its
-# telemetry export must validate — the triple ledger included, where
-# every entry party 0 drew was a store miss.
+# Three-process malicious-mode inference over TCP, every party honest:
+# computing parties 1 and 2 run alone, party 0 shares a process with
+# both owners.  That process must reconstruct the in-memory engine's
+# labels exactly (--check), and its telemetry export must validate —
+# the triple ledger included, with its triple.store.miss counter.
 #
 # Usage: infer.sh TRUSTDDL_PARTY CHECK_METRICS_PY
 party=$1

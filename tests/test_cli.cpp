@@ -111,7 +111,6 @@ TEST(CliConfigTest, ServiceTasksUseMaskedOpenTruncation) {
 
 TEST(CliConfigTest, ReferenceConfigDropsFilesOfTheDeployment) {
   core::EngineConfig config = engine_config("infer", "malicious", true, 3);
-  config.triple_prefetch = true;
   config.triple_store_dir = "stores";
   config.metrics_out = "metrics.json";
   config.trace_out = "trace.jsonl";
@@ -119,7 +118,6 @@ TEST(CliConfigTest, ReferenceConfigDropsFilesOfTheDeployment) {
   EXPECT_TRUE(reference.triple_store_dir.empty());
   EXPECT_TRUE(reference.metrics_out.empty());
   EXPECT_TRUE(reference.trace_out.empty());
-  EXPECT_TRUE(reference.triple_prefetch);
   EXPECT_EQ(reference.seed, 3u);
 }
 

@@ -191,6 +191,35 @@ TEST(FleetRouterTest, FailoverSkipsDownPodUntilCooldown) {
   EXPECT_EQ(router.route(key), home);
 }
 
+TEST(FleetRouterTest, AllDownProbeCyclesFromTheLongestDownPod) {
+  // A crashed home pod and a live backup that answered one request
+  // late are both inside a long cooldown.  The forced probe must reach
+  // the backup too, not retry the dead home pod on every request.
+  RouterOptions options;
+  options.retry_cooldown = milliseconds(60000);
+  PodRouter router({"pod0", "pod1", "pod2"}, options);
+  const std::vector<std::size_t> order = router.preference_order(7);
+  const std::size_t home = order[0];
+  EXPECT_EQ(router.longest_down(order), home) << "all up: the home pod";
+  const auto mark_down = [&](std::size_t pod) {
+    std::this_thread::sleep_for(milliseconds(2));  // distinct timestamps
+    router.mark_down(pod);
+  };
+  mark_down(order[1]);
+  EXPECT_EQ(router.longest_down(order), home) << "an up pod first";
+
+  mark_down(home);
+  mark_down(order[2]);
+  // order[1] went down first, then the home pod, then order[2].
+  EXPECT_EQ(router.longest_down(order), order[1]);
+  mark_down(order[1]);  // the probe failed: its cooldown restarts
+  EXPECT_EQ(router.longest_down(order), home);
+  mark_down(home);
+  EXPECT_EQ(router.longest_down(order), order[2]);
+  router.mark_up(order[2]);  // the probe succeeded
+  EXPECT_EQ(router.longest_down(order), order[2]);
+}
+
 // ---------------------------------------------------------------------------
 // Pod-labeled Prometheus exposition.
 

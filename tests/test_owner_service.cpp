@@ -10,6 +10,7 @@
 
 #include "core/owner_link.hpp"
 #include "mpc/robust_reconstruct.hpp"
+#include "mpc/share_serde.hpp"
 #include "net/runtime.hpp"
 #include "nn/layers.hpp"
 #include "test_util.hpp"
@@ -173,7 +174,7 @@ TEST(OwnerServiceTest, StragglerServedFromProcessedGroupCache) {
   EXPECT_LT(max_abs_diff(probabilities, nn::softmax_rows(logits)), 1e-3);
 }
 
-/// A raw kBatchFill payload, as OwnerLink::fill encodes one.
+/// A raw kBatchFill payload, as OwnerLink::send_fill encodes one.
 Bytes fill_request(std::uint8_t kind, const std::vector<std::uint64_t>& dims,
                    std::uint32_t count) {
   ByteWriter writer;
@@ -257,6 +258,51 @@ TEST(OwnerServiceTest, HostileFillsNeitherKillTheDealerNorStarveOthers) {
   EXPECT_EQ(harness.service.fills_served(), 2 * (hostile.size() + 1));
   Bytes reply;
   EXPECT_FALSE(attacker.try_recv(kModelOwner, "rsp/0", reply));
+}
+
+TEST(OwnerServiceTest, ResentFillIsDealtAgainIdentically) {
+  // The dealer moves a party's response out of its cache when it sends
+  // it.  A party that asks again for a range it already took — before
+  // or after the other parties took theirs — must get the same entries
+  // dealt afresh, not an empty reply.
+  ServiceHarness harness;
+  const mpc::TripleKey key = mpc::TripleKey::matmul(2, 3, 2);
+  const Bytes request = fill_request(
+      static_cast<std::uint8_t>(key.kind), {2, 3, 2}, /*count=*/2);
+  net::Endpoint party0 = harness.network.endpoint(0);
+  std::vector<Bytes> replies;
+  const auto ask = [&] {
+    const std::string id = std::to_string(replies.size());
+    party0.send(kModelOwner, "req/" + id, request);
+    replies.push_back(
+        party0.recv(kModelOwner, "rsp/" + id, std::chrono::seconds(10)));
+  };
+  ask();
+  ask();  // the cached entry still holds parties 1 and 2's responses
+  for (int party = 1; party < 3; ++party) {
+    OwnerLink link(harness.network.endpoint(party), party);
+    EXPECT_EQ(link.fill(key, 0, 2).size(), 2u);
+    link.stop();
+  }
+  ask();  // every party took the range: the entry is gone
+  OwnerLink(party0, 0).stop();
+  harness.join();
+
+  ASSERT_EQ(replies.size(), 3u);
+  EXPECT_GT(replies[0].size(), 4u);
+  EXPECT_EQ(replies[1], replies[0]);
+  EXPECT_EQ(replies[2], replies[0]);
+  const auto dealt = mpc::deal_material(key, 0, 2, OwnerServiceConfig{}.seed,
+                                        kF);
+  ByteReader reader(replies[0]);
+  ASSERT_EQ(reader.read_u32(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    const mpc::MaterialEntry entry =
+        mpc::read_material_entry(reader, key.kind);
+    EXPECT_EQ(entry.triple.c.primary, dealt[0][i].triple.c.primary)
+        << "entry " << i;
+  }
+  EXPECT_EQ(harness.service.fills_served(), 5u);
 }
 
 }  // namespace

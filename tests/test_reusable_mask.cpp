@@ -5,6 +5,7 @@
 // bytes, never results.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -249,11 +250,9 @@ TEST(ReusableMaskTest, MalformedKeysAreRejectedAndCostsSaturate) {
 // --- Demand profiler ---------------------------------------------------
 
 std::size_t count_kind(const core::DemandPlan& plan, mpc::TripleKind kind) {
-  std::size_t total = 0;
-  for (const auto& [key, count] : plan.counts) {
-    total += key.kind == kind ? count : 0;
-  }
-  return total;
+  return static_cast<std::size_t>(
+      std::count_if(plan.keys.begin(), plan.keys.end(),
+                    [&](const TripleKey& key) { return key.kind == kind; }));
 }
 
 TEST(ReusableMaskTest, ProfilerPlansOneMaskPerVersionAndEntryPerProduct) {
@@ -280,16 +279,20 @@ TEST(ReusableMaskTest, ProfilerPlansOneMaskPerVersionAndEntryPerProduct) {
   EXPECT_EQ(count_kind(train, mpc::TripleKind::kMaskedMatMul),
             3 * 2 * kDense);
   EXPECT_EQ(count_kind(train, mpc::TripleKind::kMaskedConv), 3u);
-  for (const auto& [key, count] : train.counts) {
+  for (const TripleKey& key : train.keys) {
     if (key.versioned()) {
-      EXPECT_EQ(count, 1u) << "each version's entry is planned once";
+      EXPECT_EQ(std::count(train.keys.begin(), train.keys.end(), key), 1)
+          << "each version's entry is planned once";
     }
   }
 
   // A training round: every owner's products share the round's mask.
-  const core::DemandPlan round = core::profile_train_round_demand(
-      spec, {4, 4, 4}, TruncationMode::kMaskedOpen,
-      mpc::AggregateOptions{}, false, core::WeightMaskUse{true, 9});
+  core::DemandPlan round;
+  for (const core::DemandPlan& unit : core::profile_train_round_demand(
+           spec, {4, 4, 4}, TruncationMode::kMaskedOpen,
+           mpc::AggregateOptions{}, false, core::WeightMaskUse{true, 9})) {
+    round.merge(unit);
+  }
   EXPECT_EQ(count_kind(round, mpc::TripleKind::kWeightMask), kMasked);
   EXPECT_EQ(count_kind(round, mpc::TripleKind::kMaskedMatMul),
             3 * 2 * kDense);
@@ -319,22 +322,17 @@ TEST(ReusableMaskTest, FirstLayersInputGradientIsNeverPlanned) {
       TripleKey::trunc_pair(Shape{conv.col_rows(), columns});
   const auto planned = [&](const core::DemandPlan& plan,
                            const TripleKey& key) {
-    for (const auto& [planned_key, count] : plan.counts) {
-      if (planned_key == key) {
-        return count;
-      }
-    }
-    return std::size_t{0};
+    return std::count(plan.keys.begin(), plan.keys.end(), key);
   };
   const core::DemandPlan reused = core::profile_step_demand(
       spec, kRows, TruncationMode::kMaskedOpen, true,
       core::WeightMaskUse{true, 0});
-  EXPECT_EQ(planned(reused, x_grad), 0u);
-  EXPECT_EQ(planned(reused, x_grad_pair), 0u);
+  EXPECT_EQ(planned(reused, x_grad), 0);
+  EXPECT_EQ(planned(reused, x_grad_pair), 0);
   const core::DemandPlan paper = core::profile_step_demand(
       spec, kRows, TruncationMode::kMaskedOpen, true);
-  EXPECT_EQ(planned(paper, x_grad), 1u);
-  EXPECT_EQ(planned(paper, x_grad_pair), 1u);
+  EXPECT_EQ(planned(paper, x_grad), 1);
+  EXPECT_EQ(planned(paper, x_grad_pair), 1);
 }
 
 // --- Engine equivalence ------------------------------------------------
@@ -501,9 +499,7 @@ TEST(ReusableMaskTest, PrefetchedTrainingNeverMissesAndBalances) {
   options.epochs = 1;
   options.batch_size = 8;
   options.learning_rate = 0.3;
-  core::EngineConfig config = masked_config(true);
-  config.triple_prefetch = true;
-  config.triple_max_depth = std::size_t{1} << 40;  // plan the whole job
+  const core::EngineConfig config = masked_config(true);
 
   for (const nn::ModelSpec& spec :
        {nn::mnist_mlp_spec(), nn::mnist_cnn_spec()}) {
@@ -557,7 +553,6 @@ TEST(ReusableMaskTest, TrainServiceResumeMatchesPerProductOpening) {
   session.engine = masked_config(false);
   session.engine.seed = 13;
   session.engine.collect_timeout = std::chrono::milliseconds(2000);
-  session.engine.triple_prefetch = true;
   session.num_owners = 3;
   session.submissions_per_owner = 4;
   session.owner_batch_rows = 4;

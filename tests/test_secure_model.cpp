@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <thread>
 
 #include "core/engine.hpp"
@@ -12,6 +13,7 @@
 #include "nn/layers.hpp"
 #include "nn/loss.hpp"
 #include "test_util.hpp"
+#include "train/server.hpp"
 
 namespace trustddl::core {
 namespace {
@@ -337,30 +339,30 @@ TEST(SecureModelTest, TrainingStepMatchesPlaintextUpdate) {
 }
 
 /// Forwards to another backend and records the key of every range
-/// fetched, and the number of calls; a store that holds nothing
-/// fetches every entry it hands out.
+/// sent, and the number of round trips (runs of sends followed by
+/// receives); a store that holds nothing sends every entry it hands
+/// out.
 class RecordingBackend final : public mpc::TripleBackend {
  public:
   explicit RecordingBackend(mpc::TripleBackend& inner) : inner_(inner) {}
-  mpc::MaterialBatch fill(const mpc::TripleKey& key, std::uint64_t start,
-                          std::size_t count) override {
-    keys.push_back(key);
-    ++calls;
-    return inner_.fill(key, start, count);
-  }
-  std::vector<mpc::MaterialBatch> fill_many(
-      const std::vector<mpc::FillRange>& ranges) override {
-    for (const mpc::FillRange& range : ranges) {
-      keys.push_back(range.key);
+  mpc::FillTicket send_fill(const mpc::FillRange& range) override {
+    keys.push_back(range.key);
+    if (!sending_) {
+      sending_ = true;
+      ++calls;
     }
-    ++calls;
-    return inner_.fill_many(ranges);
+    return inner_.send_fill(range);
+  }
+  mpc::MaterialBatch receive_fill(const mpc::FillTicket& ticket) override {
+    sending_ = false;
+    return inner_.receive_fill(ticket);
   }
   std::vector<mpc::TripleKey> keys;
   std::size_t calls = 0;
 
  private:
   mpc::TripleBackend& inner_;
+  bool sending_ = false;
 };
 
 TEST(SecureModelTest, FirstLayerInputGradientIsNeverRequested) {
@@ -410,9 +412,9 @@ TEST(SecureModelTest, FirstLayerInputGradientIsNeverRequested) {
 }
 
 TEST(SecureModelTest, DryStoreFetchesEachLayerPassInOneCall) {
-  // A store planned for a batch but not filled yet (prefetch on, the
-  // producer behind) holds nothing, so every entry misses: each layer
-  // pass's misses still reach the backend in one call, not one per key.
+  // A store with nothing planned holds nothing, so every entry misses:
+  // each layer pass's misses still reach the backend in one call, not
+  // one per key.
   Rng rng(11);
   const nn::ModelSpec spec = nn::tiny_cnn_spec();
   constexpr std::size_t kRows = 3;
@@ -423,11 +425,9 @@ TEST(SecureModelTest, DryStoreFetchesEachLayerPassInOneCall) {
                            TruncationMode::kMaskedOpen);
   auto param_shares = share_model_params(plain, harness);
   const auto x_views = harness.share(input);
-  DemandPlan plan = profile_step_demand(spec, kRows,
-                                        TruncationMode::kMaskedOpen,
-                                        /*training=*/false,
-                                        WeightMaskUse{true, 0});
-  plan.merge(profile_version_demand(spec, 0));
+  const DemandPlan plan = profile_step_demand(
+      spec, kRows, TruncationMode::kMaskedOpen, /*training=*/false,
+      WeightMaskUse{true, 0, /*first_use=*/true});
   // conv, relu, dense, relu, dense: softmax draws no material.
   constexpr std::size_t kPasses = 5;
   std::array<std::size_t, 3> calls{};
@@ -436,9 +436,6 @@ TEST(SecureModelTest, DryStoreFetchesEachLayerPassInOneCall) {
     const auto index = static_cast<std::size_t>(party);
     RecordingBackend recording(*ctx.owner);
     mpc::TripleStore store(recording, party);
-    for (const auto& [key, count] : plan.counts) {
-      store.demand(key, count);
-    }
     ctx.triples = &store;
     SecureModel model(spec, std::move(param_shares[index]));
     (void)model.forward(ctx, x_views[index]);
@@ -450,6 +447,112 @@ TEST(SecureModelTest, DryStoreFetchesEachLayerPassInOneCall) {
     EXPECT_EQ(calls[party], kPasses) << "party " << party;
     EXPECT_EQ(fetched[party], plan.total()) << "party " << party;
   }
+}
+
+TEST(SecureModelTest, ProfilesListTheDryStoresFetchOrder) {
+  // The store sends ahead in plan order, so a profile must list what
+  // the layers fetch in the order they fetch it — each version's masks
+  // first in the layer pass that first uses them.  A dry store fetches
+  // every entry when the layers ask, so its backend log IS that order:
+  // a Table I CNN training step, two inference batches (the second
+  // reuses the armed masks) and a three-owner training-service round
+  // with momentum.
+  Rng rng(12);
+  const nn::ModelSpec spec = nn::mnist_cnn_spec();
+  constexpr TruncationMode kTrunc = TruncationMode::kMaskedOpen;
+  const std::vector<std::size_t> owner_rows = {2, 1, 2};
+  train::TrainConfig round_config;
+  round_config.rule = mpc::AggregationRule::kTrimmedMean;
+  round_config.trim = 1;
+  round_config.momentum = 0.5;
+  nn::Sequential plain = nn::build_model(spec, rng);
+  FiveActorHarness harness(mpc::SecurityMode::kMalicious, kTrunc);
+  auto param_shares = share_model_params(plain, harness);
+  std::vector<std::array<mpc::PartyShare, 3>> xs;
+  std::vector<std::array<mpc::PartyShare, 3>> ys;
+  for (const std::size_t rows : {std::size_t{2}, std::size_t{3},
+                                 std::size_t{1}, std::size_t{2},
+                                 std::size_t{1}, std::size_t{2}}) {
+    xs.push_back(harness.share(
+        random_real(Shape{rows, spec.input_features}, rng, 0.5)));
+    std::vector<std::size_t> labels(rows);
+    for (std::size_t r = 0; r < rows; ++r) {
+      labels[r] = r % spec.classes;
+    }
+    ys.push_back(harness.share(nn::one_hot(labels, spec.classes)));
+  }
+
+  std::array<std::vector<std::vector<mpc::TripleKey>>, 3> logs;
+  harness.run([&](SecureExecContext& ctx, int party) {
+    const auto index = static_cast<std::size_t>(party);
+    ctx.reuse_masks = true;
+    auto& log = logs[index];
+    const auto record = [&](const std::function<void()>& body) {
+      RecordingBackend recording(*ctx.owner);
+      mpc::TripleStore store(recording, party);
+      ctx.triples = &store;
+      body();
+      log.push_back(recording.keys);
+    };
+    // Training step at weight version 0.
+    SecureModel trained(spec, param_shares[index]);
+    record([&] {
+      const mpc::PartyShare p = trained.forward(ctx, xs[0][index]);
+      trained.backward_from_logit_grad(ctx, p - ys[0][index]);
+      trained.sgd_step(ctx, 0.1, kF);
+    });
+    // Inference batches: the first arms the masks, the second reuses
+    // them.
+    SecureModel served(spec, param_shares[index]);
+    record([&] { (void)served.forward(ctx, xs[1][index]); });
+    record([&] { (void)served.forward(ctx, xs[2][index]); });
+    // A training-service round at version 1 (trained's next version).
+    std::vector<mpc::PartyShare> velocity;
+    for (SecureParameter* parameter : trained.parameters()) {
+      velocity.push_back(mpc::zero_share(parameter->value.shape()));
+    }
+    record([&] {
+      const std::vector<SecureParameter*> params = trained.parameters();
+      std::vector<std::vector<mpc::PartyShare>> owner_grads(params.size());
+      for (std::size_t owner = 0; owner < owner_rows.size(); ++owner) {
+        train::owner_gradient(trained, ctx, xs[3 + owner][index],
+                              ys[3 + owner][index]);
+        for (std::size_t i = 0; i < params.size(); ++i) {
+          owner_grads[i].push_back(params[i]->grad);
+        }
+      }
+      train::aggregate_and_step(trained, ctx, owner_grads, round_config,
+                                velocity);
+    });
+  });
+
+  DemandPlan round;
+  for (const DemandPlan& unit : profile_train_round_demand(
+           spec, owner_rows, kTrunc,
+           mpc::AggregateOptions{round_config.rule, round_config.trim},
+           /*momentum=*/true, WeightMaskUse{true, 1})) {
+    round.merge(unit);
+  }
+  const std::vector<DemandPlan> expected = {
+      profile_step_demand(spec, 2, kTrunc, /*training=*/true,
+                          WeightMaskUse{true, 0, true}),
+      profile_step_demand(spec, 3, kTrunc, /*training=*/false,
+                          WeightMaskUse{true, 0, true}),
+      profile_step_demand(spec, 1, kTrunc, /*training=*/false,
+                          WeightMaskUse{true, 0, false}),
+      round};
+  const char* names[] = {"training step", "first inference batch",
+                         "second inference batch", "training round"};
+  for (std::size_t party = 0; party < 3; ++party) {
+    ASSERT_EQ(logs[party].size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(logs[party][i], expected[i].keys)
+          << names[i] << ", party " << party;
+    }
+  }
+  // The masks lead the version's first forward pass.
+  EXPECT_EQ(expected[0].keys.front().kind, mpc::TripleKind::kWeightMask);
+  EXPECT_EQ(round.keys.front().kind, mpc::TripleKind::kWeightMask);
 }
 
 TEST(SecureModelTest, ByzantinePartyDoesNotCorruptTraining) {

@@ -302,17 +302,16 @@ TEST(TrainServiceTest, SuspendResumeIsBitIdentical) {
   session.submissions_per_owner = 4;
   session.train.rounds_per_epoch = 4;
   session.train.momentum = 0.5;  // exercise velocity checkpointing
-  // Masked-open truncation results depend on the dealt masks, and the
-  // derived-seed dealer addresses its streams by cursor — so a resumed
-  // session is bit-identical only when the parties' stream cursors
-  // persist too (TDST store files), not just the parameter shares.
-  session.engine.triple_prefetch = true;
 
   // Reference: the same session uninterrupted (fresh cursors from 0).
   const TrainSessionResult reference = run_training_session(session);
   ASSERT_TRUE(reference.clean);
 
   // Interrupted: suspend after 2 of 4 rounds, then resume.
+  // Masked-open truncation results depend on the dealt masks, and the
+  // derived-seed dealer addresses its streams by cursor — so a resumed
+  // session is bit-identical only when the parties' stream cursors
+  // persist too (TDST store files), not just the parameter shares.
   TrainSessionConfig interrupted = session;
   interrupted.engine.triple_store_dir = store_dir;
   interrupted.train.checkpoint_dir = checkpoint_dir;
