@@ -341,11 +341,11 @@ void BM_BackwardPairRescaled(benchmark::State& state, bool batched) {
       mpc::OpenBatch batch(ctx);
       std::array<mpc::DeferredShare, 2> products;
       for (auto& product : products) {
-        const auto triple = source.matmul_triple(n, n, n);
-        const auto pair = source.trunc_pair(Shape{n, n});
+        auto triple = source.matmul_triple(n, n, n);
+        auto pair = source.trunc_pair(Shape{n, n});
         product = mpc::sec_matmul_bt_rescaled_prepare(
-            batch, x_views[index], y_views[index], triple,
-            mpc::TruncationMode::kMaskedOpen, &pair);
+            batch, x_views[index], y_views[index], std::move(triple),
+            mpc::TruncationMode::kMaskedOpen, std::move(pair));
         if (!batched) {
           batch.flush_all();
         }

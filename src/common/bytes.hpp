@@ -7,19 +7,28 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "common/default_init.hpp"
 #include "common/error.hpp"
 
 namespace trustddl {
 
-using Bytes = std::vector<std::uint8_t>;
+/// A byte buffer whose resize() leaves new bytes unwritten (see
+/// default_init.hpp): payloads are read or written into right after.
+using Bytes =
+    std::vector<std::uint8_t, DefaultInit<std::allocator<std::uint8_t>>>;
 
 /// Appends primitive values and containers to a byte vector.
 class ByteWriter {
  public:
   ByteWriter() = default;
+
+  /// Room for `size` more bytes, so a writer that knows its output's
+  /// size appends without reallocating.
+  void reserve(std::size_t size) { buffer_.reserve(buffer_.size() + size); }
 
   void write_u8(std::uint8_t value) { buffer_.push_back(value); }
 

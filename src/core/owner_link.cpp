@@ -22,21 +22,6 @@ Bytes fill_request(const mpc::TripleKey& key, std::uint64_t start,
   return request.take();
 }
 
-mpc::MaterialBatch fill_response(Bytes payload, const mpc::TripleKey& key,
-                                 std::size_t count) {
-  ByteReader response(std::move(payload));
-  const std::uint32_t served = response.read_u32();
-  if (served != count) {
-    throw ProtocolError("owner served short material batch");
-  }
-  mpc::MaterialBatch batch;
-  batch.reserve(served);
-  for (std::uint32_t i = 0; i < served; ++i) {
-    batch.push_back(mpc::read_material_entry(response, key.kind));
-  }
-  return batch;
-}
-
 }  // namespace
 
 std::uint64_t OwnerLink::unary_send(Bytes request) {
@@ -71,8 +56,8 @@ mpc::FillTicket OwnerLink::send_fill(const mpc::FillRange& range) {
 }
 
 mpc::MaterialBatch OwnerLink::receive_fill(const mpc::FillTicket& ticket) {
-  return fill_response(unary_recv(ticket.id), ticket.range.key,
-                       ticket.range.count);
+  return mpc::read_fill_response(unary_recv(ticket.id),
+                                 ticket.range.key.kind, ticket.range.count);
 }
 
 mpc::PartyShare OwnerLink::softmax_forward(const mpc::PartyShare& logits) {

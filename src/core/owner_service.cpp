@@ -160,19 +160,11 @@ ModelOwnerService::FillCacheEntry ModelOwnerService::deal_fill(
   }
 
   // Stateless derived-seed dealing: the response is a pure function
-  // of (request payload, service seed).
-  const auto views = mpc::deal_material(key, start, count, config_.seed,
-                                        config_.frac_bits);
+  // of (request payload, service seed), dealt straight into the three
+  // parties' response buffers.
   FillCacheEntry entry;
-  for (int p = 0; p < kComputingParties; ++p) {
-    ByteWriter writer;
-    writer.write_u32(count);
-    for (const mpc::MaterialEntry& material :
-         views[static_cast<std::size_t>(p)]) {
-      mpc::write_material_entry(writer, key.kind, material);
-    }
-    entry.responses[static_cast<std::size_t>(p)] = writer.take();
-  }
+  entry.responses = mpc::deal_fill_responses(key, start, count, config_.seed,
+                                             config_.frac_bits);
   return entry;
 }
 

@@ -11,8 +11,8 @@ namespace trustddl::core {
 
 mpc::PartyShare SecureExecContext::rescale(const mpc::PartyShare& product) {
   if (trunc_mode == TruncationMode::kMaskedOpen) {
-    const mpc::TruncPairShare pair = triples->trunc_pair(product.shape());
-    return mpc::truncate_product_masked(*mpc, product, pair);
+    return mpc::truncate_product_masked(
+        *mpc, product, triples->trunc_pair(product.shape()));
   }
   return mpc::truncate_product_local(product, mpc->frac_bits);
 }
@@ -35,9 +35,10 @@ mpc::DeferredShare SecureExecContext::rescale_prepare(
 
 mpc::DeferredShare SecureExecContext::matmul_rescaled_prepare(
     mpc::OpenBatch& batch, const mpc::PartyShare& x, const mpc::PartyShare& y,
-    const ProductMaterial& material) {
+    ProductMaterial material) {
   mpc::DeferredShare out = mpc::sec_matmul_bt_rescaled_prepare(
-      batch, x, y, material.triple, trunc_mode, material.pair_or_null());
+      batch, x, y, std::move(material.triple), trunc_mode,
+      std::move(material.pair));
   if (!batch_openings) {
     batch.flush_all();
   }
@@ -154,10 +155,10 @@ mpc::DeferredShare SecureDense::weight_product_prepare(
     SecureExecContext& ctx, mpc::OpenBatch& batch, const mpc::PartyShare& x,
     bool transposed, PassMaterial& material) {
   material.take_mask(mask_);
-  const ProductMaterial product = material.take_product();
+  ProductMaterial product = material.take_product();
   mpc::DeferredShare out = mpc::sec_matmul_masked_rescaled_prepare(
-      batch, x, weights_.value, mask_, product.triple, transposed,
-      ctx.trunc_mode, product.pair_or_null());
+      batch, x, weights_.value, mask_, std::move(product.triple), transposed,
+      ctx.trunc_mode, std::move(product.pair));
   if (!ctx.batch_openings) {
     batch.flush_all();
   }
@@ -267,11 +268,11 @@ mpc::PartyShare SecureConv::forward(SecureExecContext& ctx,
         Shape{spec_.out_channels, batch * pixels});
     material.fetch();
     material.take_mask(mask_);
-    const ProductMaterial product = material.take_product();
+    ProductMaterial product = material.take_product();
     mpc::OpenBatch open_batch(*ctx.mpc);
     mpc::DeferredShare deferred = mpc::sec_conv_masked_rescaled_prepare(
-        open_batch, input, weights_.value, mask_, product.triple, spec_,
-        ctx.trunc_mode, product.pair_or_null());
+        open_batch, input, weights_.value, mask_, std::move(product.triple),
+        spec_, ctx.trunc_mode, std::move(product.pair));
     open_batch.flush_all();
     maps = deferred.take();
   } else {

@@ -41,10 +41,6 @@ using mpc::TruncationMode;
 struct ProductMaterial {
   mpc::BeaverTripleShare triple;
   std::optional<mpc::TruncPairShare> pair;
-
-  const mpc::TruncPairShare* pair_or_null() const {
-    return pair ? &*pair : nullptr;
-  }
 };
 
 class PassMaterial;
@@ -85,7 +81,7 @@ struct SecureExecContext {
   mpc::DeferredShare matmul_rescaled_prepare(mpc::OpenBatch& batch,
                                              const mpc::PartyShare& x,
                                              const mpc::PartyShare& y,
-                                             const ProductMaterial& material);
+                                             ProductMaterial material);
 };
 
 /// The material one layer pass or parameter update consumes, fetched

@@ -43,6 +43,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "common/rng.hpp"
 #include "mpc/sharing.hpp"
 #include "numeric/conv.hpp"
@@ -63,8 +64,10 @@ struct TruncPairShare {
   PartyShare r_shifted;
 };
 
-/// Dealer-side generation (trusted model-owner role).  Each function
-/// returns the three per-party share views.
+/// Dealer-side generation (trusted model-owner role) of one entry from
+/// a caller's generator, returning the three per-party share views.
+/// Each is one entry of the dealer's own path (deal_fill_responses)
+/// decoded, so the protocol tests exercise the bytes parties receive.
 std::array<BeaverTripleShare, kNumParties> deal_mul_triple(const Shape& shape,
                                                            Rng& rng);
 std::array<BeaverTripleShare, kNumParties> deal_matmul_triple(std::size_t m,
@@ -74,10 +77,6 @@ std::array<BeaverTripleShare, kNumParties> deal_matmul_triple(std::size_t m,
 /// Positive auxiliary values, fixed-point encoded in [0.5, 2).
 std::array<PartyShare, kNumParties> deal_positive_aux(const Shape& shape,
                                                       int frac_bits, Rng& rng);
-/// Comparison triple (t, b, c = t ⊙ b): t drawn as deal_positive_aux
-/// draws it, b uniform; returned as the triple's (a, b, c).
-std::array<BeaverTripleShare, kNumParties> deal_comp_triple(
-    const Shape& shape, int frac_bits, Rng& rng);
 std::array<TruncPairShare, kNumParties> deal_trunc_pair(const Shape& shape,
                                                         int frac_bits,
                                                         Rng& rng);
@@ -222,10 +221,25 @@ struct MaterialEntry {
 /// One party's view of a contiguous range of a material stream.
 using MaterialBatch = std::vector<MaterialEntry>;
 
+/// The model owner's responses to a fill of entries [start,
+/// start+count) of stream `key`, one per party: a u32 count, then each
+/// entry in read_material_entry's layout (share_serde.hpp).  The one
+/// dealing implementation: each buffer is sized exactly up front, and
+/// every share component is written once, straight into the buffers of
+/// the parties that hold it.  Per secret, set j = 0..2 draws share 1
+/// and sets share 2 = secret − share 1; share 1 goes to
+/// holder_of_primary(j) and holder_of_duplicate(j), share 2 to
+/// holder_of_second(j).  Deterministic in (key, start, count,
+/// master_seed, frac_bits); requesting overlapping ranges yields
+/// overlapping entries bit for bit.
+std::array<Bytes, kNumParties> deal_fill_responses(const TripleKey& key,
+                                                   std::uint64_t start,
+                                                   std::size_t count,
+                                                   std::uint64_t master_seed,
+                                                   int frac_bits);
+
 /// All three parties' views of entries [start, start+count) of stream
-/// `key`.  Deterministic in (key, start, count, master_seed,
-/// frac_bits); requesting overlapping ranges yields overlapping
-/// entries bit for bit.
+/// `key`: deal_fill_responses, decoded.
 std::array<MaterialBatch, kNumParties> deal_material(const TripleKey& key,
                                                      std::uint64_t start,
                                                      std::size_t count,
@@ -275,12 +289,12 @@ class TripleBackend {
                      std::size_t count);
 };
 
-/// In-process TripleBackend for one party: derives every entry
-/// locally from the master seed (the same derivation the owner
-/// service uses, so in-process and networked supplies agree), dealing
-/// when a range is sent.  Three parties' stores over DealerBackends of
-/// one seed stand in for the model owner in protocol tests,
-/// micro-benches and the quickstart.
+/// In-process TripleBackend for one party: deals every range with
+/// deal_fill_responses when it is sent (the owner service's own path,
+/// so in-process and networked supplies agree) and decodes its party's
+/// response when it is received.  Three parties' stores over
+/// DealerBackends of one seed stand in for the model owner in protocol
+/// tests, micro-benches and the quickstart.
 class DealerBackend final : public TripleBackend {
  public:
   DealerBackend(std::uint64_t master_seed, int frac_bits, int party)
@@ -294,7 +308,7 @@ class DealerBackend final : public TripleBackend {
   int frac_bits_;
   int party_;
   std::uint64_t next_id_ = 0;
-  std::unordered_map<std::uint64_t, MaterialBatch> dealt_;
+  std::unordered_map<std::uint64_t, Bytes> dealt_;
 };
 
 }  // namespace trustddl::mpc

@@ -70,7 +70,7 @@ class Round {
     const bool pairs = !malicious_;
     // Encoded once for both peers; the malicious opening commits to
     // exactly these bytes.
-    const Bytes wire = write_share_vector(*outgoing_, pairs);
+    Bytes wire = write_share_vector(*outgoing_, pairs);
     if (malicious_) {
       commit(commitment_digest(step_, ctx_.party, wire));
     }
@@ -79,7 +79,7 @@ class Round {
     }
     {
       obs::ScopedSpan span("open.exchange", ctx_.party, step_);
-      exchange(pairs, wire);
+      exchange(pairs, std::move(wire));
     }
     count_opening();
     note_liveness();
@@ -104,10 +104,9 @@ class Round {
   /// Sends `payload` to peers_[i].  A hooked message (malicious mode
   /// only) may be dropped, and a share message's shares replaced
   /// (Case 1/2: shares that differ from the committed ones).
-  void send(std::size_t i, const char* tag, const Bytes& payload, Hook hook,
+  void send(std::size_t i, const char* tag, Bytes payload, Hook hook,
             bool pairs = false) {
     const int peer = peers_[i];
-    Bytes replaced;
     if (adversary_ != nullptr) {
       if (adversary_->drop_messages_to(step_, peer)) {
         return;
@@ -115,19 +114,21 @@ class Round {
       if (hook == Hook::kShares) {
         if (auto replacement =
                 adversary_->replace_shares_for(step_, peer, *outgoing_)) {
-          replaced = write_share_vector(*replacement, pairs);
+          payload = write_share_vector(*replacement, pairs);
         }
       }
     }
-    ctx_.endpoint.send(peer, ctx_.tag(step_, tag),
-                       replaced.empty() ? Bytes(payload) : std::move(replaced));
+    ctx_.endpoint.send(peer, ctx_.tag(step_, tag), std::move(payload));
   }
 
-  void broadcast(const char* tag, const Bytes& payload, Hook hook,
+  /// Sends `payload` to every peer: a copy to each but the last, which
+  /// takes the payload itself.
+  void broadcast(const char* tag, Bytes payload, Hook hook,
                  bool pairs = false) {
-    for (std::size_t i = 0; i < peers_.size(); ++i) {
+    for (std::size_t i = 0; i + 1 < peers_.size(); ++i) {
       send(i, tag, payload, hook, pairs);
     }
+    send(peers_.size() - 1, tag, std::move(payload), hook, pairs);
   }
 
   /// Receives one message per peer on `tag`, handing peers_[i]'s to
@@ -223,8 +224,8 @@ class Round {
   /// and verify each peer's shares.  A violator's shares are discarded
   /// and a silent peer's sets are reconstructed from the remaining
   /// shares.
-  void exchange(bool pairs, const Bytes& wire) {
-    broadcast("s", wire, Hook::kShares, pairs);
+  void exchange(bool pairs, Bytes wire) {
+    broadcast("s", std::move(wire), Hook::kShares, pairs);
     usable_[static_cast<std::size_t>(ctx_.party)] = &values_;
     const auto timed_out = gather(
         "s", "exchange", "reconstruct_remaining",

@@ -42,7 +42,7 @@ RingTensor matmul_product(const RingTensor& lhs, const RingTensor& rhs) {
 template <typename ProductFn>
 DeferredShare masked_multiply_prepare(OpenBatch& batch, const PartyShare& x,
                                       const PartyShare& y,
-                                      const BeaverTripleShare& triple,
+                                      BeaverTripleShare triple,
                                       const ProductFn& product) {
   DeferredShare out;
   const int party = batch.context().party;
@@ -54,7 +54,8 @@ DeferredShare masked_multiply_prepare(OpenBatch& batch, const PartyShare& x,
   }
   batch.enqueue(
       std::move(masked),
-      [out, triple, product, party](std::vector<RingTensor> opened) mutable {
+      [out, triple = std::move(triple), product,
+       party](std::vector<RingTensor> opened) mutable {
         obs::ScopedSpan combine_span("proto.combine", party);
         out.set(combine_with_triple(opened[0], opened[1], triple, product));
       });
@@ -127,7 +128,7 @@ RingTensor shift_public(const RingTensor& d, int frac_bits) {
 /// Resolve `out` with the masked-open rescale of `z`: open d = z − r
 /// in the batch's next flush and shift it publicly.
 void truncate_into(OpenBatch& batch, const PartyShare& z,
-                   const TruncPairShare& pair, DeferredShare out) {
+                   TruncPairShare pair, DeferredShare out) {
   const int frac_bits = batch.context().frac_bits;
   // r is uniform 62-bit, so d never wraps for bounded v and
   // statistically hides it.  The public shift is then exact and,
@@ -136,52 +137,51 @@ void truncate_into(OpenBatch& batch, const PartyShare& z,
   std::vector<PartyShare> masked;
   masked.push_back(z - pair.r);
   batch.enqueue(std::move(masked),
-                [out, pair, frac_bits](std::vector<RingTensor> opened) mutable {
-                  PartyShare result = pair.r_shifted;
-                  result.add_public(shift_public(opened[0], frac_bits));
-                  out.set(std::move(result));
+                [out, r_shifted = std::move(pair.r_shifted),
+                 frac_bits](std::vector<RingTensor> opened) mutable {
+                  r_shifted.add_public(shift_public(opened[0], frac_bits));
+                  out.set(std::move(r_shifted));
                 });
 }
 
 /// The truncation pair a fused product rescale consumes: none for
-/// kLocal, a checked copy of `*pair` for kMaskedOpen.
+/// kLocal, `pair` checked against the product for kMaskedOpen.
 std::optional<TruncPairShare> rescale_pair(TruncationMode trunc_mode,
-                                           const TruncPairShare* pair,
+                                           std::optional<TruncPairShare> pair,
                                            const Shape& product_shape) {
   if (trunc_mode == TruncationMode::kLocal) {
     return std::nullopt;
   }
-  TRUSTDDL_REQUIRE(pair != nullptr,
+  TRUSTDDL_REQUIRE(pair.has_value(),
                    "masked-open rescale needs a truncation pair");
   TRUSTDDL_REQUIRE(pair->r.shape() == product_shape,
                    "rescale: pair shape mismatch");
-  return *pair;
+  return pair;
 }
 
 /// Resolve `out` with product `z` rescaled: share-locally now, or (with
 /// a pair) by a truncation opening chained into the next flush, so the
 /// truncations of every product prepared against one batch share it.
 void rescale_into(OpenBatch& batch, PartyShare z,
-                  const std::optional<TruncPairShare>& pair,
-                  DeferredShare out) {
+                  std::optional<TruncPairShare> pair, DeferredShare out) {
   if (!pair) {
     z.truncate_local(batch.context().frac_bits);
     out.set(std::move(z));
     return;
   }
-  truncate_into(batch, z, *pair, std::move(out));
+  truncate_into(batch, z, std::move(*pair), std::move(out));
 }
 
 /// Shared head of the products against a reusable mask: open e = x − a,
 /// plus f = W − B on the mask's first product (same round, so reuse
-/// adds none), and resolve with combine(e, f) rescaled.
+/// adds none), and resolve with combine(e, f, B, triple) rescaled.
 template <typename Combine>
 DeferredShare masked_weight_product_prepare(
     OpenBatch& batch, const PartyShare& x, const PartyShare& weight,
-    WeightMask& mask, const PartyShare& a,
+    WeightMask& mask, BeaverTripleShare triple,
     std::optional<TruncPairShare> trunc, Combine combine) {
   std::vector<PartyShare> masked;
-  masked.push_back(x - a);
+  masked.push_back(x - triple.a);
   const bool open_f = !mask.f_requested;
   if (open_f) {
     masked.push_back(weight - *mask.b);
@@ -189,13 +189,14 @@ DeferredShare masked_weight_product_prepare(
   }
   DeferredShare out;
   batch.enqueue(std::move(masked),
-                [&batch, out, trunc, f = mask.f, open_f,
+                [&batch, out, triple = std::move(triple),
+                 trunc = std::move(trunc), f = mask.f, b = mask.b, open_f,
                  combine](std::vector<RingTensor> opened) mutable {
                   if (open_f) {
                     f.set(std::move(opened[1]));
                   }
-                  rescale_into(batch, combine(opened[0], f.get()), trunc,
-                               out);
+                  rescale_into(batch, combine(opened[0], f.get(), *b, triple),
+                               std::move(trunc), out);
                 });
   return out;
 }
@@ -222,24 +223,25 @@ ComparisonMaterial take_comparison(std::vector<MaterialEntry>& entries,
 
 DeferredShare sec_mul_bt_prepare(OpenBatch& batch, const PartyShare& x,
                                  const PartyShare& y,
-                                 const BeaverTripleShare& triple) {
+                                 BeaverTripleShare triple) {
   TRUSTDDL_REQUIRE(x.shape() == y.shape(),
                    "sec_mul_bt: operand shapes differ");
-  return masked_multiply_prepare(batch, x, y, triple, hadamard_product);
+  return masked_multiply_prepare(batch, x, y, std::move(triple),
+                                 hadamard_product);
 }
 
 DeferredShare sec_matmul_bt_prepare(OpenBatch& batch, const PartyShare& x,
                                     const PartyShare& y,
-                                    const BeaverTripleShare& triple) {
+                                    BeaverTripleShare triple) {
   TRUSTDDL_REQUIRE(x.shape().size() == 2 && y.shape().size() == 2 &&
                        x.shape()[1] == y.shape()[0],
                    "sec_matmul_bt: incompatible operand shapes");
-  return masked_multiply_prepare(batch, x, y, triple, matmul_product);
+  return masked_multiply_prepare(batch, x, y, std::move(triple),
+                                 matmul_product);
 }
 
 void sec_comp_bt_prepare_on(OpenBatch& batch, const PartyShare& x,
-                            const PartyShare& y,
-                            const ComparisonMaterial& material,
+                            const PartyShare& y, ComparisonMaterial material,
                             std::function<void(RingTensor)> on_signs) {
   TRUSTDDL_REQUIRE(x.shape() == y.shape(),
                    "sec_comp_bt: operand shapes differ");
@@ -254,12 +256,14 @@ void sec_comp_bt_prepare_on(OpenBatch& batch, const PartyShare& x,
   masked.push_back(alpha - material.triple.b);
   batch.enqueue(
       std::move(masked),
-      [&batch, on_signs = std::move(on_signs), triple = material.triple,
+      [&batch, on_signs = std::move(on_signs),
+       triple = std::move(material.triple),
        dealt_product](std::vector<RingTensor> opened) mutable {
         PartyShare beta;
         if (dealt_product) {
-          // Comparison triple: β = c + t ⊙ f with f = α − b public.
-          beta = triple.a;
+          // Comparison triple: β = c + t ⊙ f with f = α − b public; t
+          // is read once, so it becomes β in place.
+          beta = std::move(triple.a);
           beta.mul_public(opened[0]);
           beta += triple.c;
         } else {
@@ -280,9 +284,9 @@ void sec_comp_bt_prepare_on(OpenBatch& batch, const PartyShare& x,
 
 DeferredTensor sec_comp_bt_prepare(OpenBatch& batch, const PartyShare& x,
                                    const PartyShare& y,
-                                   const ComparisonMaterial& material) {
+                                   ComparisonMaterial material) {
   DeferredTensor out;
-  sec_comp_bt_prepare_on(batch, x, y, material,
+  sec_comp_bt_prepare_on(batch, x, y, std::move(material),
                          [out](RingTensor signs) mutable {
                            out.set(std::move(signs));
                          });
@@ -290,48 +294,50 @@ DeferredTensor sec_comp_bt_prepare(OpenBatch& batch, const PartyShare& x,
 }
 
 DeferredTensor sec_sign_bt_prepare(OpenBatch& batch, const PartyShare& x,
-                                   const ComparisonMaterial& material) {
-  return sec_comp_bt_prepare(batch, x, zero_share(x.shape()), material);
+                                   ComparisonMaterial material) {
+  return sec_comp_bt_prepare(batch, x, zero_share(x.shape()),
+                             std::move(material));
 }
 
 DeferredShare truncate_product_masked_prepare(OpenBatch& batch,
                                               const PartyShare& z,
-                                              const TruncPairShare& pair) {
+                                              TruncPairShare pair) {
   TRUSTDDL_REQUIRE(z.shape() == pair.r.shape(),
                    "truncate_product_masked: pair shape mismatch");
   DeferredShare out;
-  truncate_into(batch, z, pair, out);
+  truncate_into(batch, z, std::move(pair), out);
   return out;
 }
 
 DeferredShare sec_matmul_bt_rescaled_prepare(
     OpenBatch& batch, const PartyShare& x, const PartyShare& y,
-    const BeaverTripleShare& triple, TruncationMode trunc_mode,
-    const TruncPairShare* pair) {
+    BeaverTripleShare triple, TruncationMode trunc_mode,
+    std::optional<TruncPairShare> pair) {
   TRUSTDDL_REQUIRE(x.shape().size() == 2 && y.shape().size() == 2 &&
                        x.shape()[1] == y.shape()[0],
                    "sec_matmul_bt: incompatible operand shapes");
-  const std::optional<TruncPairShare> trunc =
-      rescale_pair(trunc_mode, pair, Shape{x.shape()[0], y.shape()[1]});
+  std::optional<TruncPairShare> trunc = rescale_pair(
+      trunc_mode, std::move(pair), Shape{x.shape()[0], y.shape()[1]});
   DeferredShare out;
   std::vector<PartyShare> masked;
   masked.push_back(x - triple.a);
   masked.push_back(y - triple.b);
   batch.enqueue(std::move(masked),
-                [&batch, out, triple,
-                 trunc](std::vector<RingTensor> opened) mutable {
+                [&batch, out, triple = std::move(triple),
+                 trunc = std::move(trunc)](
+                    std::vector<RingTensor> opened) mutable {
                   rescale_into(batch,
                                combine_with_triple(opened[0], opened[1],
                                                    triple, matmul_product),
-                               trunc, out);
+                               std::move(trunc), out);
                 });
   return out;
 }
 
 DeferredShare sec_matmul_masked_rescaled_prepare(
     OpenBatch& batch, const PartyShare& x, const PartyShare& weight,
-    WeightMask& mask, const BeaverTripleShare& triple, bool transposed,
-    TruncationMode trunc_mode, const TruncPairShare* pair) {
+    WeightMask& mask, BeaverTripleShare triple, bool transposed,
+    TruncationMode trunc_mode, std::optional<TruncPairShare> pair) {
   TRUSTDDL_REQUIRE(mask.armed(), "masked matmul: weight mask not dealt");
   TRUSTDDL_REQUIRE(weight.shape().size() == 2 && x.shape().size() == 2 &&
                        weight.shape() == mask.b->shape() &&
@@ -339,19 +345,19 @@ DeferredShare sec_matmul_masked_rescaled_prepare(
                        x.shape()[1] == weight.shape()[transposed ? 1 : 0],
                    "masked matmul: incompatible operand shapes");
   return masked_weight_product_prepare(
-      batch, x, weight, mask, triple.a,
-      rescale_pair(trunc_mode, pair,
+      batch, x, weight, mask, std::move(triple),
+      rescale_pair(trunc_mode, std::move(pair),
                    Shape{x.shape()[0], weight.shape()[transposed ? 0 : 1]}),
-      [triple, b = mask.b, transposed](const RingTensor& e,
-                                       const RingTensor& f) {
-        return combine_with_mask(e, f, *b, triple, transposed);
+      [transposed](const RingTensor& e, const RingTensor& f,
+                   const PartyShare& b, const BeaverTripleShare& triple) {
+        return combine_with_mask(e, f, b, triple, transposed);
       });
 }
 
 DeferredShare sec_conv_masked_rescaled_prepare(
     OpenBatch& batch, const PartyShare& x, const PartyShare& weight,
-    WeightMask& mask, const BeaverTripleShare& triple, const ConvSpec& conv,
-    TruncationMode trunc_mode, const TruncPairShare* pair) {
+    WeightMask& mask, BeaverTripleShare triple, const ConvSpec& conv,
+    TruncationMode trunc_mode, std::optional<TruncPairShare> pair) {
   TRUSTDDL_REQUIRE(mask.armed(), "masked conv: weight mask not dealt");
   const std::size_t in_features =
       conv.in_channels * conv.in_height * conv.in_width;
@@ -362,46 +368,46 @@ DeferredShare sec_conv_masked_rescaled_prepare(
                            (Shape{conv.out_channels, conv.col_rows()}),
                    "masked conv: incompatible operand shapes");
   return masked_weight_product_prepare(
-      batch, x, weight, mask, triple.a,
-      rescale_pair(trunc_mode, pair,
+      batch, x, weight, mask, std::move(triple),
+      rescale_pair(trunc_mode, std::move(pair),
                    Shape{conv.out_channels, x.shape()[0] * conv.col_cols()}),
-      [triple, b = mask.b, conv](const RingTensor& e, const RingTensor& f) {
-        return combine_with_conv_mask(e, f, *b, triple, conv);
+      [conv](const RingTensor& e, const RingTensor& f, const PartyShare& b,
+             const BeaverTripleShare& triple) {
+        return combine_with_conv_mask(e, f, b, triple, conv);
       });
 }
 
 PartyShare sec_mul_bt(PartyContext& ctx, const PartyShare& x,
-                      const PartyShare& y, const BeaverTripleShare& triple) {
+                      const PartyShare& y, BeaverTripleShare triple) {
   obs::ScopedSpan span("proto.sec_mul_bt", ctx.party, ctx.step);
   OpenBatch batch(ctx);
-  DeferredShare z = sec_mul_bt_prepare(batch, x, y, triple);
+  DeferredShare z = sec_mul_bt_prepare(batch, x, y, std::move(triple));
   batch.flush_all();
   return z.take();
 }
 
 PartyShare sec_matmul_bt(PartyContext& ctx, const PartyShare& x,
-                         const PartyShare& y,
-                         const BeaverTripleShare& triple) {
+                         const PartyShare& y, BeaverTripleShare triple) {
   obs::ScopedSpan span("proto.sec_matmul_bt", ctx.party, ctx.step);
   OpenBatch batch(ctx);
-  DeferredShare z = sec_matmul_bt_prepare(batch, x, y, triple);
+  DeferredShare z = sec_matmul_bt_prepare(batch, x, y, std::move(triple));
   batch.flush_all();
   return z.take();
 }
 
 RingTensor sec_comp_bt(PartyContext& ctx, const PartyShare& x,
-                       const PartyShare& y,
-                       const ComparisonMaterial& material) {
+                       const PartyShare& y, ComparisonMaterial material) {
   obs::ScopedSpan span("proto.sec_comp_bt", ctx.party, ctx.step);
   OpenBatch batch(ctx);
-  DeferredTensor signs = sec_comp_bt_prepare(batch, x, y, material);
+  DeferredTensor signs =
+      sec_comp_bt_prepare(batch, x, y, std::move(material));
   batch.flush_all();
   return signs.take();
 }
 
 RingTensor sec_sign_bt(PartyContext& ctx, const PartyShare& x,
-                       const ComparisonMaterial& material) {
-  return sec_comp_bt(ctx, x, zero_share(x.shape()), material);
+                       ComparisonMaterial material) {
+  return sec_comp_bt(ctx, x, zero_share(x.shape()), std::move(material));
 }
 
 RingTensor positive_mask(const RingTensor& signs) {
@@ -419,9 +425,10 @@ PartyShare truncate_product_local(const PartyShare& z, int frac_bits) {
 }
 
 PartyShare truncate_product_masked(PartyContext& ctx, const PartyShare& z,
-                                   const TruncPairShare& pair) {
+                                   TruncPairShare pair) {
   OpenBatch batch(ctx);
-  DeferredShare out = truncate_product_masked_prepare(batch, z, pair);
+  DeferredShare out =
+      truncate_product_masked_prepare(batch, z, std::move(pair));
   batch.flush_all();
   return out.take();
 }

@@ -23,12 +23,12 @@ namespace trustddl::mpc {
 /// raw ring values: fixed-point callers must rescale with
 /// truncate_product afterwards.
 PartyShare sec_mul_bt(PartyContext& ctx, const PartyShare& x,
-                      const PartyShare& y, const BeaverTripleShare& triple);
+                      const PartyShare& y, BeaverTripleShare triple);
 
 /// Matrix product z = x × y (the SecMatMul-BT variant of Algorithm 4).
 /// x is [m,k], y is [k,n], the triple must be dealt for (m,k,n).
 PartyShare sec_matmul_bt(PartyContext& ctx, const PartyShare& x,
-                         const PartyShare& y, const BeaverTripleShare& triple);
+                         const PartyShare& y, BeaverTripleShare triple);
 
 /// One party's material for one SecComp-BT (Algorithm 5).  The paper
 /// deals the positive mask t as its own kCompAux entry (`t_aux`) beside
@@ -53,13 +53,12 @@ ComparisonMaterial take_comparison(std::vector<MaterialEntry>& entries,
 /// Elementwise comparison (Algorithm 5): returns sign(x - y) publicly
 /// as a tensor with elements 1, 0 or 2^64-1 (i.e. -1 in the ring).
 RingTensor sec_comp_bt(PartyContext& ctx, const PartyShare& x,
-                       const PartyShare& y,
-                       const ComparisonMaterial& material);
+                       const PartyShare& y, ComparisonMaterial material);
 
 /// sign(x) — comparison against zero without spending share material
 /// on the zero operand.
 RingTensor sec_sign_bt(PartyContext& ctx, const PartyShare& x,
-                       const ComparisonMaterial& material);
+                       ComparisonMaterial material);
 
 /// 0/1 mask (raw ring values) from a sign tensor: 1 where sign is
 /// positive.  Multiplying shares by this public mask implements ReLU
@@ -87,7 +86,7 @@ PartyShare truncate_product_local(const PartyShare& z, int frac_bits);
 
 /// Rescale via masked opening; consumes one truncation pair.
 PartyShare truncate_product_masked(PartyContext& ctx, const PartyShare& z,
-                                   const TruncPairShare& pair);
+                                   TruncPairShare pair);
 
 // --- Deferred (prepare/finalize) variants -------------------------------
 //
@@ -104,22 +103,24 @@ PartyShare truncate_product_masked(PartyContext& ctx, const PartyShare& z,
 // The batch dispatches continuations in enqueue order at every party,
 // so preprocessing material must be fetched at prepare time (as these
 // functions' signatures force) to keep the SPMD request order aligned.
+// Material is taken by value and moved into the continuation that
+// reads it: callers that are done with it pass it with std::move.
 
 /// Deferred SecMul-BT: resolves after one flush.
 DeferredShare sec_mul_bt_prepare(OpenBatch& batch, const PartyShare& x,
                                  const PartyShare& y,
-                                 const BeaverTripleShare& triple);
+                                 BeaverTripleShare triple);
 
 /// Deferred SecMatMul-BT: resolves after one flush.
 DeferredShare sec_matmul_bt_prepare(OpenBatch& batch, const PartyShare& x,
                                     const PartyShare& y,
-                                    const BeaverTripleShare& triple);
+                                    BeaverTripleShare triple);
 
 /// Deferred SecComp-BT: the Beaver-mask opening rides the first flush,
 /// the β = t⊙(x−y) opening the second; resolves after two flushes.
 DeferredTensor sec_comp_bt_prepare(OpenBatch& batch, const PartyShare& x,
                                    const PartyShare& y,
-                                   const ComparisonMaterial& material);
+                                   ComparisonMaterial material);
 
 /// Continuation-style SecComp-BT for protocols built on top of the
 /// revealed comparison (robust aggregation, tournaments): `on_signs`
@@ -128,30 +129,29 @@ DeferredTensor sec_comp_bt_prepare(OpenBatch& batch, const PartyShare& x,
 /// Round structure is identical to sec_comp_bt_prepare, which is a
 /// thin wrapper over this.
 void sec_comp_bt_prepare_on(OpenBatch& batch, const PartyShare& x,
-                            const PartyShare& y,
-                            const ComparisonMaterial& material,
+                            const PartyShare& y, ComparisonMaterial material,
                             std::function<void(RingTensor)> on_signs);
 
 /// Deferred sign(x); same round structure as sec_comp_bt_prepare.
 DeferredTensor sec_sign_bt_prepare(OpenBatch& batch, const PartyShare& x,
-                                   const ComparisonMaterial& material);
+                                   ComparisonMaterial material);
 
 /// Deferred masked-open rescale: resolves after one flush.
 DeferredShare truncate_product_masked_prepare(OpenBatch& batch,
                                               const PartyShare& z,
-                                              const TruncPairShare& pair);
+                                              TruncPairShare pair);
 
 /// Deferred SecMatMul-BT fused with the fixed-point rescale.  With
 /// kLocal truncation the product is shifted share-locally as soon as
 /// the Beaver masks open (one flush); with kMaskedOpen the truncation
 /// opening is enqueued from the matmul's continuation, so the
 /// truncations of every matmul prepared against the same batch share
-/// the SECOND flush (`pair` must be non-null, dealt for the product
-/// shape).  frac_bits is taken from the batch's context.
+/// the SECOND flush (`pair` must be set, dealt for the product shape).
+/// frac_bits is taken from the batch's context.
 DeferredShare sec_matmul_bt_rescaled_prepare(
     OpenBatch& batch, const PartyShare& x, const PartyShare& y,
-    const BeaverTripleShare& triple, TruncationMode trunc_mode,
-    const TruncPairShare* pair);
+    BeaverTripleShare triple, TruncationMode trunc_mode,
+    std::optional<TruncPairShare> pair);
 
 // --- Reusable weight masks ----------------------------------------------
 //
@@ -180,8 +180,8 @@ struct WeightMask {
 /// same round as its e, so reuse adds no round.
 DeferredShare sec_matmul_masked_rescaled_prepare(
     OpenBatch& batch, const PartyShare& x, const PartyShare& weight,
-    WeightMask& mask, const BeaverTripleShare& triple, bool transposed,
-    TruncationMode trunc_mode, const TruncPairShare* pair);
+    WeightMask& mask, BeaverTripleShare triple, bool transposed,
+    TruncationMode trunc_mode, std::optional<TruncPairShare> pair);
 
 /// Deferred convolution W×im2col(x) against the reusable mask of the
 /// conv weight W ([out_channels, C·kh·kw]), fused with the rescale as
@@ -192,7 +192,7 @@ DeferredShare sec_matmul_masked_rescaled_prepare(
 /// im2col(a_x) locally.  The result is [out_channels, batch·P].
 DeferredShare sec_conv_masked_rescaled_prepare(
     OpenBatch& batch, const PartyShare& x, const PartyShare& weight,
-    WeightMask& mask, const BeaverTripleShare& triple, const ConvSpec& conv,
-    TruncationMode trunc_mode, const TruncPairShare* pair);
+    WeightMask& mask, BeaverTripleShare triple, const ConvSpec& conv,
+    TruncationMode trunc_mode, std::optional<TruncPairShare> pair);
 
 }  // namespace trustddl::mpc

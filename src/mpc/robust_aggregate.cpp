@@ -77,7 +77,7 @@ PartyShare stack_pair_rows(const std::vector<PartyShare>& inputs,
 /// the caller's current round).
 void finalize_average(OpenBatch& batch, DeferredShare out, PartyShare acc,
                       std::size_t n_sel, TruncationMode trunc_mode,
-                      const TruncPairShare& pair) {
+                      TruncPairShare pair) {
   if (n_sel == 1) {
     out.set(std::move(acc));
     return;
@@ -93,10 +93,10 @@ void finalize_average(OpenBatch& batch, DeferredShare out, PartyShare acc,
   std::vector<PartyShare> masked;
   masked.push_back(scaled - pair.r);
   batch.enqueue(std::move(masked),
-                [out, pair, frac_bits](std::vector<RingTensor> opened) mutable {
-                  PartyShare result = pair.r_shifted;
-                  result.add_public(shift_public(opened[0], frac_bits));
-                  out.set(std::move(result));
+                [out, r_shifted = std::move(pair.r_shifted),
+                 frac_bits](std::vector<RingTensor> opened) mutable {
+                  r_shifted.add_public(shift_public(opened[0], frac_bits));
+                  out.set(std::move(r_shifted));
                 });
 }
 
@@ -136,7 +136,7 @@ AggregateDemand aggregate_demand(std::size_t num_inputs, const Shape& shape,
 }
 
 DeferredShare robust_aggregate_prepare(OpenBatch& batch, TripleStore& triples,
-                                       const std::vector<PartyShare>& inputs,
+                                       std::vector<PartyShare> inputs,
                                        const AggregateOptions& options,
                                        bool comp_triples,
                                        AggregateStats* stats) {
@@ -161,7 +161,7 @@ DeferredShare robust_aggregate_prepare(OpenBatch& batch, TripleStore& triples,
 
   DeferredShare out;
   if (k == 1) {
-    out.set(inputs[0]);
+    out.set(std::move(inputs[0]));
     return out;
   }
 
@@ -192,25 +192,23 @@ DeferredShare robust_aggregate_prepare(OpenBatch& batch, TripleStore& triples,
   if (!needs_comparison) {
     // Selection keeps every input: the rule degenerates to the plain
     // mean and no comparisons are spent (kMean, trim 0, or K ≤ 2).
-    PartyShare sum = inputs[0];
+    PartyShare sum = std::move(inputs[0]);
     for (std::size_t i = 1; i < k; ++i) {
       sum += inputs[i];
     }
     finalize_average(batch, out, std::move(sum), n_sel, options.trunc_mode,
-                     pair);
+                     std::move(pair));
     return out;
   }
 
   const PartyShare xs = stack_pair_rows(inputs, numel, npairs, true);
   const PartyShare ys = stack_pair_rows(inputs, numel, npairs, false);
-  const ComparisonMaterial material =
-      take_comparison(entries, &at, comp_triples);
 
   const TruncationMode trunc_mode = options.trunc_mode;
   sec_comp_bt_prepare_on(
-      batch, xs, ys, material,
-      [&batch, out, inputs, shape, numel, k, window, n_sel, trunc_mode,
-       pair](RingTensor signs) mutable {
+      batch, xs, ys, take_comparison(entries, &at, comp_triples),
+      [&batch, out, inputs = std::move(inputs), shape, numel, k, window,
+       n_sel, trunc_mode, pair = std::move(pair)](RingTensor signs) mutable {
         // Per-coordinate rank of each owner: the number of owners it
         // beats, ties broken by owner index (i < j and equal values →
         // j outranks i), so ranks form a permutation of 0..k-1 at
@@ -239,23 +237,24 @@ DeferredShare robust_aggregate_prepare(OpenBatch& batch, TripleStore& triples,
                     ? 1u
                     : 0u;
           }
-          PartyShare selected = inputs[owner];
-          selected.mul_public(mask);
-          acc += selected;
+          // Each owner's share is read once more: mask it in place.
+          inputs[owner].mul_public(mask);
+          acc += inputs[owner];
         }
-        finalize_average(batch, out, std::move(acc), n_sel, trunc_mode, pair);
+        finalize_average(batch, out, std::move(acc), n_sel, trunc_mode,
+                         std::move(pair));
       });
   return out;
 }
 
 PartyShare robust_aggregate(PartyContext& ctx, TripleStore& triples,
-                            const std::vector<PartyShare>& inputs,
+                            std::vector<PartyShare> inputs,
                             const AggregateOptions& options,
                             bool comp_triples, AggregateStats* stats) {
   obs::ScopedSpan span("proto.robust_aggregate", ctx.party, ctx.step);
   OpenBatch batch(ctx);
-  DeferredShare out = robust_aggregate_prepare(batch, triples, inputs,
-                                               options, comp_triples, stats);
+  DeferredShare out = robust_aggregate_prepare(
+      batch, triples, std::move(inputs), options, comp_triples, stats);
   batch.flush_all();
   return out.take();
 }

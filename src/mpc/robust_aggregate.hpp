@@ -85,20 +85,21 @@ AggregateDemand aggregate_demand(std::size_t num_inputs, const Shape& shape,
 ///
 /// Preprocessing material is fetched from `triples` at prepare time, in
 /// one TripleStore::next_many (SPMD request-order rule); inputs must
-/// all share one shape and inputs.size() ≥ 1.  The ranking compares
+/// all share one shape and inputs.size() ≥ 1.  The inputs are taken by
+/// value and masked in place: callers done with them move them in.  The ranking compares
 /// with comparison triples when `comp_triples` (mpc::comparison_keys).
 /// `frac_bits` is taken from the batch's context.  `stats`, when
 /// non-null, is filled at prepare time (the counts are
 /// data-independent).
 DeferredShare robust_aggregate_prepare(OpenBatch& batch, TripleStore& triples,
-                                       const std::vector<PartyShare>& inputs,
+                                       std::vector<PartyShare> inputs,
                                        const AggregateOptions& options,
                                        bool comp_triples,
                                        AggregateStats* stats = nullptr);
 
 /// Eager wrapper: prepare + flush_all on a private batch.
 PartyShare robust_aggregate(PartyContext& ctx, TripleStore& triples,
-                            const std::vector<PartyShare>& inputs,
+                            std::vector<PartyShare> inputs,
                             const AggregateOptions& options,
                             bool comp_triples,
                             AggregateStats* stats = nullptr);

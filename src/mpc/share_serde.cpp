@@ -20,7 +20,14 @@ PartyShare read_party_share(ByteReader& reader) {
 }
 
 Bytes write_share_vector(const std::vector<PartyShare>& shares, bool pairs) {
+  std::size_t size = 8;
+  for (const auto& share : shares) {
+    size += tensor_wire_size(share.primary.shape()) +
+            tensor_wire_size(share.second.shape()) +
+            (pairs ? 0 : tensor_wire_size(share.duplicate.shape()));
+  }
   ByteWriter writer;
+  writer.reserve(size);
   writer.write_u64(shares.size());
   for (const auto& share : shares) {
     if (pairs) {
@@ -124,6 +131,20 @@ MaterialEntry read_material_entry(ByteReader& reader, TripleKind kind) {
       throw SerializationError("unknown material kind");
   }
   return entry;
+}
+
+MaterialBatch read_fill_response(Bytes response, TripleKind kind,
+                                 std::size_t count) {
+  ByteReader reader(std::move(response));
+  if (reader.read_u32() != count) {
+    throw ProtocolError("owner served short material batch");
+  }
+  MaterialBatch batch;
+  batch.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    batch.push_back(read_material_entry(reader, kind));
+  }
+  return batch;
 }
 
 std::size_t min_material_entry_bytes(TripleKind kind) {

@@ -34,6 +34,13 @@ void write_material_entry(ByteWriter& writer, TripleKind kind,
                           const MaterialEntry& entry);
 MaterialEntry read_material_entry(ByteReader& reader, TripleKind kind);
 
+/// One party's entries from a fill response (deal_fill_responses'
+/// format: a u32 count, then the entries).  Throws ProtocolError when
+/// the response carries other than `count` entries, SerializationError
+/// when it is malformed.
+MaterialBatch read_fill_response(Bytes response, TripleKind kind,
+                                 std::size_t count);
+
 /// Fewest bytes any entry of `kind` encodes to (its tensor headers):
 /// a count of entries claimed by a header can be checked against the
 /// bytes left before anything is allocated for them.

@@ -6,6 +6,7 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -28,6 +29,12 @@ constexpr std::uint32_t kMagic = 0x314c4454;  // "TDL1"
 constexpr std::uint32_t kMaxTagLen = 1u << 16;
 constexpr std::uint64_t kMaxPayloadLen = 1ull << 33;
 constexpr std::size_t kFrameHeaderLen = 12;  // magic + sender + tag_len
+/// A payload's buffer grows only as its bytes arrive: by this much, or
+/// by what has arrived when that is more.  A header that claims more
+/// than the peer sends thus holds at most the bytes sent plus this, or
+/// twice the bytes sent.  Large enough that the biggest routine frame
+/// (a ~21 MB aggregation fill) lands in its first allocation.
+constexpr std::size_t kPayloadGrowth = std::size_t{32} << 20;
 
 void put_u32(std::uint8_t* out, std::uint32_t value) {
   for (int i = 0; i < 4; ++i) {
@@ -74,20 +81,50 @@ bool read_exact(int fd, std::uint8_t* out, std::size_t size) {
   return true;
 }
 
-/// Write exactly `size` bytes; throws on a dead connection.
-void write_all(int fd, const std::uint8_t* data, std::size_t size) {
-  std::size_t done = 0;
-  while (done < size) {
-    const ssize_t n = ::send(fd, data + done, size - done, MSG_NOSIGNAL);
-    if (n > 0) {
-      done += static_cast<std::size_t>(n);
-      continue;
+/// Read a `size`-byte payload into `out`, growing it only as bytes
+/// arrive (kPayloadGrowth); false on EOF/error.
+bool read_payload(int fd, Bytes& out, std::uint64_t size) {
+  out.clear();
+  while (out.size() < size) {
+    const std::size_t have = out.size();
+    const std::size_t step = static_cast<std::size_t>(
+        std::min<std::uint64_t>(size - have,
+                                std::max(kPayloadGrowth, have)));
+    out.resize(have + step);  // unwritten bytes: read_exact fills them
+    if (!read_exact(fd, out.data() + have, step)) {
+      return false;
     }
-    if (n < 0 && errno == EINTR) {
-      continue;
+  }
+  return true;
+}
+
+/// Write every byte of `parts[0..count)` with as few syscalls as the
+/// socket allows: one sendmsg, unless the kernel takes a partial write
+/// (a payload larger than the socket buffer), when the rest follows
+/// from where it stopped.  Throws on a dead connection.
+void write_all(int fd, iovec* parts, std::size_t count) {
+  while (count > 0) {
+    msghdr message{};
+    message.msg_iov = parts;
+    message.msg_iovlen = count;
+    const ssize_t n = ::sendmsg(fd, &message, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) {
+        continue;
+      }
+      throw ProtocolError(std::string("tcp send failed: ") +
+                          std::strerror(errno));
     }
-    throw ProtocolError(std::string("tcp send failed: ") +
-                        std::strerror(errno));
+    auto sent = static_cast<std::size_t>(n);
+    while (count > 0 && sent >= parts->iov_len) {
+      sent -= parts->iov_len;
+      ++parts;
+      --count;
+    }
+    if (count > 0) {
+      parts->iov_base = static_cast<std::uint8_t*>(parts->iov_base) + sent;
+      parts->iov_len -= sent;
+    }
   }
 }
 
@@ -218,7 +255,8 @@ int TcpTransport::connect_with_retry(PartyId peer_id,
       std::uint8_t hello[8];
       put_u32(hello, kMagic);
       put_u32(hello + 4, static_cast<std::uint32_t>(self_));
-      write_all(fd, hello, sizeof(hello));
+      iovec part{hello, sizeof(hello)};
+      write_all(fd, &part, 1);
       return fd;
     }
     int closing = fd;
@@ -455,9 +493,7 @@ void TcpTransport::reader_loop(PartyId peer_id) {
           << "; closing link";
       break;
     }
-    message.payload.resize(payload_len);
-    if (payload_len > 0 &&
-        !read_exact(fd, message.payload.data(), payload_len)) {
+    if (!read_payload(fd, message.payload, payload_len)) {
       break;
     }
     {
@@ -550,17 +586,18 @@ void TcpTransport::send(Message message) {
   }
 
   Peer& peer = *peers_[static_cast<std::size_t>(message.receiver)];
-  std::vector<std::uint8_t> frame(kFrameHeaderLen + message.tag.size() + 8 +
-                                  message.payload.size());
-  put_u32(frame.data(), kMagic);
-  put_u32(frame.data() + 4, static_cast<std::uint32_t>(self_));
-  put_u32(frame.data() + 8, static_cast<std::uint32_t>(message.tag.size()));
-  std::memcpy(frame.data() + kFrameHeaderLen, message.tag.data(),
+  // Header, tag and length go in one small buffer; the payload goes out
+  // from where it lies, and one sendmsg writes both.
+  Bytes head(kFrameHeaderLen + message.tag.size() + 8);
+  put_u32(head.data(), kMagic);
+  put_u32(head.data() + 4, static_cast<std::uint32_t>(self_));
+  put_u32(head.data() + 8, static_cast<std::uint32_t>(message.tag.size()));
+  std::memcpy(head.data() + kFrameHeaderLen, message.tag.data(),
               message.tag.size());
-  put_u64(frame.data() + kFrameHeaderLen + message.tag.size(),
+  put_u64(head.data() + kFrameHeaderLen + message.tag.size(),
           message.payload.size());
-  std::memcpy(frame.data() + kFrameHeaderLen + message.tag.size() + 8,
-              message.payload.data(), message.payload.size());
+  iovec frame[2] = {iovec{head.data(), head.size()},
+                    iovec{message.payload.data(), message.payload.size()}};
 
   std::lock_guard<std::mutex> lock(peer.send_mu);
   const PartyId dynamic_min = dynamic_min_id_.load();
@@ -574,7 +611,7 @@ void TcpTransport::send(Message message) {
       return;
     }
     try {
-      write_all(peer.fd, frame.data(), frame.size());
+      write_all(peer.fd, frame, 2);
     } catch (const ProtocolError&) {
       // Wake the reader with an EOF; its cleanup closes the fd and
       // marks the peer departed.
@@ -586,7 +623,7 @@ void TcpTransport::send(Message message) {
     return;
   }
   TRUSTDDL_REQUIRE(peer.fd >= 0, "send: no connection to receiver");
-  write_all(peer.fd, frame.data(), frame.size());
+  write_all(peer.fd, frame, 2);
 }
 
 Bytes TcpTransport::blocking_recv(PartyId receiver, PartyId from,

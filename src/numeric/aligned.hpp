@@ -14,6 +14,8 @@
 #include <new>
 #include <vector>
 
+#include "common/default_init.hpp"
+
 namespace trustddl {
 
 /// Minimal C++17 allocator handing out 64-byte-aligned blocks.
@@ -45,8 +47,9 @@ struct AlignedAllocator {
 };
 
 /// The tensor storage container: a std::vector whose data() is
-/// cache-line aligned.
+/// cache-line aligned and whose sized construction leaves elements
+/// unwritten (default_init.hpp); Tensor(shape) fills explicitly.
 template <typename T>
-using AlignedVector = std::vector<T, AlignedAllocator<T>>;
+using AlignedVector = std::vector<T, DefaultInit<AlignedAllocator<T>>>;
 
 }  // namespace trustddl

@@ -12,6 +12,10 @@ void write_tensor(ByteWriter& writer, const RingTensor& tensor) {
   writer.write_u64_span(tensor.data(), tensor.size());
 }
 
+std::size_t tensor_wire_size(const Shape& shape) {
+  return 8 * (1 + shape.size() + shape_size(shape));
+}
+
 RingTensor read_tensor(ByteReader& reader) {
   const std::uint64_t rank = reader.read_u64();
   if (rank > 8) {
@@ -36,6 +40,7 @@ RingTensor read_tensor(ByteReader& reader) {
 
 Bytes tensor_to_bytes(const RingTensor& tensor) {
   ByteWriter writer;
+  writer.reserve(tensor_wire_size(tensor.shape()));
   write_tensor(writer, tensor);
   return writer.take();
 }

@@ -43,7 +43,7 @@ void owner_gradient(core::SecureModel& model, core::SecureExecContext& ctx,
 
 void aggregate_and_step(
     core::SecureModel& model, core::SecureExecContext& ctx,
-    const std::vector<std::vector<mpc::PartyShare>>& owner_grads,
+    std::vector<std::vector<mpc::PartyShare>> owner_grads,
     const TrainConfig& config, std::vector<mpc::PartyShare>& velocity) {
   const int frac_bits = ctx.mpc->frac_bits;
   const std::vector<core::SecureParameter*> params = model.parameters();
@@ -60,7 +60,7 @@ void aggregate_and_step(
     for (std::size_t i = 0; i < params.size(); ++i) {
       mpc::AggregateStats stats;
       aggregated.push_back(mpc::robust_aggregate_prepare(
-          batch, *ctx.triples, owner_grads[i], options,
+          batch, *ctx.triples, std::move(owner_grads[i]), options,
           /*comp_triples=*/ctx.reuse_masks, &stats));
       totals.values_submitted += stats.values_submitted;
       totals.values_aggregated += stats.values_aggregated;
@@ -257,11 +257,13 @@ bool TrainServer::run(core::SecureModel& model, core::SecureExecContext& ctx,
       }
 
       owner_gradient(model, ctx, x, y);
+      // The next owner_gradient zeroes the gradients anew.
       for (std::size_t i = 0; i < params.size(); ++i) {
-        owner_grads[i].push_back(params[i]->grad);
+        owner_grads[i].push_back(std::move(params[i]->grad));
       }
     }
-    aggregate_and_step(model, ctx, owner_grads, config_, velocity);
+    aggregate_and_step(model, ctx, std::move(owner_grads), config_,
+                       velocity);
     pipeline_.retire_versions_before(model.weight_version());
     ++rounds_;
     obs::count("train.party.rounds");

@@ -38,7 +38,7 @@ void owner_gradient(core::SecureModel& model, core::SecureExecContext& ctx,
 /// core::profile_train_round_demand lists it.
 void aggregate_and_step(
     core::SecureModel& model, core::SecureExecContext& ctx,
-    const std::vector<std::vector<mpc::PartyShare>>& owner_grads,
+    std::vector<std::vector<mpc::PartyShare>> owner_grads,
     const TrainConfig& config, std::vector<mpc::PartyShare>& velocity);
 
 class TrainServer {

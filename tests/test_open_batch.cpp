@@ -335,7 +335,7 @@ TEST(OpenBatchProtocolTest, PreparedCallsMatchEagerBitIdentically) {
     const auto pair = source.trunc_pair(Shape{3, 2});
     DeferredShare z = sec_matmul_bt_rescaled_prepare(
         batch, x_views[index], y_views[index], triple,
-        TruncationMode::kMaskedOpen, &pair);
+        TruncationMode::kMaskedOpen, pair);
     const auto comp_triple = source.mul_triple(Shape{6});
     const auto t_aux = source.comp_aux(Shape{6});
     DeferredTensor signs = sec_comp_bt_prepare(

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <thread>
 
+#include "common/sha256.hpp"
 #include "core/owner_link.hpp"
 #include "mpc/robust_reconstruct.hpp"
 #include "mpc/share_serde.hpp"
@@ -176,7 +177,7 @@ TEST(OwnerServiceTest, StragglerServedFromProcessedGroupCache) {
 
 /// A raw kBatchFill payload, as OwnerLink::send_fill encodes one.
 Bytes fill_request(std::uint8_t kind, const std::vector<std::uint64_t>& dims,
-                   std::uint32_t count) {
+                   std::uint32_t count, std::uint64_t start = 0) {
   ByteWriter writer;
   writer.write_u8(static_cast<std::uint8_t>(OwnerOp::kBatchFill));
   writer.write_u8(kind);
@@ -184,7 +185,7 @@ Bytes fill_request(std::uint8_t kind, const std::vector<std::uint64_t>& dims,
   for (std::uint64_t dim : dims) {
     writer.write_u64(dim);
   }
-  writer.write_u64(0);  // start
+  writer.write_u64(start);
   writer.write_u32(count);
   return writer.take();
 }
@@ -303,6 +304,71 @@ TEST(OwnerServiceTest, ResentFillIsDealtAgainIdentically) {
         << "entry " << i;
   }
   EXPECT_EQ(harness.service.fills_served(), 5u);
+}
+
+TEST(DealerWireTest, ResponsesMatchPinnedDigests) {
+  // The bytes the dealer sends each party for a fill, pinned for every
+  // material kind at a start past 0 and more than one entry: how the
+  // dealer forms its responses may change, what it deals may not.
+  struct Case {
+    mpc::TripleKind kind;
+    std::vector<std::uint64_t> dims;
+    std::uint64_t start;
+    std::uint32_t count;
+    const char* digest;  ///< SHA-256 over parties 0, 1, 2's responses
+  };
+  using mpc::TripleKind;
+  const std::vector<Case> cases = {
+      {TripleKind::kMul, {2, 3}, 5, 3,
+       "0970190e8a98065c7a27f230ca2c5584d69bf409875533d698e53298e150066d"},
+      {TripleKind::kMatMul, {2, 3, 4}, 5, 3,
+       "af07d6918f2a40b41c7b542021efb327d2dc753038e78355240952339b2d7776"},
+      {TripleKind::kCompAux, {7}, 5, 3,
+       "46849d279ded2914ecdb4b2bf51c311c0cb9ddb1da6b6c3cb4a73b5a788b6916"},
+      {TripleKind::kTruncPair, {2, 5}, 5, 3,
+       "56cc1f0864c5faaa8fb11b15d50a724bd8ebfff55bf6cef505304f4f4c55e952"},
+      {TripleKind::kWeightMask, {1, 2, 3, 4}, 5, 3,
+       "c7ecc8366be4dc321f620687a8e639a5feb48c6771fee68918bbf220f483794c"},
+      {TripleKind::kMaskedMatMul, {1, 2, 0, 2, 3, 4}, 5, 3,
+       "19e0d0efbe74f0f6a043774dbef8a821e3076d8e4f6fdf0c1434b36eda1077ba"},
+      {TripleKind::kMaskedMatMul, {1, 2, 1, 2, 3, 4}, 5, 3,
+       "1201f43ec767f1ef95d8986a801fcdb145f9bcc0a05bac9628d590256662ab74"},
+      {TripleKind::kMaskedConv, {0, 1, 2, 2, 5, 5, 3, 3, 3, 1, 1}, 5, 2,
+       "ea6b2223f7c59be6462421e3bf73537a7198b02051c6ea1c9af47620f88964eb"},
+      {TripleKind::kCompTriple, {2, 5}, 5, 3,
+       "2e969871986dda0c8a5efbdfac1b2639e1e41d44c3366b8f87e2ece7ce4c9a5c"},
+      // Table I's dense comparison triple, as the aggregation ranks it.
+      {TripleKind::kCompTriple, {3, 98000}, 1, 2,
+       "589a30ef2f01a84624ed4219abe924a53c6db5e5f7ea62bfeb63cdf85030b029"},
+  };
+  ServiceHarness harness;
+  std::vector<std::string> digests;
+  std::uint64_t id = 0;
+  for (const Case& c : cases) {
+    const Bytes request = fill_request(static_cast<std::uint8_t>(c.kind),
+                                       c.dims, c.count, c.start);
+    Sha256 hasher;
+    for (int party = 0; party < kComputingParties; ++party) {
+      net::Endpoint endpoint = harness.network.endpoint(party);
+      endpoint.send(kModelOwner, "req/" + std::to_string(id), request);
+      const Bytes response = endpoint.recv(
+          kModelOwner, "rsp/" + std::to_string(id), std::chrono::seconds(60));
+      ByteReader reader(response);
+      EXPECT_EQ(reader.read_u32(), c.count);
+      hasher.update(response);
+    }
+    ++id;
+    digests.push_back(Sha256::hex(hasher.finish()));
+  }
+  for (int party = 0; party < kComputingParties; ++party) {
+    OwnerLink(harness.network.endpoint(party), party).stop();
+  }
+  harness.join();
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    EXPECT_EQ(digests[i], cases[i].digest)
+        << "case " << i << " (" << mpc::triple_kind_name(cases[i].kind)
+        << ")";
+  }
 }
 
 }  // namespace

@@ -4,9 +4,15 @@
 // shape — so every protocol runs unchanged over sockets.
 #include "net/tcp_transport.hpp"
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <cstring>
+#include <fstream>
 #include <thread>
 
 #include "common/error.hpp"
@@ -267,6 +273,142 @@ TEST(TcpTransportTest, InjectedDelayHoldsDelivery) {
   });
   EXPECT_GE(std::chrono::steady_clock::now() - start,
             std::chrono::milliseconds(75));
+}
+
+/// This process's resident set, in KiB (0 where /proc is unavailable).
+std::size_t resident_kib() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmRSS:", 0) == 0) {
+      return std::stoul(line.substr(6));
+    }
+  }
+  return 0;
+}
+
+void put_le(std::vector<std::uint8_t>& out, std::uint64_t value, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    out.push_back(static_cast<std::uint8_t>(value >> (8 * i)));
+  }
+}
+
+/// A raw loopback socket that completed the hello as party 1 with the
+/// transport listening on `port`; -1 if any step failed.
+int dial_as_party_one(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in address{};
+  address.sin_family = AF_INET;
+  address.sin_port = htons(port);
+  std::vector<std::uint8_t> hello;
+  put_le(hello, 0x314c4454, 4);  // magic "TDL1" | party 1
+  put_le(hello, 1, 4);
+  if (fd < 0 || ::inet_pton(AF_INET, "127.0.0.1", &address.sin_addr) != 1 ||
+      ::connect(fd, reinterpret_cast<const sockaddr*>(&address),
+                sizeof(address)) != 0 ||
+      ::send(fd, hello.data(), hello.size(), MSG_NOSIGNAL) !=
+          static_cast<ssize_t>(hello.size())) {
+    if (fd >= 0) {
+      ::close(fd);
+    }
+    return -1;
+  }
+  return fd;
+}
+
+TEST(TcpTransportTest, ClaimedFrameLengthDoesNotReserveUnsentBytes) {
+  // A peer's frame header claims 1 GiB and sends five bytes of it.  The
+  // reader must hold memory only for bytes that arrived, and the link
+  // must close cleanly when the socket does.
+  NetworkConfig config = fast_config(2);
+  config.connect.connect_timeout = std::chrono::milliseconds(5000);
+  TcpTransport receiver(0, "127.0.0.1:0", config);
+  const std::vector<std::string> addresses = {
+      "127.0.0.1:" + std::to_string(receiver.bound_port()), ""};
+  bool linked = false;
+  std::thread rendezvous([&] {
+    try {
+      receiver.connect(addresses, {1});
+      linked = true;
+    } catch (const Error&) {
+    }
+  });
+  const int fd = dial_as_party_one(receiver.bound_port());
+  rendezvous.join();
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(linked);
+
+  std::vector<std::uint8_t> bytes;
+  const std::size_t before = resident_kib();
+  put_le(bytes, 0x314c4454, 4);  // frame: magic | sender | tag_len
+  put_le(bytes, 1, 4);
+  put_le(bytes, 1, 4);
+  bytes.push_back('x');
+  put_le(bytes, std::uint64_t{1} << 30, 8);  // the claimed payload
+  for (int i = 0; i < 5; ++i) {
+    bytes.push_back(0x11);
+  }
+  ASSERT_EQ(::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(bytes.size()));
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const std::size_t after = resident_kib();
+  EXPECT_LT(after, before + 256 * 1024)
+      << "VmRSS grew from " << before << " to " << after << " KiB";
+
+  ::close(fd);
+  Bytes out;
+  EXPECT_FALSE(receiver.endpoint(0).try_recv(1, "x", out));
+  const auto start = std::chrono::steady_clock::now();
+  receiver.shutdown();  // joins the reader, which saw EOF
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::seconds(2));
+}
+
+TEST(TcpTransportTest, PartialWritesDeliverFramesByteExact) {
+  // One frame larger than a loopback socket buffer goes out in pieces;
+  // an empty payload and an injected corruption keep their framing,
+  // and the traffic meter counts exactly what the frames carry.
+  class CorruptTagged final : public FaultInjector {
+   public:
+    FaultDecision on_message(const Message& message) override {
+      return FaultDecision{.corrupt = message.tag == "corrupt"};
+    }
+  };
+  NetworkConfig config = fast_config(2);
+  config.recv_timeout = std::chrono::milliseconds(20000);
+  TcpFabric fabric(config);
+  fabric.set_fault_injector(std::make_shared<CorruptTagged>());
+  Bytes blob(std::size_t{64} << 20);
+  for (std::size_t i = 0; i < blob.size(); i += 8) {
+    const std::uint64_t word = (i + 1) * 0x9e3779b97f4a7c15ULL;
+    std::memcpy(blob.data() + i, &word, sizeof(word));
+  }
+  const Bytes small{1, 2, 3};
+  const std::vector<std::pair<std::string, const Bytes*>> sent = {
+      {"blob", &blob}, {"empty", nullptr}, {"corrupt", &small},
+      {"after", &small}};
+  std::uint64_t wire_bytes = 0;
+  for (const auto& [tag, payload] : sent) {
+    wire_bytes += Message{0, 1, tag, payload ? *payload : Bytes{}}.wire_size();
+  }
+  run_parties(2, [&](PartyId party) {
+    Endpoint endpoint = fabric.endpoint(party);
+    if (party == 0) {
+      for (const auto& [tag, payload] : sent) {
+        endpoint.send(1, tag, payload ? *payload : Bytes{});
+      }
+      return;
+    }
+    EXPECT_TRUE(endpoint.recv(0, "blob") == blob);
+    EXPECT_TRUE(endpoint.recv(0, "empty").empty());
+    EXPECT_EQ(endpoint.recv(0, "corrupt"), (Bytes{1, 2, 3 ^ 0xa5}));
+    EXPECT_EQ(endpoint.recv(0, "after"), small);
+  });
+  const TrafficSnapshot traffic = fabric.traffic();
+  EXPECT_EQ(traffic.total_messages, sent.size());
+  EXPECT_EQ(traffic.total_bytes, wire_bytes);
+  EXPECT_EQ(traffic.links[0][1].messages, sent.size());
+  EXPECT_EQ(traffic.links[0][1].bytes, wire_bytes);
 }
 
 TEST(NetworkLatencyTest, EmulatedLatencyDoesNotBlockTheSender) {
