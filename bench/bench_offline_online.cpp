@@ -134,7 +134,7 @@ int main(int argc, char** argv) {
   if (stats.store_misses != 0 || stats.produced != stats.consumed) {
     std::fprintf(stderr,
                  "FATAL: %llu misses, produced %llu != consumed %llu — the "
-                 "demand profiler disagrees with the layers\n",
+                 "plan disagrees with the layers' fetches\n",
                  static_cast<unsigned long long>(stats.store_misses),
                  static_cast<unsigned long long>(stats.produced),
                  static_cast<unsigned long long>(stats.consumed));

@@ -1,7 +1,6 @@
 #include "core/actors.hpp"
 
 #include "common/logging.hpp"
-#include "core/triple_pipeline.hpp"
 #include "mpc/robust_reconstruct.hpp"
 #include "mpc/share_serde.hpp"
 #include "nn/loss.hpp"
@@ -24,16 +23,6 @@ std::string batch_tag(std::size_t step, const char* what) {
 }
 std::string pred_tag(std::size_t step) {
   return "pred/" + std::to_string(step);
-}
-
-std::vector<std::size_t> job_batch_rows(
-    const std::vector<data::Dataset>& batches) {
-  std::vector<std::size_t> rows;
-  rows.reserve(batches.size());
-  for (const auto& batch : batches) {
-    rows.push_back(batch.size());
-  }
-  return rows;
 }
 
 }  // namespace
@@ -72,6 +61,23 @@ OwnerServiceConfig make_owner_service_config(const EngineConfig& config,
   owner_config.seed =
       training ? config.seed * 31 + 7 : config.seed * 41 + 17;
   return owner_config;
+}
+
+mpc::StoreFile triple_store_file(const EngineConfig& config, int party,
+                                 bool training) {
+  mpc::StoreFile file;
+  if (config.triple_store_dir.empty()) {
+    return file;
+  }
+  file.path = config.triple_store_dir + "/party" + std::to_string(party) +
+              (training ? ".train" : ".infer") + ".triples";
+  // Any change to the dealing seed or the fixed-point format makes
+  // persisted material unusable; fold both into the tag.
+  file.provenance = mpc::derive_material_seed(
+      make_owner_service_config(config, training).seed,
+      mpc::TripleKey::mul(Shape{static_cast<std::size_t>(config.frac_bits)}),
+      0x7d57);
+  return file;
 }
 
 std::string reveal_key(std::size_t epoch, std::size_t param) {
@@ -181,18 +187,24 @@ mpc::DetectionLog infer_computing_party_body(const InferJob& job, int party,
 
   mpc::PartyContext pctx =
       make_party_context(job.config, party, endpoint, adversary);
-  TriplePipeline pipeline(job.config, link, party, /*training=*/false);
-  SecureExecContext sctx =
-      make_exec_context(job.config, pctx, link, pipeline.store());
+  mpc::TripleStore store(
+      link, party, triple_store_file(job.config, party, /*training=*/false));
+  SecureExecContext sctx = make_exec_context(job.config, pctx, link, store);
 
   // Each step's material is planned one step ahead, so the dealer deals
-  // it while the party computes the step before.
-  const std::vector<std::size_t> batch_rows = job_batch_rows(job.batches);
-  pipeline.plan_job_step(job.spec, batch_rows, /*training=*/false, 0);
+  // it while the party computes the step before.  Every step runs at
+  // weight version 0, whose masks the first step draws.
+  const auto plan = [&](std::size_t step) {
+    if (step < job.batches.size()) {
+      store.plan(model.step_keys(
+          sctx, Shape{job.batches[step].size(), job.spec.input_features},
+          /*version=*/0, /*draw_masks=*/step == 0, /*training=*/false));
+    }
+  };
+  plan(0);
 
   for (std::size_t step = 0; step < job.batches.size(); ++step) {
-    pipeline.plan_job_step(job.spec, batch_rows, /*training=*/false,
-                           step + 1);
+    plan(step + 1);
     ByteReader reader(
         endpoint.recv(kDataOwner, batch_tag(step, "x"), kActorTimeout));
     const mpc::PartyShare x = mpc::read_party_share(reader);
@@ -201,7 +213,7 @@ mpc::DetectionLog infer_computing_party_body(const InferJob& job, int party,
     mpc::write_party_share(writer, probabilities);
     endpoint.send(kDataOwner, pred_tag(step), writer.take());
   }
-  pipeline.shutdown();  // persist the store before the owner link closes
+  store.persist();  // before the owner link closes
   link.stop();
   return pctx.detections;
 }
@@ -277,17 +289,24 @@ mpc::DetectionLog train_computing_party_body(const TrainJob& job, int party,
 
   mpc::PartyContext pctx =
       make_party_context(job.config, party, endpoint, adversary);
-  TriplePipeline pipeline(job.config, link, party, /*training=*/true);
-  SecureExecContext sctx =
-      make_exec_context(job.config, pctx, link, pipeline.store());
+  mpc::TripleStore store(
+      link, party, triple_store_file(job.config, party, /*training=*/true));
+  SecureExecContext sctx = make_exec_context(job.config, pctx, link, store);
 
-  const std::vector<std::size_t> batch_rows = job_batch_rows(job.batches);
-  pipeline.plan_job_step(job.spec, batch_rows, /*training=*/true, 0);
+  // Planned one step ahead, as for inference; step s runs at weight
+  // version s and draws its masks.
+  const auto plan = [&](std::size_t step) {
+    if (step < job.batches.size()) {
+      store.plan(model.step_keys(
+          sctx, Shape{job.batches[step].size(), job.spec.input_features},
+          /*version=*/step, /*draw_masks=*/true, /*training=*/true));
+    }
+  };
+  plan(0);
 
   std::size_t epoch = 0;
   for (std::size_t step = 0; step < job.batches.size(); ++step) {
-    pipeline.plan_job_step(job.spec, batch_rows, /*training=*/true,
-                           step + 1);
+    plan(step + 1);
     ByteReader x_reader(
         endpoint.recv(kDataOwner, batch_tag(step, "x"), kActorTimeout));
     const mpc::PartyShare x = mpc::read_party_share(x_reader);
@@ -305,7 +324,7 @@ mpc::DetectionLog train_computing_party_body(const TrainJob& job, int party,
                        static_cast<double>(x.shape()[0]),
                    job.config.frac_bits);
     // Step s ran at weight version s: forget the version left behind.
-    pipeline.retire_versions_before(model.weight_version());
+    store.retire_versions_before(model.weight_version());
 
     if (step == job.epoch_last_step[epoch]) {
       const bool last_epoch = epoch + 1 == job.options.epochs;
@@ -319,7 +338,7 @@ mpc::DetectionLog train_computing_party_body(const TrainJob& job, int party,
       ++epoch;
     }
   }
-  pipeline.shutdown();  // persist the store before the owner link closes
+  store.persist();  // before the owner link closes
   link.stop();
   return pctx.detections;
 }

@@ -23,6 +23,13 @@ namespace trustddl::core {
 OwnerServiceConfig make_owner_service_config(const EngineConfig& config,
                                              bool training);
 
+/// Where party `party` persists its triple store for training or
+/// inference under config.triple_store_dir (no path without one), and
+/// the provenance tag that ties the file to this run's dealing seed and
+/// fixed-point format.
+mpc::StoreFile triple_store_file(const EngineConfig& config, int party,
+                                 bool training);
+
 /// Key under which epoch `epoch`'s parameter `param` is revealed to
 /// the model owner.
 std::string reveal_key(std::size_t epoch, std::size_t param);

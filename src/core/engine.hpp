@@ -43,11 +43,8 @@ struct EngineConfig {
     return trunc_mode.value_or(TruncationMode::kLocal);
   }
   /// Decision-rule tolerance, propagated into every party context and
-  /// the owner service.  Must stay in sync with the
-  /// mpc::PartyContext::dist_tolerance default — EngineConfigTest
-  /// asserts the two agree so a party context built outside the engine
-  /// behaves the same.
-  std::uint64_t dist_tolerance = 64;
+  /// the owner service.
+  std::uint64_t dist_tolerance = mpc::kDefaultDistTolerance;
   /// Deferred-opening round scheduling (mpc::OpenBatch): independent
   /// openings within a layer/step share commitment rounds.  Off
   /// reproduces the eager one-round-per-protocol-call structure with

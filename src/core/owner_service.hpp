@@ -35,14 +35,15 @@
 #include "common/rng.hpp"
 #include "core/owner_link.hpp"
 #include "core/roles.hpp"
+#include "mpc/context.hpp"
 #include "mpc/robust_reconstruct.hpp"
 #include "net/network.hpp"
 
 namespace trustddl::core {
 
 struct OwnerServiceConfig {
-  int frac_bits = 20;
-  std::uint64_t dist_tolerance = 32;
+  int frac_bits = fx::kDefaultFracBits;
+  std::uint64_t dist_tolerance = mpc::kDefaultDistTolerance;
   /// How long a collective op waits for stragglers before processing
   /// with the members present.
   std::chrono::milliseconds collect_timeout{1000};

@@ -9,14 +9,6 @@
 
 namespace trustddl::core {
 
-mpc::PartyShare SecureExecContext::rescale(const mpc::PartyShare& product) {
-  if (trunc_mode == TruncationMode::kMaskedOpen) {
-    return mpc::truncate_product_masked(
-        *mpc, product, triples->trunc_pair(product.shape()));
-  }
-  return mpc::truncate_product_local(product, mpc->frac_bits);
-}
-
 mpc::DeferredShare SecureExecContext::rescale_prepare(
     mpc::OpenBatch& batch, const mpc::PartyShare& product,
     PassMaterial& material) {
@@ -45,36 +37,41 @@ mpc::DeferredShare SecureExecContext::matmul_rescaled_prepare(
   return out;
 }
 
-void PassMaterial::add_mask(const mpc::WeightMask& mask,
-                            const mpc::TripleKey& key) {
-  if (!mask.armed()) {
-    keys_.push_back(key);
+PassKeys::PassKeys(const SecureExecContext& ctx, std::uint64_t version,
+                   bool draw_masks)
+    : trunc_mode_(ctx.trunc_mode),
+      reuse_masks_(ctx.reuse_masks),
+      version_(version),
+      draw_masks_(draw_masks) {}
+
+void PassKeys::add_mask(std::size_t layer, std::size_t rows,
+                        std::size_t cols) {
+  if (draw_masks_) {
+    add(mpc::TripleKey::weight_mask(layer, version_, rows, cols));
   }
 }
 
-void PassMaterial::add_product(const mpc::TripleKey& key,
-                               const Shape& result) {
-  keys_.push_back(key);
+void PassKeys::add_product(const mpc::TripleKey& key, const Shape& result) {
+  add(key);
   add_trunc(result);
 }
 
-void PassMaterial::add_trunc(const Shape& shape) {
-  if (ctx_.trunc_mode == TruncationMode::kMaskedOpen) {
-    keys_.push_back(mpc::TripleKey::trunc_pair(shape));
+void PassKeys::add_trunc(const Shape& shape) {
+  if (trunc_mode_ == TruncationMode::kMaskedOpen) {
+    add(mpc::TripleKey::trunc_pair(shape));
   }
 }
 
-void PassMaterial::add_comparison(const Shape& shape) {
-  for (const mpc::TripleKey& key :
-       mpc::comparison_keys(shape, ctx_.reuse_masks)) {
-    keys_.push_back(key);
+void PassKeys::add_comparison(const Shape& shape) {
+  for (const mpc::TripleKey& key : mpc::comparison_keys(shape, reuse_masks_)) {
+    add(key);
   }
 }
 
 void PassMaterial::fetch() { entries_ = ctx_.triples->next_many(keys_); }
 
 void PassMaterial::take_mask(mpc::WeightMask& mask) {
-  if (!mask.armed()) {
+  if (draw_masks_) {
     mask.b = std::make_shared<const mpc::PartyShare>(
         std::move(entries_.at(next_++).share));
   }
@@ -88,14 +85,14 @@ ProductMaterial PassMaterial::take_product() {
 }
 
 std::optional<mpc::TruncPairShare> PassMaterial::take_trunc() {
-  if (ctx_.trunc_mode != TruncationMode::kMaskedOpen) {
+  if (trunc_mode_ != TruncationMode::kMaskedOpen) {
     return std::nullopt;
   }
   return std::move(entries_.at(next_++).pair);
 }
 
 mpc::ComparisonMaterial PassMaterial::take_comparison() {
-  return mpc::take_comparison(entries_, &next_, ctx_.reuse_masks);
+  return mpc::take_comparison(entries_, &next_, reuse_masks_);
 }
 
 void add_row_broadcast(mpc::PartyShare& matrix, const mpc::PartyShare& bias) {
@@ -138,23 +135,46 @@ void SecureDense::set_weight_version(std::uint64_t version) {
   }
 }
 
-void SecureDense::add_weight_product(PassMaterial& material, std::size_t rows,
-                                     bool transposed) const {
+mpc::TripleKey SecureDense::product_key(const PassKeys& keys,
+                                       std::size_t rows,
+                                       bool transposed) const {
   const std::size_t in_features = weights_.value.shape()[0];
   const std::size_t out_features = weights_.value.shape()[1];
   const std::size_t k = transposed ? out_features : in_features;
   const std::size_t n = transposed ? in_features : out_features;
-  material.add_mask(mask_, mpc::TripleKey::weight_mask(
-                               layer_, version_, in_features, out_features));
-  material.add_product(
-      mpc::TripleKey::masked_matmul(layer_, version_, transposed, rows, k, n),
-      Shape{rows, n});
+  return keys.reuse_masks()
+             ? mpc::TripleKey::masked_matmul(layer_, keys.version(),
+                                             transposed, rows, k, n)
+             : mpc::TripleKey::matmul(rows, k, n);
+}
+
+Shape SecureDense::forward_keys(PassKeys& keys, const Shape& input) const {
+  const std::size_t rows = input.at(0);
+  const Shape output{rows, weights_.value.shape()[1]};
+  if (keys.reuse_masks()) {
+    keys.add_mask(layer_, weights_.value.shape()[0], output[1]);
+  }
+  keys.add_product(product_key(keys, rows, /*transposed=*/false), output);
+  return output;
+}
+
+void SecureDense::backward_keys(PassKeys& keys, std::size_t rows,
+                                bool input_grad) const {
+  // Weight grad (in x batch)·(batch x out), then input grad
+  // (batch x out)·(out x in), each with its rescale.
+  const std::size_t in_features = weights_.value.shape()[0];
+  const std::size_t out_features = weights_.value.shape()[1];
+  keys.add_product(mpc::TripleKey::matmul(in_features, rows, out_features),
+                   Shape{in_features, out_features});
+  if (input_grad) {
+    keys.add_product(product_key(keys, rows, /*transposed=*/true),
+                     Shape{rows, in_features});
+  }
 }
 
 mpc::DeferredShare SecureDense::weight_product_prepare(
     SecureExecContext& ctx, mpc::OpenBatch& batch, const mpc::PartyShare& x,
     bool transposed, PassMaterial& material) {
-  material.take_mask(mask_);
   ProductMaterial product = material.take_product();
   mpc::DeferredShare out = mpc::sec_matmul_masked_rescaled_prepare(
       batch, x, weights_.value, mask_, std::move(product.triple), transposed,
@@ -169,22 +189,21 @@ mpc::PartyShare SecureDense::forward(SecureExecContext& ctx,
                                      const mpc::PartyShare& input) {
   obs::ScopedSpan span("layer.dense.forward", ctx.mpc->party, ctx.mpc->step);
   cached_input_ = input;
-  mpc::PartyShare output;
+  PassMaterial material(ctx, version_, /*draw_masks=*/!mask_.armed());
+  forward_keys(material, input.shape());
+  material.fetch();
+  mpc::OpenBatch open_batch(*ctx.mpc);
+  mpc::DeferredShare product;
   if (ctx.reuse_masks) {
-    PassMaterial material(ctx);
-    add_weight_product(material, input.shape()[0], /*transposed=*/false);
-    material.fetch();
-    mpc::OpenBatch open_batch(*ctx.mpc);
-    mpc::DeferredShare product = weight_product_prepare(
-        ctx, open_batch, input, /*transposed=*/false, material);
-    open_batch.flush_all();
-    output = product.take();
+    material.take_mask(mask_);
+    product = weight_product_prepare(ctx, open_batch, input,
+                                     /*transposed=*/false, material);
   } else {
-    const mpc::BeaverTripleShare triple = ctx.triples->matmul_triple(
-        input.shape()[0], input.shape()[1], weights_.value.shape()[1]);
-    output = ctx.rescale(
-        mpc::sec_matmul_bt(*ctx.mpc, input, weights_.value, triple));
+    product = ctx.matmul_rescaled_prepare(open_batch, input, weights_.value,
+                                          material.take_product());
   }
+  open_batch.flush_all();
+  mpc::PartyShare output = product.take();
   add_row_broadcast(output, bias_.value);
   return output;
 }
@@ -193,23 +212,12 @@ mpc::PartyShare SecureDense::backward(SecureExecContext& ctx,
                                       const mpc::PartyShare& grad_output,
                                       bool input_grad) {
   obs::ScopedSpan span("layer.dense.backward", ctx.mpc->party, ctx.mpc->step);
-  const std::size_t batch = cached_input_.shape()[0];
-  const std::size_t in_features = cached_input_.shape()[1];
-  const std::size_t out_features = grad_output.shape()[1];
 
   // Both gradients' material comes in one round trip.  They are
   // data-independent, so their Beaver-mask openings (and, in
   // masked-open mode, their truncation openings) ride the same rounds.
-  PassMaterial material(ctx);
-  material.add_product(mpc::TripleKey::matmul(in_features, batch, out_features),
-                       Shape{in_features, out_features});
-  if (input_grad && ctx.reuse_masks) {
-    add_weight_product(material, batch, /*transposed=*/true);
-  } else if (input_grad) {
-    material.add_product(
-        mpc::TripleKey::matmul(batch, out_features, in_features),
-        Shape{batch, in_features});
-  }
+  PassMaterial material(ctx, version_);
+  backward_keys(material, cached_input_.shape()[0], input_grad);
   material.fetch();
   mpc::OpenBatch open_batch(*ctx.mpc);
 
@@ -246,6 +254,37 @@ void SecureConv::set_weight_version(std::uint64_t version) {
   }
 }
 
+Shape SecureConv::forward_keys(PassKeys& keys, const Shape& input) const {
+  const std::size_t batch = input.at(0);
+  const Shape maps{spec_.out_channels, batch * spec_.col_cols()};
+  if (keys.reuse_masks()) {
+    // Opens x − a_x on the raw input (and W − B once per version);
+    // the parties expand both operands' columns locally.
+    keys.add_mask(layer_, spec_.out_channels, spec_.col_rows());
+    keys.add_product(
+        mpc::TripleKey::masked_conv(layer_, keys.version(), batch, spec_),
+        maps);
+  } else {
+    keys.add_product(
+        mpc::TripleKey::matmul(spec_.out_channels, spec_.col_rows(), maps[1]),
+        maps);
+  }
+  return Shape{batch, spec_.out_channels * spec_.col_cols()};
+}
+
+void SecureConv::backward_keys(PassKeys& keys, std::size_t rows,
+                               bool input_grad) const {
+  const std::size_t cols = rows * spec_.col_cols();
+  keys.add_product(
+      mpc::TripleKey::matmul(spec_.out_channels, cols, spec_.col_rows()),
+      Shape{spec_.out_channels, spec_.col_rows()});
+  if (input_grad) {
+    keys.add_product(
+        mpc::TripleKey::matmul(spec_.col_rows(), spec_.out_channels, cols),
+        Shape{spec_.col_rows(), cols});
+  }
+}
+
 mpc::PartyShare SecureConv::forward(SecureExecContext& ctx,
                                     const mpc::PartyShare& input) {
   obs::ScopedSpan span("layer.conv.forward", ctx.mpc->party, ctx.mpc->step);
@@ -255,32 +294,24 @@ mpc::PartyShare SecureConv::forward(SecureExecContext& ctx,
   cached_columns_ = mpc::transform_share(input, [&](const RingTensor& x) {
     return batch_im2col(x, spec_);
   });
-  mpc::PartyShare maps;
+  PassMaterial material(ctx, version_, /*draw_masks=*/!mask_.armed());
+  forward_keys(material, input.shape());
+  material.fetch();
+  mpc::OpenBatch open_batch(*ctx.mpc);
+  mpc::DeferredShare deferred;
   if (ctx.reuse_masks) {
-    // Opens x − a_x on the raw input (and W − B once per version);
-    // the parties expand both operands' columns locally.
-    PassMaterial material(ctx);
-    material.add_mask(mask_, mpc::TripleKey::weight_mask(
-                                 layer_, version_, spec_.out_channels,
-                                 spec_.col_rows()));
-    material.add_product(
-        mpc::TripleKey::masked_conv(layer_, version_, batch, spec_),
-        Shape{spec_.out_channels, batch * pixels});
-    material.fetch();
     material.take_mask(mask_);
     ProductMaterial product = material.take_product();
-    mpc::OpenBatch open_batch(*ctx.mpc);
-    mpc::DeferredShare deferred = mpc::sec_conv_masked_rescaled_prepare(
+    deferred = mpc::sec_conv_masked_rescaled_prepare(
         open_batch, input, weights_.value, mask_, std::move(product.triple),
         spec_, ctx.trunc_mode, std::move(product.pair));
-    open_batch.flush_all();
-    maps = deferred.take();
   } else {
-    const mpc::BeaverTripleShare triple = ctx.triples->matmul_triple(
-        spec_.out_channels, spec_.col_rows(), batch * pixels);
-    maps = ctx.rescale(mpc::sec_matmul_bt(*ctx.mpc, weights_.value,
-                                          cached_columns_, triple));
+    deferred = ctx.matmul_rescaled_prepare(open_batch, weights_.value,
+                                           cached_columns_,
+                                           material.take_product());
   }
+  open_batch.flush_all();
+  mpc::PartyShare maps = deferred.take();
   add_col_broadcast(maps, bias_.value);
   return mpc::transform_share(maps, [&](const RingTensor& m) {
     return maps_to_rows(m, batch, pixels);
@@ -301,16 +332,7 @@ mpc::PartyShare SecureConv::backward(SecureExecContext& ctx,
   // As in SecureDense::backward, both gradients' material comes
   // in one round trip and their openings share rounds.
   PassMaterial material(ctx);
-  material.add_product(mpc::TripleKey::matmul(spec_.out_channels,
-                                              batch * pixels,
-                                              spec_.col_rows()),
-                       Shape{spec_.out_channels, spec_.col_rows()});
-  if (input_grad) {
-    material.add_product(mpc::TripleKey::matmul(spec_.col_rows(),
-                                                spec_.out_channels,
-                                                batch * pixels),
-                         Shape{spec_.col_rows(), batch * pixels});
-  }
+  backward_keys(material, batch, input_grad);
   material.fetch();
   mpc::OpenBatch open_batch(*ctx.mpc);
 
@@ -340,11 +362,16 @@ mpc::PartyShare SecureConv::backward(SecureExecContext& ctx,
   });
 }
 
+Shape SecureRelu::forward_keys(PassKeys& keys, const Shape& input) const {
+  keys.add_comparison(input);
+  return input;
+}
+
 mpc::PartyShare SecureRelu::forward(SecureExecContext& ctx,
                                     const mpc::PartyShare& input) {
   obs::ScopedSpan span("layer.relu.forward", ctx.mpc->party, ctx.mpc->step);
   PassMaterial material(ctx);
-  material.add_comparison(input.shape());
+  forward_keys(material, input.shape());
   material.fetch();
   const RingTensor signs =
       mpc::sec_sign_bt(*ctx.mpc, input, material.take_comparison());
@@ -428,15 +455,12 @@ mpc::PartyShare SecureMaxPool::forward(SecureExecContext& ctx,
     candidates.push_back(std::move(candidate));
   }
 
-  // Tournament: window^2 − 1 comparisons on the [batch, pools] shape,
-  // whose material comes in one round trip.  Each level halves the
-  // candidates; its pairs are independent, so their comparisons share
-  // one batch's two opening rounds (one flush per comparison without
-  // batch_openings).
+  // The tournament's comparisons' material comes in one round trip.
+  // Each level halves the candidates; its pairs are independent, so
+  // their comparisons share one batch's two opening rounds (one flush
+  // per comparison without batch_openings).
   PassMaterial material(ctx);
-  for (std::size_t i = 0; i + 1 < window_size; ++i) {
-    material.add_comparison(Shape{batch, pools});
-  }
+  forward_keys(material, input.shape());
   material.fetch();
   while (candidates.size() > 1) {
     mpc::OpenBatch open_batch(*ctx.mpc);
@@ -481,6 +505,16 @@ mpc::PartyShare SecureMaxPool::forward(SecureExecContext& ctx,
     }
   }
   return candidates[0].share;
+}
+
+Shape SecureMaxPool::forward_keys(PassKeys& keys, const Shape& input) const {
+  // Tournament over window^2 candidates: window^2 − 1 comparisons,
+  // each on the [batch, pools] candidate shape.
+  const Shape candidates{input.at(0), spec_.out_features()};
+  for (std::size_t i = 1; i < spec_.window * spec_.window; ++i) {
+    keys.add_comparison(candidates);
+  }
+  return candidates;
 }
 
 mpc::PartyShare SecureMaxPool::backward(SecureExecContext& /*ctx*/,
@@ -581,8 +615,7 @@ void SecureModel::backward_from_logit_grad(
   // w.r.t. the logits.  Nothing reads the first layer's input gradient;
   // the paper's protocol forms it anyway.
   for (std::size_t i = layers_.size() - 1; i-- > 0;) {
-    grad = layers_[i]->backward(ctx, grad,
-                                /*input_grad=*/i > 0 || !ctx.reuse_masks);
+    grad = layers_[i]->backward(ctx, grad, input_grad(i, ctx.reuse_masks));
   }
 }
 
@@ -601,9 +634,7 @@ void SecureModel::sgd_step(SecureExecContext& ctx, double learning_rate,
   // openings share ONE round for the whole update.
   std::vector<SecureParameter*> params = parameters();
   PassMaterial material(ctx);
-  for (const SecureParameter* parameter : params) {
-    material.add_trunc(parameter->grad.shape());
-  }
+  sgd_keys(material);
   material.fetch();
   mpc::OpenBatch open_batch(*ctx.mpc);
   std::vector<mpc::DeferredShare> deltas;
@@ -618,6 +649,43 @@ void SecureModel::sgd_step(SecureExecContext& ctx, double learning_rate,
     params[i]->zero_grad();
   }
   set_weight_version(weight_version_ + 1);
+}
+
+Shape SecureModel::forward_keys(PassKeys& keys, const Shape& input) const {
+  Shape shape = input;
+  for (const auto& layer : layers_) {
+    shape = layer->forward_keys(keys, shape);
+  }
+  return shape;
+}
+
+void SecureModel::backward_keys(PassKeys& keys, std::size_t rows) const {
+  if (layers_.size() < 2) {
+    return;
+  }
+  for (std::size_t i = layers_.size() - 1; i-- > 0;) {
+    layers_[i]->backward_keys(keys, rows, input_grad(i, keys.reuse_masks()));
+  }
+}
+
+void SecureModel::sgd_keys(PassKeys& keys) const {
+  for (const auto& layer : layers_) {
+    for (const SecureParameter* parameter : layer->parameters()) {
+      keys.add_trunc(parameter->value.shape());
+    }
+  }
+}
+
+std::vector<mpc::TripleKey> SecureModel::step_keys(
+    const SecureExecContext& ctx, const Shape& input, std::uint64_t version,
+    bool draw_masks, bool training) const {
+  PassKeys keys(ctx, version, draw_masks);
+  forward_keys(keys, input);
+  if (training) {
+    backward_keys(keys, input.at(0));
+    sgd_keys(keys);
+  }
+  return keys.keys();
 }
 
 void SecureModel::set_weight_version(std::uint64_t version) {

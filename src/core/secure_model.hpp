@@ -7,8 +7,11 @@
 //  * ReLU uses SecComp-BT: the sign of the activation is revealed to
 //    the computing parties (as in the paper) and applied as a public
 //    0/1 mask — which also serves the backward pass.
-//  * Backward passes, and with reusable masks forward passes too, fetch
-//    all of their material in one dealer round trip (PassMaterial).
+//  * Each layer pass lists the dealt keys it draws in one member
+//    (forward_keys, backward_keys) and fetches them in one dealer
+//    round trip (PassMaterial); SecureModel::step_keys composes the
+//    same members into the plan a party sends ahead (DESIGN.md §10),
+//    so the order material is consumed in is written once.
 //    With reusable masks (SecureExecContext::reuse_masks) dense and
 //    conv weights open W − B once per weight version, the conv opens
 //    its raw input instead of its im2col expansion, comparisons use
@@ -65,10 +68,6 @@ struct SecureExecContext {
   /// truncation; only bytes, dealer round trips and dealing change.
   bool reuse_masks = true;
 
-  /// Rescale a double-precision product share back to f fractional
-  /// bits according to the configured strategy.
-  mpc::PartyShare rescale(const mpc::PartyShare& product);
-
   /// Deferred rescale against `batch`, taking the pair add_trunc asked
   /// `material` for.  With kLocal truncation the result is ready
   /// immediately; with kMaskedOpen it resolves one flush later.
@@ -84,15 +83,24 @@ struct SecureExecContext {
                                              ProductMaterial material);
 };
 
-/// The material one layer pass or parameter update consumes, fetched
-/// in one dealer round trip: keys are added in consumption order,
-/// fetched once, then taken back in the same order.
-class PassMaterial {
+/// The dealt keys of layer passes, listed in the order the passes
+/// fetch them.  A pass lists its keys here both to fetch them
+/// (PassMaterial) and to be planned ahead (SecureModel::step_keys).
+/// Beyond shapes, the keys depend on the context's truncation mode
+/// and material path, the weight version dense and conv products use,
+/// and whether this pass draws that version's masks.
+class PassKeys {
  public:
-  explicit PassMaterial(SecureExecContext& ctx) : ctx_(ctx) {}
+  explicit PassKeys(const SecureExecContext& ctx, std::uint64_t version = 0,
+                    bool draw_masks = false);
 
-  /// The key of `mask`'s B, unless the mask is already armed.
-  void add_mask(const mpc::WeightMask& mask, const mpc::TripleKey& key);
+  bool reuse_masks() const { return reuse_masks_; }
+  std::uint64_t version() const { return version_; }
+
+  void add(const mpc::TripleKey& key) { keys_.push_back(key); }
+  /// When this pass draws masks: the version's mask B of layer
+  /// `layer`, a rows × cols weight.
+  void add_mask(std::size_t layer, std::size_t rows, std::size_t cols);
   /// A product's entry, then add_trunc of its `result` shape.
   void add_product(const mpc::TripleKey& key, const Shape& result);
   /// In masked-open mode, the truncation pair of a rescale of `shape`.
@@ -100,8 +108,29 @@ class PassMaterial {
   /// One comparison's material on `shape` (mpc::comparison_keys: a
   /// comparison triple with reuse_masks).
   void add_comparison(const Shape& shape);
+
+  const std::vector<mpc::TripleKey>& keys() const { return keys_; }
+
+ protected:
+  TruncationMode trunc_mode_;
+  bool reuse_masks_;
+  std::uint64_t version_;
+  bool draw_masks_;
+  std::vector<mpc::TripleKey> keys_;
+};
+
+/// The material one layer pass or parameter update consumes, fetched
+/// in one dealer round trip: keys are added in consumption order,
+/// fetched once, then taken back in the same order.
+class PassMaterial final : public PassKeys {
+ public:
+  explicit PassMaterial(SecureExecContext& ctx, std::uint64_t version = 0,
+                        bool draw_masks = false)
+      : PassKeys(ctx, version, draw_masks), ctx_(ctx) {}
+
   void fetch();
-  /// Arms `mask` from the entry add_mask asked for (no-op if armed).
+  /// Arms `mask` from the entry add_mask asked for, when this pass
+  /// draws masks.
   void take_mask(mpc::WeightMask& mask);
   ProductMaterial take_product();
   /// The pair add_trunc asked for; nullopt under local truncation.
@@ -110,7 +139,6 @@ class PassMaterial {
 
  private:
   SecureExecContext& ctx_;
-  std::vector<mpc::TripleKey> keys_;
   std::vector<mpc::MaterialEntry> entries_;
   std::size_t next_ = 0;
 };
@@ -137,6 +165,15 @@ class SecureLayer {
   virtual mpc::PartyShare backward(SecureExecContext& ctx,
                                    const mpc::PartyShare& grad_output,
                                    bool input_grad) = 0;
+  /// Lists the keys forward() draws on an input of shape `input`, in
+  /// the order it fetches them; returns the output's shape.
+  virtual Shape forward_keys(PassKeys& /*keys*/, const Shape& input) const {
+    return input;
+  }
+  /// Lists the keys backward() draws after a forward pass on `rows`
+  /// rows, in the order it fetches them.
+  virtual void backward_keys(PassKeys& /*keys*/, std::size_t /*rows*/,
+                             bool /*input_grad*/) const {}
   virtual std::vector<SecureParameter*> parameters() { return {}; }
   /// The model's parameters now hold weight version `version`.
   virtual void set_weight_version(std::uint64_t /*version*/) {}
@@ -158,21 +195,23 @@ class SecureDense final : public SecureLayer {
   mpc::PartyShare backward(SecureExecContext& ctx,
                            const mpc::PartyShare& grad_output,
                            bool input_grad) override;
+  Shape forward_keys(PassKeys& keys, const Shape& input) const override;
+  void backward_keys(PassKeys& keys, std::size_t rows,
+                     bool input_grad) const override;
   std::vector<SecureParameter*> parameters() override {
     return {&weights_, &bias_};
   }
   void set_weight_version(std::uint64_t version) override;
 
  private:
-  /// Asks `material` for an [rows, ·] product against W (Wᵀ when
-  /// `transposed`): the version's mask on its first product, then the
-  /// masked-matmul entry.
-  void add_weight_product(PassMaterial& material, std::size_t rows,
-                          bool transposed) const;
+  /// The key of an [rows, ·] product against W (Wᵀ when `transposed`):
+  /// a masked-matmul entry of the keys' version with reuse_masks, a
+  /// Beaver triple otherwise.
+  mpc::TripleKey product_key(const PassKeys& keys, std::size_t rows,
+                             bool transposed) const;
   /// Deferred x·W (x·Wᵀ when `transposed`) + rescale against the
-  /// current version's mask, from material asked for by
-  /// add_weight_product; honours batch_openings like
-  /// matmul_rescaled_prepare.
+  /// current version's mask, from the material of product_key; honours
+  /// batch_openings like matmul_rescaled_prepare.
   mpc::DeferredShare weight_product_prepare(SecureExecContext& ctx,
                                             mpc::OpenBatch& batch,
                                             const mpc::PartyShare& x,
@@ -206,6 +245,9 @@ class SecureConv final : public SecureLayer {
   mpc::PartyShare backward(SecureExecContext& ctx,
                            const mpc::PartyShare& grad_output,
                            bool input_grad) override;
+  Shape forward_keys(PassKeys& keys, const Shape& input) const override;
+  void backward_keys(PassKeys& keys, std::size_t rows,
+                     bool input_grad) const override;
   std::vector<SecureParameter*> parameters() override {
     return {&weights_, &bias_};
   }
@@ -230,6 +272,7 @@ class SecureRelu final : public SecureLayer {
   mpc::PartyShare backward(SecureExecContext& ctx,
                            const mpc::PartyShare& grad_output,
                            bool input_grad) override;
+  Shape forward_keys(PassKeys& keys, const Shape& input) const override;
 
  private:
   RingTensor cached_mask_;
@@ -250,6 +293,7 @@ class SecureMaxPool final : public SecureLayer {
   mpc::PartyShare backward(SecureExecContext& ctx,
                            const mpc::PartyShare& grad_output,
                            bool input_grad) override;
+  Shape forward_keys(PassKeys& keys, const Shape& input) const override;
 
  private:
   nn::PoolSpec spec_;
@@ -301,6 +345,25 @@ class SecureModel {
   void sgd_step(SecureExecContext& ctx, double learning_rate,
                 int frac_bits);
 
+  /// The keys each pass lists (SecureLayer::forward_keys,
+  /// backward_keys), composed in the order the passes above fetch
+  /// them.  `keys` carries the weight version the products use and
+  /// whether the forward pass draws that version's masks.
+  /// forward_keys chains the layers' shapes from `input` and returns
+  /// the probabilities' shape; backward_keys follows a forward pass on
+  /// `rows` rows; sgd_keys lists the update's rescales.
+  Shape forward_keys(PassKeys& keys, const Shape& input) const;
+  void backward_keys(PassKeys& keys, std::size_t rows) const;
+  void sgd_keys(PassKeys& keys) const;
+
+  /// What a party plans for one step on `input`: forward_keys, and when
+  /// `training` backward_keys and sgd_keys, with the products at weight
+  /// version `version` and the version's masks drawn when `draw_masks`.
+  std::vector<mpc::TripleKey> step_keys(const SecureExecContext& ctx,
+                                        const Shape& input,
+                                        std::uint64_t version,
+                                        bool draw_masks, bool training) const;
+
   /// Version of the current parameter values: 0 for the shares the
   /// model was built from, +1 per sgd_step.  Each version gets fresh
   /// reusable weight masks, so under one dealer seed a version must
@@ -313,6 +376,12 @@ class SecureModel {
   void zero_grads();
 
  private:
+  /// Whether layer `index`'s backward pass forms its input gradient:
+  /// with reusable masks nothing reads the first layer's.
+  static bool input_grad(std::size_t index, bool reuse_masks) {
+    return index > 0 || !reuse_masks;
+  }
+
   std::vector<std::unique_ptr<SecureLayer>> layers_;
   std::uint64_t weight_version_ = 0;
 };

@@ -99,21 +99,25 @@ struct DetectionLog {
   }
 };
 
+/// Decision-rule tolerance in ring units: reconstructions within this
+/// distance count as (approximately) equal.  Honest disagreement comes
+/// only from share-local truncation (±1 ulp per truncation), so a few
+/// ulp per truncation suffice; 64 leaves headroom for values that
+/// accumulate several truncated products (e.g. gradient sums) while
+/// staying far below any real corruption.  The one project-wide
+/// default: the party context, EngineConfig, the owner service and the
+/// serving client all start from it (EngineConfigTest).
+inline constexpr std::uint64_t kDefaultDistTolerance = 64;
+
 struct PartyContext {
   net::Endpoint endpoint;
   int party = 0;  ///< 0..2, the computing-party index
   SecurityMode mode = SecurityMode::kMalicious;
   int frac_bits = fx::kDefaultFracBits;
-  /// Decision-rule tolerance in ring units: reconstructions within
-  /// this distance count as (approximately) equal.  Honest
-  /// disagreement comes only from share-local truncation (±1 ulp per
-  /// truncation), so a few ulp per truncation suffice; the default of
-  /// 64 leaves headroom for values that accumulate several truncated
-  /// products (e.g. gradient sums) while staying far below any real
-  /// corruption.  This is THE project-wide default: EngineConfig uses
-  /// the same value and propagates it into every party context (see
-  /// core::make_party_context), asserted by EngineConfigTest.
-  std::uint64_t dist_tolerance = 64;
+  /// Decision-rule tolerance (kDefaultDistTolerance); the engine
+  /// propagates EngineConfig::dist_tolerance into every party context
+  /// (core::make_party_context).
+  std::uint64_t dist_tolerance = kDefaultDistTolerance;
   /// Cross-authenticate peers' share-1 components against the local
   /// duplicate copies during robust openings.  This hardening (beyond
   /// the paper; see DESIGN.md §4) costs no communication and defeats

@@ -114,25 +114,26 @@ const char* aggregation_rule_name(AggregationRule rule) {
   return "unknown";
 }
 
-AggregateDemand aggregate_demand(std::size_t num_inputs, const Shape& shape,
-                                 const AggregateOptions& options) {
-  AggregateDemand demand;
+std::vector<TripleKey> aggregate_keys(std::size_t num_inputs,
+                                      const Shape& shape,
+                                      const AggregateOptions& options,
+                                      bool comp_triples) {
+  std::vector<TripleKey> keys;
   if (num_inputs <= 1) {
-    return demand;
+    return keys;
   }
-  const SelectionWindow window = selection_window(num_inputs, options);
-  const std::size_t numel = shape_size(shape);
-  if (window.count() < num_inputs) {
-    demand.needs_comparison = true;
-    demand.comparison_shape =
-        Shape{num_inputs * (num_inputs - 1) / 2, numel};
+  const std::size_t n_sel = selection_window(num_inputs, options).count();
+  if (n_sel > 1 && options.trunc_mode == TruncationMode::kMaskedOpen) {
+    keys.push_back(TripleKey::trunc_pair(shape));
   }
-  if (window.count() > 1 &&
-      options.trunc_mode == TruncationMode::kMaskedOpen) {
-    demand.needs_trunc_pair = true;
-    demand.trunc_shape = shape;
+  if (n_sel < num_inputs) {
+    for (TripleKey& key : comparison_keys(
+             Shape{num_inputs * (num_inputs - 1) / 2, shape_size(shape)},
+             comp_triples)) {
+      keys.push_back(std::move(key));
+    }
   }
-  return demand;
+  return keys;
 }
 
 DeferredShare robust_aggregate_prepare(OpenBatch& batch, TripleStore& triples,
@@ -169,23 +170,11 @@ DeferredShare robust_aggregate_prepare(OpenBatch& batch, TripleStore& triples,
   // before any opening is enqueued, so the SPMD request order is a pure
   // function of (k, shape, options) at every party.
   const std::size_t npairs = k * (k - 1) / 2;
-  const Shape comparison_shape{npairs, numel};
-  const bool needs_pair =
-      n_sel > 1 && options.trunc_mode == TruncationMode::kMaskedOpen;
-  std::vector<TripleKey> keys;
-  if (needs_pair) {
-    keys.push_back(TripleKey::trunc_pair(shape));
-  }
-  if (needs_comparison) {
-    for (const TripleKey& key :
-         comparison_keys(comparison_shape, comp_triples)) {
-      keys.push_back(key);
-    }
-  }
-  std::vector<MaterialEntry> entries = triples.next_many(keys);
+  std::vector<MaterialEntry> entries =
+      triples.next_many(aggregate_keys(k, shape, options, comp_triples));
   std::size_t at = 0;
   TruncPairShare pair;
-  if (needs_pair) {
+  if (n_sel > 1 && options.trunc_mode == TruncationMode::kMaskedOpen) {
     pair = std::move(entries[at++].pair);
   }
 

@@ -10,7 +10,8 @@
 // tensor so the whole aggregation costs the same two opening rounds as
 // one SecComp (plus one more for the masked-open rescale, when used).
 // With comparison triples (t, b, t ⊙ b) a comparison opens two values
-// per coordinate instead of three.
+// per coordinate instead of three.  aggregate_keys lists the material a
+// call fetches, so a party plans it ahead from the same list.
 // The revealed information is the per-coordinate rank permutation of
 // the owners — the same leakage class as the ReLU sign reveal the
 // framework already accepts (magnitudes stay masked by the positive
@@ -64,30 +65,28 @@ struct AggregateStats {
   std::size_t selected_per_coord = 0;   ///< |selected| (same ∀ coords)
 };
 
-/// Preprocessing demand of one robust_aggregate call, for the
-/// TriplePipeline profiler: at most one comparison's material
-/// (mpc::comparison_keys) of shape {K(K-1)/2, numel} and one trunc pair
-/// of the input shape.  Mirrors the consumption of
-/// robust_aggregate_prepare exactly.
-struct AggregateDemand {
-  bool needs_comparison = false;
-  Shape comparison_shape;  ///< {npairs, numel}
-  bool needs_trunc_pair = false;
-  Shape trunc_shape;  ///< input shape
-};
-AggregateDemand aggregate_demand(std::size_t num_inputs, const Shape& shape,
-                                 const AggregateOptions& options);
+/// The keys one robust_aggregate_prepare call on `num_inputs` inputs of
+/// `shape` fetches, in order: the truncation pair of the averaging
+/// rescale when the rule averages several values under kMaskedOpen,
+/// then one comparison's material (mpc::comparison_keys) of shape
+/// {K(K-1)/2, numel} when the rule drops any input.  Nothing for one
+/// input.  A party plans these keys ahead of the call.
+std::vector<TripleKey> aggregate_keys(std::size_t num_inputs,
+                                      const Shape& shape,
+                                      const AggregateOptions& options,
+                                      bool comp_triples);
 
 /// Deferred robust aggregation: enqueues against `batch` and resolves
 /// after the dependency chain flushed (flush_all).  Independent
 /// aggregate calls prepared against the same batch — e.g. one per
 /// model parameter — share ALL their opening rounds.
 ///
-/// Preprocessing material is fetched from `triples` at prepare time, in
-/// one TripleStore::next_many (SPMD request-order rule); inputs must
-/// all share one shape and inputs.size() ≥ 1.  The inputs are taken by
-/// value and masked in place: callers done with them move them in.  The ranking compares
-/// with comparison triples when `comp_triples` (mpc::comparison_keys).
+/// Preprocessing material (aggregate_keys) is fetched from `triples` at
+/// prepare time, in one TripleStore::next_many; inputs must all share
+/// one shape and inputs.size() ≥ 1.  The inputs are taken by value and
+/// masked in place: callers done with them move them in.  The ranking
+/// compares with comparison triples when `comp_triples`
+/// (mpc::comparison_keys).
 /// `frac_bits` is taken from the batch's context.  `stats`, when
 /// non-null, is filled at prepare time (the counts are
 /// data-independent).

@@ -7,11 +7,14 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/logging.hpp"
 #include "mpc/share_serde.hpp"
 #include "obs/metrics.hpp"
 
 namespace trustddl::mpc {
 namespace {
+
+constexpr const char* kLog = "mpc.triples";
 
 /// "TDST" little-endian: triple-store file magic.
 constexpr std::uint32_t kStoreMagic = 0x54534454;
@@ -44,8 +47,33 @@ void gauge_kind(TripleKind kind, std::int64_t delta) {
 
 }  // namespace
 
-TripleStore::TripleStore(TripleBackend& backend, int party)
-    : backend_(backend), party_(party) {}
+TripleStore::TripleStore(TripleBackend& backend, int party, StoreFile file)
+    : backend_(backend), party_(party), file_(std::move(file)) {
+  if (!file_.path.empty() && load(file_.path, file_.provenance)) {
+    TRUSTDDL_LOG_INFO(kLog) << "party " << party_ << " restored " << depth()
+                            << " dealt entries from " << file_.path;
+  }
+}
+
+TripleStore::~TripleStore() {
+  try {
+    persist();
+  } catch (const Error& error) {
+    TRUSTDDL_LOG_WARN(kLog) << "party " << party_
+                            << " store not persisted: " << error.what();
+  }
+}
+
+void TripleStore::persist() {
+  if (persisted_ || file_.path.empty()) {
+    return;
+  }
+  persisted_ = true;
+  drain();
+  save(file_.path, file_.provenance);
+  TRUSTDDL_LOG_INFO(kLog) << "party " << party_ << " persisted " << depth()
+                          << " dealt entries to " << file_.path;
+}
 
 TripleStore::Slot& TripleStore::slot_for(const TripleKey& key) {
   auto [it, inserted] = streams_.try_emplace(key);

@@ -12,15 +12,17 @@
 // awaits.
 //
 // Send-ahead: the party plans what it will consume next, in the order
-// it will consume it (plan()), and the store sends those requests
-// while the bytes it holds or awaits stay under a window — half of
-// the largest unit planned so far (kWindowDivisor).  Popping entries
-// frees window, so each next_many() sends more before it returns: the
-// dealer deals about half a unit ahead while the party computes.  An
-// entry nobody planned is a *miss*, fetched at its stream cursor; all
-// of one call's sends go out before its first receive, so one call
-// costs at most one round trip.  No thread of its own: the party's
-// protocol thread owns the store and its backend.
+// it will consume it (plan(), from the same key lists the fetching code
+// uses: core::SecureModel::step_keys, mpc::aggregate_keys and the
+// training round's train::round_keys), and the store sends those
+// requests while the bytes it holds or awaits stay under a window —
+// half of the largest unit planned so far (kWindowDivisor).  Popping
+// entries frees window, so each next_many() sends more before it
+// returns: the dealer deals about half a unit ahead while the party
+// computes.  An entry nobody planned is a *miss*, fetched at its
+// stream cursor; all of one call's sends go out before its first
+// receive, so one call costs at most one round trip.  No thread of its
+// own: the party's protocol thread owns the store and its backend.
 //
 // Determinism: each key's stream is consumed strictly in index order
 // from 0, whether an entry was held, sent ahead, sent on demand, or
@@ -30,6 +32,10 @@
 // Versioned streams (reusable weight masks, TripleKey::versioned) are
 // finite: retire_versions_before() drops their drained state once the
 // weights moved past them.
+//
+// Persistence: a store given a StoreFile restores it at construction
+// and drains and saves to it in persist() (or its destructor), so its
+// stream cursors and held entries survive a restart.
 //
 // Instrumented under `triple.*`: per-kind produced (received) and
 // consumed counters and held-entry gauges (`triple.store.depth.*`),
@@ -48,6 +54,13 @@
 #include "mpc/beaver.hpp"
 
 namespace trustddl::mpc {
+
+/// Where a store persists: a TDST file, and the provenance tag that
+/// ties it to the dealing seed.  No path: nothing persists.
+struct StoreFile {
+  std::string path;
+  std::uint64_t provenance = 0;
+};
 
 class TripleStore final {
  public:
@@ -69,7 +82,13 @@ class TripleStore final {
   /// more memory; a whole unit buys ~10% more speed for ~20% more.
   static constexpr std::size_t kWindowDivisor = 2;
 
-  TripleStore(TripleBackend& backend, int party);
+  /// Restores `file` (load) when its path names an existing file.
+  TripleStore(TripleBackend& backend, int party, StoreFile file = {});
+  /// persist(), logging a failure instead of throwing it.
+  ~TripleStore();
+
+  TripleStore(const TripleStore&) = delete;
+  TripleStore& operator=(const TripleStore&) = delete;
 
   /// Plan one unit (an engine step, a serving batch, a training
   /// owner's step, an aggregation): `keys` in the order next_many will
@@ -106,6 +125,11 @@ class TripleStore final {
 
   /// Receive every fill in flight into the held entries (before save).
   void drain();
+
+  /// With a file path set, drain() and save the store to it.  Runs
+  /// once (later calls and the destructor do nothing); call it while
+  /// the backend can still receive.
+  void persist();
 
   /// Forget the drained streams of versioned keys whose weight version
   /// is below `version`; versions only move forward, so those streams
@@ -168,6 +192,8 @@ class TripleStore final {
 
   TripleBackend& backend_;
   int party_;
+  StoreFile file_;
+  bool persisted_ = false;
   /// Node-based: plan_ keeps pointers into it.
   std::unordered_map<TripleKey, Stream, TripleKeyHash> streams_;
   std::deque<Slot*> plan_;

@@ -38,9 +38,8 @@ namespace trustddl::serve {
 
 struct ClientOptions {
   int frac_bits = fx::kDefaultFracBits;
-  /// Decision-rule tolerance for robust reconstruction (keep in sync
-  /// with EngineConfig::dist_tolerance).
-  std::uint64_t dist_tolerance = 64;
+  /// Decision-rule tolerance for robust reconstruction.
+  std::uint64_t dist_tolerance = mpc::kDefaultDistTolerance;
   /// Seed of the client's sharing randomness.
   std::uint64_t seed = 1;
   /// Queue deadline the owner enforces for each request (0 = owner

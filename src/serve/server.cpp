@@ -38,12 +38,10 @@ mpc::PartyShare corrupted(const mpc::PartyShare& share) {
 
 InferenceServer::InferenceServer(int party, net::Endpoint endpoint,
                                  ServerOptions options,
-                                 core::TriplePipeline& pipeline,
                                  const nn::ModelSpec& spec)
     : party_(party),
       endpoint_(endpoint),
       options_(std::move(options)),
-      pipeline_(pipeline),
       spec_(spec) {}
 
 bool InferenceServer::run(core::SecureModel& model,
@@ -73,10 +71,9 @@ bool InferenceServer::run(core::SecureModel& model,
     for (const auto& entry : manifest.entries) {
       total_rows += entry.rows;
     }
-    pipeline_.plan(core::profile_step_demand(
-        spec_, total_rows, ctx.trunc_mode, /*training=*/false,
-        core::WeightMaskUse{ctx.reuse_masks, model.weight_version(),
-                            /*first_use=*/batches_ == 0}));
+    ctx.triples->plan(model.step_keys(
+        ctx, Shape{total_rows, spec_.input_features}, model.weight_version(),
+        /*draw_masks=*/batches_ == 0, /*training=*/false));
 
     // Correlation scope first (so it outlives the span's destructor):
     // every protocol span this thread emits while executing the batch
@@ -154,15 +151,17 @@ mpc::DetectionLog serve_computing_party_body(
       core::make_party_context(config, party, endpoint, adversary);
   // InferenceServer::run plans each dispatched batch; a restarted party
   // restores whatever the previous incarnation persisted.
-  core::TriplePipeline pipeline(config, link, party, /*training=*/false);
+  mpc::TripleStore store(
+      link, party,
+      core::triple_store_file(config, party, /*training=*/false));
   core::SecureExecContext sctx =
-      core::make_exec_context(config, pctx, link, pipeline.store());
-  InferenceServer server(party, endpoint, options, pipeline, spec);
+      core::make_exec_context(config, pctx, link, store);
+  InferenceServer server(party, endpoint, options, spec);
   const bool clean = server.run(model, sctx);
   if (batches_out != nullptr) {
     *batches_out = server.batches_executed();
   }
-  pipeline.shutdown();  // persist the store before the link closes
+  store.persist();  // before the link closes
   if (clean) {
     link.stop();
   }

@@ -8,6 +8,10 @@
 // independent of row count), then slices the probability shares back
 // per request and returns each client its rows.
 //
+// When a manifest arrives the party plans the batch's forward pass
+// (SecureModel::step_keys) on its TripleStore, so the dealer deals it
+// while the inputs arrive and the layers run (DESIGN.md §10).
+//
 // Degradation: a missing/garbled client input is substituted with a
 // zero share after `ServeConfig::input_wait` — the party stays in
 // lockstep and the client reconstructs its answer from the other two
@@ -20,7 +24,6 @@
 
 #include "core/actors.hpp"
 #include "core/secure_model.hpp"
-#include "core/triple_pipeline.hpp"
 #include "serve/batch_queue.hpp"
 #include "serve/scheduler.hpp"
 
@@ -43,15 +46,14 @@ struct ServerOptions {
 
 class InferenceServer {
  public:
-  /// `pipeline` is the party's preprocessing pipeline (DESIGN.md §10).
-  /// When a manifest arrives the server plans the batch's forward pass
-  /// (profiled from `spec`), so its material is dealt while the inputs
-  /// arrive and the layers run.  Both must outlive the server.
+  /// `spec` must outlive the server.
   InferenceServer(int party, net::Endpoint endpoint, ServerOptions options,
-                  core::TriplePipeline& pipeline, const nn::ModelSpec& spec);
+                  const nn::ModelSpec& spec);
 
   /// Serve manifests until the owner's shutdown manifest (returns
-  /// true) or the max_batches crash point (returns false).
+  /// true) or the max_batches crash point (returns false).  Each
+  /// dispatched batch is planned on ctx.triples at the model's weight
+  /// version, the first batch drawing its masks.
   bool run(core::SecureModel& model, core::SecureExecContext& ctx);
 
   std::size_t batches_executed() const { return batches_; }
@@ -61,7 +63,6 @@ class InferenceServer {
   net::Endpoint endpoint_;
   ServerOptions options_;
   std::size_t batches_ = 0;
-  core::TriplePipeline& pipeline_;
   const nn::ModelSpec& spec_;
 };
 

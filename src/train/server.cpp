@@ -35,10 +35,18 @@ void owner_gradient(core::SecureModel& model, core::SecureExecContext& ctx,
   // aggregation.
   model.zero_grads();
   const mpc::PartyShare probabilities = model.forward(ctx, x);
-  mpc::PartyShare grad_logits = probabilities - y;
-  grad_logits = ctx.rescale(grad_logits.scaled(fx::encode(
-      1.0 / static_cast<double>(x.shape()[0]), ctx.mpc->frac_bits)));
-  model.backward_from_logit_grad(ctx, grad_logits);
+  core::PassMaterial material(ctx);
+  material.add_trunc(probabilities.shape());
+  material.fetch();
+  mpc::OpenBatch batch(*ctx.mpc);
+  mpc::DeferredShare grad_logits = ctx.rescale_prepare(
+      batch,
+      (probabilities - y)
+          .scaled(fx::encode(1.0 / static_cast<double>(x.shape()[0]),
+                             ctx.mpc->frac_bits)),
+      material);
+  batch.flush_all();
+  model.backward_from_logit_grad(ctx, grad_logits.take());
 }
 
 void aggregate_and_step(
@@ -104,11 +112,48 @@ void aggregate_and_step(
   model.sgd_step(ctx, config.learning_rate, frac_bits);
 }
 
+std::vector<std::vector<mpc::TripleKey>> round_keys(
+    const core::SecureModel& model, const core::SecureExecContext& ctx,
+    const nn::ModelSpec& spec, const std::vector<std::size_t>& owner_rows,
+    const TrainConfig& config) {
+  std::vector<std::vector<mpc::TripleKey>> units;
+  for (std::size_t owner = 0; owner < owner_rows.size(); ++owner) {
+    core::PassKeys keys(ctx, model.weight_version(),
+                        /*draw_masks=*/owner == 0);
+    const Shape logits = model.forward_keys(
+        keys, Shape{owner_rows[owner], spec.input_features});
+    keys.add_trunc(logits);  // owner_gradient's 1/rows rescale
+    model.backward_keys(keys, owner_rows[owner]);
+    units.push_back(keys.keys());
+  }
+
+  core::PassKeys aggregation(ctx);
+  const mpc::AggregateOptions options{config.rule, config.trim,
+                                      ctx.trunc_mode};
+  const std::vector<Shape> shapes = nn::parameter_shapes(spec);
+  for (const Shape& shape : shapes) {
+    for (const mpc::TripleKey& key : mpc::aggregate_keys(
+             owner_rows.size(), shape, options, ctx.reuse_masks)) {
+      aggregation.add(key);
+    }
+  }
+  if (config.momentum != 0.0) {
+    for (const Shape& shape : shapes) {
+      aggregation.add_trunc(shape);  // the m*v rescale of each velocity
+    }
+  }
+  units.push_back(aggregation.keys());
+
+  core::PassKeys update(ctx);
+  model.sgd_keys(update);
+  units.push_back(update.keys());
+  return units;
+}
+
 TrainServer::TrainServer(int party, net::Endpoint endpoint,
-                         TrainConfig config, std::uint64_t provenance,
-                         core::TriplePipeline& pipeline)
+                         TrainConfig config, std::uint64_t provenance)
     : party_(party), endpoint_(endpoint), config_(std::move(config)),
-      provenance_(provenance), pipeline_(pipeline) {}
+      provenance_(provenance) {}
 
 bool TrainServer::run(core::SecureModel& model, core::SecureExecContext& ctx,
                       core::OwnerLink& link, const nn::ModelSpec& spec) {
@@ -149,8 +194,6 @@ bool TrainServer::run(core::SecureModel& model, core::SecureExecContext& ctx,
   // an earlier session already opened.
   model.set_weight_version(start_round);
 
-  const mpc::AggregateOptions agg_options{config_.rule, config_.trim,
-                                          ctx.trunc_mode};
   const auto save = [&](std::uint64_t round, std::uint64_t epoch) {
     if (config_.checkpoint_dir.empty()) {
       return;
@@ -218,10 +261,9 @@ bool TrainServer::run(core::SecureModel& model, core::SecureExecContext& ctx,
     }
     // The round's material, unit by unit in consumption order: the
     // store sends the first units ahead while the inputs arrive.
-    for (const core::DemandPlan& unit : core::profile_train_round_demand(
-             spec, owner_rows, ctx.trunc_mode, agg_options, use_momentum,
-             core::WeightMaskUse{ctx.reuse_masks, model.weight_version()})) {
-      pipeline_.plan(unit);
+    for (const std::vector<mpc::TripleKey>& unit :
+         round_keys(model, ctx, spec, owner_rows, config_)) {
+      ctx.triples->plan(unit);
     }
 
     // Per-owner normalized gradients, then their aggregation and the
@@ -264,7 +306,7 @@ bool TrainServer::run(core::SecureModel& model, core::SecureExecContext& ctx,
     }
     aggregate_and_step(model, ctx, std::move(owner_grads), config_,
                        velocity);
-    pipeline_.retire_versions_before(model.weight_version());
+    ctx.triples->retire_versions_before(model.weight_version());
     ++rounds_;
     obs::count("train.party.rounds");
 
@@ -287,10 +329,11 @@ mpc::DetectionLog train_service_party_body(
 
   mpc::PartyContext pctx =
       core::make_party_context(config, party, endpoint, adversary);
-  core::TriplePipeline pipeline(config, link, party, /*training=*/true);
+  mpc::TripleStore store(
+      link, party, core::triple_store_file(config, party, /*training=*/true));
   core::SecureExecContext sctx =
-      core::make_exec_context(config, pctx, link, pipeline.store());
-  TrainServer server(party, endpoint, train_config, config.seed, pipeline);
+      core::make_exec_context(config, pctx, link, store);
+  TrainServer server(party, endpoint, train_config, config.seed);
   const bool clean = server.run(model, sctx, link, spec);
   if (clean_out != nullptr) {
     *clean_out = clean;
@@ -298,7 +341,7 @@ mpc::DetectionLog train_service_party_body(
   if (rounds_out != nullptr) {
     *rounds_out = server.rounds_executed();
   }
-  pipeline.shutdown();  // persist the store before the link closes
+  store.persist();  // before the link closes
   // Both shutdown and suspend are orderly exits: release the owner
   // service so the sequencer's host thread can join it.
   link.stop();

@@ -12,6 +12,7 @@
 #include "mpc/adversary.hpp"
 #include "mpc/protocols_bt.hpp"
 #include "numeric/fixed_point.hpp"
+#include "serve/client.hpp"
 #include "test_util.hpp"
 
 namespace trustddl::mpc {
@@ -366,9 +367,16 @@ namespace trustddl::core {
 namespace {
 
 TEST(EngineConfigTest, DefaultToleranceMatchesPartyContextDefault) {
-  // One documented project-wide default: a hand-rolled PartyContext
-  // must judge reconstructions exactly like an engine-built one.
+  // One documented project-wide default: a hand-rolled PartyContext,
+  // owner service or serving client must judge reconstructions exactly
+  // like an engine-built one.
   EXPECT_EQ(EngineConfig{}.dist_tolerance, mpc::PartyContext{}.dist_tolerance);
+  EXPECT_EQ(OwnerServiceConfig{}.dist_tolerance,
+            mpc::PartyContext{}.dist_tolerance);
+  EXPECT_EQ(OwnerServiceConfig{}.frac_bits, mpc::PartyContext{}.frac_bits);
+  EXPECT_EQ(serve::ClientOptions{}.dist_tolerance,
+            mpc::PartyContext{}.dist_tolerance);
+  EXPECT_EQ(serve::ClientOptions{}.frac_bits, mpc::PartyContext{}.frac_bits);
 }
 
 TEST(EngineConfigTest, MakePartyContextPropagatesEveryKnob) {

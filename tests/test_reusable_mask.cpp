@@ -1,6 +1,6 @@
 // Reusable masks (DESIGN.md §"Reusable masks"): the dealer's
 // weight-mask, masked-matmul, masked-conv and comparison-triple entries,
-// the demand profiler's accounting for them, and the engine- and
+// the plans' accounting for them, and the engine- and
 // service-level guarantee that opening each masked value once changes
 // bytes, never results.
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "core/engine.hpp"
-#include "core/triple_pipeline.hpp"
 #include "data/synthetic_mnist.hpp"
 #include "mpc/beaver.hpp"
 #include "nn/model_zoo.hpp"
@@ -20,6 +19,7 @@
 #include "obs/events.hpp"
 #include "obs/metrics.hpp"
 #include "train/harness.hpp"
+#include "train/server.hpp"
 
 namespace trustddl {
 namespace {
@@ -247,24 +247,60 @@ TEST(ReusableMaskTest, MalformedKeysAreRejectedAndCostsSaturate) {
                SerializationError);
 }
 
-// --- Demand profiler ---------------------------------------------------
+// --- Plans ----------------------------------------------------------
 
-std::size_t count_kind(const core::DemandPlan& plan, mpc::TripleKind kind) {
+std::size_t count_kind(const std::vector<TripleKey>& keys,
+                       mpc::TripleKind kind) {
   return static_cast<std::size_t>(
-      std::count_if(plan.keys.begin(), plan.keys.end(),
+      std::count_if(keys.begin(), keys.end(),
                     [&](const TripleKey& key) { return key.kind == kind; }));
 }
 
-TEST(ReusableMaskTest, ProfilerPlansOneMaskPerVersionAndEntryPerProduct) {
+/// A model of `spec` with zero parameters: plans read only its shapes.
+core::SecureModel zero_model(const nn::ModelSpec& spec) {
+  std::vector<mpc::PartyShare> zeros;
+  for (const Shape& shape : nn::parameter_shapes(spec)) {
+    zeros.push_back(mpc::zero_share(shape));
+  }
+  return core::SecureModel(spec, std::move(zeros));
+}
+
+core::SecureExecContext masked_context(bool reuse) {
+  core::SecureExecContext ctx;
+  ctx.trunc_mode = TruncationMode::kMaskedOpen;
+  ctx.reuse_masks = reuse;
+  return ctx;
+}
+
+/// An engine job's steps as its parties plan them: inference steps run
+/// at weight version 0, whose masks the first step draws; training step
+/// s runs at version s and draws its masks.
+std::vector<TripleKey> job_keys(const core::SecureModel& model,
+                                const core::SecureExecContext& ctx,
+                                const nn::ModelSpec& spec,
+                                const std::vector<std::size_t>& batch_rows,
+                                bool training) {
+  std::vector<TripleKey> keys;
+  for (std::size_t step = 0; step < batch_rows.size(); ++step) {
+    const std::vector<TripleKey> unit = model.step_keys(
+        ctx, Shape{batch_rows[step], spec.input_features},
+        training ? step : 0, training || step == 0, training);
+    keys.insert(keys.end(), unit.begin(), unit.end());
+  }
+  return keys;
+}
+
+TEST(ReusableMaskTest, PlansOneMaskPerVersionAndEntryPerProduct) {
   const nn::ModelSpec spec = nn::mnist_cnn_spec();  // conv + two dense
   constexpr std::size_t kDense = 2;
   constexpr std::size_t kMasked = kDense + 1;  // the conv's mask too
   constexpr std::size_t kRelus = 2;
-  const core::WeightMaskUse reuse{true, 0};
+  const core::SecureModel model = zero_model(spec);
+  const core::SecureExecContext reuse = masked_context(true);
 
   // Inference: every step runs at version 0, one mask per weight layer.
-  const core::DemandPlan infer = core::profile_job_demand(
-      spec, {8, 8, 3}, TruncationMode::kMaskedOpen, false, reuse);
+  const std::vector<TripleKey> infer =
+      job_keys(model, reuse, spec, {8, 8, 3}, /*training=*/false);
   EXPECT_EQ(count_kind(infer, mpc::TripleKind::kWeightMask), kMasked);
   EXPECT_EQ(count_kind(infer, mpc::TripleKind::kMaskedMatMul), 3 * kDense);
   EXPECT_EQ(count_kind(infer, mpc::TripleKind::kMaskedConv), 3u);
@@ -273,25 +309,26 @@ TEST(ReusableMaskTest, ProfilerPlansOneMaskPerVersionAndEntryPerProduct) {
   EXPECT_EQ(count_kind(infer, mpc::TripleKind::kMul), 0u);
 
   // Training: step i runs at version i; forward and backward products.
-  const core::DemandPlan train = core::profile_job_demand(
-      spec, {8, 8, 3}, TruncationMode::kMaskedOpen, true, reuse);
-  EXPECT_EQ(count_kind(train, mpc::TripleKind::kWeightMask), 3 * kMasked);
-  EXPECT_EQ(count_kind(train, mpc::TripleKind::kMaskedMatMul),
+  const std::vector<TripleKey> training =
+      job_keys(model, reuse, spec, {8, 8, 3}, /*training=*/true);
+  EXPECT_EQ(count_kind(training, mpc::TripleKind::kWeightMask), 3 * kMasked);
+  EXPECT_EQ(count_kind(training, mpc::TripleKind::kMaskedMatMul),
             3 * 2 * kDense);
-  EXPECT_EQ(count_kind(train, mpc::TripleKind::kMaskedConv), 3u);
-  for (const TripleKey& key : train.keys) {
+  EXPECT_EQ(count_kind(training, mpc::TripleKind::kMaskedConv), 3u);
+  for (const TripleKey& key : training) {
     if (key.versioned()) {
-      EXPECT_EQ(std::count(train.keys.begin(), train.keys.end(), key), 1)
+      EXPECT_EQ(std::count(training.begin(), training.end(), key), 1)
           << "each version's entry is planned once";
     }
   }
 
   // A training round: every owner's products share the round's mask.
-  core::DemandPlan round;
-  for (const core::DemandPlan& unit : core::profile_train_round_demand(
-           spec, {4, 4, 4}, TruncationMode::kMaskedOpen,
-           mpc::AggregateOptions{}, false, core::WeightMaskUse{true, 9})) {
-    round.merge(unit);
+  core::SecureModel at_nine = zero_model(spec);
+  at_nine.set_weight_version(9);
+  std::vector<TripleKey> round;
+  for (const std::vector<TripleKey>& unit : train::round_keys(
+           at_nine, reuse, spec, {4, 4, 4}, train::TrainConfig{})) {
+    round.insert(round.end(), unit.begin(), unit.end());
   }
   EXPECT_EQ(count_kind(round, mpc::TripleKind::kWeightMask), kMasked);
   EXPECT_EQ(count_kind(round, mpc::TripleKind::kMaskedMatMul),
@@ -302,8 +339,8 @@ TEST(ReusableMaskTest, ProfilerPlansOneMaskPerVersionAndEntryPerProduct) {
             3 * kRelus + nn::parameter_shapes(spec).size());
 
   // Reuse off consumes plain matmul triples only — the paper's path.
-  const core::DemandPlan paper = core::profile_job_demand(
-      spec, {8}, TruncationMode::kMaskedOpen, true);
+  const std::vector<TripleKey> paper =
+      job_keys(model, masked_context(false), spec, {8}, /*training=*/true);
   EXPECT_EQ(count_kind(paper, mpc::TripleKind::kWeightMask), 0u);
   EXPECT_EQ(count_kind(paper, mpc::TripleKind::kMaskedMatMul), 0u);
   EXPECT_EQ(count_kind(paper, mpc::TripleKind::kMaskedConv), 0u);
@@ -320,19 +357,17 @@ TEST(ReusableMaskTest, FirstLayersInputGradientIsNeverPlanned) {
       TripleKey::matmul(conv.col_rows(), conv.out_channels, columns);
   const TripleKey x_grad_pair =
       TripleKey::trunc_pair(Shape{conv.col_rows(), columns});
-  const auto planned = [&](const core::DemandPlan& plan,
-                           const TripleKey& key) {
-    return std::count(plan.keys.begin(), plan.keys.end(), key);
+  const core::SecureModel model = zero_model(spec);
+  const auto planned = [&](bool reuse, const TripleKey& key) {
+    const std::vector<TripleKey> keys =
+        model.step_keys(masked_context(reuse), Shape{kRows, 784}, 0,
+                        /*draw_masks=*/true, /*training=*/true);
+    return std::count(keys.begin(), keys.end(), key);
   };
-  const core::DemandPlan reused = core::profile_step_demand(
-      spec, kRows, TruncationMode::kMaskedOpen, true,
-      core::WeightMaskUse{true, 0});
-  EXPECT_EQ(planned(reused, x_grad), 0);
-  EXPECT_EQ(planned(reused, x_grad_pair), 0);
-  const core::DemandPlan paper = core::profile_step_demand(
-      spec, kRows, TruncationMode::kMaskedOpen, true);
-  EXPECT_EQ(planned(paper, x_grad), 1);
-  EXPECT_EQ(planned(paper, x_grad_pair), 1);
+  EXPECT_EQ(planned(/*reuse=*/true, x_grad), 0);
+  EXPECT_EQ(planned(/*reuse=*/true, x_grad_pair), 0);
+  EXPECT_EQ(planned(/*reuse=*/false, x_grad), 1);
+  EXPECT_EQ(planned(/*reuse=*/false, x_grad_pair), 1);
 }
 
 // --- Engine equivalence ------------------------------------------------

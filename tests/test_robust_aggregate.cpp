@@ -310,29 +310,30 @@ TEST(RobustAggregateTest, StatsFormAClosedLedger) {
 }
 
 TEST(RobustAggregateTest, DemandMirrorsConsumption) {
+  // aggregate_keys is what robust_aggregate_prepare fetches and what a
+  // party plans ahead of it, for each rule.
   const Shape shape{3, 4};
+  const Shape comparison_shape{10, 12};  // {K(K-1)/2, numel} for K = 5
   AggregateOptions trimmed{AggregationRule::kTrimmedMean, 1,
                            TruncationMode::kMaskedOpen};
-  AggregateDemand demand = aggregate_demand(5, shape, trimmed);
-  EXPECT_TRUE(demand.needs_comparison);
-  EXPECT_EQ(demand.comparison_shape, (Shape{10, 12}));
-  EXPECT_TRUE(demand.needs_trunc_pair);
-  EXPECT_EQ(demand.trunc_shape, shape);
+  EXPECT_EQ(aggregate_keys(5, shape, trimmed, /*comp_triples=*/true),
+            (std::vector<TripleKey>{TripleKey::trunc_pair(shape),
+                                    TripleKey::comp_triple(comparison_shape)}));
+  EXPECT_EQ(aggregate_keys(5, shape, trimmed, /*comp_triples=*/false),
+            (std::vector<TripleKey>{TripleKey::trunc_pair(shape),
+                                    TripleKey::comp_aux(comparison_shape),
+                                    TripleKey::mul(comparison_shape)}));
 
   AggregateOptions median{AggregationRule::kMedian, 0,
                           TruncationMode::kMaskedOpen};
-  demand = aggregate_demand(5, shape, median);
-  EXPECT_TRUE(demand.needs_comparison);
-  EXPECT_FALSE(demand.needs_trunc_pair);  // n_sel == 1: no rescale
+  // n_sel == 1: no rescale.
+  EXPECT_EQ(aggregate_keys(5, shape, median, true),
+            comparison_keys(comparison_shape, true));
 
   AggregateOptions mean{AggregationRule::kMean, 0, TruncationMode::kLocal};
-  demand = aggregate_demand(5, shape, mean);
-  EXPECT_FALSE(demand.needs_comparison);
-  EXPECT_FALSE(demand.needs_trunc_pair);
+  EXPECT_TRUE(aggregate_keys(5, shape, mean, true).empty());
 
-  demand = aggregate_demand(1, shape, trimmed);
-  EXPECT_FALSE(demand.needs_comparison);
-  EXPECT_FALSE(demand.needs_trunc_pair);
+  EXPECT_TRUE(aggregate_keys(1, shape, trimmed, true).empty());
 }
 
 TEST(RobustAggregateReferenceTest, MedianOfKnownValues) {

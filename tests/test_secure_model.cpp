@@ -8,7 +8,6 @@
 
 #include "core/engine.hpp"
 #include "core/owner_service.hpp"
-#include "core/triple_pipeline.hpp"
 #include "mpc/share_serde.hpp"
 #include "nn/layers.hpp"
 #include "nn/loss.hpp"
@@ -425,19 +424,21 @@ TEST(SecureModelTest, DryStoreFetchesEachLayerPassInOneCall) {
                            TruncationMode::kMaskedOpen);
   auto param_shares = share_model_params(plain, harness);
   const auto x_views = harness.share(input);
-  const DemandPlan plan = profile_step_demand(
-      spec, kRows, TruncationMode::kMaskedOpen, /*training=*/false,
-      WeightMaskUse{true, 0, /*first_use=*/true});
   // conv, relu, dense, relu, dense: softmax draws no material.
   constexpr std::size_t kPasses = 5;
   std::array<std::size_t, 3> calls{};
   std::array<std::size_t, 3> fetched{};
+  std::array<std::size_t, 3> planned{};
   harness.run([&](SecureExecContext& ctx, int party) {
     const auto index = static_cast<std::size_t>(party);
     RecordingBackend recording(*ctx.owner);
     mpc::TripleStore store(recording, party);
     ctx.triples = &store;
     SecureModel model(spec, std::move(param_shares[index]));
+    planned[index] =
+        model.step_keys(ctx, x_views[index].shape(), 0, /*draw_masks=*/true,
+                        /*training=*/false)
+            .size();
     (void)model.forward(ctx, x_views[index]);
     calls[index] = recording.calls;
     fetched[index] = recording.keys.size();
@@ -445,114 +446,176 @@ TEST(SecureModelTest, DryStoreFetchesEachLayerPassInOneCall) {
   });
   for (std::size_t party = 0; party < 3; ++party) {
     EXPECT_EQ(calls[party], kPasses) << "party " << party;
-    EXPECT_EQ(fetched[party], plan.total()) << "party " << party;
+    EXPECT_EQ(fetched[party], planned[party]) << "party " << party;
   }
 }
 
+TEST(SecureModelTest, StepKeysMergeAcrossBatchSizes) {
+  // The engine plans a job step by step: two same-size steps share
+  // shape classes, the partial batch gets its own.
+  const nn::ModelSpec spec = nn::mnist_mlp_spec();
+  std::vector<mpc::PartyShare> zeros;
+  for (const Shape& shape : nn::parameter_shapes(spec)) {
+    zeros.push_back(mpc::zero_share(shape));
+  }
+  const SecureModel model(spec, zeros);
+  SecureExecContext ctx;
+  ctx.trunc_mode = TruncationMode::kLocal;
+  ctx.reuse_masks = false;
+  const auto keys = [&](std::size_t rows, bool training) {
+    return model.step_keys(ctx, Shape{rows, spec.input_features}, 0,
+                           /*draw_masks=*/false, training);
+  };
+  const std::vector<mpc::TripleKey> one = keys(8, /*training=*/false);
+  EXPECT_FALSE(one.empty());
+  std::vector<mpc::TripleKey> job;
+  for (const std::size_t rows : {8, 8, 4}) {
+    const std::vector<mpc::TripleKey> step = keys(rows, false);
+    job.insert(job.end(), step.begin(), step.end());
+  }
+  EXPECT_EQ(job.size(), 2 * one.size() + keys(4, false).size());
+  // Masked truncation adds pairs, training adds backward material.
+  ctx.trunc_mode = TruncationMode::kMaskedOpen;
+  EXPECT_GT(keys(8, /*training=*/true).size(), one.size());
+}
+
 TEST(SecureModelTest, ProfilesListTheDryStoresFetchOrder) {
-  // The store sends ahead in plan order, so a profile must list what
-  // the layers fetch in the order they fetch it — each version's masks
+  // The store sends ahead in plan order, so a plan must list what the
+  // layers fetch in the order they fetch them — each version's masks
   // first in the layer pass that first uses them.  A dry store fetches
   // every entry when the layers ask, so its backend log IS that order:
-  // a Table I CNN training step, two inference batches (the second
-  // reuses the armed masks) and a three-owner training-service round
-  // with momentum.
-  Rng rng(12);
-  const nn::ModelSpec spec = nn::mnist_cnn_spec();
-  constexpr TruncationMode kTrunc = TruncationMode::kMaskedOpen;
+  // a training step, two inference batches (the second reuses the armed
+  // masks) and a three-owner training-service round with momentum, each
+  // planned as its party plans it.  Both material paths (the paper's,
+  // with its first-layer input gradient, and reusable masks), both
+  // truncation modes, and the Table I CNN as well as its max-pool
+  // variant, whose tournament draws a comparison per window slot pair.
+  // The openings run honest-but-curious: the security mode does not
+  // change what a pass draws, and the malicious round doubles the time.
   const std::vector<std::size_t> owner_rows = {2, 1, 2};
   train::TrainConfig round_config;
   round_config.rule = mpc::AggregationRule::kTrimmedMean;
   round_config.trim = 1;
   round_config.momentum = 0.5;
-  nn::Sequential plain = nn::build_model(spec, rng);
-  FiveActorHarness harness(mpc::SecurityMode::kMalicious, kTrunc);
-  auto param_shares = share_model_params(plain, harness);
-  std::vector<std::array<mpc::PartyShare, 3>> xs;
-  std::vector<std::array<mpc::PartyShare, 3>> ys;
-  for (const std::size_t rows : {std::size_t{2}, std::size_t{3},
-                                 std::size_t{1}, std::size_t{2},
-                                 std::size_t{1}, std::size_t{2}}) {
-    xs.push_back(harness.share(
-        random_real(Shape{rows, spec.input_features}, rng, 0.5)));
-    std::vector<std::size_t> labels(rows);
-    for (std::size_t r = 0; r < rows; ++r) {
-      labels[r] = r % spec.classes;
-    }
-    ys.push_back(harness.share(nn::one_hot(labels, spec.classes)));
-  }
-
-  std::array<std::vector<std::vector<mpc::TripleKey>>, 3> logs;
-  harness.run([&](SecureExecContext& ctx, int party) {
-    const auto index = static_cast<std::size_t>(party);
-    ctx.reuse_masks = true;
-    auto& log = logs[index];
-    const auto record = [&](const std::function<void()>& body) {
-      RecordingBackend recording(*ctx.owner);
-      mpc::TripleStore store(recording, party);
-      ctx.triples = &store;
-      body();
-      log.push_back(recording.keys);
-    };
-    // Training step at weight version 0.
-    SecureModel trained(spec, param_shares[index]);
-    record([&] {
-      const mpc::PartyShare p = trained.forward(ctx, xs[0][index]);
-      trained.backward_from_logit_grad(ctx, p - ys[0][index]);
-      trained.sgd_step(ctx, 0.1, kF);
-    });
-    // Inference batches: the first arms the masks, the second reuses
-    // them.
-    SecureModel served(spec, param_shares[index]);
-    record([&] { (void)served.forward(ctx, xs[1][index]); });
-    record([&] { (void)served.forward(ctx, xs[2][index]); });
-    // A training-service round at version 1 (trained's next version).
-    std::vector<mpc::PartyShare> velocity;
-    for (SecureParameter* parameter : trained.parameters()) {
-      velocity.push_back(mpc::zero_share(parameter->value.shape()));
-    }
-    record([&] {
-      const std::vector<SecureParameter*> params = trained.parameters();
-      std::vector<std::vector<mpc::PartyShare>> owner_grads(params.size());
-      for (std::size_t owner = 0; owner < owner_rows.size(); ++owner) {
-        train::owner_gradient(trained, ctx, xs[3 + owner][index],
-                              ys[3 + owner][index]);
-        for (std::size_t i = 0; i < params.size(); ++i) {
-          owner_grads[i].push_back(params[i]->grad);
+  using Plan = std::vector<std::vector<mpc::TripleKey>>;
+  for (const nn::ModelSpec& spec :
+       {nn::mnist_cnn_spec(), nn::mnist_cnn_pool_spec()}) {
+    for (const TruncationMode trunc :
+         {TruncationMode::kMaskedOpen, TruncationMode::kLocal}) {
+      for (const bool reuse : {false, true}) {
+        SCOPED_TRACE(spec.name + (trunc == TruncationMode::kLocal
+                                      ? ", local truncation"
+                                      : ", masked-open truncation") +
+                     (reuse ? ", reusable masks" : ", paper path"));
+        Rng rng(12);
+        nn::Sequential plain = nn::build_model(spec, rng);
+        FiveActorHarness harness(mpc::SecurityMode::kHonestButCurious, trunc);
+        auto param_shares = share_model_params(plain, harness);
+        std::vector<std::array<mpc::PartyShare, 3>> xs;
+        std::vector<std::array<mpc::PartyShare, 3>> ys;
+        for (const std::size_t rows : {std::size_t{2}, std::size_t{3},
+                                       std::size_t{1}, std::size_t{2},
+                                       std::size_t{1}, std::size_t{2}}) {
+          xs.push_back(harness.share(
+              random_real(Shape{rows, spec.input_features}, rng, 0.5)));
+          std::vector<std::size_t> labels(rows);
+          for (std::size_t r = 0; r < rows; ++r) {
+            labels[r] = r % spec.classes;
+          }
+          ys.push_back(harness.share(nn::one_hot(labels, spec.classes)));
         }
-      }
-      train::aggregate_and_step(trained, ctx, owner_grads, round_config,
-                                velocity);
-    });
-  });
 
-  DemandPlan round;
-  for (const DemandPlan& unit : profile_train_round_demand(
-           spec, owner_rows, kTrunc,
-           mpc::AggregateOptions{round_config.rule, round_config.trim},
-           /*momentum=*/true, WeightMaskUse{true, 1})) {
-    round.merge(unit);
-  }
-  const std::vector<DemandPlan> expected = {
-      profile_step_demand(spec, 2, kTrunc, /*training=*/true,
-                          WeightMaskUse{true, 0, true}),
-      profile_step_demand(spec, 3, kTrunc, /*training=*/false,
-                          WeightMaskUse{true, 0, true}),
-      profile_step_demand(spec, 1, kTrunc, /*training=*/false,
-                          WeightMaskUse{true, 0, false}),
-      round};
-  const char* names[] = {"training step", "first inference batch",
-                         "second inference batch", "training round"};
-  for (std::size_t party = 0; party < 3; ++party) {
-    ASSERT_EQ(logs[party].size(), expected.size());
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-      EXPECT_EQ(logs[party][i], expected[i].keys)
-          << names[i] << ", party " << party;
+        // Per party: the planned units and the dry store's log of each.
+        std::array<Plan, 3> plans;
+        std::array<Plan, 3> logs;
+        harness.run([&](SecureExecContext& ctx, int party) {
+          const auto index = static_cast<std::size_t>(party);
+          ctx.reuse_masks = reuse;
+          Plan& plan = plans[index];
+          const auto record = [&](const std::function<void()>& body) {
+            RecordingBackend recording(*ctx.owner);
+            mpc::TripleStore store(recording, party);
+            ctx.triples = &store;
+            body();
+            logs[index].push_back(recording.keys);
+          };
+          // An engine training step at weight version 0.
+          SecureModel trained(spec, param_shares[index]);
+          plan.push_back(trained.step_keys(ctx, xs[0][index].shape(), 0,
+                                           /*draw_masks=*/true,
+                                           /*training=*/true));
+          record([&] {
+            const mpc::PartyShare p = trained.forward(ctx, xs[0][index]);
+            trained.backward_from_logit_grad(ctx, p - ys[0][index]);
+            trained.sgd_step(ctx, 0.1, kF);
+          });
+          // Serving: the first batch draws the masks, the second reuses
+          // them.
+          SecureModel served(spec, param_shares[index]);
+          for (const std::size_t batch : {1, 2}) {
+            plan.push_back(served.step_keys(ctx, xs[batch][index].shape(),
+                                            served.weight_version(),
+                                            /*draw_masks=*/batch == 1,
+                                            /*training=*/false));
+            record([&] { (void)served.forward(ctx, xs[batch][index]); });
+          }
+          // A training-service round at version 1 (trained's next
+          // version): each owner's unit, then the aggregation and the
+          // update, which aggregate_and_step draws in one go.
+          const Plan round =
+              train::round_keys(trained, ctx, spec, owner_rows, round_config);
+          std::vector<mpc::TripleKey> tail = round[owner_rows.size()];
+          tail.insert(tail.end(), round.back().begin(), round.back().end());
+          plan.insert(plan.end(), round.begin(),
+                      round.begin() + static_cast<std::ptrdiff_t>(
+                                          owner_rows.size()));
+          plan.push_back(tail);
+          std::vector<mpc::PartyShare> velocity;
+          const std::vector<SecureParameter*> params = trained.parameters();
+          for (SecureParameter* parameter : params) {
+            velocity.push_back(mpc::zero_share(parameter->value.shape()));
+          }
+          std::vector<std::vector<mpc::PartyShare>> owner_grads(
+              params.size());
+          for (std::size_t owner = 0; owner < owner_rows.size(); ++owner) {
+            record([&] {
+              train::owner_gradient(trained, ctx, xs[3 + owner][index],
+                                    ys[3 + owner][index]);
+            });
+            for (std::size_t i = 0; i < params.size(); ++i) {
+              owner_grads[i].push_back(params[i]->grad);
+            }
+          }
+          record([&] {
+            train::aggregate_and_step(trained, ctx, owner_grads,
+                                      round_config, velocity);
+          });
+        });
+
+        const char* names[] = {"training step", "first inference batch",
+                               "second inference batch", "owner 0",
+                               "owner 1", "owner 2",
+                               "aggregation and update"};
+        for (std::size_t party = 0; party < 3; ++party) {
+          ASSERT_EQ(logs[party].size(), std::size(names));
+          ASSERT_EQ(plans[party].size(), std::size(names));
+          for (std::size_t i = 0; i < std::size(names); ++i) {
+            EXPECT_EQ(logs[party][i], plans[party][i])
+                << names[i] << ", party " << party;
+          }
+          EXPECT_EQ(plans[party], plans[0]) << "parties plan in SPMD order";
+        }
+        // The masks lead the version's first forward pass.
+        const auto leads_with_mask =
+            [](const std::vector<mpc::TripleKey>& keys) {
+              return !keys.empty() &&
+                     keys.front().kind == mpc::TripleKind::kWeightMask;
+            };
+        EXPECT_EQ(leads_with_mask(plans[0][0]), reuse);
+        EXPECT_EQ(leads_with_mask(plans[0][3]), reuse);
+      }
     }
   }
-  // The masks lead the version's first forward pass.
-  EXPECT_EQ(expected[0].keys.front().kind, mpc::TripleKind::kWeightMask);
-  EXPECT_EQ(round.keys.front().kind, mpc::TripleKind::kWeightMask);
 }
 
 TEST(SecureModelTest, ByzantinePartyDoesNotCorruptTraining) {

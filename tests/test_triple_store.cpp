@@ -14,7 +14,6 @@
 
 #include "core/actors.hpp"
 #include "core/engine.hpp"
-#include "core/triple_pipeline.hpp"
 #include "mpc/share_serde.hpp"
 #include "numeric/fixed_point.hpp"
 #include "obs/metrics.hpp"
@@ -462,7 +461,7 @@ TEST(TripleStoreTest, VersionedStreamsDeliverTotalsAndRetire) {
   EXPECT_EQ(store.misses(), 0u);
 }
 
-// --- Demand profiler + engine-level equivalence ----------------------
+// --- Engine-level equivalence ----------------------------------------
 
 data::TrainTestSplit tiny_split(std::size_t train, std::size_t test,
                                 std::size_t side = 28) {
@@ -481,42 +480,33 @@ core::EngineConfig job_config() {
   return config;
 }
 
-TEST(DemandProfilerTest, CountsMergeAcrossBatchSizes) {
-  const nn::ModelSpec spec = nn::mnist_mlp_spec();
-  const core::DemandPlan one =
-      core::profile_step_demand(spec, 8, TruncationMode::kLocal,
-                                /*training=*/false);
-  EXPECT_FALSE(one.empty());
-  const core::DemandPlan job = core::profile_job_demand(
-      spec, {8, 8, 4}, TruncationMode::kLocal, /*training=*/false);
-  // Two same-size steps share shape classes; the partial batch gets
-  // its own.
-  EXPECT_EQ(job.total(), 2 * one.total() +
-                             core::profile_step_demand(
-                                 spec, 4, TruncationMode::kLocal, false)
-                                 .total());
-  // Masked truncation adds pairs, training adds backward material.
-  EXPECT_GT(core::profile_step_demand(spec, 8, TruncationMode::kMaskedOpen,
-                                      true)
-                .total(),
-            one.total());
-}
-
-/// Each party's TDST file under `dir`, holding the material of the
-/// job's first `steps` steps, dealt ahead — as a store that dealt them
-/// and then stopped would leave it.
+/// Each party's TDST file under config.triple_store_dir, holding the
+/// material of the job's first `steps` steps, dealt ahead — as a store
+/// that dealt them and then stopped would leave it.
 void deal_ahead_to_disk(const core::EngineConfig& config,
                         const nn::ModelSpec& spec,
                         const std::vector<std::size_t>& batch_rows,
-                        bool training, std::size_t steps,
-                        const std::string& dir) {
+                        bool training, std::size_t steps) {
   const std::uint64_t seed =
       core::make_owner_service_config(config, training).seed;
-  const core::DemandPlan plan = core::profile_job_demand(
-      spec, batch_rows, config.resolved_trunc_mode(), training,
-      core::WeightMaskUse{config.reuse_masks, 0}, 0, steps);
+  // The steps' keys as an engine party plans them (core/actors.cpp).
+  std::vector<PartyShare> zeros;
+  for (const Shape& shape : nn::parameter_shapes(spec)) {
+    zeros.push_back(zero_share(shape));
+  }
+  const core::SecureModel model(spec, std::move(zeros));
+  core::SecureExecContext ctx;
+  ctx.trunc_mode = config.resolved_trunc_mode();
+  ctx.reuse_masks = config.reuse_masks;
+  std::vector<TripleKey> keys;
+  for (std::size_t step = 0; step < steps; ++step) {
+    const std::vector<TripleKey> unit = model.step_keys(
+        ctx, Shape{batch_rows[step], spec.input_features},
+        training ? step : 0, training || step == 0, training);
+    keys.insert(keys.end(), unit.begin(), unit.end());
+  }
   std::vector<std::pair<TripleKey, std::size_t>> counts;
-  for (const TripleKey& key : plan.keys) {
+  for (const TripleKey& key : keys) {
     const auto it = std::find_if(counts.begin(), counts.end(),
                                  [&](const auto& c) { return c.first == key; });
     if (it == counts.end()) {
@@ -526,10 +516,11 @@ void deal_ahead_to_disk(const core::EngineConfig& config,
     }
   }
   for (int party = 0; party < 3; ++party) {
+    const StoreFile file = core::triple_store_file(config, party, training);
     ByteWriter writer;
     writer.write_u32(0x54534454);  // "TDST"
     writer.write_u32(2);
-    writer.write_u64(core::TriplePipeline::store_provenance(config, training));
+    writer.write_u64(file.provenance);
     writer.write_u32(static_cast<std::uint32_t>(party));
     writer.write_u64(counts.size());
     for (const auto& [key, count] : counts) {
@@ -546,8 +537,7 @@ void deal_ahead_to_disk(const core::EngineConfig& config,
         write_material_entry(writer, key.kind, entry);
       }
     }
-    std::ofstream out(core::TriplePipeline::store_path(dir, party, training),
-                      std::ios::binary | std::ios::trunc);
+    std::ofstream out(file.path, std::ios::binary | std::ios::trunc);
     out.write(reinterpret_cast<const char*>(writer.bytes().data()),
               static_cast<std::streamsize>(writer.bytes().size()));
   }
@@ -598,7 +588,7 @@ TEST(PrefetchExactnessTest, InferLabelsBitIdenticalAndStoreNeverMisses) {
     if (restored) {
       config.triple_store_dir = dir;
       deal_ahead_to_disk(config, nn::tiny_cnn_spec(), {4, 2},
-                         /*training=*/false, /*steps=*/1, dir);
+                         /*training=*/false, /*steps=*/1);
     }
     obs::MetricsRegistry::global().reset();
     obs::set_metrics_enabled(true);
@@ -643,7 +633,7 @@ TEST(PrefetchExactnessTest, TrainedWeightsBitIdenticalWithPrefetch) {
     if (restored) {
       config.triple_store_dir = dir;
       deal_ahead_to_disk(config, nn::mnist_mlp_spec(), {8, 8, 8, 8},
-                         /*training=*/true, /*steps=*/2, dir);
+                         /*training=*/true, /*steps=*/2);
     }
     core::TrustDdlEngine engine(nn::mnist_mlp_spec(), config);
     (void)engine.train(split.train, split.test, options);
@@ -664,6 +654,8 @@ TEST(PrefetchExactnessTest, TrainedWeightsBitIdenticalWithPrefetch) {
   std::filesystem::remove_all(dir);
 }
 
+// The offline/online pipeline end to end (DESIGN.md §10): planning,
+// send-ahead, persistence and restore through the engine.
 TEST(TriplePipelineTest, EngineJobLedgerBalancesWithNothingInFlight) {
   // Every entry a party planned is consumed by the end of a job: the
   // ledger balances kind by kind, nothing missed, and every fill sent
@@ -703,34 +695,34 @@ TEST(TriplePipelineTest, EngineJobLedgerBalancesWithNothingInFlight) {
   }
 }
 
-TEST(TriplePipelineTest, ShutdownDrainsFillsInFlightAndARestoreResumes) {
-  // A pipeline shut down with fills in flight receives them before it
-  // persists, and the next pipeline resumes at the cursor with them.
+TEST(TripleStoreTest, PersistDrainsFillsInFlightAndARestoreResumes) {
+  // A store persisted with fills in flight receives them before it
+  // saves, and the next store over its file resumes at the cursor with
+  // them.
   const std::string dir = ::testing::TempDir() + "pipeline_in_flight";
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   core::EngineConfig config = job_config();
   config.triple_store_dir = dir;
+  const StoreFile file = core::triple_store_file(config, 0, false);
   const TripleKey key = TripleKey::trunc_pair(Shape{2, 2});
   const std::uint64_t seed =
       core::make_owner_service_config(config, false).seed;
   {
     DealerBackend backend(seed, config.frac_bits, /*party=*/0);
-    core::TriplePipeline pipeline(config, backend, 0, /*training=*/false);
-    core::DemandPlan plan;
-    plan.add(key, 6);
-    pipeline.plan(plan);
-    (void)pipeline.store().next(key);
-    ASSERT_GT(pipeline.store().in_flight(), 0u);
-    pipeline.shutdown();
-    EXPECT_EQ(pipeline.store().in_flight(), 0u);
+    TripleStore store(backend, 0, file);
+    store.plan(std::vector<TripleKey>(6, key));
+    (void)store.next(key);
+    ASSERT_GT(store.in_flight(), 0u);
+    store.persist();
+    EXPECT_EQ(store.in_flight(), 0u);
   }
   DealerBackend backend(seed, config.frac_bits, /*party=*/0);
-  core::TriplePipeline restored(config, backend, 0, /*training=*/false);
-  EXPECT_EQ(restored.store().consumed(key), 1u);
-  EXPECT_EQ(restored.store().depth(key), 3u);
+  TripleStore restored(backend, 0, file);
+  EXPECT_EQ(restored.consumed(key), 1u);
+  EXPECT_EQ(restored.depth(key), 3u);
   for (std::uint64_t i = 1; i <= 5; ++i) {
-    EXPECT_EQ(encode(restored.store().next(key).pair),
+    EXPECT_EQ(encode(restored.next(key).pair),
               encode(deal_material(key, i, 1, seed, config.frac_bits)[0][0]
                          .pair))
         << "entry " << i;
@@ -743,16 +735,16 @@ TEST(TriplePipelineTest, PersistedStoreSurvivesARestart) {
   // stream cursors; the second restores them and resumes the streams
   // mid-cursor.  Results stay correct because the entries are
   // position-addressed, not arrival-ordered.
-  const std::string dir = ::testing::TempDir();
-  for (int party = 0; party < 3; ++party) {
-    std::remove(
-        core::TriplePipeline::store_path(dir, party, false).c_str());
-  }
+  core::EngineConfig config = job_config();
+  config.triple_store_dir = ::testing::TempDir();
+  const auto remove_files = [&] {
+    for (int party = 0; party < 3; ++party) {
+      std::remove(core::triple_store_file(config, party, false).path.c_str());
+    }
+  };
+  remove_files();
   const auto split = tiny_split(20, 12);
   const data::Dataset sample = data::slice(split.test, 0, 6);
-
-  core::EngineConfig config = job_config();
-  config.triple_store_dir = dir;
 
   core::TrustDdlEngine first(nn::mnist_mlp_spec(), config);
   const auto first_result = first.infer(sample, /*batch_size=*/3);
@@ -760,11 +752,7 @@ TEST(TriplePipelineTest, PersistedStoreSurvivesARestart) {
   core::TrustDdlEngine second(nn::mnist_mlp_spec(), config);
   const auto second_result = second.infer(sample, /*batch_size=*/3);
   EXPECT_EQ(second_result.labels, first_result.labels);
-
-  for (int party = 0; party < 3; ++party) {
-    std::remove(
-        core::TriplePipeline::store_path(dir, party, false).c_str());
-  }
+  remove_files();
 }
 
 }  // namespace
