@@ -61,7 +61,6 @@ RunStats run(int num_pods, const data::TrainTestSplit& split) {
   config.engine.emulate_latency = true;
   config.engine.link_latency = kLinkLatency;
   config.serve.max_batch_rows = 1;
-  config.serve.batch_window = std::chrono::milliseconds(0);
   config.client.response_timeout = std::chrono::milliseconds(120000);
   config.client.deadline = std::chrono::milliseconds(120000);
   config.num_pods = num_pods;

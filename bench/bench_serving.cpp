@@ -5,10 +5,11 @@
 // in-process serving session (three party servers + the model owner's
 // batch sequencer).  The "batch1" configuration dispatches every
 // request as its own batch (max_batch_rows = 1); "batched" lets the
-// owner coalesce up to 8 rows per manifest under a short latency
-// window.  The MPC forward pays per-round round trips that are almost
-// independent of row count (deferred openings), so coalescing amortizes
-// protocol rounds across requests — requests/second is the headline.
+// owner coalesce up to 8 rows per manifest, dispatching a partial batch
+// only while no other is in flight.  The MPC forward pays per-round
+// round trips that are almost independent of row count (deferred
+// openings), so coalescing amortizes protocol rounds across requests —
+// requests/second is the headline.
 //
 // Links carry an emulated one-way delay (delivery-time stamping, no
 // thread blocks) so round amortization shows up as wall-clock the way
@@ -54,7 +55,6 @@ struct RunStats {
 };
 
 RunStats run_once(std::size_t max_batch_rows,
-                  std::chrono::milliseconds batch_window,
                   const data::TrainTestSplit& split, double* wall_out) {
   serve::SessionConfig config;
   config.spec = nn::mnist_cnn_spec();
@@ -63,7 +63,6 @@ RunStats run_once(std::size_t max_batch_rows,
   config.engine.emulate_latency = true;
   config.engine.link_latency = kLinkLatency;
   config.serve.max_batch_rows = max_batch_rows;
-  config.serve.batch_window = batch_window;
   config.num_clients = kClients;
   config.client.response_timeout = std::chrono::milliseconds(120000);
   config.client.deadline = std::chrono::milliseconds(120000);
@@ -102,14 +101,11 @@ RunStats run_once(std::size_t max_batch_rows,
   return stats;
 }
 
-RunStats run(std::size_t max_batch_rows,
-             std::chrono::milliseconds batch_window,
-             const data::TrainTestSplit& split) {
+RunStats run(std::size_t max_batch_rows, const data::TrainTestSplit& split) {
   RunStats stats;
   std::vector<double> walls(kTrials);
   for (int trial = 0; trial < kTrials; ++trial) {
-    RunStats once =
-        run_once(max_batch_rows, batch_window, split, &walls[trial]);
+    RunStats once = run_once(max_batch_rows, split, &walls[trial]);
     if (trial > 0 && once.labels != stats.labels) {
       std::fprintf(stderr, "FATAL: labels changed between trials\n");
       std::exit(1);
@@ -170,10 +166,8 @@ int main(int argc, char** argv) {
               "wall (s)", "p95 (s)", "cv", "req/s", "batches", "messages",
               "MB/req");
 
-  const RunStats batch1 =
-      run(/*max_batch_rows=*/1, std::chrono::milliseconds(0), split);
-  const RunStats batched =
-      run(/*max_batch_rows=*/8, std::chrono::milliseconds(20), split);
+  const RunStats batch1 = run(/*max_batch_rows=*/1, split);
+  const RunStats batched = run(/*max_batch_rows=*/8, split);
 
   print_row("batch1", batch1);
   print_row("batched", batched);

@@ -208,13 +208,11 @@ std::unique_ptr<obs::AdminServer> start_admin(int port,
 }
 
 core::EngineConfig engine_config(const std::string& task,
-                                 const std::string& mode, bool batch_openings,
-                                 std::uint64_t seed) {
+                                 const std::string& mode, std::uint64_t seed) {
   core::EngineConfig config;
   const bool malicious = mode != "hbc";
   config.mode = malicious ? mpc::SecurityMode::kMalicious
                           : mpc::SecurityMode::kHonestButCurious;
-  config.batch_openings = batch_openings;
   config.seed = seed;
   config.collect_timeout = std::chrono::milliseconds(2000);
   if (task == "malicious-inference") {

@@ -114,9 +114,10 @@ std::unique_ptr<obs::AdminServer> start_admin(
 /// forced wherever honest states must stay bit-identical: under the
 /// Case 3 adversary of malicious-inference, for malicious-mode serve,
 /// and for train-serve (aggregation rescale, checkpoint/resume).
+/// Openings always share rounds (EngineConfig::batch_openings): the
+/// unbatched schedule only costs rounds and messages.
 core::EngineConfig engine_config(const std::string& task,
-                                 const std::string& mode, bool batch_openings,
-                                 std::uint64_t seed);
+                                 const std::string& mode, std::uint64_t seed);
 
 /// The dataset every process derives: real MNIST from `mnist_dir` when
 /// complete, else the synthetic substitute with the model's geometry.

@@ -30,7 +30,6 @@
 //   --rows N             input rows per request [1]
 //   --model mlp|cnn|tiny-cnn   architecture [mlp] (must match parties)
 //   --mode malicious|hbc       security mode [malicious] (ditto)
-//   --batch-openings on|off    deferred-opening scheduler [on] (ditto)
 //   --seed N             model/protocol seed [1] (ditto)
 //   --data-seed N        synthetic query-set seed [7]
 //   --deadline-ms N      owner-enforced queue deadline [2000]
@@ -92,7 +91,6 @@ struct Options {
   std::size_t rows = 1;
   std::string model = "mlp";
   std::string mode = "malicious";
-  bool batch_openings = true;
   std::uint64_t seed = 1;
   std::uint64_t data_seed = 7;
   int deadline_ms = 2000;
@@ -122,7 +120,6 @@ Options parse_options(int argc, char** argv) {
       .value("--rows", opt.rows)
       .value("--model", opt.model)
       .value("--mode", opt.mode)
-      .on_off("--batch-openings", opt.batch_openings)
       .value("--seed", opt.seed)
       .value("--data-seed", opt.data_seed)
       .value("--deadline-ms", opt.deadline_ms)
@@ -365,7 +362,7 @@ int main(int argc, char** argv) {
   // Same derivations as trustddl_party / the in-memory engine, so the
   // parties evaluate exactly the model --check compares against.
   core::EngineConfig config =
-      cli::engine_config("serve", opt.mode, opt.batch_openings, opt.seed);
+      cli::engine_config("serve", opt.mode, opt.seed);
   config.trace_out = opt.trace_out;
   const nn::ModelSpec spec = cli::spec_for(opt.model);
   const data::Dataset queries =

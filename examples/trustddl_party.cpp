@@ -35,9 +35,9 @@
 //   --clients N          serve: number of client actors [1]; clients
 //                        occupy ids 5..5+N-1 and the data owner id 3
 //                        is unused
-//   --serve-max-batch N  serve: flush a batch at this many rows [8]
-//   --serve-window-ms N  serve: max wait before a partial batch is
-//                        flushed [20]
+//   --serve-max-batch N  serve: dispatch a batch at this many rows;
+//                        fewer rows leave once the parties are idle
+//                        [8]
 //   --serve-queue-cap N  serve: bounded-queue capacity; requests
 //                        beyond it are rejected (backpressure) [64]
 //   --serve-corrupt-results    serve: hosted computing parties return
@@ -101,7 +101,6 @@
 //   --epochs N           training epochs [1]
 //   --lr F               learning rate [0.3]
 //   --mode malicious|hbc security mode [malicious]
-//   --batch-openings on|off    deferred-opening scheduler [on]
 //   --seed N             model/protocol seed [1]
 //   --data-seed N        synthetic-dataset seed [7]
 //   --check              verify against an in-memory run (data owner
@@ -136,7 +135,6 @@ struct Options {
   std::string task = "infer";
   int clients = 1;
   std::size_t serve_max_batch = 8;
-  int serve_window_ms = 20;
   std::size_t serve_queue_cap = 64;
   bool serve_corrupt_results = false;
   int owners = 3;
@@ -159,7 +157,6 @@ struct Options {
   std::size_t epochs = 1;
   double learning_rate = 0.3;
   std::string mode = "malicious";
-  bool batch_openings = true;
   std::uint64_t seed = 1;
   std::uint64_t data_seed = 7;
   bool check = false;
@@ -229,7 +226,6 @@ Options parse_options(int argc, char** argv) {
                 clients_given = true;
               })
       .value("--serve-max-batch", opt.serve_max_batch)
-      .value("--serve-window-ms", opt.serve_window_ms)
       .value("--serve-queue-cap", opt.serve_queue_cap)
       .set("--serve-corrupt-results", opt.serve_corrupt_results)
       .value("--owners", opt.owners)
@@ -254,7 +250,6 @@ Options parse_options(int argc, char** argv) {
       .value("--epochs", opt.epochs)
       .value("--lr", opt.learning_rate)
       .value("--mode", opt.mode)
-      .on_off("--batch-openings", opt.batch_openings)
       .value("--seed", opt.seed)
       .value("--data-seed", opt.data_seed)
       .set("--check", opt.check)
@@ -288,10 +283,8 @@ Options parse_options(int argc, char** argv) {
     if (opt.clients < 1) {
       cli::usage_error("--clients must be >= 1");
     }
-    if (opt.serve_max_batch < 1 || opt.serve_queue_cap < 1 ||
-        opt.serve_window_ms < 0) {
-      cli::usage_error("--serve-max-batch/--serve-queue-cap must be >= 1 "
-                       "and --serve-window-ms >= 0");
+    if (opt.serve_max_batch < 1 || opt.serve_queue_cap < 1) {
+      cli::usage_error("--serve-max-batch/--serve-queue-cap must be >= 1");
     }
   }
   if (train_serving) {
@@ -580,7 +573,6 @@ int run_serve(Host& host, const core::EngineConfig& config,
 
   serve::ServeConfig serve_config;
   serve_config.max_batch_rows = opt.serve_max_batch;
-  serve_config.batch_window = std::chrono::milliseconds(opt.serve_window_ms);
   serve_config.queue_capacity = opt.serve_queue_cap;
   const std::size_t param_count = model.parameters().size();
 
@@ -742,7 +734,7 @@ int main(int argc, char** argv) {
   // --- Deterministic shared state: every process derives the same
   // configuration, model and data from the flags alone.
   core::EngineConfig config =
-      cli::engine_config(opt.task, opt.mode, opt.batch_openings, opt.seed);
+      cli::engine_config(opt.task, opt.mode, opt.seed);
   config.triple_store_dir = opt.triple_store_dir;
   config.metrics_out = opt.metrics_out;
   config.trace_out = opt.trace_out;

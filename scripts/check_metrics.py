@@ -149,7 +149,9 @@ def check_serve_section(metrics):
 
     The owner's scheduler assigns every admitted request exactly one
     terminal outcome, so the counters must balance; any imbalance means
-    a request was dropped or double-counted.
+    a request was dropped or double-counted.  Every batch it dispatched
+    left for exactly one reason: its rows were full, or the parties
+    were idle.
     """
     counters = metrics["counters"]
     if "serve.requests.admitted" not in counters:
@@ -162,6 +164,11 @@ def check_serve_section(metrics):
             "serve.requests.admitted %d != completed+rejected+"
             "deadline_missed %d" % (admitted, outcomes))
     batches = counters.get("serve.batches", 0)
+    reasons = (counters.get("serve.dispatch.idle", 0)
+               + counters.get("serve.dispatch.full", 0))
+    require(reasons == batches,
+            "serve.dispatch.idle+full %d != serve.batches %d"
+            % (reasons, batches))
     rows_hist = metrics["histograms"].get("serve.batch.rows")
     if rows_hist is not None:
         require(rows_hist["count"] == batches,

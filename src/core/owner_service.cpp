@@ -333,6 +333,9 @@ void ModelOwnerService::process_group(std::uint64_t id, Group& group) {
       group.responded[static_cast<std::size_t>(party)] = true;
     }
   }
+  if (group.op == OwnerOp::kSoftmaxForward) {
+    softmax_forwards_answered_.fetch_add(1);
+  }
 }
 
 }  // namespace trustddl::core

@@ -83,6 +83,13 @@ class ModelOwnerService {
   /// kBatchFill requests served (all parties, all streams).
   std::uint64_t fills_served() const { return fills_served_; }
 
+  /// Softmax-forward groups answered so far.  Every serving batch ends
+  /// in exactly one, so the batch scheduler reads this, from its own
+  /// thread, as the number of batches that left the parties.
+  const std::atomic<std::uint64_t>& softmax_forwards_answered() const {
+    return softmax_forwards_answered_;
+  }
+
  private:
   struct Group {
     OwnerOp op = OwnerOp::kSoftmaxForward;
@@ -137,6 +144,7 @@ class ModelOwnerService {
   std::map<std::string, RingTensor> revealed_;
   std::size_t anomalies_ = 0;
   std::uint64_t fills_served_ = 0;
+  std::atomic<std::uint64_t> softmax_forwards_answered_{0};
 };
 
 }  // namespace trustddl::core

@@ -28,12 +28,11 @@ std::vector<BatchQueue::Entry> BatchQueue::expire(Clock::time_point now) {
   return expired;
 }
 
-bool BatchQueue::should_flush(Clock::time_point now) const {
+bool BatchQueue::should_flush(Clock::time_point now, bool idle) const {
   if (pending_.empty()) {
     return false;
   }
-  return pending_rows_ >= max_batch_rows_ ||
-         now - pending_.front().admitted >= window_;
+  return full() || (idle && now - pending_.back().admitted >= kIdlePoll);
 }
 
 std::vector<BatchQueue::Entry> BatchQueue::pop_batch() {

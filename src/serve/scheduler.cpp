@@ -18,11 +18,12 @@ constexpr const char* kLog = "serve.scheduler";
 
 }  // namespace
 
-BatchScheduler::BatchScheduler(net::Endpoint endpoint, ServeConfig config,
-                               int num_clients)
+BatchScheduler::BatchScheduler(
+    net::Endpoint endpoint, ServeConfig config, int num_clients,
+    const std::atomic<std::uint64_t>& answered_batches)
     : endpoint_(endpoint), config_(config), num_clients_(num_clients),
-      queue_(config.queue_capacity, config.max_batch_rows,
-             config.batch_window) {
+      answered_batches_(answered_batches),
+      queue_(config.queue_capacity, config.max_batch_rows) {
   TRUSTDDL_REQUIRE(num_clients >= 1, "serve: need at least one client");
   trace_id_base_ = (obs::wall_epoch_us() / 1000000) << 32;
 }
@@ -66,8 +67,10 @@ void BatchScheduler::run() {
       obs::gauge_add("serve.queue.depth", -1);
       send_control(dead.client, dead.seq, Status::kDeadlineMissed);
     }
-    if (queue_.should_flush(now)) {
+    const bool idle = answered_batches_.load() >= stats_.batches;
+    if (queue_.should_flush(now, idle)) {
       progress = true;
+      obs::count(queue_.full() ? "serve.dispatch.full" : "serve.dispatch.idle");
       dispatch(queue_.pop_batch());
     }
     if (config_.max_batches != 0 && stats_.batches >= config_.max_batches) {
@@ -81,7 +84,7 @@ void BatchScheduler::run() {
       break;
     }
     if (!progress) {
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      std::this_thread::sleep_for(kIdlePoll);
     }
   }
 

@@ -11,6 +11,17 @@
 // requests, it runs the bounded BatchQueue, and it broadcasts each
 // batch manifest to the three parties, which follow in lockstep.
 //
+// Dispatch is work-conserving.  Every serving batch ends in the
+// outsourced Softmax the owner itself answers, so the owner knows,
+// with no extra message, how many dispatched batches are still in
+// flight: batches dispatched minus Softmax forwards answered.  A full
+// batch leaves at once; a partial batch leaves as soon as none is in
+// flight (after one quiet kIdlePoll).  No party can advance the count
+// alone: a Softmax group is answered only once all three parties, or
+// two after the owner's collect timeout, sent their shares.  If it
+// never advances, full batches still leave and partial ones end in
+// the deadline sweep, so the scheduler always terminates.
+//
 // The scheduler owns the request lifecycle ledger: every admitted
 // notice ends in exactly one of {completed (dispatched in a manifest),
 // rejected, deadline_missed} — the serve.requests.* counters satisfy
@@ -18,6 +29,7 @@
 // by construction, and scripts/check_metrics.py enforces it.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 
 #include "net/transport.hpp"
@@ -39,8 +51,11 @@ class BatchScheduler {
  public:
   /// `endpoint` must be the model owner's; clients occupy actor ids
   /// kFirstClientId .. kFirstClientId + num_clients - 1.
-  BatchScheduler(net::Endpoint endpoint, ServeConfig config,
-                 int num_clients);
+  /// `answered_batches` counts the dispatched batches whose Softmax was
+  /// answered (core::ModelOwnerService::softmax_forwards_answered); it
+  /// is written by another thread and must outlive the scheduler.
+  BatchScheduler(net::Endpoint endpoint, ServeConfig config, int num_clients,
+                 const std::atomic<std::uint64_t>& answered_batches);
 
   /// Sequence batches until every client sent its stop notice and the
   /// queue drained; then broadcast the shutdown manifest.  Runs on the
@@ -57,6 +72,7 @@ class BatchScheduler {
   net::Endpoint endpoint_;
   ServeConfig config_;
   int num_clients_;
+  const std::atomic<std::uint64_t>& answered_batches_;
   BatchQueue queue_;
   SchedulerStats stats_;
   std::uint64_t next_manifest_ = 0;

@@ -173,6 +173,10 @@ void serve_model_owner_body(const nn::ModelSpec& spec,
                             nn::Sequential& model, net::Endpoint endpoint,
                             const ServeConfig& serve_config, int num_clients,
                             SchedulerStats* stats_out) {
+  // The scheduler reads each batch's completion from its outsourced
+  // Softmax, and validate_spec requires the spec to end in one: without
+  // it every partial batch would wait for an answer that never comes.
+  nn::validate_spec(spec);
   // The parties build SecureModel(spec, …) from these shares and wait
   // for exactly one per spec parameter: a model of another shape would
   // leave them blocked until their actor timeout.
@@ -204,7 +208,8 @@ void serve_model_owner_body(const nn::ModelSpec& spec,
   std::future<void> service_done =
       std::async(std::launch::async, [&] { service.run(); });
 
-  BatchScheduler scheduler(endpoint, serve_config, num_clients);
+  BatchScheduler scheduler(endpoint, serve_config, num_clients,
+                           service.softmax_forwards_answered());
   try {
     scheduler.run();
   } catch (...) {

@@ -82,8 +82,11 @@ mpc::DetectionLog serve_computing_party_body(
 
 /// Model owner: share parameters, then run the owner service (unary/
 /// collective requests) and the batch scheduler side by side until the
-/// parties stop.  `stats_out`, if non-null, receives the scheduler's
-/// request ledger.
+/// parties stop; the scheduler reads batch completions from the
+/// service's Softmax answers.  Throws InvalidArgument, before any
+/// parameter share is sent, unless `spec` passes nn::validate_spec
+/// (which requires it to end in Softmax) and `model` matches it.
+/// `stats_out`, if non-null, receives the scheduler's request ledger.
 void serve_model_owner_body(const nn::ModelSpec& spec,
                             const core::EngineConfig& config,
                             nn::Sequential& model, net::Endpoint endpoint,

@@ -90,27 +90,27 @@ TEST(CliFlagsTest, PeerListsAreStrict) {
 
 TEST(CliConfigTest, ServiceTasksUseMaskedOpenTruncation) {
   using mpc::TruncationMode;
-  EXPECT_EQ(engine_config("serve", "malicious", true, 1).resolved_trunc_mode(),
+  EXPECT_EQ(engine_config("serve", "malicious", 1).resolved_trunc_mode(),
             TruncationMode::kMaskedOpen);
-  EXPECT_EQ(engine_config("serve", "hbc", true, 1).resolved_trunc_mode(),
+  EXPECT_EQ(engine_config("serve", "hbc", 1).resolved_trunc_mode(),
             TruncationMode::kLocal);
   EXPECT_EQ(
-      engine_config("train-serve", "malicious", true, 1).resolved_trunc_mode(),
+      engine_config("train-serve", "malicious", 1).resolved_trunc_mode(),
       TruncationMode::kMaskedOpen);
-  EXPECT_EQ(engine_config("infer", "malicious", true, 1).resolved_trunc_mode(),
+  EXPECT_EQ(engine_config("infer", "malicious", 1).resolved_trunc_mode(),
             TruncationMode::kLocal);
   const core::EngineConfig attacked =
-      engine_config("malicious-inference", "malicious", false, 9);
+      engine_config("malicious-inference", "malicious", 9);
   EXPECT_EQ(attacked.resolved_trunc_mode(), TruncationMode::kMaskedOpen);
   EXPECT_EQ(attacked.byzantine_party, 1);
-  EXPECT_FALSE(attacked.batch_openings);
+  EXPECT_TRUE(attacked.batch_openings);  // no flag turns batching off
   EXPECT_EQ(attacked.seed, 9u);
-  EXPECT_EQ(engine_config("serve", "hbc", true, 1).mode,
+  EXPECT_EQ(engine_config("serve", "hbc", 1).mode,
             mpc::SecurityMode::kHonestButCurious);
 }
 
 TEST(CliConfigTest, ReferenceConfigDropsFilesOfTheDeployment) {
-  core::EngineConfig config = engine_config("infer", "malicious", true, 3);
+  core::EngineConfig config = engine_config("infer", "malicious", 3);
   config.triple_store_dir = "stores";
   config.metrics_out = "metrics.json";
   config.trace_out = "trace.jsonl";

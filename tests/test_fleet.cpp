@@ -283,7 +283,6 @@ TEST(FleetSessionTest, RoutedClientsMatchEngineAcrossPods) {
   config.spec = nn::mnist_mlp_spec();
   config.engine = fast_engine();
   config.serve.max_batch_rows = 4;
-  config.serve.batch_window = milliseconds(10);
   config.num_pods = 2;
   config.num_clients = kClients;
 
@@ -338,7 +337,6 @@ TEST(FleetSessionTest, PodCrashFailsOverWithZeroLostRequests) {
   config.spec = nn::mnist_mlp_spec();
   config.engine = fast_engine();
   config.serve.max_batch_rows = 1;  // every request is its own batch
-  config.serve.batch_window = milliseconds(5);
   config.num_pods = 2;
   config.num_clients = kClients;
   // Kill client 0's home pod after it dispatched one batch: requests
@@ -402,7 +400,6 @@ TEST(FleetSessionTest, ProtocolAdversaryLeavesLabelsBitIdentical) {
   config.engine = fast_engine();
   config.engine.trunc_mode = mpc::TruncationMode::kMaskedOpen;
   config.serve.max_batch_rows = 4;
-  config.serve.batch_window = milliseconds(10);
   config.num_pods = 2;
   config.num_clients = kClients;
   const auto expected = reference_labels(

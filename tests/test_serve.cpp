@@ -2,9 +2,12 @@
 // in-process serving sessions (three party servers + owner scheduler +
 // clients over one in-memory network), including the Byzantine and
 // crash degradations at the serving edge.
+#include <array>
 #include <atomic>
-#include <cstdio>
 #include <chrono>
+#include <cstdio>
+#include <limits>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,6 +22,7 @@
 #include "net/network.hpp"
 #include "nn/model_zoo.hpp"
 #include "serve/harness.hpp"
+#include "serve/scheduler.hpp"
 #include "serve/server.hpp"
 #include "serve/wire.hpp"
 
@@ -45,27 +49,37 @@ BatchQueue::Entry entry(net::PartyId client, std::uint64_t seq,
 // machine, unit-tested deterministically.
 
 TEST(BatchQueueTest, FlushesWhenMaxRowsPending) {
-  BatchQueue queue(/*capacity=*/16, /*max_batch_rows=*/8,
-                   /*window=*/milliseconds(1000));
+  BatchQueue queue(/*capacity=*/16, /*max_batch_rows=*/8);
   const auto now = Clock::now();
   ASSERT_TRUE(queue.push(entry(5, 0, 3, now)));
-  EXPECT_FALSE(queue.should_flush(now));
+  EXPECT_FALSE(queue.should_flush(now, /*idle=*/false));
   ASSERT_TRUE(queue.push(entry(5, 1, 5, now)));
-  EXPECT_TRUE(queue.should_flush(now));  // 8 rows pending, window not up
+  EXPECT_TRUE(queue.full());
+  // 8 rows pending: they leave at once, even behind a batch in flight.
+  EXPECT_TRUE(queue.should_flush(now, /*idle=*/false));
 }
 
-TEST(BatchQueueTest, FlushesWhenWindowExpires) {
-  BatchQueue queue(/*capacity=*/16, /*max_batch_rows=*/8,
-                   /*window=*/milliseconds(20));
+TEST(BatchQueueTest, FlushesAPartialBatchOnceIdleAndQuiet) {
+  BatchQueue queue(/*capacity=*/16, /*max_batch_rows=*/8);
   const auto now = Clock::now();
   ASSERT_TRUE(queue.push(entry(5, 0, 1, now)));
-  EXPECT_FALSE(queue.should_flush(now + milliseconds(19)));
-  EXPECT_TRUE(queue.should_flush(now + milliseconds(20)));
+  EXPECT_FALSE(queue.full());
+  // A batch in flight holds a partial batch however long it waits.
+  EXPECT_FALSE(queue.should_flush(now + milliseconds(1000), /*idle=*/false));
+  // Idle parties take it once the newest notice is one poll old.
+  EXPECT_FALSE(queue.should_flush(now + kIdlePoll / 2, /*idle=*/true));
+  EXPECT_TRUE(queue.should_flush(now + kIdlePoll, /*idle=*/true));
+  // A later notice restarts the quiet poll for the whole batch.
+  const auto later = now + kIdlePoll;
+  ASSERT_TRUE(queue.push(entry(6, 0, 1, later)));
+  EXPECT_FALSE(queue.should_flush(later + kIdlePoll / 2, /*idle=*/true));
+  EXPECT_TRUE(queue.should_flush(later + kIdlePoll, /*idle=*/true));
+  EXPECT_EQ(queue.pop_batch().size(), 2u);
+  EXPECT_FALSE(queue.should_flush(later + kIdlePoll, /*idle=*/true));
 }
 
 TEST(BatchQueueTest, RejectsWhenFull) {
-  BatchQueue queue(/*capacity=*/2, /*max_batch_rows=*/8,
-                   /*window=*/milliseconds(20));
+  BatchQueue queue(/*capacity=*/2, /*max_batch_rows=*/8);
   const auto now = Clock::now();
   EXPECT_TRUE(queue.push(entry(5, 0, 1, now)));
   EXPECT_TRUE(queue.push(entry(6, 0, 1, now)));
@@ -74,8 +88,7 @@ TEST(BatchQueueTest, RejectsWhenFull) {
 }
 
 TEST(BatchQueueTest, ExpiresPastDeadlineEntries) {
-  BatchQueue queue(/*capacity=*/16, /*max_batch_rows=*/8,
-                   /*window=*/milliseconds(1000));
+  BatchQueue queue(/*capacity=*/16, /*max_batch_rows=*/8);
   const auto now = Clock::now();
   ASSERT_TRUE(queue.push(entry(5, 0, 2, now, milliseconds(10))));
   ASSERT_TRUE(queue.push(entry(6, 0, 3, now, milliseconds(10000))));
@@ -87,8 +100,7 @@ TEST(BatchQueueTest, ExpiresPastDeadlineEntries) {
 }
 
 TEST(BatchQueueTest, PopBatchRespectsMaxRowsAndArrivalOrder) {
-  BatchQueue queue(/*capacity=*/16, /*max_batch_rows=*/8,
-                   /*window=*/milliseconds(0));
+  BatchQueue queue(/*capacity=*/16, /*max_batch_rows=*/8);
   const auto now = Clock::now();
   ASSERT_TRUE(queue.push(entry(5, 0, 3, now)));
   ASSERT_TRUE(queue.push(entry(6, 0, 4, now)));
@@ -102,8 +114,7 @@ TEST(BatchQueueTest, PopBatchRespectsMaxRowsAndArrivalOrder) {
 }
 
 TEST(BatchQueueTest, OversizedRequestDispatchesAlone) {
-  BatchQueue queue(/*capacity=*/16, /*max_batch_rows=*/8,
-                   /*window=*/milliseconds(0));
+  BatchQueue queue(/*capacity=*/16, /*max_batch_rows=*/8);
   const auto now = Clock::now();
   ASSERT_TRUE(queue.push(entry(5, 0, 16, now)));
   ASSERT_TRUE(queue.push(entry(6, 0, 1, now)));
@@ -111,6 +122,178 @@ TEST(BatchQueueTest, OversizedRequestDispatchesAlone) {
   ASSERT_EQ(batch.size(), 1u);
   EXPECT_EQ(batch[0].rows, 16u);
   EXPECT_EQ(queue.pending_rows(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// BatchScheduler's dispatch rule over an in-memory network with no
+// parties: the test plays the clients, reads the manifests party 0
+// would, and holds the completion counter that the owner's Softmax
+// answers advance in a deployment.
+
+class ServeDispatchTest : public ::testing::Test {
+ protected:
+  static constexpr int kClients = 2;
+  static constexpr milliseconds kWait{10000};
+
+  void SetUp() override {
+    obs::set_metrics_enabled(true);
+    obs::MetricsRegistry::global().reset();
+  }
+
+  void TearDown() override {
+    if (thread_.joinable()) {
+      finish();
+    }
+    obs::set_metrics_enabled(false);
+  }
+
+  net::Endpoint client(int index) {
+    return network_.endpoint(kFirstClientId + index);
+  }
+
+  /// Sends client `index`'s next request notice; returns its seq.
+  std::uint64_t notify(int index, std::size_t rows = 1,
+                       std::uint32_t deadline_ms = 0) {
+    RequestNotice notice;
+    notice.seq = next_seq_[static_cast<std::size_t>(index)]++;
+    notice.rows = rows;
+    notice.deadline_ms = deadline_ms;
+    client(index).send(core::kModelOwner, notice_tag(notice.seq),
+                       encode_notice(notice));
+    return notice.seq;
+  }
+
+  void start() {
+    thread_ = std::thread([this] { scheduler_.run(); });
+  }
+
+  /// The next manifest party 0 receives.
+  BatchManifest next_manifest() {
+    return decode_manifest(network_.endpoint(0).recv(
+        core::kModelOwner, manifest_tag(next_manifest_++), kWait));
+  }
+
+  /// True if the next manifest was already sent (and takes it).
+  bool manifest_sent() {
+    Bytes payload;
+    return network_.endpoint(0).try_recv(
+        core::kModelOwner, manifest_tag(next_manifest_), payload);
+  }
+
+  static std::uint64_t counter(const std::string& name) {
+    return obs::MetricsRegistry::global().counter(name).value();
+  }
+
+  /// Blocks until the scheduler has admitted `count` notices.
+  static void await_admitted(std::uint64_t count) {
+    const auto deadline = Clock::now() + kWait;
+    while (counter("serve.requests.admitted") < count &&
+           Clock::now() < deadline) {
+      std::this_thread::sleep_for(milliseconds(1));
+    }
+    ASSERT_EQ(counter("serve.requests.admitted"), count);
+  }
+
+  /// Answers every batch from here on, stops the clients, joins the
+  /// scheduler and checks its request ledger.
+  SchedulerStats finish() {
+    answered_.store(std::numeric_limits<std::uint64_t>::max());
+    for (int index = 0; index < kClients; ++index) {
+      RequestNotice stop;
+      stop.kind = NoticeKind::kStop;
+      stop.seq = next_seq_[static_cast<std::size_t>(index)]++;
+      client(index).send(core::kModelOwner, notice_tag(stop.seq),
+                         encode_notice(stop));
+    }
+    thread_.join();
+    const SchedulerStats stats = scheduler_.stats();
+    EXPECT_EQ(stats.admitted,
+              stats.completed + stats.rejected + stats.deadline_missed);
+    EXPECT_EQ(counter("serve.dispatch.idle") + counter("serve.dispatch.full"),
+              stats.batches);
+    return stats;
+  }
+
+  net::Network network_{
+      net::NetworkConfig{.num_parties = kFirstClientId + kClients}};
+  std::atomic<std::uint64_t> answered_{0};
+  BatchScheduler scheduler_{network_.endpoint(core::kModelOwner),
+                            ServeConfig{}, kClients, answered_};
+  std::thread thread_;
+  std::array<std::uint64_t, kClients> next_seq_{};
+  std::uint64_t next_manifest_ = 0;
+};
+
+TEST_F(ServeDispatchTest, LoneNoticeLeavesAtOnce) {
+  start();
+  notify(0);
+  const BatchManifest manifest = next_manifest();
+  ASSERT_EQ(manifest.entries.size(), 1u);
+  EXPECT_EQ(manifest.total_rows(), 1u);
+  EXPECT_EQ(counter("serve.dispatch.idle"), 1u);
+  const SchedulerStats stats = finish();
+  EXPECT_EQ(stats.batches, 1u);
+  EXPECT_TRUE(next_manifest().shutdown);
+}
+
+TEST_F(ServeDispatchTest, QueuedNoticesFormFullBatches) {
+  // Every notice is already waiting when the scheduler starts: it reads
+  // them all before it decides, so the first batch is full, not 1 + 7.
+  for (int r = 0; r < 16; ++r) {
+    notify(r % kClients);
+  }
+  start();
+  // Both leave with the first still in flight: full batches never wait.
+  EXPECT_EQ(next_manifest().total_rows(), 8u);
+  EXPECT_EQ(next_manifest().total_rows(), 8u);
+  EXPECT_EQ(counter("serve.dispatch.full"), 2u);
+  EXPECT_EQ(counter("serve.dispatch.idle"), 0u);
+  EXPECT_EQ(finish().batched_rows, 16u);
+}
+
+TEST_F(ServeDispatchTest, PartialNoticesWaitForTheBatchInFlight) {
+  start();
+  notify(0);
+  EXPECT_EQ(next_manifest().total_rows(), 1u);
+  notify(0);
+  notify(1);
+  await_admitted(3);
+  EXPECT_FALSE(manifest_sent()) << "left behind a batch in flight";
+  answered_.store(1);  // the first batch's Softmax was answered
+  const BatchManifest together = next_manifest();
+  ASSERT_EQ(together.entries.size(), 2u);
+  EXPECT_EQ(together.entries[0].client, kFirstClientId);
+  EXPECT_EQ(together.entries[1].client, kFirstClientId + 1);
+  EXPECT_EQ(counter("serve.dispatch.idle"), 2u);
+  EXPECT_EQ(finish().batches, 2u);
+}
+
+TEST_F(ServeDispatchTest, FullBatchLeavesWhileOneIsInFlight) {
+  start();
+  notify(0);
+  EXPECT_EQ(next_manifest().total_rows(), 1u);
+  for (int r = 0; r < 8; ++r) {
+    notify(r % kClients);
+  }
+  EXPECT_EQ(next_manifest().total_rows(), 8u);
+  EXPECT_EQ(answered_.load(), 0u);
+  EXPECT_EQ(counter("serve.dispatch.full"), 1u);
+  EXPECT_EQ(finish().batches, 2u);
+}
+
+TEST_F(ServeDispatchTest, RequestWaitingPastItsDeadlineIsAnswered) {
+  start();
+  notify(0);
+  EXPECT_EQ(next_manifest().total_rows(), 1u);
+  const std::uint64_t seq = notify(1, /*rows=*/1, /*deadline_ms=*/5);
+  const ControlResponse verdict = decode_control(
+      client(1).recv(core::kModelOwner, control_tag(seq), kWait));
+  EXPECT_EQ(verdict.status, Status::kDeadlineMissed);
+  EXPECT_EQ(verdict.seq, seq);
+  const SchedulerStats stats = finish();
+  EXPECT_EQ(stats.deadline_missed, 1u);
+  EXPECT_EQ(stats.completed, 1u);
+  EXPECT_EQ(stats.admitted, 2u);
 }
 
 // ---------------------------------------------------------------------------
@@ -256,6 +439,31 @@ TEST(ServeModelOwnerTest, RejectsAModelTheSpecDoesNotDescribe) {
   }
 }
 
+TEST(ServeModelOwnerTest, RejectsASpecWithoutSoftmaxOutput) {
+  // The owner reads each batch's completion from its outsourced
+  // Softmax: a spec without one must fail before any share is sent.
+  net::Network network(net::NetworkConfig{.num_parties = core::kNumActors});
+  nn::ModelSpec spec = nn::mnist_mlp_spec();
+  Rng rng(3);
+  nn::Sequential model = nn::build_model(spec, rng);
+  spec.layers.pop_back();
+  try {
+    serve_model_owner_body(spec, core::EngineConfig{}, model,
+                           network.endpoint(core::kModelOwner), ServeConfig{},
+                           /*num_clients=*/1);
+    FAIL() << "owner body accepted a spec that does not end in Softmax";
+  } catch (const InvalidArgument& error) {
+    EXPECT_NE(std::string(error.what()).find("Softmax"), std::string::npos)
+        << error.what();
+  }
+  for (int party = 0; party < core::kComputingParties; ++party) {
+    Bytes share;
+    EXPECT_FALSE(
+        network.endpoint(party).try_recv(core::kModelOwner, "init/0", share))
+        << "party " << party;
+  }
+}
+
 TEST(ServeSessionTest, ConcurrentClientsMatchSequentialInference) {
   constexpr int kClients = 2;
   constexpr std::size_t kRequests = 4;
@@ -265,7 +473,6 @@ TEST(ServeSessionTest, ConcurrentClientsMatchSequentialInference) {
   config.spec = nn::mnist_mlp_spec();
   config.engine = fast_engine();
   config.serve.max_batch_rows = 4;
-  config.serve.batch_window = milliseconds(10);
   config.num_clients = kClients;
 
   std::vector<std::vector<InferenceResult>> results(
@@ -306,7 +513,6 @@ TEST(ServeSessionTest, CoalescesConcurrentRequestsIntoBatches) {
   config.spec = nn::mnist_mlp_spec();
   config.engine = fast_engine();
   config.serve.max_batch_rows = 4;
-  config.serve.batch_window = milliseconds(50);
 
   std::vector<InferenceResult> results(kRequests);
   const SessionResult session = run_serving_session(
@@ -343,7 +549,6 @@ TEST(ServeSessionTest, LedgerEquationHolds) {
   config.spec = nn::mnist_mlp_spec();
   config.engine = fast_engine();
   config.serve.max_batch_rows = 2;
-  config.serve.batch_window = milliseconds(10);
 
   const SessionResult session = run_serving_session(
       config, [&](int, InferenceClient& client) {
@@ -358,17 +563,27 @@ TEST(ServeSessionTest, LedgerEquationHolds) {
   EXPECT_GT(session.scheduler.batches, 0u);
 }
 
+/// One-way link delay that keeps an MLP batch in flight for over
+/// 300 ms: its manifest, dealer fill, three malicious openings and
+/// Softmax are more than a dozen hops.  Once a first request has been
+/// answered, so the scheduler is running, a request submitted three
+/// hops after the next one reaches the owner while that one's batch is
+/// still in flight.
+constexpr milliseconds kSlowLink{20};
+
 TEST(ServeSessionTest, QueueFullRejectsThenRetrySucceeds) {
-  const auto split = query_split(4);
+  const auto split = query_split(6);
 
   SessionConfig config;
   config.spec = nn::mnist_mlp_spec();
   config.engine = fast_engine();
-  // Nothing flushes for 150ms and only two requests fit: the third
-  // must bounce with kRejected, and a retried request must land once
-  // the window expires the backlog.
+  // Nothing partial leaves while the blocker's batch is in flight, and
+  // only two requests fit behind it: the third must bounce with
+  // kRejected, and a retried request must land once the parties are
+  // idle again and the two admitted requests leave.
+  config.engine.emulate_latency = true;
+  config.engine.link_latency = kSlowLink;
   config.serve.max_batch_rows = 64;
-  config.serve.batch_window = milliseconds(150);
   config.serve.queue_capacity = 2;
   config.client.max_retries = 8;
   config.client.retry_backoff = milliseconds(50);
@@ -377,15 +592,22 @@ TEST(ServeSessionTest, QueueFullRejectsThenRetrySucceeds) {
   InferenceResult retried;
   const SessionResult session = run_serving_session(
       config, [&](int, InferenceClient& client) {
+        ASSERT_EQ(client.infer(data::slice(split.test, 5, 1).images).status,
+                  Status::kOk);
+        const auto blocker =
+            client.submit(data::slice(split.test, 4, 1).images);
+        std::this_thread::sleep_for(3 * kSlowLink);
         const auto seq_a = client.submit(data::slice(split.test, 0, 1).images);
         const auto seq_b = client.submit(data::slice(split.test, 1, 1).images);
         const auto seq_c = client.submit(data::slice(split.test, 2, 1).images);
         rejected = client.await(seq_c, 1);
         // infer() retries rejected submissions with backoff until the
-        // window flushes the two admitted requests.
+        // blocker's Softmax frees the parties for the two admitted
+        // requests.
         retried = client.infer(data::slice(split.test, 3, 1).images);
         client.await(seq_a, 1);
         client.await(seq_b, 1);
+        client.await(blocker, 1);
       });
 
   EXPECT_EQ(rejected.status, Status::kRejected);
@@ -397,27 +619,37 @@ TEST(ServeSessionTest, QueueFullRejectsThenRetrySucceeds) {
 }
 
 TEST(ServeSessionTest, ExpiredDeadlineIsReported) {
-  const auto split = query_split(1);
+  const auto split = query_split(3);
 
   SessionConfig config;
   config.spec = nn::mnist_mlp_spec();
   config.engine = fast_engine();
-  // A 1ms queue deadline under a 500ms batch window: the owner's
-  // deadline sweep must answer before any batch forms.
+  // A 100ms queue deadline behind a batch in flight for over 300ms: the
+  // owner's deadline sweep must answer before the parties are free.
+  config.engine.emulate_latency = true;
+  config.engine.link_latency = kSlowLink;
   config.serve.max_batch_rows = 64;
-  config.serve.batch_window = milliseconds(500);
-  config.client.deadline = milliseconds(1);
+  config.client.deadline = milliseconds(100);
 
   InferenceResult result;
+  InferenceResult blocked;
   const SessionResult session = run_serving_session(
       config, [&](int, InferenceClient& client) {
-        result = client.infer(split.test.images);
+        ASSERT_EQ(client.infer(data::slice(split.test, 2, 1).images).status,
+                  Status::kOk);
+        const auto blocker =
+            client.submit(data::slice(split.test, 1, 1).images);
+        std::this_thread::sleep_for(3 * kSlowLink);
+        result = client.infer(data::slice(split.test, 0, 1).images);
+        blocked = client.await(blocker, 1);
       });
 
   EXPECT_EQ(result.status, Status::kDeadlineMissed);
+  EXPECT_EQ(blocked.status, Status::kOk);
   EXPECT_EQ(session.scheduler.deadline_missed, 1u);
-  EXPECT_EQ(session.scheduler.completed, 0u);
-  EXPECT_EQ(session.scheduler.admitted, 1u);
+  // Only the first request and the blocker were ever dispatched.
+  EXPECT_EQ(session.scheduler.completed, 2u);
+  EXPECT_EQ(session.scheduler.admitted, 3u);
 }
 
 TEST(ServeSessionTest, ReconstructsWithPartyCrashedMidService) {
@@ -431,7 +663,6 @@ TEST(ServeSessionTest, ReconstructsWithPartyCrashedMidService) {
   // peer quickly; generous client budget so degraded batches finish.
   config.engine.recv_timeout = milliseconds(150);
   config.serve.max_batch_rows = 1;  // one batch per request
-  config.serve.batch_window = milliseconds(5);
   config.client.response_timeout = milliseconds(60000);
   config.client.deadline = milliseconds(60000);
   config.crash_party = 2;
@@ -466,7 +697,6 @@ TEST(ServeSessionTest, OutvotesCorruptedResultShares) {
   config.spec = nn::mnist_mlp_spec();
   config.engine = fast_engine();
   config.serve.max_batch_rows = 2;
-  config.serve.batch_window = milliseconds(10);
   config.corrupt_party = 1;
 
   std::vector<InferenceResult> results(kRequests);
@@ -498,7 +728,6 @@ TEST(ServeSessionTest, RecordsServeMetrics) {
   config.spec = nn::mnist_mlp_spec();
   config.engine = fast_engine();
   config.serve.max_batch_rows = 2;
-  config.serve.batch_window = milliseconds(10);
 
   const SessionResult session = run_serving_session(
       config, [&](int, InferenceClient& client) {
@@ -549,7 +778,6 @@ TEST(ServeSessionTest, ProtocolAdversaryLeavesLabelsBitIdentical) {
   config.engine = fast_engine();
   config.engine.trunc_mode = mpc::TruncationMode::kMaskedOpen;
   config.serve.max_batch_rows = 2;
-  config.serve.batch_window = milliseconds(10);
   const auto serve_all = [&](const SessionConfig& session_config,
                              SessionResult* session) {
     std::vector<std::size_t> labels;
